@@ -1,14 +1,20 @@
 """Blocked randomized min-plus product for bounded-difference matrices.
 
-Single-partition engine: pick a block length, build candidate sets from
-block representatives, finish small-candidate blocks by direct enumeration,
-and cover the rest by sampling reference columns. For each sampled column
-the matrices are column/row reduced, blocks are bucketed into value
-segments per block column, and corresponding segments are multiplied inside
-rectangular matrices: large segments in private slots, small segments
-randomly allocated with collision subtraction on the packed polynomial
-product. The result is always exact: pairs whose candidate set misses the
-sample fall back to direct enumeration.
+Both engines run one level loop (``run_levels``) over a list of block
+lengths: the single-partition engine over ``[l0]``, the recursive engine over
+``l0, l0/2, ..., 1``. At each level, candidate sets from block
+representatives split the open block pairs. Pairs with many candidates are
+covered by sampling reference columns: each sampled column reduces the
+matrices, and the pairs assigned to it get their block values from the
+block columns whose value buckets correspond. Pairs whose candidate set
+missed the sample fall back to direct enumeration, so the result is always
+exact. The other pairs are refined to half the block length, or enumerated
+directly after the last level.
+
+The packed rectangular products of the paper (value segments, randomized
+slot allocation, collision subtraction) are kept here as the reference the
+per-block evaluation is tested against; the collision counts they imply are
+replayed after a product by ``recursive.collision_audit``.
 """
 
 from __future__ import annotations
@@ -18,19 +24,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocking import CandidateSets, candidate_sets
-from .matrix import INF, BDMatrix, Matrix
+from .blocking import CandidateSets, candidate_sets, refine_candidates
+from .matrix import INF, BDMatrix, Matrix, check_operand
 from .oracle import PolyMatrix, extract_min, minplus_small_entries, poly_matmul
 
 # A-side bucket p corresponds to B-side bucket shift - p, one relation per shift.
 REL_SHIFTS = (-2, -1, 0)
 
-_PH_SAMPLE = 1
-_PH_ALLOC = 2
+_PH_SAMPLE_LVL = 11
 
 _KEY_BIAS = 1 << 20
 _KEY_STRIDE = 1 << 22
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
+
+
+class InvariantError(AssertionError):
+    """An invariant that guards exactness failed. Raised explicitly, so the
+    check also runs under ``python -O``."""
+
+
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise InvariantError(message)
 
 
 def derived_rng(seed: int, *key: int) -> np.random.Generator:
@@ -38,9 +53,14 @@ def derived_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed) & _SEED_MASK, *key]))
 
 
-def _ceil_tol(x: float) -> int:
-    # tolerate float fuzz when x should be an exact power
+def ceil_tol(x: float) -> int:
+    """Ceiling that tolerates float fuzz when x should be an exact power."""
     return int(math.ceil(x - 1e-9))
+
+
+def level_theta(n: int, l: int) -> float:
+    """Level exponent theta with block length l = n**(1-theta); 1.0 for n == 1."""
+    return math.log2(n // l) / math.log2(n) if n > 1 else 1.0
 
 
 @dataclass
@@ -71,7 +91,7 @@ class AlgoParams:
 
     alpha sets the block length l ~ n**(1-alpha); beta the small-candidate
     threshold n**beta; gamma the segment-size threshold n**gamma and the
-    slot-count exponent; c0 scales the sample size.
+    slot-count exponent of the flat allocation; c0 scales the sample size.
     """
 
     delta: int
@@ -100,18 +120,21 @@ class AlgoParams:
         return 1 << max(0, min(lg, exp))
 
     def t_beta(self, n: int) -> int:
-        return _ceil_tol(n ** self.beta)
+        return ceil_tol(n ** self.beta)
 
     def t_gamma(self, n: int) -> int:
-        return _ceil_tol(n ** self.gamma)
+        return ceil_tol(n ** self.gamma)
 
-    def sample_count(self, n: int) -> int:
+    def sample_count(self, n: int, l: int | None = None) -> int:
+        """Draws per level: ceil(c0 * log2(n) * (n/l) * n**-beta), with l the
+        level's block length (the top block length by default)."""
         if n <= 1:
             return 0
-        return _ceil_tol(self.c0 * math.log2(n) * n ** (self.alpha - self.beta))
+        theta = level_theta(n, self.block_len(n) if l is None else l)
+        return ceil_tol(self.c0 * math.log2(n) * n ** (theta - self.beta))
 
     def slot_count(self, n: int) -> int:
-        s = _ceil_tol(n ** (2 * self.alpha - self.gamma))
+        s = ceil_tol(n ** (2 * self.alpha - self.gamma))
         return ((s + 3) // 4) * 4
 
 
@@ -181,7 +204,10 @@ def build_segments(a_r, b_r, l: int, delta: int) -> tuple[SegmentTable, SegmentT
     w = 20 * int(delta) * int(l)
     pa = ad[::l, ::l] // w  # [bi, bk]
     qb = bd[::l, ::l] // w  # [bk, bj]
-    assert np.abs(pa).max(initial=0) < _KEY_BIAS and np.abs(qb).max(initial=0) < _KEY_BIAS
+    _require(
+        np.abs(pa).max(initial=0) < _KEY_BIAS and np.abs(qb).max(initial=0) < _KEY_BIAS,
+        "bucket index outside the segment key range",
+    )
     keys_a, members_a, sizes_a = _group_by_major(np.ascontiguousarray(pa.T))
     keys_b, members_b, sizes_b = _group_by_major(np.ascontiguousarray(qb))
     seg_a = SegmentTable(l, w, "columns", pa, keys_a, members_a, sizes_a)
@@ -189,7 +215,8 @@ def build_segments(a_r, b_r, l: int, delta: int) -> tuple[SegmentTable, SegmentT
     return seg_a, seg_b, REL_SHIFTS
 
 
-def _encode_keys(major: np.ndarray, bucket: np.ndarray) -> np.ndarray:
+def encode_keys(major: np.ndarray, bucket: np.ndarray) -> np.ndarray:
+    """One sortable int64 per (major block index, bucket) segment key."""
     return major.astype(np.int64) * _KEY_STRIDE + (bucket.astype(np.int64) + _KEY_BIAS)
 
 
@@ -258,8 +285,8 @@ def _build_allocation(
     slots = allocate_small_segments(len(keys), slot_count, rng)
     offsets = baseline_offset(keys[:, 1], shift, w)
 
-    b_enc = _encode_keys(seg_b.keys[:, 0], seg_b.keys[:, 1])
-    want = _encode_keys(keys[:, 0], shift - keys[:, 1])
+    b_enc = encode_keys(seg_b.keys[:, 0], seg_b.keys[:, 1])
+    want = encode_keys(keys[:, 0], shift - keys[:, 1])
     pos = np.searchsorted(b_enc, want)
     pos_c = np.clip(pos, 0, len(b_enc) - 1) if len(b_enc) else pos
     found = (b_enc[pos_c] == want) if len(b_enc) else np.zeros(len(want), bool)
@@ -367,7 +394,7 @@ def process_large_segments(
     if not len(large):
         return np.full((n, n), INF, dtype=np.int64)
 
-    b_enc = _encode_keys(seg_b.keys[:, 0], seg_b.keys[:, 1])
+    b_enc = encode_keys(seg_b.keys[:, 0], seg_b.keys[:, 1])
     span = np.arange(l)
     k_ext = len(large) * l
     ae = np.full((n, k_ext), INF, dtype=np.int64)
@@ -378,14 +405,14 @@ def process_large_segments(
         rows = (seg_a.members[seg_idx][:, None] * l + span).ravel()
         src = bk * l + span
         placed = ad[np.ix_(rows, src)] + u
-        assert np.abs(placed).max(initial=0) <= m_enc, "centered A value escapes its window"
+        _require(np.abs(placed).max(initial=0) <= m_enc, "centered A value escapes its window")
         ae[np.ix_(rows, s * l + span)] = placed
-        want = _encode_keys(np.array([bk]), np.array([shift - p]))[0]
+        want = encode_keys(np.array([bk]), np.array([shift - p]))[0]
         pos = int(np.searchsorted(b_enc, want))
         if pos < len(b_enc) and b_enc[pos] == want:
             cols = (seg_b.members[pos][:, None] * l + span).ravel()
             placed_b = bd[np.ix_(src, cols)] - u
-            assert np.abs(placed_b).max(initial=0) <= m_enc, "centered B value escapes its window"
+            _require(np.abs(placed_b).max(initial=0) <= m_enc, "centered B value escapes its window")
             be[np.ix_(s * l + span, cols)] = placed_b
     return minplus_small_entries(Matrix(ae), Matrix(be), m_enc, counters).data
 
@@ -428,12 +455,12 @@ def process_small_segments(
         src = bk * l + span
         rows = (alloc.a_rows[i][:, None] * l + span).ravel()
         deg_a = ad[np.ix_(rows, src)] + u + m_enc
-        assert deg_a.min(initial=0) >= 0 and deg_a.max(initial=0) <= deg
+        _require(deg_a.min(initial=0) >= 0 and deg_a.max(initial=0) <= deg, "A degree outside the encoding")
         np.add.at(af, (rows[:, None], (s * l + span)[None, :], deg_a), 1)
         if len(alloc.b_cols[i]):
             cols = (alloc.b_cols[i][:, None] * l + span).ravel()
             deg_b = bd[np.ix_(src, cols)] - u + m_enc
-            assert deg_b.min(initial=0) >= 0 and deg_b.max(initial=0) <= deg
+            _require(deg_b.min(initial=0) >= 0 and deg_b.max(initial=0) <= deg, "B degree outside the encoding")
             np.add.at(bf, ((s * l + span)[:, None], cols[None, :], deg_b), 1)
     cf = poly_matmul(PolyMatrix(af), PolyMatrix(bf), counters)
     return cf, alloc
@@ -453,7 +480,7 @@ def subtract_collisions(
 
     Each colliding pair's block product is recomputed trivially and
     subtracted coefficientwise; a negative coefficient would mean the
-    bookkeeping went wrong and trips an assertion.
+    bookkeeping went wrong and raises InvariantError.
     """
     ad, bd = _data_of(a_r), _data_of(b_r)
     l, m_enc = alloc.block_len, alloc.m_enc
@@ -487,7 +514,7 @@ def subtract_collisions(
             cols = bj * l + span
             np.subtract.at(coeffs, (rows[:, None, None], cols[None, :, None], d3.transpose(0, 2, 1)), 1)
             ops += l ** 3
-    assert coeffs.min(initial=0) >= 0, "collision subtraction drove a coefficient negative"
+    _require(coeffs.min(initial=0) >= 0, "collision subtraction drove a coefficient negative")
     if counters is not None:
         counters.poly_degree_ops += ops
     cleaned = extract_min(PolyMatrix(coeffs), 2 * m_enc).data
@@ -499,33 +526,7 @@ def subtract_collisions(
 
 
 # ---------------------------------------------------------------------------
-# candidate phases
-
-
-def handle_small_candidates(
-    a: BDMatrix,
-    b: BDMatrix,
-    cands: CandidateSets,
-    t_beta: int,
-    counters: Counters | None = None,
-) -> tuple[Matrix, np.ndarray]:
-    """Finish every block pair with at most t_beta candidates by direct
-    enumeration; other pairs are returned untouched (INF in the partial)."""
-    l = cands.grid.l
-    sizes = cands.sizes
-    small = sizes <= t_beta
-    remaining = np.argwhere(~small)
-    c = np.full((a.n, a.n), INF, dtype=np.int64)
-    sel = cands.mask & small[:, :, None]
-    tri = np.argwhere(sel)  # row-major: grouped by (bi, bj)
-    if len(tri):
-        counts = sizes[small]
-        pairs = np.argwhere(small)
-        vals = _min_blocks(a.base.data, b.base.data, l, tri[:, 0], tri[:, 2], tri[:, 1], counts)
-        _write_blocks(c, pairs, vals, l)
-        if counters is not None:
-            counters.block_products += len(tri)
-    return Matrix(c), remaining
+# sampling
 
 
 @dataclass
@@ -540,33 +541,34 @@ class NeededBlocks:
         return sum(len(v) for v in self.gamma.values())
 
 
-def sample_r(cands: CandidateSets, params: AlgoParams, counters: Counters | None = None):
-    """Sample representative columns uniformly with replacement (then dedup)
-    and assign every large-candidate pair to the smallest sampled column
-    inside its candidate set."""
+def sample_r(cands: CandidateSets, params: AlgoParams, active: np.ndarray | None = None, level: int = 0):
+    """Sample params.sample_count(n, l) representative columns uniformly with
+    replacement (then dedup) from the level's own stream, and assign every
+    active pair to the smallest sampled column inside its candidate set.
+
+    ``active`` defaults to every pair with more than T_beta candidates.
+    Returns the sampled columns and the assignment, keyed by column.
+    """
     nb = cands.grid.n_blocks
     l = cands.grid.l
     n = cands.grid.n
-    remaining = np.argwhere(cands.sizes > params.t_beta(n))
-    count = params.sample_count(n)
-    rng = derived_rng(params.seed, _PH_SAMPLE)
-    draws = rng.integers(0, nb, size=count) if count else np.empty(0, dtype=np.int64)
-    r_blocks = np.unique(draws)
-    r_cols = (r_blocks * l).astype(np.int64)
+    if active is None:
+        active = np.argwhere(cands.sizes > params.t_beta(n))
+    count = params.sample_count(n, l)
+    rng = derived_rng(params.seed, _PH_SAMPLE_LVL, level)
+    r_blocks = np.unique(rng.integers(0, nb, size=count)) if count else np.empty(0, dtype=np.int64)
     gamma: dict[int, np.ndarray] = {}
-    missed = np.empty((0, 2), dtype=np.int64)
-    if len(remaining) and len(r_blocks):
-        sel = cands.mask[remaining[:, 0], remaining[:, 1]][:, r_blocks]
+    missed = active
+    if len(active) and len(r_blocks):
+        sel = cands.mask[active[:, 0], active[:, 1]][:, r_blocks]
         hit = sel.any(axis=1)
         first = sel.argmax(axis=1)
-        assigned = remaining[hit]
+        assigned = active[hit]
         chosen = r_blocks[first[hit]]
         for rb in np.unique(chosen):
             gamma[int(rb) * l] = assigned[chosen == rb]
-        missed = remaining[~hit]
-    elif len(remaining):
-        missed = remaining
-    return r_cols, NeededBlocks(gamma=gamma, missed=missed)
+        missed = active[~hit]
+    return (r_blocks * l).astype(np.int64), NeededBlocks(gamma=gamma, missed=missed)
 
 
 def shift_matrices(a, b, r: int) -> tuple[Matrix, Matrix]:
@@ -581,15 +583,7 @@ def shift_matrices(a, b, r: int) -> tuple[Matrix, Matrix]:
 
 
 # ---------------------------------------------------------------------------
-# batched block products (shared by the candidate phases and the pipelines)
-
-
-def _batched_block_minplus(a_blk: np.ndarray, b_blk: np.ndarray) -> np.ndarray:
-    a_inf = a_blk == INF
-    b_inf = b_blk == INF
-    s = np.where(a_inf, 0, a_blk)[:, :, :, None] + np.where(b_inf, 0, b_blk)[:, None, :, :]
-    s = np.where(a_inf[:, :, :, None] | b_inf[:, None, :, :], INF, s)
-    return s.min(axis=2)
+# batched block products of the level loop (all-finite inputs)
 
 
 _TRIPLE_BUDGET = 2_000_000
@@ -604,7 +598,8 @@ def _min_blocks(
     bj: np.ndarray,
     counts: np.ndarray,
 ) -> np.ndarray:
-    """Min over grouped block triples of the block min-plus products.
+    """Min over grouped block triples of the block min-plus products of two
+    all-finite matrices.
 
     Triples are ordered so each output group is contiguous; counts gives the
     group lengths (all >= 1). Returns (len(counts), l, l).
@@ -623,24 +618,12 @@ def _min_blocks(
         g1 = max(g1, g0 + 1)
         g1 = min(g1, g_total)
         t0, t1 = int(starts[g0]), int(starts[g1])
-        vals = _batched_block_minplus(a4[bi[t0:t1], bk[t0:t1]], b4[bk[t0:t1], bj[t0:t1]])
+        a_blk, b_blk = a4[bi[t0:t1], bk[t0:t1]], b4[bk[t0:t1], bj[t0:t1]]
+        vals = (a_blk[:, :, :, None] + b_blk[:, None, :, :]).min(axis=2)
         rel = (starts[g0:g1] - t0).astype(np.int64)
         out[g0:g1] = np.minimum.reduceat(vals.reshape(t1 - t0, -1), rel, axis=0).reshape(-1, l, l)
         g0 = g1
     return out
-
-
-def _write_blocks(c: np.ndarray, blocks: np.ndarray, vals: np.ndarray, l: int) -> None:
-    """Min-combine per-block values into the output (blocks are distinct)."""
-    n = c.shape[1]
-    span = np.arange(l)
-    rows = blocks[:, 0][:, None] * l + span
-    cols = blocks[:, 1][:, None] * l + span
-    flat = (rows[:, :, None] * n + cols[:, None, :]).reshape(-1)
-    cur = c.reshape(-1)
-    fv = vals.reshape(-1)
-    old = cur[flat]
-    cur[flat] = np.where(fv < old, fv, old)
 
 
 def _enumerate_pairs(
@@ -651,11 +634,11 @@ def _enumerate_pairs(
     mask: np.ndarray,
     counters: Counters | None = None,
 ) -> np.ndarray:
-    """Direct enumeration of each pair's candidate blocks (fallback path)."""
+    """Direct enumeration of each pair's candidate blocks."""
     sel = mask[pairs[:, 0], pairs[:, 1], :]
     p_idx, bk = np.nonzero(sel)
     counts = sel.sum(axis=1)
-    assert counts.min(initial=1) >= 1
+    _require(counts.min(initial=1) >= 1, "block pair without a candidate")
     vals = _min_blocks(a_data, b_data, l, pairs[p_idx, 0], bk, pairs[p_idx, 1], counts)
     if counters is not None:
         counters.block_products += len(bk)
@@ -683,7 +666,7 @@ def _assigned_block_values(
     psum = pa[bi, :] + qb[:, bj].T
     match = (psum >= -2) & (psum <= 0)
     counts = match.sum(axis=1)
-    assert counts.min(initial=1) >= 1, "assigned block without a covered candidate"
+    _require(counts.min(initial=1) >= 1, "assigned block without a covered candidate")
     g_idx, bk_idx = np.nonzero(match)
     vals = _min_blocks(a_r, b_r, l, bi[g_idx], bk_idx, bj[g_idx], counts)
     if counters is not None:
@@ -691,61 +674,125 @@ def _assigned_block_values(
     return vals
 
 
+def _finalize(c: np.ndarray, done: np.ndarray, blocks: np.ndarray, vals: np.ndarray, l: int) -> None:
+    """Write the final values of distinct output blocks, each exactly once."""
+    n = c.shape[1]
+    span = np.arange(l)
+    rows = blocks[:, 0][:, None] * l + span
+    cols = blocks[:, 1][:, None] * l + span
+    flat = (rows[:, :, None] * n + cols[:, None, :]).reshape(-1)
+    done_flat = done.reshape(-1)
+    _require(not done_flat[flat].any(), "block finalized twice")
+    done_flat[flat] = True
+    c.reshape(-1)[flat] = vals.reshape(-1)
+
+
 # ---------------------------------------------------------------------------
-# driver
+# the level loop
 
 
-def basic_minplus(a: BDMatrix, b: BDMatrix, params: AlgoParams, counters: Counters | None = None) -> Matrix:
-    """Exact min-plus product of two bounded-difference matrices via the
-    single-partition blocked randomized algorithm.
+@dataclass(frozen=True)
+class LevelState:
+    """Partition of the open block pairs at one level of the loop."""
 
-    Deterministic for a fixed params.seed; always bitwise equal to the naive
-    product because unassigned pairs fall back to candidate enumeration.
-    """
+    block_len: int
+    theta: float  # block length l = n**(1-theta)
+    active: np.ndarray  # pairs routed to this level's sampled pipeline
+    pending: np.ndarray  # pairs refined to the next level, or enumerated after the last one
+    assigned: dict[int, np.ndarray]  # sampled column -> the active pairs it computed
+
+
+def check_operands(a: BDMatrix, b: BDMatrix, params: AlgoParams, caller: str) -> int:
+    """Validate an engine's inputs; returns n."""
     if not isinstance(a, BDMatrix) or not isinstance(b, BDMatrix):
-        raise TypeError("basic_minplus expects BDMatrix inputs")
+        raise TypeError(f"{caller} expects BDMatrix inputs")
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     if a.delta != b.delta or a.delta != params.delta:
         raise ValueError("delta mismatch between inputs and params")
+    check_operand(a.base, "a")
+    check_operand(b.base, "b")
+    return a.n
+
+
+def run_levels(
+    a: BDMatrix,
+    b: BDMatrix,
+    params: AlgoParams,
+    levels: list[int],
+    counters: Counters | None = None,
+    level_trace: list[LevelState] | None = None,
+) -> Matrix:
+    """Exact product of inputs that passed check_operands, over the block
+    lengths ``levels`` (the top block length first, each next one half the
+    one before).
+
+    At each level the open pairs with more than T_beta candidates are
+    active: grids under 4 blocks a side enumerate them directly, larger ones
+    sample columns, compute each assigned pair from its column's reduced
+    matrices, and enumerate the pairs the sample missed. The other open
+    pairs are refined to the next level; after the last level they are
+    enumerated directly (the tail). The tail counts toward block_products
+    only at the top block length, the grid the strict bound is stated on.
+    """
     if counters is None:
         counters = Counters()
     ad, bd = a.base.data, b.base.data
     n = a.n
-    if n == 1:
-        return Matrix(np.array([[int(ad[0, 0]) + int(bd[0, 0])]], dtype=np.int64))
+    t_beta = params.t_beta(n)
+    c = np.full((n, n), INF, dtype=np.int64)
+    done = np.zeros((n, n), dtype=bool)
+    cands = candidate_sets(a, b, levels[0])
+    eligible = np.ones((n // levels[0], n // levels[0]), dtype=bool)
 
-    l = params.block_len(n)
-    w = 20 * params.delta * l
-    cands = candidate_sets(a, b, l)
-    partial, remaining = handle_small_candidates(a, b, cands, params.t_beta(n), counters)
-    c = partial.data.copy()
-
-    if len(remaining):
-        r_cols, needed = sample_r(cands, params)
-        if len(needed.missed):
-            vals = _enumerate_pairs(ad, bd, l, needed.missed, cands.mask, counters)
-            _write_blocks(c, needed.missed, vals, l)
-            counters.fallback_pairs += len(needed.missed)
-        t_gamma = params.t_gamma(n)
-        slot_count = params.slot_count(n)
+    for li, l in enumerate(levels):
+        active_mask = eligible & (cands.sizes > t_beta)
+        active = np.argwhere(active_mask)
+        assigned: dict[int, np.ndarray] = {}
+        missed = active
+        if len(active) and n // l >= 4:
+            _, needed = sample_r(cands, params, active, li)
+            assigned, missed = needed.gamma, needed.missed
+        if len(missed):
+            _finalize(c, done, missed, _enumerate_pairs(ad, bd, l, missed, cands.mask, counters), l)
+            counters.fallback_pairs += len(missed)
         span = np.arange(l)
-        for r_col in r_cols:
-            r_col = int(r_col)
+        for r_col in sorted(assigned):
+            blocks = assigned[r_col]
             a_rr = ad - ad[:, r_col : r_col + 1]
             b_rr = bd - bd[r_col : r_col + 1, :]
-            seg_a, seg_b, shifts = build_segments(a_rr, b_rr, l, params.delta)
-            large_count = int((seg_a.sizes >= t_gamma).sum())
-            counters.max_large_slots = max(counters.max_large_slots, large_count)
-            for rel, shift in enumerate(shifts):
-                rng = derived_rng(params.seed, _PH_ALLOC, r_col, rel)
-                alloc = _build_allocation(seg_a, seg_b, seg_a.sizes < t_gamma, shift, slot_count, rng)
-                find_collisions(alloc, counters)
-            blocks = needed.gamma.get(r_col)
-            if blocks is not None and len(blocks):
-                vals = _assigned_block_values(a_rr, b_rr, l, w, blocks, counters)
-                rows = blocks[:, 0][:, None] * l + span
-                cols = blocks[:, 1][:, None] * l + span
-                vals = vals + ad[rows, r_col][:, :, None] + bd[r_col, cols][:, None, :]
-                _write_blocks(c, blocks, vals, l)
+            vals = _assigned_block_values(a_rr, b_rr, l, 20 * params.delta * l, blocks, counters)
+            rows = blocks[:, 0][:, None] * l + span
+            cols = blocks[:, 1][:, None] * l + span
+            _finalize(c, done, blocks, vals + ad[rows, r_col][:, :, None] + bd[r_col, cols][:, None, :], l)
+        pending_mask = eligible & ~active_mask
+        if level_trace is not None:
+            level_trace.append(LevelState(l, level_theta(n, l), active, np.argwhere(pending_mask), assigned))
+        if li + 1 < len(levels):
+            cands = refine_candidates(cands, a, b)
+            eligible = np.repeat(np.repeat(pending_mask, 2, 0), 2, 1)
+
+    tail = np.argwhere(pending_mask)
+    if len(tail):
+        vals = _enumerate_pairs(ad, bd, l, tail, cands.mask, counters if l == levels[0] else None)
+        _finalize(c, done, tail, vals, l)
+    _require(done.all(), "some output blocks were never finalized")
     return Matrix(c)
+
+
+def basic_minplus(
+    a: BDMatrix,
+    b: BDMatrix,
+    params: AlgoParams,
+    counters: Counters | None = None,
+    level_trace: list[LevelState] | None = None,
+) -> Matrix:
+    """Exact min-plus product of two bounded-difference matrices via the
+    single-partition blocked randomized algorithm: the level loop stopped at
+    the top block length, whose small pairs are enumerated directly.
+
+    Deterministic for a fixed params.seed; always bitwise equal to the naive
+    product because unassigned pairs fall back to candidate enumeration.
+    """
+    n = check_operands(a, b, params, "basic_minplus")
+    return run_levels(a, b, params, [params.block_len(n)], counters, level_trace)

@@ -17,7 +17,7 @@ import numpy as np
 from .basic import AlgoParams, Counters, basic_minplus
 from .matrix import INF, BDMatrix, FormatError, Matrix, generate_bd, read_matrix, write_matrix
 from .oracle import minplus_naive, minplus_small_entries
-from .recursive import recursive_minplus
+from .recursive import collision_audit, recursive_minplus
 
 CSV_HEADER = (
     "algo,n,delta,alpha,beta,gamma,c0,seed,wall_ms,"
@@ -159,7 +159,9 @@ def _base(m) -> Matrix:
     return m.base if isinstance(m, BDMatrix) else m
 
 
-def _execute(algo: str, a, b, params: AlgoParams, m_bound: int | None, counters: Counters) -> Matrix:
+def _execute(
+    algo: str, a, b, params: AlgoParams, m_bound: int | None, counters: Counters, level_trace: list
+) -> Matrix:
     if algo == "naive":
         return minplus_naive(_base(a), _base(b))
     if algo == "smallentry":
@@ -173,9 +175,9 @@ def _execute(algo: str, a, b, params: AlgoParams, m_bound: int | None, counters:
                 raise UsageError(f"matrix {name} has entries outside [-{m_bound}, {m_bound}]")
         return minplus_small_entries(ba, bb, m_bound, counters)
     if algo == "basic":
-        return basic_minplus(a, b, params, counters)
+        return basic_minplus(a, b, params, counters, level_trace)
     if algo == "recursive":
-        return recursive_minplus(a, b, params, counters=counters)
+        return recursive_minplus(a, b, params, counters=counters, level_trace=level_trace)
     raise UsageError(f"unknown algorithm {algo!r}")
 
 
@@ -188,9 +190,13 @@ def _run_once(
     verify: bool = False,
 ) -> tuple[Matrix, RunRecord]:
     counters = Counters()
+    level_trace: list = []
     t0 = time.perf_counter()
-    result = _execute(algo, a, b, params, m_bound, counters)
+    result = _execute(algo, a, b, params, m_bound, counters, level_trace)
     wall_ms = (time.perf_counter() - t0) * 1000.0
+    # collision counters come from the audit, outside the timed product (the
+    # oracles leave the trace empty, and the audit then does nothing)
+    collision_audit(a, b, params, level_trace, counters)
     verified = None
     if verify:
         verified = result == minplus_naive(_base(a), _base(b))

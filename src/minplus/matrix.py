@@ -3,8 +3,10 @@ generation and validation, and the MPM1 text format.
 
 Entries are 64-bit signed integers; the distinguished value ``INF``
 (2**62) stands for +infinity and is absorbing under saturating addition.
-Finite entries are capped at 2**60 in magnitude so that sums of two
-entries plus bucketing offsets stay far below the int64 limit.
+The operands of a product are capped at 2**60 in magnitude, so sums of two
+entries plus bucketing offsets stay far below the int64 limit. A matrix
+holds finite entries up to 2**61, so the product of any two operands is a
+matrix too.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 INF: int = 1 << 62
-MAX_ENTRY: int = 1 << 60
+MAX_ENTRY: int = 1 << 61  # largest finite magnitude a matrix or an MPM1 file holds
+MAX_OPERAND: int = 1 << 60  # largest finite magnitude a product accepts
 
 
 class FormatError(ValueError):
@@ -41,8 +44,16 @@ def _as_entry_array(values) -> np.ndarray:
     arr = arr.astype(np.int64, copy=True)
     finite = arr != INF
     if np.any(finite & (np.abs(arr) > MAX_ENTRY)):
-        raise ValueError("finite entries must have magnitude <= 2**60")
+        raise ValueError("finite entries must have magnitude <= 2**61")
     return arr
+
+
+def check_operand(m: Matrix, name: str = "operand") -> None:
+    """Reject a product operand with a finite entry beyond MAX_OPERAND in
+    magnitude; within the cap, every product entry stays within MAX_ENTRY."""
+    d = m.data
+    if np.any((d != INF) & (np.abs(d) > MAX_OPERAND)):
+        raise ValueError(f"{name}: product operands must have finite entries of magnitude <= 2**60")
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +212,7 @@ def _parse_entry(tok: str, line: int) -> int:
     except ValueError:
         raise FormatError(f"invalid token {tok!r}", line) from None
     if abs(v) > MAX_ENTRY:
-        raise FormatError(f"entry {v} out of range (|v| <= 2**60)", line)
+        raise FormatError(f"entry {v} out of range (|v| <= 2**61)", line)
     return v
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import imatmul
-from .matrix import INF, Matrix
+from .matrix import INF, Matrix, check_operand
 
 _ROW_CHUNK = 32
 
@@ -22,6 +22,8 @@ def minplus_naive(a: Matrix, b: Matrix) -> Matrix:
     """Exact min-plus product: C[i,j] = min_k A[i,k] + B[k,j], INF absorbing."""
     if a.n_cols != b.n_rows:
         raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
+    check_operand(a, "a")
+    check_operand(b, "b")
     ad, bd = a.data, b.data
     b_inf = bd == INF
     bz = np.where(b_inf, 0, bd)
@@ -147,6 +149,8 @@ def minplus_small_entries(a: Matrix, b: Matrix, m_bound: int, counters=None) -> 
     Requires every finite entry of both matrices to lie in [-m_bound, m_bound];
     equals minplus_naive exactly.
     """
+    check_operand(a, "a")
+    check_operand(b, "b")
     ca = encode_poly(a, m_bound)
     cb = encode_poly(b, m_bound)
     prod = poly_matmul(ca, cb, counters)

@@ -1,12 +1,15 @@
-"""Level-recursive min-plus product.
+"""Level-recursive min-plus product and the collision audit.
 
-Candidate sets are refined from the top block length down to single entries,
-halving the block length each round. Pairs whose candidate set crosses the
-size threshold at some level are finished by that level's sampled segment
-pipeline; pairs still small at block length 1 are finished by direct
-candidate enumeration. Slot allocation at finer levels descends a 4-way
-tree so that collisions can be searched inside the previous level's
-collisions instead of from scratch.
+The recursive engine runs the shared level loop (``basic.run_levels``) from
+the top block length down to single entries, halving the block length each
+round. Pairs whose candidate set crosses the size threshold at some level
+are finished by that level's sampled pipeline; pairs still small at block
+length 1 are finished by direct candidate enumeration.
+
+The collision audit replays the slot allocation of the paper after a
+product: at finer levels it descends a 4-way slot tree, so collisions are
+searched inside the previous level's collisions instead of among all
+segments again. It only fills counters; results never depend on it.
 """
 
 from __future__ import annotations
@@ -17,33 +20,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basic import (
-    REL_SHIFTS,
     AlgoParams,
     Counters,
-    _assigned_block_values,
-    _ceil_tol,
-    _encode_keys,
-    _enumerate_pairs,
-    _write_blocks,
+    LevelState,
+    SegmentTable,
     build_segments,
+    ceil_tol,
+    check_operands,
     derived_rng,
+    encode_keys,
+    run_levels,
 )
-from .blocking import CandidateSets, candidate_sets, refine_candidates
-from .matrix import INF, BDMatrix, Matrix
+from .matrix import BDMatrix, Matrix
 
-_PH_SAMPLE_LVL = 11
 _PH_ALLOC_LVL = 12
-
-
-@dataclass(frozen=True)
-class LevelState:
-    """Partition of the surviving block pairs at one refinement level."""
-
-    block_len: int
-    theta: float
-    gamma: float
-    active: np.ndarray  # pairs routed to this level's sampled pipeline
-    pending: np.ndarray  # pairs refined to the next level (or the tail at l=1)
 
 
 @dataclass
@@ -78,8 +68,8 @@ def allocate_recursive(tree: SlotTree, child_keys: np.ndarray, rng: np.random.Ge
     """Place each half-length segment group uniformly among the 4 child
     slots of its parent's slot; children of distinct parents stay disjoint."""
     top = tree.leaf
-    parent_enc = _encode_keys(top.keys[:, 0], top.keys[:, 1])
-    want = _encode_keys(child_keys[:, 0] // 2, child_keys[:, 1] // 2)
+    parent_enc = encode_keys(top.keys[:, 0], top.keys[:, 1])
+    want = encode_keys(child_keys[:, 0] // 2, child_keys[:, 1] // 2)
     pos = np.searchsorted(parent_enc, want)
     ok = (pos < len(parent_enc)) & (parent_enc[np.minimum(pos, len(parent_enc) - 1)] == want)
     if not ok.all():
@@ -181,23 +171,6 @@ def collisions_incremental(
     return out
 
 
-def finish_tail(pending_at_l1: np.ndarray, k1: CandidateSets, a: BDMatrix, b: BDMatrix) -> np.ndarray:
-    """Direct candidate enumeration at block length 1: for each pending pair
-    (i, j), min over k in K_1(i, j) of A[i,k] + B[k,j]."""
-    assert k1.grid.l == 1
-    ad, bd = a.base.data, b.base.data
-    out = np.empty(len(pending_at_l1), dtype=np.int64)
-    chunk = max(1, 4_000_000 // max(ad.shape[0], 1))
-    for lo in range(0, len(pending_at_l1), chunk):
-        hi = min(lo + chunk, len(pending_at_l1))
-        pi = pending_at_l1[lo:hi, 0]
-        pj = pending_at_l1[lo:hi, 1]
-        sums = ad[pi, :] + bd[:, pj].T
-        sel = k1.mask[pi, pj, :]
-        out[lo:hi] = np.where(sel, sums, INF).min(axis=1)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # per-level collision machinery (structural: counters and statistics)
 
@@ -220,21 +193,19 @@ def _cross_check_count(slots: np.ndarray, a_sizes: np.ndarray, b_sizes: np.ndarr
 
 
 def _level_collision_pass(
-    a_rr: np.ndarray,
-    b_rr: np.ndarray,
-    l: int,
+    seg_a: SegmentTable,
+    seg_b: SegmentTable,
     l0: int,
-    delta: int,
     top_slots: int,
     gamma_blocks: np.ndarray,
     rng: np.random.Generator,
     shift: int,
     counters: Counters,
 ) -> np.ndarray:
-    """Tree allocation for one reduced column and one correspondence
-    relation, with incremental collision finding restricted to collisions
-    whose footprint touches the assigned blocks."""
-    seg_a, seg_b, _ = build_segments(a_rr, b_rr, l, delta)
+    """Tree allocation of one reduced column's segments for one
+    correspondence relation, with incremental collision finding restricted
+    to collisions whose footprint touches the assigned blocks."""
+    l = seg_a.block_len
     keys_t = seg_a.keys
     n_seg = len(keys_t)
     depth = int(math.log2(l0 // l))
@@ -246,7 +217,7 @@ def _level_collision_pass(
     for j in range(depth + 1):
         sh = depth - j
         kj = np.stack([keys_t[:, 0] >> sh, keys_t[:, 1] >> sh], 1)
-        enc = _encode_keys(kj[:, 0], kj[:, 1])
+        enc = encode_keys(kj[:, 0], kj[:, 1])
         _, first, inverse = np.unique(enc, return_index=True, return_inverse=True)
         uniq_keys.append(kj[first])
         node_of_seg.append(inverse.astype(np.int64))
@@ -256,8 +227,8 @@ def _level_collision_pass(
         tree = allocate_recursive(tree, uniq_keys[j], rng)
 
     # partner sizes per target segment
-    b_enc = _encode_keys(seg_b.keys[:, 0], seg_b.keys[:, 1])
-    want = _encode_keys(keys_t[:, 0], shift - keys_t[:, 1])
+    b_enc = encode_keys(seg_b.keys[:, 0], seg_b.keys[:, 1])
+    want = encode_keys(keys_t[:, 0], shift - keys_t[:, 1])
     pos = np.searchsorted(b_enc, want)
     pos_c = np.minimum(pos, max(len(b_enc) - 1, 0))
     found = (b_enc[pos_c] == want) if len(b_enc) else np.zeros(n_seg, bool)
@@ -270,7 +241,7 @@ def _level_collision_pass(
     seg_cols = np.concatenate(bcol_lists) if n_seg else np.empty(0, dtype=np.int64)
     col_seg_id = np.repeat(np.arange(n_seg), b_sizes_t) if n_seg else np.empty(0, dtype=np.int64)
 
-    nb_t = a_rr.shape[0] // l
+    nb_t = seg_a.buckets.shape[0]
     row_hit_lv: list[np.ndarray] = []
     col_hit_lv: list[np.ndarray] = []
     for j in range(depth + 1):
@@ -311,7 +282,56 @@ def _level_collision_pass(
 
 
 # ---------------------------------------------------------------------------
-# driver
+# audit and entry point
+
+
+def collision_audit(
+    a: BDMatrix,
+    b: BDMatrix,
+    params: AlgoParams,
+    level_trace: list[LevelState],
+    counters: Counters,
+    effective_omega: float = 3.0,
+) -> list[float]:
+    """Collision accounting of a finished product, replayed from its level
+    trace with the product's own seed.
+
+    For every level and every sampled column that computed blocks, the
+    segments of the column's reduced matrices are placed in a 4-way slot
+    tree rooted at the top block length l0, per correspondence relation,
+    and the collisions touching the column's blocks are found level by
+    level. Adds to collision_checks and collisions_found, and raises
+    max_large_slots to the most segments of at least T_gamma blocks in one
+    block-length-l0 table.
+
+    The per-level slot exponent is gamma_l = theta + effective_omega/3 - 1,
+    with theta the level exponent (block length l = n**(1-theta)); the top
+    level gets n**(2*theta_0 - gamma_l) slots, at least one. The default
+    effective_omega = 3 is the cubic kernel used here. Returns gamma_l per
+    level.
+    """
+    gammas = [st.theta + effective_omega / 3.0 - 1.0 for st in level_trace]
+    if not level_trace:
+        return gammas
+    ad, bd = a.base.data, b.base.data
+    n = a.n
+    l0 = level_trace[0].block_len
+    t_gamma = params.t_gamma(n)
+    for li, (st, gamma_l) in enumerate(zip(level_trace, gammas)):
+        if not st.assigned:
+            continue
+        l = st.block_len
+        top_slots = max(1, ceil_tol(n ** (2 * level_trace[0].theta - gamma_l)))
+        for r_col in sorted(st.assigned):
+            a_rr = ad - ad[:, r_col : r_col + 1]
+            b_rr = bd - bd[r_col : r_col + 1, :]
+            seg_a, seg_b, shifts = build_segments(a_rr, b_rr, l, params.delta)
+            if l == l0:
+                counters.max_large_slots = max(counters.max_large_slots, int((seg_a.sizes >= t_gamma).sum()))
+            for rel, shift in enumerate(shifts):
+                rng = derived_rng(params.seed, _PH_ALLOC_LVL, li, r_col, rel)
+                _level_collision_pass(seg_a, seg_b, l0, top_slots, st.assigned[r_col], rng, shift, counters)
+    return gammas
 
 
 def recursive_minplus(
@@ -319,138 +339,13 @@ def recursive_minplus(
     b: BDMatrix,
     params: AlgoParams,
     *,
-    effective_omega: float = 3.0,
     counters: Counters | None = None,
     level_trace: list[LevelState] | None = None,
 ) -> Matrix:
-    """Exact min-plus product via level-by-level candidate refinement.
+    """Exact min-plus product via level-by-level candidate refinement: the
+    level loop over block lengths l0, l0/2, ..., 1.
 
-    Deterministic for a fixed params.seed. The per-level slot exponent is
-    gamma_l = theta + effective_omega/3 - 1 with theta the level exponent
-    (block length l = n**(1-theta)), clamped so at least one slot exists.
+    Deterministic for a fixed params.seed.
     """
-    if not isinstance(a, BDMatrix) or not isinstance(b, BDMatrix):
-        raise TypeError("recursive_minplus expects BDMatrix inputs")
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    if a.delta != b.delta or a.delta != params.delta:
-        raise ValueError("delta mismatch between inputs and params")
-    if counters is None:
-        counters = Counters()
-    ad, bd = a.base.data, b.base.data
-    n = a.n
-    if n == 1:
-        return Matrix(np.array([[int(ad[0, 0]) + int(bd[0, 0])]], dtype=np.int64))
-
-    l0 = params.block_len(n)
-    levels = [l0 >> j for j in range(int(math.log2(l0)) + 1)]
-    t_beta = params.t_beta(n)
-    lg_n = math.log2(n)
-
-    c = np.full((n, n), INF, dtype=np.int64)
-    done = np.zeros((n, n), dtype=bool)
-    cands = candidate_sets(a, b, l0)
-    eligible = np.ones((n // l0, n // l0), dtype=bool)
-
-    for li, l in enumerate(levels):
-        nb = n // l
-        theta = math.log2(nb) / lg_n if n > 1 else 1.0
-        gamma_l = theta + effective_omega / 3.0 - 1.0
-        sizes = cands.sizes
-        active_mask = eligible & (sizes > t_beta)
-        active = np.argwhere(active_mask)
-        if len(active):
-            if nb < 4:
-                # grids this small skip the sampled pipeline: enumerate directly
-                vals = _enumerate_pairs(ad, bd, l, active, cands.mask, counters)
-                _mark_done(done, active, l)
-                _write_blocks(c, active, vals, l)
-                counters.fallback_pairs += len(active)
-            else:
-                _run_level(a, b, cands, params, l, l0, li, theta, gamma_l, active, c, done, counters)
-        pending_mask = eligible & ~active_mask
-        if level_trace is not None:
-            level_trace.append(
-                LevelState(l, theta, gamma_l, active, np.argwhere(pending_mask))
-            )
-        if l > 1:
-            cands = refine_candidates(cands, a, b)
-            eligible = np.repeat(np.repeat(pending_mask, 2, 0), 2, 1)
-        else:
-            pending = np.argwhere(pending_mask)
-            if len(pending):
-                vals = finish_tail(pending, cands, a, b)
-                assert not done[pending[:, 0], pending[:, 1]].any()
-                c[pending[:, 0], pending[:, 1]] = vals
-                done[pending[:, 0], pending[:, 1]] = True
-    assert done.all(), "some output blocks were never finalized"
-    return Matrix(c)
-
-
-def _run_level(
-    a: BDMatrix,
-    b: BDMatrix,
-    cands: CandidateSets,
-    params: AlgoParams,
-    l: int,
-    l0: int,
-    level_index: int,
-    theta: float,
-    gamma_l: float,
-    active: np.ndarray,
-    c: np.ndarray,
-    done: np.ndarray,
-    counters: Counters,
-) -> None:
-    ad, bd = a.base.data, b.base.data
-    n = a.n
-    nb = n // l
-    w = 20 * params.delta * l
-    span = np.arange(l)
-
-    count = _ceil_tol(params.c0 * math.log2(n) * n ** (theta - params.beta))
-    rng = derived_rng(params.seed, _PH_SAMPLE_LVL, level_index)
-    r_blocks = np.unique(rng.integers(0, nb, size=count)) if count else np.empty(0, dtype=np.int64)
-
-    gamma: dict[int, np.ndarray] = {}
-    missed = active
-    if len(r_blocks):
-        sel = cands.mask[active[:, 0], active[:, 1]][:, r_blocks]
-        hit = sel.any(axis=1)
-        first = sel.argmax(axis=1)
-        assigned = active[hit]
-        chosen = r_blocks[first[hit]]
-        for rb in np.unique(chosen):
-            gamma[int(rb)] = assigned[chosen == rb]
-        missed = active[~hit]
-
-    if len(missed):
-        vals = _enumerate_pairs(ad, bd, l, missed, cands.mask, counters)
-        _mark_done(done, missed, l)
-        _write_blocks(c, missed, vals, l)
-        counters.fallback_pairs += len(missed)
-
-    top_slots = max(1, _ceil_tol(n ** (2 * (1.0 - math.log2(l0) / math.log2(n)) - gamma_l)))
-    for rb in sorted(gamma):
-        blocks = gamma[rb]
-        r_col = rb * l
-        a_rr = ad - ad[:, r_col : r_col + 1]
-        b_rr = bd - bd[r_col : r_col + 1, :]
-        vals = _assigned_block_values(a_rr, b_rr, l, w, blocks, counters)
-        rows = blocks[:, 0][:, None] * l + span
-        cols = blocks[:, 1][:, None] * l + span
-        vals = vals + ad[rows, r_col][:, :, None] + bd[r_col, cols][:, None, :]
-        _mark_done(done, blocks, l)
-        _write_blocks(c, blocks, vals, l)
-        for rel, shift in enumerate(REL_SHIFTS):
-            rng_a = derived_rng(params.seed, _PH_ALLOC_LVL, level_index, r_col, rel)
-            _level_collision_pass(a_rr, b_rr, l, l0, params.delta, top_slots, blocks, rng_a, shift, counters)
-
-
-def _mark_done(done: np.ndarray, blocks: np.ndarray, l: int) -> None:
-    span = np.arange(l)
-    rows = blocks[:, 0][:, None] * l + span
-    cols = blocks[:, 1][:, None] * l + span
-    sl = (rows[:, :, None], cols[:, None, :])
-    assert not done[sl].any(), "block finalized twice"
-    done[sl] = True
+    l0 = params.block_len(check_operands(a, b, params, "recursive_minplus"))
+    return run_levels(a, b, params, [l0 >> j for j in range(l0.bit_length())], counters, level_trace)

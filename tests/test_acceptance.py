@@ -175,7 +175,7 @@ def test_criterion_7_collision_statistics():
 
 
 def test_criterion_8_incremental_collision_equality(pool):
-    from minplus.basic import _encode_keys
+    from minplus.basic import encode_keys as _encode_keys
 
     cases = [(32, s) for s in range(8)] + [(64, s) for s in range(8)] + [(128, s) for s in range(4)]
     ok = True

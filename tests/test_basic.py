@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,13 +9,16 @@ import minplus as mp
 from minplus import AlgoParams, Counters, Matrix
 from minplus.basic import (
     REL_SHIFTS,
-    _PH_ALLOC,
+    _PH_SAMPLE_LVL,
     _assigned_block_values,
     _build_allocation,
     baseline_offset,
     derived_rng,
 )
 from minplus.oracle import PolyMatrix
+from minplus.recursive import collision_audit
+
+from conftest import valley_bd
 
 
 def zeros_bd(n):
@@ -34,7 +41,8 @@ def test_params_thresholds():
     p = AlgoParams(delta=2)
     assert p.t_beta(64) == 13
     assert p.t_gamma(128) == 19
-    assert p.sample_count(64) == 63  # ceil(c0 * log2(n) * n**(alpha-beta))
+    assert p.sample_count(64) == 48  # ceil(c0 * log2(n) * (n/l) * n**-beta) at l = 2
+    assert p.sample_count(64, 1) == 96
     assert p.sample_count(1) == 0
     assert p.slot_count(64) == 148
     assert p.slot_count(64) % 4 == 0
@@ -52,42 +60,6 @@ def test_params_validation():
 def test_params_defaults():
     p = AlgoParams(delta=1)
     assert (p.alpha, p.beta, p.gamma, p.c0) == (0.9, 0.6, 0.6, 3)
-
-
-# --- small-candidate phase ------------------------------------------------
-
-
-def test_handle_small_exhaustive(pool):
-    a, b = pool.pair(16, 2, 0)
-    cs = mp.candidate_sets(a, b, 4)
-    partial, remaining = mp.handle_small_candidates(a, b, cs, t_beta=4)
-    assert len(remaining) == 0
-    assert partial == pool.naive(16, 2, 0)
-
-
-def test_handle_small_none():
-    a, b = zeros_bd(8), zeros_bd(8)
-    cs = mp.candidate_sets(a, b, 2)
-    partial, remaining = mp.handle_small_candidates(a, b, cs, t_beta=0)
-    assert len(remaining) == 16
-    assert np.all(partial.data == mp.INF)
-
-
-def test_handle_small_blockwise_oracle(pool):
-    n, delta, l, t_beta = 64, 2, 8, 3
-    a, b = pool.pair(n, delta, 1)
-    cs = mp.candidate_sets(a, b, l)
-    counters = Counters()
-    partial, remaining = mp.handle_small_candidates(a, b, cs, t_beta, counters)
-    naive = pool.naive(n, delta, 1).data
-    handled = cs.sizes <= t_beta
-    for bi, bj in np.argwhere(handled):
-        sl = (slice(bi * l, bi * l + l), slice(bj * l, bj * l + l))
-        assert np.array_equal(partial.data[sl], naive[sl])
-    for bi, bj in remaining:
-        assert np.all(partial.data[bi * l : bi * l + l, bj * l : bj * l + l] == mp.INF)
-    assert counters.block_products == cs.sizes[handled].sum()
-    assert counters.block_products <= (n // l) ** 2 * t_beta
 
 
 # --- sampling --------------------------------------------------------------
@@ -111,10 +83,11 @@ def test_sample_r_count_matches_formula(pool):
     a, b = pool.pair(64, 2, 2)
     cs = mp.candidate_sets(a, b, 2)
     params = AlgoParams(delta=2, seed=0)
-    rng = derived_rng(0, 1)
-    draws = rng.integers(0, 32, size=params.sample_count(64))
-    r_cols, _ = mp.sample_r(cs, params)
-    assert np.array_equal(r_cols, np.unique(draws) * 2)
+    for level in (0, 1):
+        rng = derived_rng(0, _PH_SAMPLE_LVL, level)
+        draws = rng.integers(0, 32, size=params.sample_count(64))
+        r_cols, _ = mp.sample_r(cs, params, level=level)
+        assert np.array_equal(r_cols, np.unique(draws) * 2)
 
 
 def test_sample_r_monte_carlo_coverage():
@@ -473,7 +446,7 @@ def test_subtract_collisions_detects_corruption(pool):
     nb = n // l
     needed = np.argwhere(np.ones((nb, nb), dtype=bool))
     doubled = np.concatenate([cols, cols])
-    with pytest.raises(AssertionError):
+    with pytest.raises(mp.InvariantError):
         mp.subtract_collisions(cf, doubled, needed, ar, br, alloc)
 
 
@@ -533,7 +506,7 @@ def test_pipeline_matches_faithful_composition(pool):
         t_gamma = 2
         merged = {tuple(bk): np.full((l, l), mp.INF, dtype=np.int64) for bk in map(tuple, blocks)}
         for rel, shift in enumerate(shifts):
-            rng = derived_rng(0, _PH_ALLOC, r_col, rel)
+            rng = derived_rng(0, 2, r_col, rel)
             large = mp.process_large_segments(seg_a, seg_b, shift, ar, br, t_gamma)
             cf, alloc = mp.process_small_segments(seg_a, seg_b, shift, ar, br, t_gamma, 8, rng)
             cols = mp.find_collisions(alloc)
@@ -547,14 +520,62 @@ def test_pipeline_matches_faithful_composition(pool):
 
 
 def test_counters_work_bounds(pool):
-    # small-candidate products and large slots respect their budgets
+    # small-candidate products and large slots respect their budgets; the
+    # collision counters are the audited ones
     for n, delta in ((64, 2), (64, 1), (32, 5)):
         a, b = pool.pair(n, delta, 3)
         params = AlgoParams(delta=delta, seed=7)
         counters = Counters()
-        mp.basic_minplus(a, b, params, counters)
+        trace = []
+        mp.basic_minplus(a, b, params, counters, trace)
+        collision_audit(a, b, params, trace, counters)
         l = params.block_len(n)
         nb = n // l
         assert counters.block_products <= nb * nb * params.t_beta(n) + counters.fallback_pairs * params.t_beta(n)
         assert counters.max_large_slots <= nb * nb / params.t_gamma(n)
+        assert 0 < counters.collision_checks
         assert counters.collisions_found <= counters.collision_checks
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("delta", [2, 5])
+def test_engines_exact_on_valley_tails(n, delta):
+    # valley inputs prune: small pairs at the top level (basic's tail) and
+    # pairs still small at block length 1 (recursive's tail); beta = 0.85
+    # makes both occur at every size, the default beta mixes them with the
+    # sampled pipeline
+    a, b = valley_bd(n, delta, n + delta)
+    want = mp.minplus_naive(a.base, b.base)
+    for beta in (0.6, 0.85):
+        params = AlgoParams(delta=delta, beta=beta, seed=1)
+        basic_trace, rec_trace = [], []
+        assert mp.basic_minplus(a, b, params, level_trace=basic_trace) == want
+        assert mp.recursive_minplus(a, b, params, level_trace=rec_trace) == want
+    # traces of the beta = 0.85 run
+    assert len(basic_trace) == 1 and len(basic_trace[-1].pending) > 0
+    assert rec_trace[-1].block_len == 1 and len(rec_trace[-1].pending) > 0
+
+
+def test_invariants_survive_optimize():
+    # exactness guards raise explicitly, so python -O keeps them
+    script = """
+import numpy as np
+from minplus import InvariantError, build_segments
+from minplus.basic import _enumerate_pairs
+z = np.zeros((8, 8), dtype=np.int64)
+caught = []
+try:
+    build_segments(np.full((8, 8), 1 << 40, dtype=np.int64), z, 2, 1)
+except InvariantError:
+    caught.append("key range")
+try:
+    _enumerate_pairs(z, z, 2, np.array([[0, 0]]), np.zeros((4, 4, 4), dtype=bool))
+except InvariantError:
+    caught.append("empty candidate set")
+print(__debug__, caught)
+"""
+    src = os.path.dirname(os.path.dirname(mp.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False ['key range', 'empty candidate set']"

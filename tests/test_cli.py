@@ -211,3 +211,18 @@ def test_pad_power_of_two():
     want = mp.minplus_naive(mp.Matrix(a.data[:, :1]), mp.Matrix(b.data[:1, :]))
     got = mp.minplus_naive(pa, pb)
     assert np.array_equal(got.data[:2, :2], want.data)
+
+
+@pytest.mark.parametrize("algo", ["naive", "basic", "recursive"])
+def test_run_product_beyond_operand_range_roundtrips(tmp_path, capsys, algo):
+    # operands at the 2**60 cap give products near 2**61, which the output
+    # file holds and reads back exactly
+    pa, pb, out = tmp_path / "a.mpm", tmp_path / "b.mpm", tmp_path / "c.mpm"
+    for path, seed in ((pa, 1), (pb, 2)):
+        x = mp.generate_bd(16, 2, seed).base.data
+        mp.write_matrix(mp.BDMatrix(mp.Matrix(mp.MAX_OPERAND - (x - x.min())), 2), path)
+    rc = run_cli("run", "--algo", algo, "--a", str(pa), "--b", str(pb), "--out", str(out), "--verify", "--strict")
+    assert rc == 0
+    a, b, c = mp.read_matrix(pa), mp.read_matrix(pb), mp.read_matrix(out)
+    assert c == mp.minplus_naive(a.base, b.base)
+    assert np.abs(c.data).max() > mp.MAX_OPERAND

@@ -144,7 +144,7 @@ def test_read_errors(tmp_path):
         ("MPM1 2 2\n0 0 0\n0 0\n", 2),
         ("MPM1 2 2\n0 0\n", 3),
         ("MPM1 1 1\nfoo\n", 2),
-        (f"MPM1 1 1\n{(1 << 61)}\n", 2),
+        (f"MPM1 1 1\n{(1 << 61) + 1}\n", 2),
         ("MPM1 1 1\nDELTA x\n0\n", 2),
     ]
     for text, line in cases:

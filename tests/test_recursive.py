@@ -5,13 +5,16 @@ import pytest
 
 import minplus as mp
 from minplus import AlgoParams, Counters, Matrix
-from minplus.basic import _encode_keys, build_segments, derived_rng
+from minplus.basic import build_segments, derived_rng, encode_keys
 from minplus.recursive import (
     allocate_recursive,
     allocate_top,
+    collision_audit,
     collisions_exhaustive,
     collisions_incremental,
 )
+
+from conftest import valley_bd
 
 
 def _chain_tree(seed, levels=2, top_slots=1):
@@ -89,7 +92,7 @@ def _segment_node_levels(keys_t, depth):
     for j in range(depth + 1):
         sh = depth - j
         kj = np.stack([keys_t[:, 0] >> sh, keys_t[:, 1] >> sh], 1)
-        enc = _encode_keys(kj[:, 0], kj[:, 1])
+        enc = encode_keys(kj[:, 0], kj[:, 1])
         _, first = np.unique(enc, return_index=True)
         out.append(kj[first])
     return out
@@ -140,26 +143,6 @@ def test_tree_heredity(pool):
             assert lev.slots[ia] // 4 == par.slots[lev.parent[ia]]
 
 
-# --- tail ------------------------------------------------------------------
-
-
-def test_finish_tail_zero():
-    z = mp.BDMatrix(Matrix(np.zeros((4, 4), dtype=np.int64)), 1)
-    k1 = mp.candidate_sets(z, z, 1)
-    pending = np.argwhere(np.ones((4, 4), dtype=bool))
-    vals = mp.finish_tail(pending, k1, z, z)
-    assert np.all(vals == 0)
-
-
-def test_finish_tail_matches_naive(pool):
-    a, b = pool.pair(16, 2, 5)
-    k1 = mp.candidate_sets(a, b, 1)
-    pending = np.argwhere(np.ones((16, 16), dtype=bool))
-    vals = mp.finish_tail(pending, k1, a, b)
-    naive = pool.naive(16, 2, 5).data
-    assert np.array_equal(vals, naive[pending[:, 0], pending[:, 1]])
-
-
 # --- end to end ---------------------------------------------------------------
 
 
@@ -195,19 +178,20 @@ def test_recursive_deeper_levels(pool):
 
 
 def test_recursive_level_exponents(pool):
-    # per level: theta with l = n**(1-theta), and gamma = theta + w/3 - 1
+    # per level: theta with l = n**(1-theta); the audit's slot exponent is
+    # gamma = theta + w/3 - 1
     a, b = pool.pair(64, 2, 0)
+    params = AlgoParams(delta=2, seed=0)
     trace = []
-    mp.recursive_minplus(a, b, AlgoParams(delta=2, seed=0), level_trace=trace)
+    mp.recursive_minplus(a, b, params, level_trace=trace)
     n = 64
     for st in trace:
         theta = 1 - math.log2(st.block_len) / math.log2(n)
         assert st.theta == pytest.approx(theta)
-        assert st.gamma == pytest.approx(theta)  # effective omega defaults to 3
-    trace2 = []
-    mp.recursive_minplus(a, b, AlgoParams(delta=2, seed=0), effective_omega=2.4, level_trace=trace2)
-    for st in trace2:
-        assert st.gamma == pytest.approx(st.theta + 2.4 / 3 - 1)
+    gammas = collision_audit(a, b, params, trace, Counters())
+    assert gammas == pytest.approx([st.theta for st in trace])  # effective omega defaults to 3
+    gammas = collision_audit(a, b, params, trace, Counters(), effective_omega=2.4)
+    assert gammas == pytest.approx([st.theta + 2.4 / 3 - 1 for st in trace])
 
 
 def test_recursive_deterministic(pool):
@@ -236,7 +220,47 @@ def test_recursive_level_partition(pool):
 
 def test_recursive_counter_monotonicity(pool):
     a, b = pool.pair(128, 1, 0)  # flat instance exercises the sampled path
+    params = AlgoParams(delta=1, seed=1)
     counters = Counters()
-    got = mp.recursive_minplus(a, b, AlgoParams(delta=1, seed=1), counters=counters)
+    trace = []
+    got = mp.recursive_minplus(a, b, params, counters=counters, level_trace=trace)
     assert got == pool.naive(128, 1, 0)
+    collision_audit(a, b, params, trace, counters)
+    assert 0 < counters.collision_checks
     assert counters.collisions_found <= counters.collision_checks
+
+
+@pytest.mark.parametrize("engine", ["basic", "recursive"])
+def test_audit_fills_collision_counters(pool, engine):
+    # products leave the collision counters at zero; the audit fills them
+    a, b = pool.pair(64, 2, 4)
+    params = AlgoParams(delta=2, seed=9)
+    counters = Counters()
+    trace = []
+    if engine == "basic":
+        mp.basic_minplus(a, b, params, counters, trace)
+    else:
+        mp.recursive_minplus(a, b, params, counters=counters, level_trace=trace)
+    assert (counters.collision_checks, counters.collisions_found, counters.max_large_slots) == (0, 0, 0)
+    work = (counters.block_products, counters.fallback_pairs, counters.poly_degree_ops)
+    collision_audit(a, b, params, trace, counters)
+    assert counters.collision_checks > 0 and counters.collisions_found > 0 and counters.max_large_slots > 0
+    assert (counters.block_products, counters.fallback_pairs, counters.poly_degree_ops) == work
+
+
+def test_recursive_audited_counters_golden():
+    # counters and per-level pairs of the earlier implementation with
+    # separate basic and recursive loops, on a fixed pair and seed
+    a, b = valley_bd(64, 5, 0)
+    params = AlgoParams(delta=5, seed=0)
+    counters = Counters()
+    trace = []
+    got = mp.recursive_minplus(a, b, params, counters=counters, level_trace=trace)
+    collision_audit(a, b, params, trace, counters)
+    assert got == mp.minplus_naive(a.base, b.base)
+    assert [(st.block_len, len(st.active), len(st.pending)) for st in trace] == [(2, 108, 916), (1, 1662, 2002)]
+    assert counters.block_products == 0
+    assert counters.fallback_pairs == 0
+    assert counters.poly_degree_ops == 124960
+    assert counters.collision_checks == 6276594
+    assert counters.collisions_found == 615
