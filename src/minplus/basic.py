@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocking import CandidateSets, candidate_sets, refine_candidates
+from .blocking import CandidateSets, candidate_sets
 from .matrix import INF, BDMatrix, Matrix, check_operand
 from .oracle import PolyMatrix, extract_min, minplus_small_entries, poly_matmul
 
@@ -220,6 +220,18 @@ def encode_keys(major: np.ndarray, bucket: np.ndarray) -> np.ndarray:
     return major.astype(np.int64) * _KEY_STRIDE + (bucket.astype(np.int64) + _KEY_BIAS)
 
 
+def b_partners(seg_b: SegmentTable, a_keys: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in seg_b of the B segments corresponding to the A segment
+    keys (block column, bucket p) under one relation, bucket shift - p, and
+    whether each exists; a missing partner's position is meaningless."""
+    b_enc = encode_keys(seg_b.keys[:, 0], seg_b.keys[:, 1])
+    want = encode_keys(a_keys[:, 0], shift - a_keys[:, 1])
+    if not len(b_enc):
+        return np.zeros(len(want), dtype=np.int64), np.zeros(len(want), dtype=bool)
+    pos = np.minimum(np.searchsorted(b_enc, want), len(b_enc) - 1)
+    return pos, b_enc[pos] == want
+
+
 def baseline_offset(bucket, shift: int, width: int):
     """Value added to A-side segment entries and subtracted from the B-side
     partner. Centers both sides into [-(width + wobble), width + wobble]
@@ -284,16 +296,11 @@ def _build_allocation(
     idxs = np.flatnonzero(select)
     slots = allocate_small_segments(len(keys), slot_count, rng)
     offsets = baseline_offset(keys[:, 1], shift, w)
-
-    b_enc = encode_keys(seg_b.keys[:, 0], seg_b.keys[:, 1])
-    want = encode_keys(keys[:, 0], shift - keys[:, 1])
-    pos = np.searchsorted(b_enc, want)
-    pos_c = np.clip(pos, 0, len(b_enc) - 1) if len(b_enc) else pos
-    found = (b_enc[pos_c] == want) if len(b_enc) else np.zeros(len(want), bool)
+    pos, found = b_partners(seg_b, keys, shift)
 
     empty = np.empty(0, dtype=np.int64)
     a_rows = [seg_a.members[i] for i in idxs]
-    b_cols = [seg_b.members[pos_c[i]] if found[i] else empty for i in range(len(keys))]
+    b_cols = [seg_b.members[pos[i]] if found[i] else empty for i in range(len(keys))]
     a_sizes = seg_a.sizes[select].astype(np.int64)
     b_sizes = np.array([len(c) for c in b_cols], dtype=np.int64)
     return AllocationMap(
@@ -312,43 +319,51 @@ def _build_allocation(
     )
 
 
+def _shared_slots(slots: np.ndarray):
+    """Per slot holding two or more indices: the slot and those indices."""
+    if not len(slots):
+        return
+    order = np.argsort(slots, kind="stable")
+    ss = slots[order]
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(ss)) + 1, [len(ss)]])
+    for g0, g1 in zip(starts[:-1], starts[1:]):
+        if g1 - g0 >= 2:
+            yield int(ss[g0]), order[g0:g1]
+
+
+def colocated_pairs(slots: np.ndarray) -> np.ndarray:
+    """All ordered pairs of distinct indices sharing a slot: rows (slot, i, j)."""
+    rows: list[np.ndarray] = []
+    for slot, idx in _shared_slots(slots):
+        p = np.repeat(idx, len(idx))
+        q = np.tile(idx, len(idx))
+        keep = p != q
+        rows.append(np.stack([np.full(int(keep.sum()), slot, dtype=np.int64), p[keep], q[keep]], 1))
+    return np.concatenate(rows, 0) if rows else np.empty((0, 3), dtype=np.int64)
+
+
+def cross_check_count(slots: np.ndarray, a_sizes: np.ndarray, b_sizes: np.ndarray) -> int:
+    """Sum over slots of |A_p| * |B_q| across ordered pairs p != q sharing
+    the slot: the block products a collision search enumerates."""
+    total = 0
+    for _, idx in _shared_slots(slots):
+        asz, bsz = a_sizes[idx], b_sizes[idx]
+        total += int(asz.sum()) * int(bsz.sum()) - int((asz * bsz).sum())
+    return total
+
+
 def find_collisions(alloc: AllocationMap, counters: Counters | None = None) -> np.ndarray:
     """All co-located non-corresponding segment pairs, as rows
-    (slot, A-segment id, B-segment id) indexing ``alloc.keys``.
+    (slot, A-segment id, B-segment id) indexing ``alloc.keys``; pairs with
+    an empty A or B side are left out.
 
     The enumeration cost counter adds sum over slots of |A_p| * |B_q| across
     ordered cross pairs, block counts multiplied.
     """
-    m = len(alloc.slots)
-    rows: list[np.ndarray] = []
-    checks = 0
-    if m:
-        order = np.argsort(alloc.slots, kind="stable")
-        slots_sorted = alloc.slots[order]
-        bounds = np.flatnonzero(np.diff(slots_sorted)) + 1
-        starts = np.concatenate([[0], bounds, [m]])
-        for gi in range(len(starts) - 1):
-            g0, g1 = starts[gi], starts[gi + 1]
-            if g1 - g0 < 2:
-                continue
-            idx = order[g0:g1]
-            asz = alloc.a_sizes[idx]
-            bsz = alloc.b_sizes[idx]
-            checks += int(asz.sum()) * int(bsz.sum()) - int((asz * bsz).sum())
-            ai = idx[asz > 0]
-            bi = idx[bsz > 0]
-            if len(ai) and len(bi):
-                p = np.repeat(ai, len(bi))
-                q = np.tile(bi, len(ai))
-                keep = p != q
-                if keep.any():
-                    slot = int(slots_sorted[g0])
-                    rows.append(
-                        np.stack([np.full(int(keep.sum()), slot, dtype=np.int64), p[keep], q[keep]], axis=1)
-                    )
-    out = np.concatenate(rows, axis=0) if rows else np.empty((0, 3), dtype=np.int64)
+    pairs = colocated_pairs(alloc.slots)
+    out = pairs[(alloc.a_sizes[pairs[:, 1]] > 0) & (alloc.b_sizes[pairs[:, 2]] > 0)]
     if counters is not None:
-        counters.collision_checks += checks
+        counters.collision_checks += cross_check_count(alloc.slots, alloc.a_sizes, alloc.b_sizes)
         counters.collisions_found += len(out)
     return out
 
@@ -394,7 +409,7 @@ def process_large_segments(
     if not len(large):
         return np.full((n, n), INF, dtype=np.int64)
 
-    b_enc = encode_keys(seg_b.keys[:, 0], seg_b.keys[:, 1])
+    pos, found = b_partners(seg_b, seg_a.keys[large], shift)
     span = np.arange(l)
     k_ext = len(large) * l
     ae = np.full((n, k_ext), INF, dtype=np.int64)
@@ -407,10 +422,8 @@ def process_large_segments(
         placed = ad[np.ix_(rows, src)] + u
         _require(np.abs(placed).max(initial=0) <= m_enc, "centered A value escapes its window")
         ae[np.ix_(rows, s * l + span)] = placed
-        want = encode_keys(np.array([bk]), np.array([shift - p]))[0]
-        pos = int(np.searchsorted(b_enc, want))
-        if pos < len(b_enc) and b_enc[pos] == want:
-            cols = (seg_b.members[pos][:, None] * l + span).ravel()
+        if found[s]:
+            cols = (seg_b.members[pos[s]][:, None] * l + span).ravel()
             placed_b = bd[np.ix_(src, cols)] - u
             _require(np.abs(placed_b).max(initial=0) <= m_enc, "centered B value escapes its window")
             be[np.ix_(s * l + span, cols)] = placed_b
@@ -742,10 +755,12 @@ def run_levels(
     t_beta = params.t_beta(n)
     c = np.full((n, n), INF, dtype=np.int64)
     done = np.zeros((n, n), dtype=bool)
-    cands = candidate_sets(a, b, levels[0])
     eligible = np.ones((n // levels[0], n // levels[0]), dtype=bool)
 
     for li, l in enumerate(levels):
+        # candidate sets nest across levels (see blocking), so a level's own
+        # sets need no restriction to the previous level's
+        cands = candidate_sets(a, b, l)
         active_mask = eligible & (cands.sizes > t_beta)
         active = np.argwhere(active_mask)
         assigned: dict[int, np.ndarray] = {}
@@ -769,7 +784,6 @@ def run_levels(
         if level_trace is not None:
             level_trace.append(LevelState(l, level_theta(n, l), active, np.argwhere(pending_mask), assigned))
         if li + 1 < len(levels):
-            cands = refine_candidates(cands, a, b)
             eligible = np.repeat(np.repeat(pending_mask, 2, 0), 2, 1)
 
     tail = np.argwhere(pending_mask)

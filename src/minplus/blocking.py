@@ -1,19 +1,31 @@
 """Block machinery: representative grids, the representative approximation
-matrix, candidate sets per block pair, and halving refinement.
+matrix, and candidate sets per block pair.
 
 Indexing is 0-based throughout; the representative of block index b at
 block length l is row/column b*l (the upper-left entry of the block).
 Argmin ties always break toward the smallest index.
+
+Candidate sets nest across halving block lengths, so a level at block
+length l/2 needs no restriction to its parent's candidates: every child
+candidate already lies inside them. Take a child pair (i', j') and child
+column k' at length l/2, with parent pair (i'//2, j'//2) and column k'//2.
+Child and parent representatives are at most l/2 apart on each index and
+adjacent entries differ by at most delta-1, so a child representative sum
+is within 2*(delta-1)*l of its parent's. The parent's argmin column is
+also a child representative, so the child approximation is at most the
+parent's plus 2*(delta-1)*l. A child candidate (sum <= child approx +
+8*delta*(l/2)) therefore has a parent sum <= parent approx +
+4*(delta-1)*l + 4*delta*l < parent approx + 8*delta*l: its parent column is
+a candidate too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
 
 import numpy as np
 
-from .matrix import INF, BDMatrix, Matrix
+from .matrix import BDMatrix, Matrix
 
 CANDIDATE_WINDOW = 8  # admission threshold is approx + 8*delta*l
 
@@ -34,13 +46,6 @@ class BlockGrid:
     @property
     def n_blocks(self) -> int:
         return self.n // self.l
-
-    @property
-    def alpha_equiv(self) -> float:
-        """Exponent a with l = n**(1-a); defined as 1.0 for n == 1."""
-        if self.n == 1:
-            return 1.0
-        return 1.0 - log2(self.l) / log2(self.n)
 
     def representatives(self) -> np.ndarray:
         return np.arange(0, self.n, self.l, dtype=np.int64)
@@ -101,28 +106,6 @@ def candidate_sets(a: BDMatrix, b: BDMatrix, l: int) -> CandidateSets:
     threshold = approx + CANDIDATE_WINDOW * a.delta * l
     mask = t.transpose(0, 2, 1) <= threshold[:, :, None]
     return CandidateSets(grid=grid, delta=a.delta, approx=Matrix(approx), mask=mask)
-
-
-def refine_candidates(parent: CandidateSets, a: BDMatrix, b: BDMatrix) -> CandidateSets:
-    """Candidate sets at half the block length, scanning only child
-    representatives inside the parent candidate blocks.
-
-    Identical to candidate_sets(a, b, l/2): the optimal child witness always
-    sits inside a parent candidate, so the restricted minimum is the global
-    minimum and the admission test matches the from-scratch one.
-    """
-    if parent.grid.l < 2:
-        raise ValueError("cannot refine below block length 1")
-    l2 = parent.grid.l // 2
-    grid2 = BlockGrid(a.n, l2)
-    t2 = _rep_sums(a.base.data, b.base.data, l2)
-    parent_universe = parent.mask.transpose(0, 2, 1)  # (bi, bk, bj)
-    universe2 = np.repeat(np.repeat(np.repeat(parent_universe, 2, 0), 2, 1), 2, 2)
-    masked = np.where(universe2, t2, INF)
-    approx2 = masked.min(axis=1)
-    threshold2 = approx2 + CANDIDATE_WINDOW * a.delta * l2
-    mask2 = (t2.transpose(0, 2, 1) <= threshold2[:, :, None]) & universe2.transpose(0, 2, 1)
-    return CandidateSets(grid=grid2, delta=a.delta, approx=Matrix(approx2), mask=mask2)
 
 
 def _check_pair(a: BDMatrix, b: BDMatrix, l: int) -> None:

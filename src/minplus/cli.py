@@ -107,24 +107,6 @@ def parse_records(text: str) -> list[RunRecord]:
     return out
 
 
-def pad_power_of_two(m: Matrix) -> Matrix:
-    """Pad with INF rows/columns up to the next power of two.
-
-    INF padding is neutral for the plain min-plus oracles; the
-    bounded-difference engines require genuinely bounded-difference input
-    and reject padded matrices.
-    """
-    size = max(m.n_rows, m.n_cols)
-    p = 1
-    while p < size:
-        p <<= 1
-    if (m.n_rows, m.n_cols) == (p, p):
-        return m
-    out = np.full((p, p), INF, dtype=np.int64)
-    out[: m.n_rows, : m.n_cols] = m.data
-    return Matrix(out)
-
-
 def strict_violations(rec: RunRecord, params: AlgoParams) -> list[str]:
     """Counter-bound checks for --strict runs.
 

@@ -24,9 +24,12 @@ from .basic import (
     Counters,
     LevelState,
     SegmentTable,
+    b_partners,
     build_segments,
     ceil_tol,
     check_operands,
+    colocated_pairs,
+    cross_check_count,
     derived_rng,
     encode_keys,
     run_levels,
@@ -80,30 +83,9 @@ def allocate_recursive(tree: SlotTree, child_keys: np.ndarray, rng: np.random.Ge
     return SlotTree(tree.levels + [lev])
 
 
-def _colocated_pairs(slots: np.ndarray) -> np.ndarray:
-    """All ordered pairs of distinct indices sharing a slot: rows (slot, i, j)."""
-    m = len(slots)
-    rows: list[np.ndarray] = []
-    if m:
-        order = np.argsort(slots, kind="stable")
-        ss = slots[order]
-        bounds = np.flatnonzero(np.diff(ss)) + 1
-        starts = np.concatenate([[0], bounds, [m]])
-        for gi in range(len(starts) - 1):
-            g0, g1 = int(starts[gi]), int(starts[gi + 1])
-            if g1 - g0 < 2:
-                continue
-            idx = order[g0:g1]
-            p = np.repeat(idx, len(idx))
-            q = np.tile(idx, len(idx))
-            keep = p != q
-            rows.append(np.stack([np.full(int(keep.sum()), int(ss[g0]), dtype=np.int64), p[keep], q[keep]], 1))
-    return np.concatenate(rows, 0) if rows else np.empty((0, 3), dtype=np.int64)
-
-
 def collisions_exhaustive(tree: SlotTree, level_index: int) -> np.ndarray:
     """Reference per-slot enumeration at one tree level."""
-    return _colocated_pairs(tree.levels[level_index].slots)
+    return colocated_pairs(tree.levels[level_index].slots)
 
 
 def _expand_children(pairs: np.ndarray, child_of: np.ndarray, starts: np.ndarray, counts: np.ndarray):
@@ -175,23 +157,6 @@ def collisions_incremental(
 # per-level collision machinery (structural: counters and statistics)
 
 
-def _cross_check_count(slots: np.ndarray, a_sizes: np.ndarray, b_sizes: np.ndarray) -> int:
-    total = 0
-    if len(slots):
-        order = np.argsort(slots, kind="stable")
-        ss = slots[order]
-        bounds = np.flatnonzero(np.diff(ss)) + 1
-        starts = np.concatenate([[0], bounds, [len(ss)]])
-        for gi in range(len(starts) - 1):
-            g0, g1 = int(starts[gi]), int(starts[gi + 1])
-            if g1 - g0 < 2:
-                continue
-            idx = order[g0:g1]
-            asz, bsz = a_sizes[idx], b_sizes[idx]
-            total += int(asz.sum()) * int(bsz.sum()) - int((asz * bsz).sum())
-    return total
-
-
 def _level_collision_pass(
     seg_a: SegmentTable,
     seg_b: SegmentTable,
@@ -227,17 +192,13 @@ def _level_collision_pass(
         tree = allocate_recursive(tree, uniq_keys[j], rng)
 
     # partner sizes per target segment
-    b_enc = encode_keys(seg_b.keys[:, 0], seg_b.keys[:, 1])
-    want = encode_keys(keys_t[:, 0], shift - keys_t[:, 1])
-    pos = np.searchsorted(b_enc, want)
-    pos_c = np.minimum(pos, max(len(b_enc) - 1, 0))
-    found = (b_enc[pos_c] == want) if len(b_enc) else np.zeros(n_seg, bool)
-    b_sizes_t = np.where(found, seg_b.sizes[pos_c], 0).astype(np.int64)
+    pos, found = b_partners(seg_b, keys_t, shift)
+    b_sizes_t = np.where(found, seg_b.sizes[pos], 0).astype(np.int64)
 
     # per-level footprint hits: does a node cover an assigned row / column
     seg_rows = np.concatenate(seg_a.members) if n_seg else np.empty(0, dtype=np.int64)
     row_seg_id = np.repeat(np.arange(n_seg), seg_a.sizes) if n_seg else np.empty(0, dtype=np.int64)
-    bcol_lists = [seg_b.members[pos_c[i]] if found[i] else np.empty(0, dtype=np.int64) for i in range(n_seg)]
+    bcol_lists = [seg_b.members[pos[i]] if found[i] else np.empty(0, dtype=np.int64) for i in range(n_seg)]
     seg_cols = np.concatenate(bcol_lists) if n_seg else np.empty(0, dtype=np.int64)
     col_seg_id = np.repeat(np.arange(n_seg), b_sizes_t) if n_seg else np.empty(0, dtype=np.int64)
 
@@ -265,9 +226,9 @@ def _level_collision_pass(
     b_sz0 = np.zeros(len(uniq_keys[0]), dtype=np.int64)
     np.add.at(a_sz0, node_of_seg[0], seg_a.sizes)
     np.add.at(b_sz0, node_of_seg[0], b_sizes_t)
-    counters.collision_checks += _cross_check_count(tree.levels[0].slots, a_sz0, b_sz0)
+    counters.collision_checks += cross_check_count(tree.levels[0].slots, a_sz0, b_sz0)
 
-    pairs = _colocated_pairs(tree.levels[0].slots)
+    pairs = colocated_pairs(tree.levels[0].slots)
     if len(pairs):
         keep = row_hit_lv[0][pairs[:, 1]] & col_hit_lv[0][pairs[:, 2]]
         pairs = pairs[keep]

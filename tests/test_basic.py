@@ -14,6 +14,7 @@ from minplus.basic import (
     _build_allocation,
     baseline_offset,
     derived_rng,
+    level_theta,
 )
 from minplus.oracle import PolyMatrix
 from minplus.recursive import collision_audit
@@ -35,6 +36,11 @@ def test_params_block_len():
     assert p.block_len(32) == 2
     assert p.block_len(1) == 1
     assert AlgoParams(delta=2, alpha=0.6).block_len(64) == 4
+
+
+def test_level_theta():
+    assert level_theta(16, 4) == pytest.approx(0.5)
+    assert level_theta(1, 1) == 1.0
 
 
 def test_params_thresholds():

@@ -4,6 +4,8 @@ import pytest
 import minplus as mp
 from minplus import BlockGrid, Matrix
 
+from conftest import valley_bd
+
 ZERO8 = mp.BDMatrix(Matrix(np.zeros((8, 8), dtype=np.int64)), 1)
 
 
@@ -11,11 +13,6 @@ def test_grid_representatives():
     g = BlockGrid(16, 4)
     assert g.representatives().tolist() == [0, 4, 8, 12]
     assert g.n_blocks == 4
-
-
-def test_grid_alpha_equiv():
-    assert BlockGrid(16, 4).alpha_equiv == pytest.approx(0.5)
-    assert BlockGrid(1, 1).alpha_equiv == 1.0
 
 
 def test_grid_rejects_nondivisor():
@@ -101,20 +98,29 @@ def test_two_candidate_closeness(pool):
 
 def test_refine_all_zero():
     cs = mp.candidate_sets(ZERO8, ZERO8, 2)
-    child = mp.refine_candidates(cs, ZERO8, ZERO8)
+    child = mp.candidate_sets(ZERO8, ZERO8, 1)
     assert child.grid.l == 1
     assert child.mask.all()
     assert cs.sizes.max() == 4 and child.sizes.max() == 8
 
 
-def test_refine_matches_scratch(pool):
-    for n, delta, l in ((32, 2, 4), (64, 1, 8), (64, 5, 4)):
-        a, b = pool.pair(n, delta, 3)
+@pytest.mark.parametrize("family", ["walk", "valley"])
+def test_child_candidates_inside_parent(pool, family):
+    # candidate sets nest across halving block lengths: every child candidate
+    # lies inside its parent's candidate set, and so does the child argmin
+    for n, delta, seed in ((32, 2, 3), (64, 1, 3), (64, 5, 3), (64, 2, 4)):
+        a, b = pool.pair(n, delta, seed) if family == "walk" else valley_bd(n, delta, seed)
+        l = n
         parent = mp.candidate_sets(a, b, l)
-        child = mp.refine_candidates(parent, a, b)
-        scratch = mp.candidate_sets(a, b, l // 2)
-        assert np.array_equal(child.mask, scratch.mask)
-        assert child.approx == scratch.approx
+        while l >= 2:
+            h = l // 2
+            child = mp.candidate_sets(a, b, h)
+            up = np.arange(n // h) // 2
+            assert not (child.mask & ~parent.mask[np.ix_(up, up, up)]).any()
+            sums = a.base.data[::h, ::h][:, :, None] + b.base.data[::h, ::h][None, :, :]
+            k_min = sums.argmin(axis=1)  # child argmin column per (i', j')
+            assert parent.mask[up[:, None], up[None, :], k_min // 2].all()
+            parent, l = child, h
 
 
 def test_refine_size_bound():
@@ -124,13 +130,6 @@ def test_refine_size_bound():
         a = mp.generate_bd(16, delta, 3 * seed)
         b = mp.generate_bd(16, delta, 3 * seed + 1)
         parent = mp.candidate_sets(a, b, 4)
-        child = mp.refine_candidates(parent, a, b)
+        child = mp.candidate_sets(a, b, 2)
         ps = np.repeat(np.repeat(parent.sizes, 2, 0), 2, 1)
         assert (child.sizes <= 2 * ps).all()
-
-
-def test_refine_rejects_unit_blocks(pool):
-    a, b = pool.pair(8, 2, 0)
-    cs = mp.candidate_sets(a, b, 1)
-    with pytest.raises(ValueError):
-        mp.refine_candidates(cs, a, b)

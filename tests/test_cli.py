@@ -8,7 +8,6 @@ from minplus.cli import (
     EXIT_USAGE,
     RunRecord,
     main,
-    pad_power_of_two,
     parse_records,
     strict_violations,
 )
@@ -196,21 +195,6 @@ def test_strict_violation_detection():
     )
     msgs = strict_violations(rec, params)
     assert len(msgs) == 3
-
-
-def test_pad_power_of_two():
-    m = mp.Matrix(np.arange(6, dtype=np.int64).reshape(2, 3))
-    p = pad_power_of_two(m)
-    assert p.shape == (4, 4)
-    assert np.array_equal(p.data[:2, :3], m.data)
-    assert np.all(p.data[2:, :] == mp.INF) and np.all(p.data[:, 3:] == mp.INF)
-    # INF padding is neutral for the plain min-plus product
-    a = mp.Matrix(np.array([[1, 2], [3, 4]]))
-    b = mp.Matrix(np.array([[5, 6], [7, 8]]))
-    pa, pb = pad_power_of_two(mp.Matrix(a.data[:, :1])), pad_power_of_two(mp.Matrix(b.data[:1, :]))
-    want = mp.minplus_naive(mp.Matrix(a.data[:, :1]), mp.Matrix(b.data[:1, :]))
-    got = mp.minplus_naive(pa, pb)
-    assert np.array_equal(got.data[:2, :2], want.data)
 
 
 @pytest.mark.parametrize("algo", ["naive", "basic", "recursive"])

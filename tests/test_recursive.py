@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,3 +265,19 @@ def test_recursive_audited_counters_golden():
     assert counters.poly_degree_ops == 124960
     assert counters.collision_checks == 6276594
     assert counters.collisions_found == 615
+
+
+@pytest.mark.parametrize("delta", [2, 5])
+def test_recursive_peak_memory(delta):
+    # the peak is the l=1 level's candidate sets: (n/l)**3 representative
+    # sums and mask, 9 bytes per triple; 12*n**3 leaves room for the rest
+    n = 128
+    a, b = valley_bd(n, delta, 7)
+    params = AlgoParams(delta=delta)
+    tracemalloc.start()
+    try:
+        mp.recursive_minplus(a, b, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * n**3
