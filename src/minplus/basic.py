@@ -599,44 +599,57 @@ def shift_matrices(a, b, r: int) -> tuple[Matrix, Matrix]:
 # batched block products of the level loop (all-finite inputs)
 
 
-_TRIPLE_BUDGET = 2_000_000
+# Block entries (triples times l*l) per kernel chunk: each of the chunk's
+# five (l*l, triples) int64 temporaries stays at 1 MiB, unless one pair's
+# candidate columns alone hold more.
+_TRIPLE_BUDGET = 1 << 17
 
 
-def _min_blocks(
-    a_data: np.ndarray,
-    b_data: np.ndarray,
-    l: int,
-    bi: np.ndarray,
-    bk: np.ndarray,
-    bj: np.ndarray,
-    counts: np.ndarray,
-) -> np.ndarray:
-    """Min over grouped block triples of the block min-plus products of two
+def _planes(data: np.ndarray, l: int) -> np.ndarray:
+    """Copy of an n x n matrix as l*l planes of shape (nb*nb,): plane
+    u*l + v holds entry (u, v) of every block, blocks in row-major order."""
+    nb = data.shape[0] // l
+    return data.reshape(nb, l, nb, l).transpose(1, 3, 0, 2).reshape(l * l, nb * nb)
+
+
+def _min_blocks(a_data: np.ndarray, b_data: np.ndarray, l: int, pairs: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """Min over candidate block columns of the block min-plus products of two
     all-finite matrices.
 
-    Triples are ordered so each output group is contiguous; counts gives the
-    group lengths (all >= 1). Returns (len(counts), l, l).
+    ``sel[g, bk]`` marks the block columns of block pair ``pairs[g] = (bi,
+    bj)``; every pair needs at least one. Triples are gathered from the
+    planes chunk by chunk, with the triple axis last and contiguous, and the
+    inner index c is the only Python loop. Returns (len(pairs), l, l).
     """
     nb = a_data.shape[0] // l
-    a4 = a_data.reshape(nb, l, nb, l).transpose(0, 2, 1, 3)
-    b4 = b_data.reshape(nb, l, nb, l).transpose(0, 2, 1, 3)
-    g_total = len(counts)
-    out = np.empty((g_total, l, l), dtype=np.int64)
+    counts = sel.sum(axis=1)
+    _require(counts.min(initial=1) >= 1, "block pair without a candidate")
+    g_total = len(pairs)
+    out = np.empty((g_total, l * l), dtype=np.int64)
+    a_pl, b_pl = _planes(a_data, l), _planes(b_data, l)
     starts = np.zeros(g_total + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
-    budget = max(1, _TRIPLE_BUDGET // max(l ** 3, 1))
+    budget = max(1, _TRIPLE_BUDGET // (l * l))
     g0 = 0
     while g0 < g_total:
         g1 = int(np.searchsorted(starts, starts[g0] + budget, side="right")) - 1
-        g1 = max(g1, g0 + 1)
-        g1 = min(g1, g_total)
-        t0, t1 = int(starts[g0]), int(starts[g1])
-        a_blk, b_blk = a4[bi[t0:t1], bk[t0:t1]], b4[bk[t0:t1], bj[t0:t1]]
-        vals = (a_blk[:, :, :, None] + b_blk[:, None, :, :]).min(axis=2)
-        rel = (starts[g0:g1] - t0).astype(np.int64)
-        out[g0:g1] = np.minimum.reduceat(vals.reshape(t1 - t0, -1), rel, axis=0).reshape(-1, l, l)
+        g1 = min(max(g1, g0 + 1), g_total)
+        # triple t of local pair p sits at p*nb + bk in the flattened chunk mask
+        local = np.repeat(np.arange(g1 - g0), counts[g0:g1])
+        bk = np.flatnonzero(sel[g0:g1]) - local * nb
+        local += g0
+        a_blk = np.take(a_pl, pairs[local, 0] * nb + bk, axis=1).reshape(l, l, -1)  # [i, c, t]
+        b_blk = np.take(b_pl, bk * nb + pairs[local, 1], axis=1).reshape(l, l, -1)  # [c, j, t]
+        del local, bk  # dropped early, so chunks never overlap in memory
+        vals = a_blk[:, 0, None, :] + b_blk[None, 0, :, :]  # [i, j, t]
+        tmp = np.empty_like(vals) if l > 1 else None
+        for c in range(1, l):
+            np.add(a_blk[:, c, None, :], b_blk[None, c, :, :], out=tmp)
+            np.minimum(vals, tmp, out=vals)
+        del a_blk, b_blk, tmp
+        out[g0:g1] = np.minimum.reduceat(vals.reshape(l * l, -1), starts[g0:g1] - starts[g0], axis=1).T
         g0 = g1
-    return out
+    return out.reshape(g_total, l, l)
 
 
 def _enumerate_pairs(
@@ -649,12 +662,9 @@ def _enumerate_pairs(
 ) -> np.ndarray:
     """Direct enumeration of each pair's candidate blocks."""
     sel = mask[pairs[:, 0], pairs[:, 1], :]
-    p_idx, bk = np.nonzero(sel)
-    counts = sel.sum(axis=1)
-    _require(counts.min(initial=1) >= 1, "block pair without a candidate")
-    vals = _min_blocks(a_data, b_data, l, pairs[p_idx, 0], bk, pairs[p_idx, 1], counts)
+    vals = _min_blocks(a_data, b_data, l, pairs, sel)
     if counters is not None:
-        counters.block_products += len(bk)
+        counters.block_products += int(np.count_nonzero(sel))
     return vals
 
 
@@ -675,15 +685,11 @@ def _assigned_block_values(
     """
     pa = a_r[::l, ::l] // width
     qb = b_r[::l, ::l] // width
-    bi, bj = blocks[:, 0], blocks[:, 1]
-    psum = pa[bi, :] + qb[:, bj].T
-    match = (psum >= -2) & (psum <= 0)
-    counts = match.sum(axis=1)
-    _require(counts.min(initial=1) >= 1, "assigned block without a covered candidate")
-    g_idx, bk_idx = np.nonzero(match)
-    vals = _min_blocks(a_r, b_r, l, bi[g_idx], bk_idx, bj[g_idx], counts)
+    psum = pa[blocks[:, 0], :] + qb[:, blocks[:, 1]].T
+    sel = (psum >= -2) & (psum <= 0)
+    vals = _min_blocks(a_r, b_r, l, blocks, sel)
     if counters is not None:
-        counters.poly_degree_ops += len(bk_idx) * l ** 3
+        counters.poly_degree_ops += int(np.count_nonzero(sel)) * l ** 3
     return vals
 
 

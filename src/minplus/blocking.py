@@ -78,19 +78,40 @@ class CandidateSets:
         return [[self.set_for(bi, bj) for bj in range(nb)] for bi in range(nb)]
 
 
-def _rep_sums(a_data: np.ndarray, b_data: np.ndarray, l: int) -> np.ndarray:
-    """T[bi, bk, bj] = A[bi*l, bk*l] + B[bk*l, bj*l]."""
-    ra = np.ascontiguousarray(a_data[::l, ::l])
-    rb = np.ascontiguousarray(b_data[::l, ::l])
-    return ra[:, :, None] + rb[None, :, :]
+# int64 representative sums held at once while scanning (1 MiB).
+_SUM_BUDGET = 1 << 17
+
+
+def _rep_scan(a: BDMatrix, b: BDMatrix, l: int, window: int | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Representative minima approx[bi, bj] = min over bk of
+    A[bi*l, bk*l] + B[bk*l, bj*l], and, given a window, the C-contiguous
+    mask[bi, bj, bk] of sums within window of approx[bi, bj].
+
+    The sums are built a few block rows at a time in one reused buffer of
+    at most _SUM_BUDGET entries (one block row if a row alone is larger).
+    """
+    _check_pair(a, b, l)
+    ra = np.ascontiguousarray(a.base.data[::l, ::l])
+    rbt = np.ascontiguousarray(b.base.data[::l, ::l].T)  # [bj, bk]
+    nb = ra.shape[0]
+    approx = np.empty((nb, nb), dtype=np.int64)
+    mask = None if window is None else np.empty((nb, nb, nb), dtype=bool)
+    rows = max(1, _SUM_BUDGET // (nb * nb))
+    buf = np.empty((min(rows, nb), nb, nb), dtype=np.int64)
+    for r0 in range(0, nb, rows):
+        r1 = min(r0 + rows, nb)
+        t = buf[: r1 - r0]
+        np.add(ra[r0:r1, None, :], rbt[None, :, :], out=t)  # [bi, bj, bk]
+        t.min(axis=2, out=approx[r0:r1])
+        if mask is not None:
+            np.less_equal(t, (approx[r0:r1] + window)[:, :, None], out=mask[r0:r1])
+    return approx, mask
 
 
 def approx_matrix(a: BDMatrix, b: BDMatrix, l: int) -> Matrix:
     """Representative min-plus product: an (n/l) x (n/l) matrix within
     4*delta*l of the true product on every entry of each block."""
-    _check_pair(a, b, l)
-    t = _rep_sums(a.base.data, b.base.data, l)
-    return Matrix(t.min(axis=1))
+    return Matrix(_rep_scan(a, b, l, None)[0])
 
 
 def candidate_sets(a: BDMatrix, b: BDMatrix, l: int) -> CandidateSets:
@@ -99,13 +120,8 @@ def candidate_sets(a: BDMatrix, b: BDMatrix, l: int) -> CandidateSets:
 
     Every block containing an optimal witness column is admitted.
     """
-    _check_pair(a, b, l)
-    grid = BlockGrid(a.n, l)
-    t = _rep_sums(a.base.data, b.base.data, l)
-    approx = t.min(axis=1)
-    threshold = approx + CANDIDATE_WINDOW * a.delta * l
-    mask = t.transpose(0, 2, 1) <= threshold[:, :, None]
-    return CandidateSets(grid=grid, delta=a.delta, approx=Matrix(approx), mask=mask)
+    approx, mask = _rep_scan(a, b, l, CANDIDATE_WINDOW * a.delta * l)
+    return CandidateSets(grid=BlockGrid(a.n, l), delta=a.delta, approx=Matrix(approx), mask=mask)
 
 
 def _check_pair(a: BDMatrix, b: BDMatrix, l: int) -> None:

@@ -12,6 +12,7 @@ from minplus.basic import (
     _PH_SAMPLE_LVL,
     _assigned_block_values,
     _build_allocation,
+    _min_blocks,
     baseline_offset,
     derived_rng,
     level_theta,
@@ -560,6 +561,64 @@ def test_engines_exact_on_valley_tails(n, delta):
     # traces of the beta = 0.85 run
     assert len(basic_trace) == 1 and len(basic_trace[-1].pending) > 0
     assert rec_trace[-1].block_len == 1 and len(rec_trace[-1].pending) > 0
+
+
+@pytest.mark.parametrize("engine", ["basic", "recursive"])
+@pytest.mark.parametrize("family", ["walk", "valley"])
+def test_engines_exact_at_block_length_16(pool, engine, family):
+    # alpha = 0.5 at n = 256 gives l = 16, where the block kernel's inner
+    # loop is longest and its chunks hold the fewest triples
+    n, delta = 256, 2
+    a, b = pool.pair(n, delta, 1) if family == "walk" else valley_bd(n, delta, 3)
+    params = AlgoParams(delta=delta, alpha=0.5, seed=2)
+    assert params.block_len(n) == 16
+    f = mp.basic_minplus if engine == "basic" else mp.recursive_minplus
+    trace = []
+    got = f(a, b, params, level_trace=trace)
+    assert trace[0].block_len == 16
+    assert np.array_equal(got.data, mp.minplus_naive(a.base, b.base).data)
+
+
+def _min_blocks_loop(ad, bd, l, pairs, sel):
+    """Per-triple reference: for each pair, the min over its selected block
+    columns bk and inner index c of A[bi*l+i, bk*l+c] + B[bk*l+c, bj*l+j]."""
+    out = np.empty((len(pairs), l, l), dtype=np.int64)
+    for g, (bi, bj) in enumerate(pairs):
+        for i in range(l):
+            for j in range(l):
+                best = None
+                for bk in np.flatnonzero(sel[g]):
+                    for c in range(l):
+                        v = int(ad[bi * l + i, bk * l + c]) + int(bd[bk * l + c, bj * l + j])
+                        best = v if best is None else min(best, v)
+                out[g, i, j] = best
+    return out
+
+
+@pytest.mark.parametrize("l", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("budget", ["default", "one", "below_group"])
+def test_min_blocks_matches_loop(monkeypatch, l, budget):
+    # ragged candidate counts (1 up to every block column) in pair order,
+    # entries up to the reduced operands' magnitude, and chunk cuts forced
+    # at every pair or below the largest group's size
+    nb = 6 if l < 8 else 3
+    n = nb * l
+    rng = np.random.default_rng(l)
+    bound = 1 << 61
+    ad = rng.integers(-bound, bound, size=(n, n))
+    bd = rng.integers(-bound, bound, size=(n, n))
+    pairs = np.array([(bi, bj) for bi in range(nb) for bj in range(nb)][::2], dtype=np.int64)
+    sel = np.zeros((len(pairs), nb), dtype=bool)
+    for g in range(len(pairs)):
+        size = [1, nb, 2, 1, nb - 1][g % 5]
+        sel[g, rng.choice(nb, size=size, replace=False)] = True
+    if budget == "one":
+        monkeypatch.setattr("minplus.basic._TRIPLE_BUDGET", 1)
+    elif budget == "below_group":
+        monkeypatch.setattr("minplus.basic._TRIPLE_BUDGET", 2 * l * l)
+    got = _min_blocks(ad, bd, l, pairs, sel)
+    assert got.shape == (len(pairs), l, l)
+    assert np.array_equal(got, _min_blocks_loop(ad, bd, l, pairs, sel))
 
 
 def test_invariants_survive_optimize():

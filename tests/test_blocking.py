@@ -67,6 +67,24 @@ def test_candidate_threshold_exact(pool):
             assert np.array_equal(cs.mask[bi, bj], want)
 
 
+@pytest.mark.parametrize("budget", [1, 3 * 8 * 8, 1 << 30])
+def test_candidate_chunks_match_dense(pool, monkeypatch, budget):
+    # one block row per chunk, chunks of 3 rows with a short last one, and
+    # a single chunk all give the dense result, with a C-contiguous mask
+    n, delta, l = 32, 2, 4
+    a, b = pool.pair(n, delta, 3)
+    ra = a.base.data[::l, ::l]
+    rb = b.base.data[::l, ::l]
+    sums = ra[:, None, :] + rb.T[None, :, :]  # [bi, bj, bk]
+    approx = sums.min(axis=2)
+    monkeypatch.setattr("minplus.blocking._SUM_BUDGET", budget)
+    cs = mp.candidate_sets(a, b, l)
+    assert cs.mask.flags.c_contiguous
+    assert np.array_equal(cs.approx.data, approx)
+    assert np.array_equal(cs.mask, sums <= approx[:, :, None] + 8 * delta * l)
+    assert np.array_equal(mp.approx_matrix(a, b, l).data, approx)
+
+
 def test_candidate_soundness_exhaustive(pool):
     # the tie-broken argmin witness block is always admitted
     n, delta, l = 64, 2, 8

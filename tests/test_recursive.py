@@ -269,8 +269,10 @@ def test_recursive_audited_counters_golden():
 
 @pytest.mark.parametrize("delta", [2, 5])
 def test_recursive_peak_memory(delta):
-    # the peak is the l=1 level's candidate sets: (n/l)**3 representative
-    # sums and mask, 9 bytes per triple; 12*n**3 leaves room for the rest
+    # the peak is at the l=1 level: the candidate mask, one byte per
+    # (pair, block column) triple, plus the int64 bucket sums of the pairs
+    # assigned to one sampled column; about 6*n**3 bytes, and the
+    # representative sums are built in bounded chunks, never all at once
     n = 128
     a, b = valley_bd(n, delta, 7)
     params = AlgoParams(delta=delta)
@@ -280,4 +282,4 @@ def test_recursive_peak_memory(delta):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * n**3
+    assert peak < 10 * n**3
