@@ -1,25 +1,11 @@
-"""Exact min-plus matrix products for bounded-difference matrices."""
+"""Exact min-plus matrix products for bounded-difference matrices.
 
-from .basic import (
-    AlgoParams,
-    AllocationMap,
-    Counters,
-    InvariantError,
-    LevelState,
-    NeededBlocks,
-    SegmentTable,
-    allocate_small_segments,
-    baseline_offset,
-    basic_minplus,
-    build_segments,
-    find_collisions,
-    process_large_segments,
-    process_small_segments,
-    sample_r,
-    shift_matrices,
-    subtract_collisions,
-)
-from .blocking import BlockGrid, CandidateSets, approx_matrix, candidate_sets
+The package exports the public surface below; internals (candidate sets,
+sampling, segments, slot allocation, the packed products and the
+polynomial kernel) stay importable from their modules.
+"""
+
+from .basic import AlgoParams, Counters, InvariantError, LevelState, basic_minplus
 from .matrix import (
     INF,
     MAX_ENTRY,
@@ -29,36 +15,17 @@ from .matrix import (
     Matrix,
     generate_bd,
     read_matrix,
-    sat_add,
     validate_bd,
     write_matrix,
 )
-from .oracle import (
-    PolyMatrix,
-    encode_poly,
-    extract_min,
-    minplus_naive,
-    minplus_small_entries,
-    poly_matmul,
-)
-from .recursive import (
-    SlotTree,
-    allocate_recursive,
-    allocate_top,
-    collision_audit,
-    collisions_exhaustive,
-    collisions_incremental,
-    recursive_minplus,
-)
+from .oracle import minplus_naive, minplus_small_entries
+from .recursive import collision_audit, recursive_minplus
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgoParams",
-    "AllocationMap",
     "BDMatrix",
-    "BlockGrid",
-    "CandidateSets",
     "Counters",
     "FormatError",
     "INF",
@@ -67,36 +34,13 @@ __all__ = [
     "MAX_ENTRY",
     "MAX_OPERAND",
     "Matrix",
-    "NeededBlocks",
-    "PolyMatrix",
-    "SegmentTable",
-    "SlotTree",
-    "allocate_recursive",
-    "allocate_small_segments",
-    "allocate_top",
-    "approx_matrix",
-    "baseline_offset",
     "basic_minplus",
-    "build_segments",
-    "candidate_sets",
     "collision_audit",
-    "collisions_exhaustive",
-    "collisions_incremental",
-    "encode_poly",
-    "extract_min",
-    "find_collisions",
     "generate_bd",
     "minplus_naive",
     "minplus_small_entries",
-    "poly_matmul",
-    "process_large_segments",
-    "process_small_segments",
     "read_matrix",
     "recursive_minplus",
-    "sample_r",
-    "sat_add",
-    "shift_matrices",
-    "subtract_collisions",
     "validate_bd",
     "write_matrix",
 ]

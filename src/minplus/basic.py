@@ -11,10 +11,12 @@ missed the sample fall back to direct enumeration, so the result is always
 exact. The other pairs are refined to half the block length, or enumerated
 directly after the last level.
 
-The packed rectangular products of the paper (value segments, randomized
-slot allocation, collision subtraction) are kept here as the reference the
-per-block evaluation is tested against; the collision counts they imply are
-replayed after a product by ``recursive.collision_audit``.
+This direct per-block evaluation equals the paper's packed rectangular
+products (value segments, randomized slot allocation, collision
+subtraction). Those live in ``recursive`` with the rest of the slot and
+collision code: ``recursive.collision_audit`` replays them after a product,
+and the tests check this module against them. The bucket rule both share
+(``SEGMENT_WIDTH``, ``REL_SHIFTS``, ``build_segments``) is kept here.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ import numpy as np
 
 from .blocking import CandidateSets, candidate_sets
 from .matrix import INF, BDMatrix, Matrix, check_operand
-from .oracle import PolyMatrix, extract_min, minplus_small_entries, poly_matmul
 
-# A-side bucket p corresponds to B-side bucket shift - p, one relation per shift.
+SEGMENT_WIDTH = 20  # value segments are 20*delta*l wide
+# A-side bucket p corresponds to B-side bucket shift - p, one relation per
+# shift; the shifts are consecutive.
 REL_SHIFTS = (-2, -1, 0)
 
 _PH_SAMPLE_LVL = 11
@@ -43,7 +46,7 @@ class InvariantError(AssertionError):
     check also runs under ``python -O``."""
 
 
-def _require(ok, message: str) -> None:
+def require(ok, message: str) -> None:
     if not ok:
         raise InvariantError(message)
 
@@ -90,8 +93,8 @@ class AlgoParams:
     """Tuning knobs shared by the blocked algorithms.
 
     alpha sets the block length l ~ n**(1-alpha); beta the small-candidate
-    threshold n**beta; gamma the segment-size threshold n**gamma and the
-    slot-count exponent of the flat allocation; c0 scales the sample size.
+    threshold n**beta; gamma the segment-size threshold n**gamma; c0 scales
+    the sample size.
     """
 
     delta: int
@@ -133,10 +136,6 @@ class AlgoParams:
         theta = level_theta(n, self.block_len(n) if l is None else l)
         return ceil_tol(self.c0 * math.log2(n) * n ** (theta - self.beta))
 
-    def slot_count(self, n: int) -> int:
-        s = ceil_tol(n ** (2 * self.alpha - self.gamma))
-        return ((s + 3) // 4) * 4
-
 
 # ---------------------------------------------------------------------------
 # segmentation
@@ -149,20 +148,17 @@ class SegmentTable:
 
     block_len: int
     width: int
-    axis: str  # "columns" for the A side, "rows" for the B side
+    m_enc: int  # bound on a centered entry: the width plus a 2*delta*l wobble
     buckets: np.ndarray  # A: bucket of block (bi, bk); B: bucket of block (bk, bj)
     keys: np.ndarray  # (m, 2) [major block index, bucket], lexicographic
     members: list[np.ndarray]  # block rows (A) / block columns (B) per segment
     sizes: np.ndarray
 
-    @property
-    def groups(self) -> list[dict[int, np.ndarray]]:
-        """Per major index: bucket -> member blocks."""
-        nb = self.buckets.shape[0]
-        out: list[dict[int, np.ndarray]] = [dict() for _ in range(nb)]
-        for (major, bucket), mem in zip(self.keys, self.members):
-            out[int(major)][int(bucket)] = mem
-        return out
+
+def _buckets(data: np.ndarray, l: int, width: int) -> np.ndarray:
+    """Bucket of every block representative, floor(representative / width),
+    indexed [block row, block column]."""
+    return data[::l, ::l] // width
 
 
 def _group_by_major(bmat: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
@@ -183,15 +179,9 @@ def _group_by_major(bmat: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.
     return keys, members, sizes
 
 
-def _data_of(m) -> np.ndarray:
-    if isinstance(m, BDMatrix):
-        return m.base.data
-    if isinstance(m, Matrix):
-        return m.data
-    return np.asarray(m, dtype=np.int64)
-
-
-def build_segments(a_r, b_r, l: int, delta: int) -> tuple[SegmentTable, SegmentTable, tuple[int, ...]]:
+def build_segments(
+    a_r: np.ndarray, b_r: np.ndarray, l: int, delta: int
+) -> tuple[SegmentTable, SegmentTable, tuple[int, ...]]:
     """Bucket block representatives of the reduced matrices into half-open
     segments of width 20*delta*l, per block column of A and block row of B.
 
@@ -200,342 +190,24 @@ def build_segments(a_r, b_r, l: int, delta: int) -> tuple[SegmentTable, SegmentT
     together cover every block pair whose representative sums have magnitude
     at most 16*delta*l.
     """
-    ad, bd = _data_of(a_r), _data_of(b_r)
-    w = 20 * int(delta) * int(l)
-    pa = ad[::l, ::l] // w  # [bi, bk]
-    qb = bd[::l, ::l] // w  # [bk, bj]
-    _require(
+    w = SEGMENT_WIDTH * int(delta) * int(l)
+    pa = _buckets(a_r, l, w)  # [bi, bk]
+    qb = _buckets(b_r, l, w)  # [bk, bj]
+    require(
         np.abs(pa).max(initial=0) < _KEY_BIAS and np.abs(qb).max(initial=0) < _KEY_BIAS,
         "bucket index outside the segment key range",
     )
     keys_a, members_a, sizes_a = _group_by_major(np.ascontiguousarray(pa.T))
     keys_b, members_b, sizes_b = _group_by_major(np.ascontiguousarray(qb))
-    seg_a = SegmentTable(l, w, "columns", pa, keys_a, members_a, sizes_a)
-    seg_b = SegmentTable(l, w, "rows", qb, keys_b, members_b, sizes_b)
+    m_enc = w + 2 * int(delta) * int(l)
+    seg_a = SegmentTable(l, w, m_enc, pa, keys_a, members_a, sizes_a)
+    seg_b = SegmentTable(l, w, m_enc, qb, keys_b, members_b, sizes_b)
     return seg_a, seg_b, REL_SHIFTS
 
 
 def encode_keys(major: np.ndarray, bucket: np.ndarray) -> np.ndarray:
     """One sortable int64 per (major block index, bucket) segment key."""
     return major.astype(np.int64) * _KEY_STRIDE + (bucket.astype(np.int64) + _KEY_BIAS)
-
-
-def b_partners(seg_b: SegmentTable, a_keys: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in seg_b of the B segments corresponding to the A segment
-    keys (block column, bucket p) under one relation, bucket shift - p, and
-    whether each exists; a missing partner's position is meaningless."""
-    b_enc = encode_keys(seg_b.keys[:, 0], seg_b.keys[:, 1])
-    want = encode_keys(a_keys[:, 0], shift - a_keys[:, 1])
-    if not len(b_enc):
-        return np.zeros(len(want), dtype=np.int64), np.zeros(len(want), dtype=bool)
-    pos = np.minimum(np.searchsorted(b_enc, want), len(b_enc) - 1)
-    return pos, b_enc[pos] == want
-
-
-def baseline_offset(bucket, shift: int, width: int):
-    """Value added to A-side segment entries and subtracted from the B-side
-    partner. Centers both sides into [-(width + wobble), width + wobble]
-    while leaving every pair sum unchanged."""
-    bucket = np.asarray(bucket, dtype=np.int64)
-    if shift == -2:
-        out = -(bucket + 1) * width
-    elif shift == -1:
-        out = -bucket * width - width // 2
-    elif shift == 0:
-        out = -bucket * width
-    else:
-        raise ValueError(f"unknown correspondence shift {shift}")
-    return out if out.ndim else int(out)
-
-
-# ---------------------------------------------------------------------------
-# allocation and collisions
-
-
-@dataclass
-class AllocationMap:
-    """Randomized placement of small segments into rectangular slots.
-
-    Corresponding A/B segments share a slot; ``offsets`` records the
-    baseline added to the A side and subtracted from the B side.
-    """
-
-    slot_count: int
-    shift: int
-    block_len: int
-    width: int
-    m_enc: int
-    keys: np.ndarray  # (m, 2) [home block column, bucket]
-    slots: np.ndarray
-    offsets: np.ndarray
-    a_rows: list[np.ndarray]
-    b_cols: list[np.ndarray]
-    a_sizes: np.ndarray
-    b_sizes: np.ndarray
-
-
-def allocate_small_segments(n_segments: int, slot_count: int, rng: np.random.Generator) -> np.ndarray:
-    """Independent uniform slot choice per segment."""
-    if slot_count < 1:
-        raise ValueError("slot_count must be positive")
-    return rng.integers(0, slot_count, size=n_segments)
-
-
-def _build_allocation(
-    seg_a: SegmentTable,
-    seg_b: SegmentTable,
-    select: np.ndarray,
-    shift: int,
-    slot_count: int,
-    rng: np.random.Generator,
-) -> AllocationMap:
-    l, w = seg_a.block_len, seg_a.width
-    delta = w // (20 * l)
-    m_enc = w + 2 * delta * l
-    keys = seg_a.keys[select]
-    idxs = np.flatnonzero(select)
-    slots = allocate_small_segments(len(keys), slot_count, rng)
-    offsets = baseline_offset(keys[:, 1], shift, w)
-    pos, found = b_partners(seg_b, keys, shift)
-
-    empty = np.empty(0, dtype=np.int64)
-    a_rows = [seg_a.members[i] for i in idxs]
-    b_cols = [seg_b.members[pos[i]] if found[i] else empty for i in range(len(keys))]
-    a_sizes = seg_a.sizes[select].astype(np.int64)
-    b_sizes = np.array([len(c) for c in b_cols], dtype=np.int64)
-    return AllocationMap(
-        slot_count=slot_count,
-        shift=shift,
-        block_len=l,
-        width=w,
-        m_enc=m_enc,
-        keys=keys,
-        slots=slots,
-        offsets=offsets,
-        a_rows=a_rows,
-        b_cols=b_cols,
-        a_sizes=a_sizes,
-        b_sizes=b_sizes,
-    )
-
-
-def _shared_slots(slots: np.ndarray):
-    """Per slot holding two or more indices: the slot and those indices."""
-    if not len(slots):
-        return
-    order = np.argsort(slots, kind="stable")
-    ss = slots[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(ss)) + 1, [len(ss)]])
-    for g0, g1 in zip(starts[:-1], starts[1:]):
-        if g1 - g0 >= 2:
-            yield int(ss[g0]), order[g0:g1]
-
-
-def colocated_pairs(slots: np.ndarray) -> np.ndarray:
-    """All ordered pairs of distinct indices sharing a slot: rows (slot, i, j)."""
-    rows: list[np.ndarray] = []
-    for slot, idx in _shared_slots(slots):
-        p = np.repeat(idx, len(idx))
-        q = np.tile(idx, len(idx))
-        keep = p != q
-        rows.append(np.stack([np.full(int(keep.sum()), slot, dtype=np.int64), p[keep], q[keep]], 1))
-    return np.concatenate(rows, 0) if rows else np.empty((0, 3), dtype=np.int64)
-
-
-def cross_check_count(slots: np.ndarray, a_sizes: np.ndarray, b_sizes: np.ndarray) -> int:
-    """Sum over slots of |A_p| * |B_q| across ordered pairs p != q sharing
-    the slot: the block products a collision search enumerates."""
-    total = 0
-    for _, idx in _shared_slots(slots):
-        asz, bsz = a_sizes[idx], b_sizes[idx]
-        total += int(asz.sum()) * int(bsz.sum()) - int((asz * bsz).sum())
-    return total
-
-
-def find_collisions(alloc: AllocationMap, counters: Counters | None = None) -> np.ndarray:
-    """All co-located non-corresponding segment pairs, as rows
-    (slot, A-segment id, B-segment id) indexing ``alloc.keys``; pairs with
-    an empty A or B side are left out.
-
-    The enumeration cost counter adds sum over slots of |A_p| * |B_q| across
-    ordered cross pairs, block counts multiplied.
-    """
-    pairs = colocated_pairs(alloc.slots)
-    out = pairs[(alloc.a_sizes[pairs[:, 1]] > 0) & (alloc.b_sizes[pairs[:, 2]] > 0)]
-    if counters is not None:
-        counters.collision_checks += cross_check_count(alloc.slots, alloc.a_sizes, alloc.b_sizes)
-        counters.collisions_found += len(out)
-    return out
-
-
-def collision_block_counts(alloc: AllocationMap, collisions: np.ndarray, nb: int) -> np.ndarray:
-    """Number of collision pairs whose footprint covers each output block."""
-    counts = np.zeros((nb, nb), dtype=np.int64)
-    for _, pi, qi in collisions:
-        rows = alloc.a_rows[int(pi)]
-        cols = alloc.b_cols[int(qi)]
-        if len(rows) and len(cols):
-            counts[np.ix_(rows, cols)] += 1
-    return counts
-
-
-# ---------------------------------------------------------------------------
-# faithful rectangular paths
-
-
-def process_large_segments(
-    seg_a: SegmentTable,
-    seg_b: SegmentTable,
-    shift: int,
-    a_r,
-    b_r,
-    t_gamma: int,
-    counters: Counters | None = None,
-) -> np.ndarray:
-    """Pack each large A segment (>= t_gamma blocks) and its corresponding
-    B segment into a private rectangular slot, centered by canceling
-    baselines, and take the small-entry min-plus product.
-
-    Returns the (n, n) reduced-space result, INF where nothing was covered.
-    """
-    ad, bd = _data_of(a_r), _data_of(b_r)
-    l, w = seg_a.block_len, seg_a.width
-    delta = w // (20 * l)
-    m_enc = w + 2 * delta * l
-    n = ad.shape[0]
-    large = np.flatnonzero(seg_a.sizes >= t_gamma)
-    if counters is not None:
-        counters.max_large_slots = max(counters.max_large_slots, len(large))
-    if not len(large):
-        return np.full((n, n), INF, dtype=np.int64)
-
-    pos, found = b_partners(seg_b, seg_a.keys[large], shift)
-    span = np.arange(l)
-    k_ext = len(large) * l
-    ae = np.full((n, k_ext), INF, dtype=np.int64)
-    be = np.full((k_ext, n), INF, dtype=np.int64)
-    for s, seg_idx in enumerate(large):
-        bk, p = (int(v) for v in seg_a.keys[seg_idx])
-        u = baseline_offset(p, shift, w)
-        rows = (seg_a.members[seg_idx][:, None] * l + span).ravel()
-        src = bk * l + span
-        placed = ad[np.ix_(rows, src)] + u
-        _require(np.abs(placed).max(initial=0) <= m_enc, "centered A value escapes its window")
-        ae[np.ix_(rows, s * l + span)] = placed
-        if found[s]:
-            cols = (seg_b.members[pos[s]][:, None] * l + span).ravel()
-            placed_b = bd[np.ix_(src, cols)] - u
-            _require(np.abs(placed_b).max(initial=0) <= m_enc, "centered B value escapes its window")
-            be[np.ix_(s * l + span, cols)] = placed_b
-    return minplus_small_entries(Matrix(ae), Matrix(be), m_enc, counters).data
-
-
-_POLY_BYTES_LIMIT = 512 * 1024 * 1024
-
-
-def process_small_segments(
-    seg_a: SegmentTable,
-    seg_b: SegmentTable,
-    shift: int,
-    a_r,
-    b_r,
-    t_gamma: int,
-    slot_count: int,
-    rng: np.random.Generator,
-    counters: Counters | None = None,
-) -> tuple[PolyMatrix, AllocationMap]:
-    """Randomly allocate each small segment to a slot, encode entries as
-    monomials (overlapping segments add up), and return the packed
-    polynomial product together with the allocation."""
-    ad, bd = _data_of(a_r), _data_of(b_r)
-    l = seg_a.block_len
-    n = ad.shape[0]
-    alloc = _build_allocation(seg_a, seg_b, seg_a.sizes < t_gamma, shift, slot_count, rng)
-    m_enc = alloc.m_enc
-    deg = 2 * m_enc
-    k_ext = slot_count * l
-    est = n * k_ext * (deg + 1) * 8
-    if est > _POLY_BYTES_LIMIT:
-        raise MemoryError(f"packed polynomial matrices would need ~{2 * est >> 20} MiB")
-
-    af = np.zeros((n, k_ext, deg + 1), dtype=np.int64)
-    bf = np.zeros((k_ext, n, deg + 1), dtype=np.int64)
-    span = np.arange(l)
-    for i in range(len(alloc.keys)):
-        bk = int(alloc.keys[i, 0])
-        u = int(alloc.offsets[i])
-        s = int(alloc.slots[i])
-        src = bk * l + span
-        rows = (alloc.a_rows[i][:, None] * l + span).ravel()
-        deg_a = ad[np.ix_(rows, src)] + u + m_enc
-        _require(deg_a.min(initial=0) >= 0 and deg_a.max(initial=0) <= deg, "A degree outside the encoding")
-        np.add.at(af, (rows[:, None], (s * l + span)[None, :], deg_a), 1)
-        if len(alloc.b_cols[i]):
-            cols = (alloc.b_cols[i][:, None] * l + span).ravel()
-            deg_b = bd[np.ix_(src, cols)] - u + m_enc
-            _require(deg_b.min(initial=0) >= 0 and deg_b.max(initial=0) <= deg, "B degree outside the encoding")
-            np.add.at(bf, ((s * l + span)[:, None], cols[None, :], deg_b), 1)
-    cf = poly_matmul(PolyMatrix(af), PolyMatrix(bf), counters)
-    return cf, alloc
-
-
-def subtract_collisions(
-    c_f: PolyMatrix,
-    collisions: np.ndarray,
-    needed: np.ndarray,
-    a_r,
-    b_r,
-    alloc: AllocationMap,
-    counters: Counters | None = None,
-) -> dict[tuple[int, int], np.ndarray]:
-    """Remove collision contributions from the packed product and extract
-    exact reduced-space values for the needed blocks.
-
-    Each colliding pair's block product is recomputed trivially and
-    subtracted coefficientwise; a negative coefficient would mean the
-    bookkeeping went wrong and raises InvariantError.
-    """
-    ad, bd = _data_of(a_r), _data_of(b_r)
-    l, m_enc = alloc.block_len, alloc.m_enc
-    nb = ad.shape[0] // l
-    span = np.arange(l)
-    need_mask = np.zeros((nb, nb), dtype=bool)
-    if len(needed):
-        need_mask[needed[:, 0], needed[:, 1]] = True
-    coeffs = c_f.coeffs.copy()
-    ops = 0
-    for _, pi, qi in collisions:
-        pi, qi = int(pi), int(qi)
-        rows_p = alloc.a_rows[pi]
-        cols_q = alloc.b_cols[qi]
-        if not (len(rows_p) and len(cols_q)):
-            continue
-        hit = need_mask[np.ix_(rows_p, cols_q)]
-        if not hit.any():
-            continue
-        bk_p = int(alloc.keys[pi, 0])
-        bk_q = int(alloc.keys[qi, 0])
-        u_p = int(alloc.offsets[pi])
-        u_q = int(alloc.offsets[qi])
-        for li, lj in np.argwhere(hit):
-            bi = int(rows_p[li])
-            bj = int(cols_q[lj])
-            deg_a = ad[np.ix_(bi * l + span, bk_p * l + span)] + u_p + m_enc
-            deg_b = bd[np.ix_(bk_q * l + span, bj * l + span)] - u_q + m_enc
-            d3 = deg_a[:, :, None] + deg_b[None, :, :]  # axes (i, c, j)
-            rows = bi * l + span
-            cols = bj * l + span
-            np.subtract.at(coeffs, (rows[:, None, None], cols[None, :, None], d3.transpose(0, 2, 1)), 1)
-            ops += l ** 3
-    _require(coeffs.min(initial=0) >= 0, "collision subtraction drove a coefficient negative")
-    if counters is not None:
-        counters.poly_degree_ops += ops
-    cleaned = extract_min(PolyMatrix(coeffs), 2 * m_enc).data
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for bi, bj in needed:
-        bi, bj = int(bi), int(bj)
-        out[(bi, bj)] = cleaned[np.ix_(bi * l + span, bj * l + span)]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +221,6 @@ class NeededBlocks:
 
     gamma: dict[int, np.ndarray]
     missed: np.ndarray
-
-    def total_assigned(self) -> int:
-        return sum(len(v) for v in self.gamma.values())
 
 
 def sample_r(cands: CandidateSets, params: AlgoParams, active: np.ndarray | None = None, level: int = 0):
@@ -584,15 +253,11 @@ def sample_r(cands: CandidateSets, params: AlgoParams, active: np.ndarray | None
     return (r_blocks * l).astype(np.int64), NeededBlocks(gamma=gamma, missed=missed)
 
 
-def shift_matrices(a, b, r: int) -> tuple[Matrix, Matrix]:
-    """Column/row reduction: subtract column r of A from A and row r of B
-    from B, so near-optimal block sums become near zero."""
-    ad, bd = _data_of(a), _data_of(b)
-    if not (0 <= r < ad.shape[1]):
-        raise ValueError(f"column {r} out of range")
-    if np.any(ad == INF) or np.any(bd == INF):
-        raise ValueError("shift_matrices requires all-finite matrices")
-    return Matrix(ad - ad[:, r : r + 1]), Matrix(bd - bd[r : r + 1, :])
+def column_reduction(a: np.ndarray, b: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Subtract column r of A from A and row r of B from B, so near-optimal
+    block sums become near zero: every A[i,k] + B[k,j] drops by
+    A[i,r] + B[r,j]."""
+    return a - a[:, r : r + 1], b - b[r : r + 1, :]
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +266,8 @@ def shift_matrices(a, b, r: int) -> tuple[Matrix, Matrix]:
 
 # Block entries (triples times l*l) per kernel chunk: each of the chunk's
 # five (l*l, triples) int64 temporaries stays at 1 MiB, unless one pair's
-# candidate columns alone hold more.
+# candidate columns alone hold more. The bucket sums that select an assigned
+# pair's block columns are built under the same budget.
 _TRIPLE_BUDGET = 1 << 17
 
 
@@ -623,7 +289,7 @@ def _min_blocks(a_data: np.ndarray, b_data: np.ndarray, l: int, pairs: np.ndarra
     """
     nb = a_data.shape[0] // l
     counts = sel.sum(axis=1)
-    _require(counts.min(initial=1) >= 1, "block pair without a candidate")
+    require(counts.min(initial=1) >= 1, "block pair without a candidate")
     g_total = len(pairs)
     out = np.empty((g_total, l * l), dtype=np.int64)
     a_pl, b_pl = _planes(a_data, l), _planes(b_data, l)
@@ -677,16 +343,22 @@ def _assigned_block_values(
     counters: Counters | None = None,
 ) -> np.ndarray:
     """Reduced-space values of the assigned blocks: for each block pair, the
-    min over every block column whose A/B buckets fall in one of the three
-    correspondence relations (p + q in {-2, -1, 0}).
+    min over every block column whose A/B buckets fall in one of the
+    correspondence relations (p + q in REL_SHIFTS).
 
     Equals the union of the rectangular segment products after collision
-    subtraction, computed directly per assigned block.
+    subtraction, computed directly per assigned block. The column mask is
+    filled a few pairs at a time, so the int64 bucket sums stay bounded.
     """
-    pa = a_r[::l, ::l] // width
-    qb = b_r[::l, ::l] // width
-    psum = pa[blocks[:, 0], :] + qb[:, blocks[:, 1]].T
-    sel = (psum >= -2) & (psum <= 0)
+    pa = _buckets(a_r, l, width)
+    qbt = np.ascontiguousarray(_buckets(b_r, l, width).T)  # [bj, bk]
+    lo, hi = REL_SHIFTS[0], REL_SHIFTS[-1]
+    sel = np.empty((len(blocks), pa.shape[1]), dtype=bool)
+    step = max(1, _TRIPLE_BUDGET // pa.shape[1])
+    for g0 in range(0, len(blocks), step):
+        chunk = blocks[g0 : g0 + step]
+        psum = pa[chunk[:, 0]] + qbt[chunk[:, 1]]
+        np.logical_and(psum >= lo, psum <= hi, out=sel[g0 : g0 + step])
     vals = _min_blocks(a_r, b_r, l, blocks, sel)
     if counters is not None:
         counters.poly_degree_ops += int(np.count_nonzero(sel)) * l ** 3
@@ -701,7 +373,7 @@ def _finalize(c: np.ndarray, done: np.ndarray, blocks: np.ndarray, vals: np.ndar
     cols = blocks[:, 1][:, None] * l + span
     flat = (rows[:, :, None] * n + cols[:, None, :]).reshape(-1)
     done_flat = done.reshape(-1)
-    _require(not done_flat[flat].any(), "block finalized twice")
+    require(not done_flat[flat].any(), "block finalized twice")
     done_flat[flat] = True
     c.reshape(-1)[flat] = vals.reshape(-1)
 
@@ -780,9 +452,8 @@ def run_levels(
         span = np.arange(l)
         for r_col in sorted(assigned):
             blocks = assigned[r_col]
-            a_rr = ad - ad[:, r_col : r_col + 1]
-            b_rr = bd - bd[r_col : r_col + 1, :]
-            vals = _assigned_block_values(a_rr, b_rr, l, 20 * params.delta * l, blocks, counters)
+            a_rr, b_rr = column_reduction(ad, bd, r_col)
+            vals = _assigned_block_values(a_rr, b_rr, l, SEGMENT_WIDTH * params.delta * l, blocks, counters)
             rows = blocks[:, 0][:, None] * l + span
             cols = blocks[:, 1][:, None] * l + span
             _finalize(c, done, blocks, vals + ad[rows, r_col][:, :, None] + bd[r_col, cols][:, None, :], l)
@@ -796,7 +467,7 @@ def run_levels(
     if len(tail):
         vals = _enumerate_pairs(ad, bd, l, tail, cands.mask, counters if l == levels[0] else None)
         _finalize(c, done, tail, vals, l)
-    _require(done.all(), "some output blocks were never finalized")
+    require(done.all(), "some output blocks were never finalized")
     return Matrix(c)
 
 

@@ -56,8 +56,7 @@ class CandidateSets:
     """Per block pair (bi, bj), the block columns whose representative sums
     come within 8*delta*l of the representative minimum.
 
-    ``mask[bi, bj, bk]`` is the primary representation; ``sets`` materializes
-    the sorted index lists.
+    ``mask[bi, bj, bk]`` marks block column bk as a candidate of (bi, bj).
     """
 
     grid: BlockGrid
@@ -68,14 +67,6 @@ class CandidateSets:
     @property
     def sizes(self) -> np.ndarray:
         return self.mask.sum(axis=2)
-
-    def set_for(self, bi: int, bj: int) -> list[int]:
-        return [int(k) for k in np.flatnonzero(self.mask[bi, bj])]
-
-    @property
-    def sets(self) -> list[list[list[int]]]:
-        nb = self.grid.n_blocks
-        return [[self.set_for(bi, bj) for bj in range(nb)] for bi in range(nb)]
 
 
 # int64 representative sums held at once while scanning (1 MiB).

@@ -126,19 +126,6 @@ class BDMatrix:
         return f"BDMatrix({self.n}x{self.n}, delta={self.delta})"
 
 
-def sat_add(x, y):
-    """Saturating addition: any INF operand makes the result INF."""
-    xa = np.asarray(x, dtype=np.int64)
-    ya = np.asarray(y, dtype=np.int64)
-    xm = xa == INF
-    ym = ya == INF
-    s = np.where(xm, 0, xa) + np.where(ym, 0, ya)
-    out = np.where(xm | ym, INF, s)
-    if out.ndim == 0:
-        return int(out)
-    return out
-
-
 def validate_bd(m: Matrix, delta: int) -> bool:
     """True iff every horizontally and vertically adjacent pair of entries
     differs by strictly less than ``delta``.

@@ -1,4 +1,4 @@
-"""Level-recursive min-plus product and the collision audit.
+"""Level-recursive min-plus product, and every slot and collision concern.
 
 The recursive engine runs the shared level loop (``basic.run_levels``) from
 the top block length down to single entries, halving the block length each
@@ -6,10 +6,14 @@ round. Pairs whose candidate set crosses the size threshold at some level
 are finished by that level's sampled pipeline; pairs still small at block
 length 1 are finished by direct candidate enumeration.
 
-The collision audit replays the slot allocation of the paper after a
-product: at finer levels it descends a 4-way slot tree, so collisions are
-searched inside the previous level's collisions instead of among all
-segments again. It only fills counters; results never depend on it.
+No product runs the rest of this module. The collision audit replays the
+slot allocation of the paper after a product: at finer levels it descends
+a 4-way slot tree, so collisions are searched inside the previous level's
+collisions instead of among all segments again. It only fills counters;
+results never depend on it. The packed rectangular products (large
+segments in private slots, small segments packed as polynomials, collision
+subtraction) are the paper's route to a sampled column's blocks; the tests
+check the level loop's direct per-block evaluation against them.
 """
 
 from __future__ import annotations
@@ -24,19 +28,88 @@ from .basic import (
     Counters,
     LevelState,
     SegmentTable,
-    b_partners,
     build_segments,
     ceil_tol,
     check_operands,
-    colocated_pairs,
-    cross_check_count,
+    column_reduction,
     derived_rng,
     encode_keys,
+    require,
     run_levels,
 )
-from .matrix import BDMatrix, Matrix
+from .matrix import INF, BDMatrix, Matrix
+from .oracle import PolyMatrix, extract_min, minplus_small_entries, poly_matmul
 
 _PH_ALLOC_LVL = 12
+
+
+# ---------------------------------------------------------------------------
+# segment correspondence and slot sharing
+
+
+def b_partners(seg_b: SegmentTable, a_keys: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in seg_b of the B segments corresponding to the A segment
+    keys (block column, bucket p) under one relation, bucket shift - p, and
+    whether each exists; a missing partner's position is meaningless."""
+    b_enc = encode_keys(seg_b.keys[:, 0], seg_b.keys[:, 1])
+    want = encode_keys(a_keys[:, 0], shift - a_keys[:, 1])
+    if not len(b_enc):
+        return np.zeros(len(want), dtype=np.int64), np.zeros(len(want), dtype=bool)
+    pos = np.minimum(np.searchsorted(b_enc, want), len(b_enc) - 1)
+    return pos, b_enc[pos] == want
+
+
+def baseline_offset(bucket, shift: int, width: int):
+    """Value added to A-side segment entries and subtracted from the B-side
+    partner. Centers both sides into [-(width + wobble), width + wobble]
+    while leaving every pair sum unchanged."""
+    bucket = np.asarray(bucket, dtype=np.int64)
+    if shift == -2:
+        out = -(bucket + 1) * width
+    elif shift == -1:
+        out = -bucket * width - width // 2
+    elif shift == 0:
+        out = -bucket * width
+    else:
+        raise ValueError(f"unknown correspondence shift {shift}")
+    return out if out.ndim else int(out)
+
+
+def _shared_slots(slots: np.ndarray):
+    """Per slot holding two or more indices: the slot and those indices."""
+    if not len(slots):
+        return
+    order = np.argsort(slots, kind="stable")
+    ss = slots[order]
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(ss)) + 1, [len(ss)]])
+    for g0, g1 in zip(starts[:-1], starts[1:]):
+        if g1 - g0 >= 2:
+            yield int(ss[g0]), order[g0:g1]
+
+
+def colocated_pairs(slots: np.ndarray) -> np.ndarray:
+    """All ordered pairs of distinct indices sharing a slot: rows (slot, i, j)."""
+    rows: list[np.ndarray] = []
+    for slot, idx in _shared_slots(slots):
+        p = np.repeat(idx, len(idx))
+        q = np.tile(idx, len(idx))
+        keep = p != q
+        rows.append(np.stack([np.full(int(keep.sum()), slot, dtype=np.int64), p[keep], q[keep]], 1))
+    return np.concatenate(rows, 0) if rows else np.empty((0, 3), dtype=np.int64)
+
+
+def cross_check_count(slots: np.ndarray, a_sizes: np.ndarray, b_sizes: np.ndarray) -> int:
+    """Sum over slots of |A_p| * |B_q| across ordered pairs p != q sharing
+    the slot: the block products a collision search enumerates."""
+    total = 0
+    for _, idx in _shared_slots(slots):
+        asz, bsz = a_sizes[idx], b_sizes[idx]
+        total += int(asz.sum()) * int(bsz.sum()) - int((asz * bsz).sum())
+    return total
+
+
+# ---------------------------------------------------------------------------
+# slot tree
 
 
 @dataclass
@@ -154,6 +227,245 @@ def collisions_incremental(
 
 
 # ---------------------------------------------------------------------------
+# flat allocation and the packed rectangular products
+
+
+@dataclass
+class AllocationMap:
+    """Randomized placement of small segments into rectangular slots.
+
+    Corresponding A/B segments share a slot; ``offsets`` records the
+    baseline added to the A side and subtracted from the B side.
+    """
+
+    slot_count: int
+    shift: int
+    block_len: int
+    width: int
+    m_enc: int
+    keys: np.ndarray  # (m, 2) [home block column, bucket]
+    slots: np.ndarray
+    offsets: np.ndarray
+    a_rows: list[np.ndarray]
+    b_cols: list[np.ndarray]
+    a_sizes: np.ndarray
+    b_sizes: np.ndarray
+
+
+def _build_allocation(
+    seg_a: SegmentTable,
+    seg_b: SegmentTable,
+    select: np.ndarray,
+    shift: int,
+    slot_count: int,
+    rng: np.random.Generator,
+) -> AllocationMap:
+    l, w = seg_a.block_len, seg_a.width
+    keys = seg_a.keys[select]
+    idxs = np.flatnonzero(select)
+    slots = allocate_top(keys, l, slot_count, rng).leaf.slots
+    offsets = baseline_offset(keys[:, 1], shift, w)
+    pos, found = b_partners(seg_b, keys, shift)
+
+    empty = np.empty(0, dtype=np.int64)
+    a_rows = [seg_a.members[i] for i in idxs]
+    b_cols = [seg_b.members[pos[i]] if found[i] else empty for i in range(len(keys))]
+    a_sizes = seg_a.sizes[select].astype(np.int64)
+    b_sizes = np.array([len(c) for c in b_cols], dtype=np.int64)
+    return AllocationMap(
+        slot_count=slot_count,
+        shift=shift,
+        block_len=l,
+        width=w,
+        m_enc=seg_a.m_enc,
+        keys=keys,
+        slots=slots,
+        offsets=offsets,
+        a_rows=a_rows,
+        b_cols=b_cols,
+        a_sizes=a_sizes,
+        b_sizes=b_sizes,
+    )
+
+
+def find_collisions(alloc: AllocationMap, counters: Counters | None = None) -> np.ndarray:
+    """All co-located non-corresponding segment pairs, as rows
+    (slot, A-segment id, B-segment id) indexing ``alloc.keys``; pairs with
+    an empty A or B side are left out.
+
+    The enumeration cost counter adds sum over slots of |A_p| * |B_q| across
+    ordered cross pairs, block counts multiplied.
+    """
+    pairs = colocated_pairs(alloc.slots)
+    out = pairs[(alloc.a_sizes[pairs[:, 1]] > 0) & (alloc.b_sizes[pairs[:, 2]] > 0)]
+    if counters is not None:
+        counters.collision_checks += cross_check_count(alloc.slots, alloc.a_sizes, alloc.b_sizes)
+        counters.collisions_found += len(out)
+    return out
+
+
+def collision_block_counts(alloc: AllocationMap, collisions: np.ndarray, nb: int) -> np.ndarray:
+    """Number of collision pairs whose footprint covers each output block."""
+    counts = np.zeros((nb, nb), dtype=np.int64)
+    for _, pi, qi in collisions:
+        rows = alloc.a_rows[int(pi)]
+        cols = alloc.b_cols[int(qi)]
+        if len(rows) and len(cols):
+            counts[np.ix_(rows, cols)] += 1
+    return counts
+
+
+def process_large_segments(
+    seg_a: SegmentTable,
+    seg_b: SegmentTable,
+    shift: int,
+    a_r: np.ndarray,
+    b_r: np.ndarray,
+    t_gamma: int,
+    counters: Counters | None = None,
+) -> np.ndarray:
+    """Pack each large A segment (>= t_gamma blocks) and its corresponding
+    B segment into a private rectangular slot, centered by canceling
+    baselines, and take the small-entry min-plus product.
+
+    Returns the (n, n) reduced-space result, INF where nothing was covered.
+    """
+    l, w, m_enc = seg_a.block_len, seg_a.width, seg_a.m_enc
+    n = a_r.shape[0]
+    large = np.flatnonzero(seg_a.sizes >= t_gamma)
+    if counters is not None:
+        counters.max_large_slots = max(counters.max_large_slots, len(large))
+    if not len(large):
+        return np.full((n, n), INF, dtype=np.int64)
+
+    pos, found = b_partners(seg_b, seg_a.keys[large], shift)
+    span = np.arange(l)
+    k_ext = len(large) * l
+    ae = np.full((n, k_ext), INF, dtype=np.int64)
+    be = np.full((k_ext, n), INF, dtype=np.int64)
+    for s, seg_idx in enumerate(large):
+        bk, p = (int(v) for v in seg_a.keys[seg_idx])
+        u = baseline_offset(p, shift, w)
+        rows = (seg_a.members[seg_idx][:, None] * l + span).ravel()
+        src = bk * l + span
+        placed = a_r[np.ix_(rows, src)] + u
+        require(np.abs(placed).max(initial=0) <= m_enc, "centered A value escapes its window")
+        ae[np.ix_(rows, s * l + span)] = placed
+        if found[s]:
+            cols = (seg_b.members[pos[s]][:, None] * l + span).ravel()
+            placed_b = b_r[np.ix_(src, cols)] - u
+            require(np.abs(placed_b).max(initial=0) <= m_enc, "centered B value escapes its window")
+            be[np.ix_(s * l + span, cols)] = placed_b
+    return minplus_small_entries(Matrix(ae), Matrix(be), m_enc, counters).data
+
+
+_POLY_BYTES_LIMIT = 512 * 1024 * 1024
+
+
+def process_small_segments(
+    seg_a: SegmentTable,
+    seg_b: SegmentTable,
+    shift: int,
+    a_r: np.ndarray,
+    b_r: np.ndarray,
+    t_gamma: int,
+    slot_count: int,
+    rng: np.random.Generator,
+    counters: Counters | None = None,
+) -> tuple[PolyMatrix, AllocationMap]:
+    """Randomly allocate each small segment to a slot, encode entries as
+    monomials (overlapping segments add up), and return the packed
+    polynomial product together with the allocation."""
+    l = seg_a.block_len
+    n = a_r.shape[0]
+    alloc = _build_allocation(seg_a, seg_b, seg_a.sizes < t_gamma, shift, slot_count, rng)
+    m_enc = alloc.m_enc
+    deg = 2 * m_enc
+    k_ext = slot_count * l
+    est = n * k_ext * (deg + 1) * 8
+    if est > _POLY_BYTES_LIMIT:
+        raise MemoryError(f"packed polynomial matrices would need ~{2 * est >> 20} MiB")
+
+    af = np.zeros((n, k_ext, deg + 1), dtype=np.int64)
+    bf = np.zeros((k_ext, n, deg + 1), dtype=np.int64)
+    span = np.arange(l)
+    for i in range(len(alloc.keys)):
+        bk = int(alloc.keys[i, 0])
+        u = int(alloc.offsets[i])
+        s = int(alloc.slots[i])
+        src = bk * l + span
+        rows = (alloc.a_rows[i][:, None] * l + span).ravel()
+        deg_a = a_r[np.ix_(rows, src)] + u + m_enc
+        require(deg_a.min(initial=0) >= 0 and deg_a.max(initial=0) <= deg, "A degree outside the encoding")
+        np.add.at(af, (rows[:, None], (s * l + span)[None, :], deg_a), 1)
+        if len(alloc.b_cols[i]):
+            cols = (alloc.b_cols[i][:, None] * l + span).ravel()
+            deg_b = b_r[np.ix_(src, cols)] - u + m_enc
+            require(deg_b.min(initial=0) >= 0 and deg_b.max(initial=0) <= deg, "B degree outside the encoding")
+            np.add.at(bf, ((s * l + span)[:, None], cols[None, :], deg_b), 1)
+    cf = poly_matmul(PolyMatrix(af), PolyMatrix(bf), counters)
+    return cf, alloc
+
+
+def subtract_collisions(
+    c_f: PolyMatrix,
+    collisions: np.ndarray,
+    needed: np.ndarray,
+    a_r: np.ndarray,
+    b_r: np.ndarray,
+    alloc: AllocationMap,
+    counters: Counters | None = None,
+) -> dict[tuple[int, int], np.ndarray]:
+    """Remove collision contributions from the packed product and extract
+    exact reduced-space values for the needed blocks.
+
+    Each colliding pair's block product is recomputed trivially and
+    subtracted coefficientwise; a negative coefficient would mean the
+    bookkeeping went wrong and raises InvariantError.
+    """
+    l, m_enc = alloc.block_len, alloc.m_enc
+    nb = a_r.shape[0] // l
+    span = np.arange(l)
+    need_mask = np.zeros((nb, nb), dtype=bool)
+    if len(needed):
+        need_mask[needed[:, 0], needed[:, 1]] = True
+    coeffs = c_f.coeffs.copy()
+    ops = 0
+    for _, pi, qi in collisions:
+        pi, qi = int(pi), int(qi)
+        rows_p = alloc.a_rows[pi]
+        cols_q = alloc.b_cols[qi]
+        if not (len(rows_p) and len(cols_q)):
+            continue
+        hit = need_mask[np.ix_(rows_p, cols_q)]
+        if not hit.any():
+            continue
+        bk_p = int(alloc.keys[pi, 0])
+        bk_q = int(alloc.keys[qi, 0])
+        u_p = int(alloc.offsets[pi])
+        u_q = int(alloc.offsets[qi])
+        for li, lj in np.argwhere(hit):
+            bi = int(rows_p[li])
+            bj = int(cols_q[lj])
+            deg_a = a_r[np.ix_(bi * l + span, bk_p * l + span)] + u_p + m_enc
+            deg_b = b_r[np.ix_(bk_q * l + span, bj * l + span)] - u_q + m_enc
+            d3 = deg_a[:, :, None] + deg_b[None, :, :]  # axes (i, c, j)
+            rows = bi * l + span
+            cols = bj * l + span
+            np.subtract.at(coeffs, (rows[:, None, None], cols[None, :, None], d3.transpose(0, 2, 1)), 1)
+            ops += l ** 3
+    require(coeffs.min(initial=0) >= 0, "collision subtraction drove a coefficient negative")
+    if counters is not None:
+        counters.poly_degree_ops += ops
+    cleaned = extract_min(PolyMatrix(coeffs), 2 * m_enc).data
+    out: dict[tuple[int, int], np.ndarray] = {}
+    for bi, bj in needed:
+        bi, bj = int(bi), int(bj)
+        out[(bi, bj)] = cleaned[np.ix_(bi * l + span, bj * l + span)]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # per-level collision machinery (structural: counters and statistics)
 
 
@@ -252,8 +564,7 @@ def collision_audit(
     params: AlgoParams,
     level_trace: list[LevelState],
     counters: Counters,
-    effective_omega: float = 3.0,
-) -> list[float]:
+) -> None:
     """Collision accounting of a finished product, replayed from its level
     trace with the product's own seed.
 
@@ -265,34 +576,29 @@ def collision_audit(
     max_large_slots to the most segments of at least T_gamma blocks in one
     block-length-l0 table.
 
-    The per-level slot exponent is gamma_l = theta + effective_omega/3 - 1,
-    with theta the level exponent (block length l = n**(1-theta)); the top
-    level gets n**(2*theta_0 - gamma_l) slots, at least one. The default
-    effective_omega = 3 is the cubic kernel used here. Returns gamma_l per
-    level.
+    A level with exponent theta (block length l = n**(1-theta)) gives the
+    top of its tree n**(2*theta_0 - theta) slots, at least one: the slot
+    exponent of the paper with the cubic kernel used here.
     """
-    gammas = [st.theta + effective_omega / 3.0 - 1.0 for st in level_trace]
     if not level_trace:
-        return gammas
+        return
     ad, bd = a.base.data, b.base.data
     n = a.n
     l0 = level_trace[0].block_len
     t_gamma = params.t_gamma(n)
-    for li, (st, gamma_l) in enumerate(zip(level_trace, gammas)):
+    for li, st in enumerate(level_trace):
         if not st.assigned:
             continue
         l = st.block_len
-        top_slots = max(1, ceil_tol(n ** (2 * level_trace[0].theta - gamma_l)))
+        top_slots = max(1, ceil_tol(n ** (2 * level_trace[0].theta - st.theta)))
         for r_col in sorted(st.assigned):
-            a_rr = ad - ad[:, r_col : r_col + 1]
-            b_rr = bd - bd[r_col : r_col + 1, :]
+            a_rr, b_rr = column_reduction(ad, bd, r_col)
             seg_a, seg_b, shifts = build_segments(a_rr, b_rr, l, params.delta)
             if l == l0:
                 counters.max_large_slots = max(counters.max_large_slots, int((seg_a.sizes >= t_gamma).sum()))
             for rel, shift in enumerate(shifts):
                 rng = derived_rng(params.seed, _PH_ALLOC_LVL, li, r_col, rel)
                 _level_collision_pass(seg_a, seg_b, l0, top_slots, st.assigned[r_col], rng, shift, counters)
-    return gammas
 
 
 def recursive_minplus(

@@ -11,9 +11,18 @@ import pytest
 
 import minplus as mp
 from minplus import AlgoParams, Counters
-from minplus.basic import build_segments, _build_allocation, collision_block_counts, derived_rng
+from minplus.basic import build_segments, derived_rng, sample_r
+from minplus.blocking import approx_matrix, candidate_sets
 from minplus.cli import RunRecord, _run_once, strict_violations
-from minplus.recursive import allocate_recursive, allocate_top, collisions_exhaustive, collisions_incremental
+from minplus.recursive import (
+    _build_allocation,
+    allocate_recursive,
+    allocate_top,
+    collision_block_counts,
+    collisions_exhaustive,
+    collisions_incremental,
+    find_collisions,
+)
 
 from conftest import random_matrix
 
@@ -79,7 +88,7 @@ def test_criterion_4_approximation_bounds(pool):
     for seed in range(50):
         a, b = pool.pair(n, delta, seed)
         c = pool.naive(n, delta, seed).data
-        approx = mp.approx_matrix(a, b, l).data
+        approx = approx_matrix(a, b, l).data
         per_entry = np.repeat(np.repeat(approx, l, 0), l, 1)
         if np.abs(c - per_entry).max() > 4 * delta * l:
             ok = False
@@ -95,7 +104,7 @@ def test_criterion_5_candidate_soundness(pool):
     for delta, seed in ((1, 0), (2, 0), (2, 1), (2, 2), (5, 0), (5, 1)):
         a, b = pool.pair(n, delta, seed)
         ad, bd = a.base.data, b.base.data
-        cs = mp.candidate_sets(a, b, l)
+        cs = candidate_sets(a, b, l)
         for i in range(n):
             sums = ad[i, :][:, None] + bd
             ks = sums.argmin(axis=0)  # ties break to the smallest index
@@ -120,9 +129,9 @@ def test_criterion_6_sampling_coverage():
         a = mp.generate_bd(64, delta, 5000 + 2 * seed)
         b = mp.generate_bd(64, delta, 5001 + 2 * seed)
         params = AlgoParams(delta=delta, seed=seed, c0=3)
-        cs = mp.candidate_sets(a, b, params.block_len(64))
+        cs = candidate_sets(a, b, params.block_len(64))
         remaining = int((cs.sizes > params.t_beta(64)).sum())
-        _, needed = mp.sample_r(cs, params)
+        _, needed = sample_r(cs, params)
         frac = len(needed.missed) / remaining if remaining else 0.0
         worst = max(worst, frac)
         if frac > 0.05:
@@ -155,7 +164,7 @@ def test_criterion_7_collision_statistics():
             seg_a, seg_b, seg_a.sizes < t_gamma, shift, slot_count, derived_rng(seed, 71)
         )
         counters = Counters()
-        cols = mp.find_collisions(alloc, counters)
+        cols = find_collisions(alloc, counters)
         s_emp.append(counters.collision_checks)
         s_pred.append(int(alloc.a_sizes.sum()) * int(alloc.b_sizes.sum()) / slot_count)
         m = len(alloc.keys)

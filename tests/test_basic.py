@@ -9,16 +9,28 @@ import minplus as mp
 from minplus import AlgoParams, Counters, Matrix
 from minplus.basic import (
     REL_SHIFTS,
+    SEGMENT_WIDTH,
     _PH_SAMPLE_LVL,
     _assigned_block_values,
-    _build_allocation,
     _min_blocks,
-    baseline_offset,
+    build_segments,
+    column_reduction,
     derived_rng,
     level_theta,
+    sample_r,
 )
-from minplus.oracle import PolyMatrix
-from minplus.recursive import collision_audit
+from minplus.blocking import candidate_sets
+from minplus.oracle import PolyMatrix, extract_min, poly_matmul
+from minplus.recursive import (
+    AllocationMap,
+    allocate_top,
+    baseline_offset,
+    collision_audit,
+    find_collisions,
+    process_large_segments,
+    process_small_segments,
+    subtract_collisions,
+)
 
 from conftest import valley_bd
 
@@ -51,8 +63,6 @@ def test_params_thresholds():
     assert p.sample_count(64) == 48  # ceil(c0 * log2(n) * (n/l) * n**-beta) at l = 2
     assert p.sample_count(64, 1) == 96
     assert p.sample_count(1) == 0
-    assert p.slot_count(64) == 148
-    assert p.slot_count(64) % 4 == 0
 
 
 def test_params_validation():
@@ -74,12 +84,12 @@ def test_params_defaults():
 
 def test_sample_r_full_candidates():
     a, b = zeros_bd(16), zeros_bd(16)
-    cs = mp.candidate_sets(a, b, 2)
+    cs = candidate_sets(a, b, 2)
     params = AlgoParams(delta=1, beta=0.2, seed=5)  # t_beta = 2 < 8 = |K|
-    r_cols, needed = mp.sample_r(cs, params)
+    r_cols, needed = sample_r(cs, params)
     assert len(r_cols) >= 1
     assert len(needed.missed) == 0
-    assert needed.total_assigned() == 64
+    assert sum(len(v) for v in needed.gamma.values()) == 64
     # assignment picks the smallest sampled block inside K = everything
     first = min(needed.gamma)
     assert first == int(r_cols[0])
@@ -88,12 +98,12 @@ def test_sample_r_full_candidates():
 
 def test_sample_r_count_matches_formula(pool):
     a, b = pool.pair(64, 2, 2)
-    cs = mp.candidate_sets(a, b, 2)
+    cs = candidate_sets(a, b, 2)
     params = AlgoParams(delta=2, seed=0)
     for level in (0, 1):
         rng = derived_rng(0, _PH_SAMPLE_LVL, level)
         draws = rng.integers(0, 32, size=params.sample_count(64))
-        r_cols, _ = mp.sample_r(cs, params, level=level)
+        r_cols, _ = sample_r(cs, params, level=level)
         assert np.array_equal(r_cols, np.unique(draws) * 2)
 
 
@@ -103,9 +113,9 @@ def test_sample_r_monte_carlo_coverage():
     for seed in range(100):
         a = mp.generate_bd(64, 2, 1000 + 2 * seed)
         b = mp.generate_bd(64, 2, 1001 + 2 * seed)
-        cs = mp.candidate_sets(a, b, 2)
+        cs = candidate_sets(a, b, 2)
         params = AlgoParams(delta=2, seed=seed)
-        _, needed = mp.sample_r(cs, params)
+        _, needed = sample_r(cs, params)
         if len(needed.missed) == 0:
             clean += 1
     assert clean >= 95
@@ -116,17 +126,17 @@ def test_sample_r_monte_carlo_coverage():
 
 def test_shift_zero_column_row(pool):
     a, b = pool.pair(16, 2, 3)
-    ar, br = mp.shift_matrices(a, b, 4)
-    assert np.all(ar.data[:, 4] == 0)
-    assert np.all(br.data[4, :] == 0)
+    ar, br = column_reduction(a.base.data, b.base.data, 4)
+    assert np.all(ar[:, 4] == 0)
+    assert np.all(br[4, :] == 0)
 
 
 def test_shift_algebraic_identity(pool):
     a, b = pool.pair(8, 2, 3)
-    ar, br = mp.shift_matrices(a, b, 2)
     ad, bd = a.base.data, b.base.data
+    ar, br = column_reduction(ad, bd, 2)
     for i, k, j in ((0, 3, 5), (7, 0, 1), (4, 4, 4)):
-        lhs = int(ar.data[i, k]) + int(br.data[k, j])
+        lhs = int(ar[i, k]) + int(br[k, j])
         rhs = int(ad[i, k]) + int(bd[k, j]) - (int(ad[i, 2]) + int(bd[2, j]))
         assert lhs == rhs
 
@@ -136,7 +146,7 @@ def test_shift_diametric_bound(pool):
     # representative sums stay within 16*delta*l
     n, delta, l = 64, 2, 8
     a, b = pool.pair(n, delta, 4)
-    cs = mp.candidate_sets(a, b, l)
+    cs = candidate_sets(a, b, l)
     ra = a.base.data[::l, ::l]
     rb = b.base.data[::l, ::l]
     sums = ra[:, :, None] + rb[None, :, :]  # (bi, bk, bj)
@@ -154,12 +164,12 @@ def test_shift_diametric_bound(pool):
 
 def test_build_segments_all_zero():
     z = np.zeros((8, 8), dtype=np.int64)
-    seg_a, seg_b, shifts = mp.build_segments(z, z, 2, 1)
+    seg_a, seg_b, shifts = build_segments(z, z, 2, 1)
     assert shifts == (-2, -1, 0)
     assert seg_a.width == 20 * 1 * 2
     assert np.all(seg_a.buckets == 0) and np.all(seg_b.buckets == 0)
-    for col in seg_a.groups:
-        assert list(col) == [0]
+    # one segment per block column, all in bucket 0
+    assert seg_a.keys.tolist() == [[k, 0] for k in range(4)]
     # the single A bucket pairs with B buckets {-2, -1, 0}
     assert sorted(s - 0 for s in shifts) == [-2, -1, 0]
 
@@ -172,7 +182,7 @@ def test_segments_cover_diametric_pairs(pool):
         r = 8 * (seed % 4)
         ar = ad - ad[:, r : r + 1]
         br = bd - bd[r : r + 1, :]
-        seg_a, seg_b, shifts = mp.build_segments(ar, br, l, delta)
+        seg_a, seg_b, shifts = build_segments(ar, br, l, delta)
         ra = ar[::l, ::l]
         rb = br[::l, ::l]
         sums = ra[:, :, None] + rb[None, :, :]
@@ -200,7 +210,7 @@ def test_baseline_offsets_center_and_cancel():
 
 def test_allocation_uniform():
     rng = np.random.default_rng(0)
-    slots = mp.allocate_small_segments(10_000, 8, rng)
+    slots = allocate_top(np.zeros((10_000, 2), dtype=np.int64), 1, 8, rng).leaf.slots
     counts = np.bincount(slots, minlength=8)
     p = 1 / 8
     sigma = np.sqrt(10_000 * p * (1 - p))
@@ -240,12 +250,12 @@ def test_process_large_all_segments(pool):
     # relations reproduces the relation-matched minima exactly
     n, delta, l = 16, 2, 4
     ar, br = _reduced_pair(pool, n, delta, 5, 4)
-    seg_a, seg_b, shifts = mp.build_segments(ar, br, l, delta)
+    seg_a, seg_b, shifts = build_segments(ar, br, l, delta)
     nb = n // l
     blocks = np.argwhere(np.ones((nb, nb), dtype=bool))
     merged = {tuple(bk): np.full((l, l), mp.INF, dtype=np.int64) for bk in map(tuple, blocks)}
     for shift in shifts:
-        ce = mp.process_large_segments(seg_a, seg_b, shift, ar, br, t_gamma=1)
+        ce = process_large_segments(seg_a, seg_b, shift, ar, br, t_gamma=1)
         want = _per_relation_minima(ar, br, l, delta, shift, blocks)
         for (bi, bj), wb in want.items():
             got = ce[bi * l : bi * l + l, bj * l : bj * l + l]
@@ -265,13 +275,13 @@ def test_process_large_matches_naive_for_covered_pairs(pool):
     ad, bd = a.base.data, b.base.data
     ar = ad - ad[:, r_col : r_col + 1]
     br = bd - bd[r_col : r_col + 1, :]
-    seg_a, seg_b, shifts = mp.build_segments(ar, br, l, delta)
+    seg_a, seg_b, shifts = build_segments(ar, br, l, delta)
     merged = np.full((n, n), mp.INF, dtype=np.int64)
     for shift in shifts:
-        merged = np.minimum(merged, mp.process_large_segments(seg_a, seg_b, shift, ar, br, t_gamma=1))
+        merged = np.minimum(merged, process_large_segments(seg_a, seg_b, shift, ar, br, t_gamma=1))
     restored = merged + ad[:, r_col][:, None] + bd[r_col, :][None, :]
     naive = pool.naive(n, delta, seed).data
-    cs = mp.candidate_sets(a, b, l)
+    cs = candidate_sets(a, b, l)
     for bi, bj in np.argwhere(cs.mask[:, :, r_col // l]):
         sl = (slice(bi * l, bi * l + l), slice(bj * l, bj * l + l))
         assert np.array_equal(restored[sl], naive[sl])
@@ -280,9 +290,9 @@ def test_process_large_matches_naive_for_covered_pairs(pool):
 def test_process_large_noop(pool):
     n, delta, l = 16, 2, 4
     ar, br = _reduced_pair(pool, n, delta, 5, 4)
-    seg_a, seg_b, _ = mp.build_segments(ar, br, l, delta)
+    seg_a, seg_b, _ = build_segments(ar, br, l, delta)
     counters = Counters()
-    ce = mp.process_large_segments(seg_a, seg_b, -1, ar, br, t_gamma=10**6, counters=counters)
+    ce = process_large_segments(seg_a, seg_b, -1, ar, br, t_gamma=10**6, counters=counters)
     assert np.all(ce == mp.INF)
     assert counters.max_large_slots == 0
 
@@ -290,10 +300,10 @@ def test_process_large_noop(pool):
 def test_process_large_slot_bound(pool):
     n, delta, l = 64, 2, 8
     ar, br = _reduced_pair(pool, n, delta, 6, 16)
-    seg_a, seg_b, _ = mp.build_segments(ar, br, l, delta)
+    seg_a, seg_b, _ = build_segments(ar, br, l, delta)
     t_gamma = 2
     counters = Counters()
-    mp.process_large_segments(seg_a, seg_b, -1, ar, br, t_gamma, counters)
+    process_large_segments(seg_a, seg_b, -1, ar, br, t_gamma, counters)
     assert counters.max_large_slots <= (n // l) ** 2 / t_gamma
 
 
@@ -301,12 +311,12 @@ def test_process_small_single_segment(pool):
     # one segment total: the packed product reproduces the block products
     n, delta, l = 4, 2, 4
     ar, br = _reduced_pair(pool, n, delta, 7, 0)
-    seg_a, seg_b, _ = mp.build_segments(ar, br, l, delta)
+    seg_a, seg_b, _ = build_segments(ar, br, l, delta)
     assert len(seg_a.keys) == 1
     rng = np.random.default_rng(3)
-    cf, alloc = mp.process_small_segments(seg_a, seg_b, 0, ar, br, t_gamma=10, slot_count=4, rng=rng)
-    assert len(mp.find_collisions(alloc)) == 0
-    got = mp.extract_min(cf, 2 * alloc.m_enc)
+    cf, alloc = process_small_segments(seg_a, seg_b, 0, ar, br, t_gamma=10, slot_count=4, rng=rng)
+    assert len(find_collisions(alloc)) == 0
+    got = extract_min(cf, 2 * alloc.m_enc)
     want = _per_relation_minima(ar, br, l, delta, 0, [(0, 0)])[(0, 0)]
     assert np.array_equal(got.data, want)
 
@@ -315,9 +325,9 @@ def _forced_collision_setup(pool, slot_count=1):
     # two A segments (block columns 0 and 1) forced into one slot
     n, delta, l = 8, 2, 4
     ar, br = _reduced_pair(pool, n, delta, 8, 0)
-    seg_a, seg_b, _ = mp.build_segments(ar, br, l, delta)
+    seg_a, seg_b, _ = build_segments(ar, br, l, delta)
     rng = np.random.default_rng(11)
-    cf, alloc = mp.process_small_segments(
+    cf, alloc = process_small_segments(
         seg_a, seg_b, 0, ar, br, t_gamma=10**6, slot_count=slot_count, rng=rng
     )
     return n, delta, l, ar, br, cf, alloc
@@ -355,7 +365,7 @@ def test_process_small_collision_expansion(pool):
     total = np.zeros_like(cf.coeffs)
     for ap in a_pieces:
         for bp in b_pieces:
-            total += mp.poly_matmul(ap, bp).coeffs
+            total += poly_matmul(ap, bp).coeffs
     assert np.array_equal(cf.coeffs, total)
 
 
@@ -367,7 +377,7 @@ def test_collision_identity(pool):
     wanted = np.zeros_like(cf.coeffs)
     for i, ap in enumerate(a_pieces):
         for j, bp in enumerate(b_pieces):
-            term = mp.poly_matmul(ap, bp).coeffs
+            term = poly_matmul(ap, bp).coeffs
             if i == j:
                 wanted += term
             else:
@@ -378,7 +388,7 @@ def test_collision_identity(pool):
 def test_find_collisions_counts(pool):
     n, delta, l, ar, br, cf, alloc = _forced_collision_setup(pool)
     counters = Counters()
-    cols = mp.find_collisions(alloc, counters)
+    cols = find_collisions(alloc, counters)
     m = len(alloc.keys)
     want_pairs = sum(
         1
@@ -396,7 +406,7 @@ def test_find_collisions_counts(pool):
 
 def test_find_collisions_two_segments():
     # two non-corresponding segments sharing a slot give exactly 2 entries
-    alloc = mp.AllocationMap(
+    alloc = AllocationMap(
         slot_count=1,
         shift=0,
         block_len=2,
@@ -410,7 +420,7 @@ def test_find_collisions_two_segments():
         a_sizes=np.array([1, 1]),
         b_sizes=np.array([1, 1]),
     )
-    cols = mp.find_collisions(alloc)
+    cols = find_collisions(alloc)
     assert len(cols) == 2
     assert {(int(r[1]), int(r[2])) for r in cols} == {(0, 1), (1, 0)}
 
@@ -418,15 +428,15 @@ def test_find_collisions_two_segments():
 def test_find_collisions_separate_slots(pool):
     n, delta, l, ar, br, cf, alloc = _forced_collision_setup(pool, slot_count=2)
     if alloc.slots[0] != alloc.slots[1]:
-        assert len(mp.find_collisions(alloc)) == 0
+        assert len(find_collisions(alloc)) == 0
 
 
 def test_subtract_collisions_exact(pool):
     n, delta, l, ar, br, cf, alloc = _forced_collision_setup(pool)
-    cols = mp.find_collisions(alloc)
+    cols = find_collisions(alloc)
     nb = n // l
     needed = np.argwhere(np.ones((nb, nb), dtype=bool))
-    blocks = mp.subtract_collisions(cf, cols, needed, ar, br, alloc)
+    blocks = subtract_collisions(cf, cols, needed, ar, br, alloc)
     want = _per_relation_minima(ar, br, l, delta, 0, needed)
     for key, val in blocks.items():
         assert np.array_equal(val, want[key])
@@ -436,25 +446,25 @@ def test_subtract_collisions_none_needed(pool):
     # with no collisions, extraction is already exact
     n, delta, l = 4, 2, 4
     ar, br = _reduced_pair(pool, n, delta, 7, 0)
-    seg_a, seg_b, _ = mp.build_segments(ar, br, l, delta)
-    cf, alloc = mp.process_small_segments(
+    seg_a, seg_b, _ = build_segments(ar, br, l, delta)
+    cf, alloc = process_small_segments(
         seg_a, seg_b, 0, ar, br, t_gamma=10, slot_count=4, rng=np.random.default_rng(3)
     )
-    blocks = mp.subtract_collisions(cf, np.empty((0, 3), dtype=np.int64), np.array([[0, 0]]), ar, br, alloc)
+    blocks = subtract_collisions(cf, np.empty((0, 3), dtype=np.int64), np.array([[0, 0]]), ar, br, alloc)
     want = _per_relation_minima(ar, br, l, delta, 0, [(0, 0)])[(0, 0)]
     assert np.array_equal(blocks[(0, 0)], want)
 
 
 def test_subtract_collisions_detects_corruption(pool):
     n, delta, l, ar, br, cf, alloc = _forced_collision_setup(pool)
-    cols = mp.find_collisions(alloc)
+    cols = find_collisions(alloc)
     if not len(cols):
         pytest.skip("allocation produced no collisions")
     nb = n // l
     needed = np.argwhere(np.ones((nb, nb), dtype=bool))
     doubled = np.concatenate([cols, cols])
     with pytest.raises(mp.InvariantError):
-        mp.subtract_collisions(cf, doubled, needed, ar, br, alloc)
+        subtract_collisions(cf, doubled, needed, ar, br, alloc)
 
 
 # --- end to end -----------------------------------------------------------------
@@ -507,23 +517,50 @@ def test_pipeline_matches_faithful_composition(pool):
         ad, bd = a.base.data, b.base.data
         ar = ad - ad[:, r_col : r_col + 1]
         br = bd - bd[r_col : r_col + 1, :]
-        seg_a, seg_b, shifts = mp.build_segments(ar, br, l, delta)
-        cs = mp.candidate_sets(a, b, l)
+        seg_a, seg_b, shifts = build_segments(ar, br, l, delta)
+        cs = candidate_sets(a, b, l)
         blocks = np.argwhere(cs.mask[:, :, r_col // l])
         t_gamma = 2
         merged = {tuple(bk): np.full((l, l), mp.INF, dtype=np.int64) for bk in map(tuple, blocks)}
         for rel, shift in enumerate(shifts):
             rng = derived_rng(0, 2, r_col, rel)
-            large = mp.process_large_segments(seg_a, seg_b, shift, ar, br, t_gamma)
-            cf, alloc = mp.process_small_segments(seg_a, seg_b, shift, ar, br, t_gamma, 8, rng)
-            cols = mp.find_collisions(alloc)
-            small = mp.subtract_collisions(cf, cols, blocks, ar, br, alloc)
+            large = process_large_segments(seg_a, seg_b, shift, ar, br, t_gamma)
+            cf, alloc = process_small_segments(seg_a, seg_b, shift, ar, br, t_gamma, 8, rng)
+            cols = find_collisions(alloc)
+            small = subtract_collisions(cf, cols, blocks, ar, br, alloc)
             for (bi, bj), v in small.items():
                 ls = large[bi * l : (bi + 1) * l, bj * l : (bj + 1) * l]
                 merged[(bi, bj)] = np.minimum(merged[(bi, bj)], np.minimum(v, ls))
         fast = _assigned_block_values(ar, br, l, 20 * delta * l, blocks)
         for i, bk in enumerate(map(tuple, blocks)):
             assert np.array_equal(merged[bk], fast[i])
+
+
+@pytest.mark.parametrize("budget, r_col", [("default", 8), ("one", 40), ("five_pairs", 72)])
+def test_assigned_block_values_chunks(monkeypatch, budget, r_col):
+    # the column mask is filled a few pairs at a time: one pair per chunk,
+    # five pairs with a short last chunk, and one chunk all give the min
+    # over the bucket-matched columns. At l = 1 on a valley the buckets
+    # are selective, and column r_col itself always matches. Each case
+    # reduces at its own column, so a row left unfilled cannot pass by
+    # holding the mask of the case before.
+    n, delta = 128, 2
+    a, b = valley_bd(n, delta, 7)
+    ar, br = column_reduction(a.base.data, b.base.data, r_col)
+    blocks = np.argwhere(np.ones((n, n), dtype=bool))[::43]
+    w = SEGMENT_WIDTH * delta
+    psum = (ar // w)[blocks[:, 0]] + (br // w)[:, blocks[:, 1]].T
+    sel = (psum >= REL_SHIFTS[0]) & (psum <= REL_SHIFTS[-1])
+    assert 0 < sel.mean() < 1 and len(blocks) % 5
+    want = np.where(sel, ar[blocks[:, 0]] + br[:, blocks[:, 1]].T, mp.INF).min(axis=1)
+    if budget == "one":
+        monkeypatch.setattr("minplus.basic._TRIPLE_BUDGET", 1)
+    elif budget == "five_pairs":
+        monkeypatch.setattr("minplus.basic._TRIPLE_BUDGET", 5 * n)
+    counters = Counters()
+    got = _assigned_block_values(ar, br, 1, w, blocks, counters)
+    assert np.array_equal(got[:, 0, 0], want)
+    assert counters.poly_degree_ops == int(sel.sum())
 
 
 def test_counters_work_bounds(pool):
@@ -625,8 +662,8 @@ def test_invariants_survive_optimize():
     # exactness guards raise explicitly, so python -O keeps them
     script = """
 import numpy as np
-from minplus import InvariantError, build_segments
-from minplus.basic import _enumerate_pairs
+from minplus import InvariantError
+from minplus.basic import _enumerate_pairs, build_segments
 z = np.zeros((8, 8), dtype=np.int64)
 caught = []
 try:

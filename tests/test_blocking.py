@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import minplus as mp
-from minplus import BlockGrid, Matrix
+from minplus import Matrix
+from minplus.blocking import BlockGrid, approx_matrix, candidate_sets
 
 from conftest import valley_bd
 
@@ -22,14 +23,14 @@ def test_grid_rejects_nondivisor():
 
 def test_approx_one_block(pool):
     a, b = pool.pair(8, 2, 0)
-    got = mp.approx_matrix(a, b, 8)
+    got = approx_matrix(a, b, 8)
     want = int(a.base.data[0, 0]) + int(b.base.data[0, 0])
     assert got.shape == (1, 1) and got.data[0, 0] == want
 
 
 def test_approx_unit_blocks(pool):
     a, b = pool.pair(8, 2, 0)
-    assert mp.approx_matrix(a, b, 1) == pool.naive(8, 2, 0)
+    assert approx_matrix(a, b, 1) == pool.naive(8, 2, 0)
 
 
 def test_approx_bounds(pool):
@@ -39,7 +40,7 @@ def test_approx_bounds(pool):
     for seed in range(5):
         a, b = pool.pair(n, delta, seed)
         c = pool.naive(n, delta, seed).data
-        approx = mp.approx_matrix(a, b, l).data
+        approx = approx_matrix(a, b, l).data
         per_entry = np.repeat(np.repeat(approx, l, 0), l, 1)
         assert np.abs(c - per_entry).max() <= 4 * delta * l
         rep = np.repeat(np.repeat(c[::l, ::l], l, 0), l, 1)
@@ -47,16 +48,15 @@ def test_approx_bounds(pool):
 
 
 def test_candidates_all_zero():
-    cs = mp.candidate_sets(ZERO8, ZERO8, 2)
+    cs = candidate_sets(ZERO8, ZERO8, 2)
     assert cs.mask.all()
-    assert cs.set_for(0, 0) == [0, 1, 2, 3]
 
 
 def test_candidate_threshold_exact(pool):
     # admission is exactly: representative sum <= approx + 8*delta*l
     n, delta, l = 32, 2, 4
     a, b = pool.pair(n, delta, 1)
-    cs = mp.candidate_sets(a, b, l)
+    cs = candidate_sets(a, b, l)
     ra = a.base.data[::l, ::l]
     rb = b.base.data[::l, ::l]
     nb = n // l
@@ -78,11 +78,11 @@ def test_candidate_chunks_match_dense(pool, monkeypatch, budget):
     sums = ra[:, None, :] + rb.T[None, :, :]  # [bi, bj, bk]
     approx = sums.min(axis=2)
     monkeypatch.setattr("minplus.blocking._SUM_BUDGET", budget)
-    cs = mp.candidate_sets(a, b, l)
+    cs = candidate_sets(a, b, l)
     assert cs.mask.flags.c_contiguous
     assert np.array_equal(cs.approx.data, approx)
     assert np.array_equal(cs.mask, sums <= approx[:, :, None] + 8 * delta * l)
-    assert np.array_equal(mp.approx_matrix(a, b, l).data, approx)
+    assert np.array_equal(approx_matrix(a, b, l).data, approx)
 
 
 def test_candidate_soundness_exhaustive(pool):
@@ -90,7 +90,7 @@ def test_candidate_soundness_exhaustive(pool):
     n, delta, l = 64, 2, 8
     a, b = pool.pair(n, delta, 2)
     ad, bd = a.base.data, b.base.data
-    cs = mp.candidate_sets(a, b, l)
+    cs = candidate_sets(a, b, l)
     for i in range(n):
         sums = ad[i, :][:, None] + bd  # (k, j)
         ks = sums.argmin(axis=0)  # smallest index on ties
@@ -105,7 +105,7 @@ def test_two_candidate_closeness(pool):
         a, b = pool.pair(n, delta, seed)
         ra = a.base.data[::l, ::l]
         rb = b.base.data[::l, ::l]
-        cs = mp.candidate_sets(a, b, l)
+        cs = candidate_sets(a, b, l)
         nb = n // l
         sums = ra[:, :, None] + rb[None, :, :]
         for bi in range(nb):
@@ -115,8 +115,8 @@ def test_two_candidate_closeness(pool):
 
 
 def test_refine_all_zero():
-    cs = mp.candidate_sets(ZERO8, ZERO8, 2)
-    child = mp.candidate_sets(ZERO8, ZERO8, 1)
+    cs = candidate_sets(ZERO8, ZERO8, 2)
+    child = candidate_sets(ZERO8, ZERO8, 1)
     assert child.grid.l == 1
     assert child.mask.all()
     assert cs.sizes.max() == 4 and child.sizes.max() == 8
@@ -129,10 +129,10 @@ def test_child_candidates_inside_parent(pool, family):
     for n, delta, seed in ((32, 2, 3), (64, 1, 3), (64, 5, 3), (64, 2, 4)):
         a, b = pool.pair(n, delta, seed) if family == "walk" else valley_bd(n, delta, seed)
         l = n
-        parent = mp.candidate_sets(a, b, l)
+        parent = candidate_sets(a, b, l)
         while l >= 2:
             h = l // 2
-            child = mp.candidate_sets(a, b, h)
+            child = candidate_sets(a, b, h)
             up = np.arange(n // h) // 2
             assert not (child.mask & ~parent.mask[np.ix_(up, up, up)]).any()
             sums = a.base.data[::h, ::h][:, :, None] + b.base.data[::h, ::h][None, :, :]
@@ -147,7 +147,7 @@ def test_refine_size_bound():
         delta = 1 + seed % 3
         a = mp.generate_bd(16, delta, 3 * seed)
         b = mp.generate_bd(16, delta, 3 * seed + 1)
-        parent = mp.candidate_sets(a, b, 4)
-        child = mp.candidate_sets(a, b, 2)
+        parent = candidate_sets(a, b, 4)
+        child = candidate_sets(a, b, 2)
         ps = np.repeat(np.repeat(parent.sizes, 2, 0), 2, 1)
         assert (child.sizes <= 2 * ps).all()

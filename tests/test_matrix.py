@@ -18,21 +18,6 @@ def bd_holds_brute(data, delta):
     return True
 
 
-FINITE = st.integers(min_value=-(1 << 59), max_value=1 << 59)
-
-
-@given(FINITE, FINITE)
-def test_sat_add_finite(x, y):
-    assert mp.sat_add(x, y) == x + y
-
-
-@given(FINITE)
-def test_sat_add_absorbing(x):
-    assert mp.sat_add(x, INF) == INF
-    assert mp.sat_add(INF, x) == INF
-    assert mp.sat_add(INF, INF) == INF
-
-
 def test_matrix_validation():
     with pytest.raises(ValueError):
         Matrix(np.zeros((2, 2, 2), dtype=np.int64))

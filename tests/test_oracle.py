@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import minplus as mp
-from minplus import INF, Matrix, PolyMatrix
+from minplus import INF, Matrix
 from minplus.kernel import imatmul
+from minplus.oracle import PolyMatrix, encode_poly, extract_min, poly_matmul
 
 from conftest import random_matrix
 
@@ -90,20 +91,20 @@ def test_bd_preservation(pool):
 
 
 def test_encode_examples():
-    enc = mp.encode_poly(Matrix([[3]]), 5)
+    enc = encode_poly(Matrix([[3]]), 5)
     assert enc.degree_bound == 10
     assert enc.coeffs[0, 0, 8] == 1 and enc.coeffs.sum() == 1
 
-    enc_inf = mp.encode_poly(Matrix(np.array([[INF]])), 5)
+    enc_inf = encode_poly(Matrix(np.array([[INF]])), 5)
     assert enc_inf.coeffs.sum() == 0
 
-    enc_lo = mp.encode_poly(Matrix([[-5]]), 5)
+    enc_lo = encode_poly(Matrix([[-5]]), 5)
     assert enc_lo.coeffs[0, 0, 0] == 1
 
 
 def test_encode_range_error():
     with pytest.raises(ValueError):
-        mp.encode_poly(Matrix([[6]]), 5)
+        encode_poly(Matrix([[6]]), 5)
 
 
 def test_poly_matmul_monomials():
@@ -111,24 +112,24 @@ def test_poly_matmul_monomials():
     a.coeffs[0, 0, 2] = 1
     b = PolyMatrix(np.zeros((1, 1, 4), dtype=np.int64))
     b.coeffs[0, 0, 3] = 1
-    c = mp.poly_matmul(a, b)
+    c = poly_matmul(a, b)
     assert c.degree_bound == 6
     assert c.coeffs[0, 0, 5] == 1 and c.coeffs.sum() == 1
 
 
 def test_poly_matmul_two_witnesses():
     # two inner terms land on the same degree: coefficient 2
-    a = mp.encode_poly(Matrix([[0, 0]]), 1)
-    b = mp.encode_poly(Matrix([[0], [0]]), 1)
-    c = mp.poly_matmul(a, b)
+    a = encode_poly(Matrix([[0, 0]]), 1)
+    b = encode_poly(Matrix([[0], [0]]), 1)
+    c = poly_matmul(a, b)
     assert c.coeffs[0, 0, 2] == 2
     assert c.coeffs.sum() == 2
 
 
 def test_poly_matmul_annihilator():
-    a = mp.encode_poly(Matrix([[1, 2], [3, 4]]), 5)
+    a = encode_poly(Matrix([[1, 2], [3, 4]]), 5)
     b = PolyMatrix(np.zeros((2, 2, 11), dtype=np.int64))
-    c = mp.poly_matmul(a, b)
+    c = poly_matmul(a, b)
     assert c.coeffs.sum() == 0
 
 
@@ -136,9 +137,9 @@ def test_extract_examples():
     c = PolyMatrix(np.zeros((1, 1, 8), dtype=np.int64))
     c.coeffs[0, 0, 4] = 1
     c.coeffs[0, 0, 7] = 3
-    assert mp.extract_min(c, 4) == Matrix([[0]])
+    assert extract_min(c, 4) == Matrix([[0]])
     zero = PolyMatrix(np.zeros((1, 1, 8), dtype=np.int64))
-    assert mp.extract_min(zero, 4).data[0, 0] == INF
+    assert extract_min(zero, 4).data[0, 0] == INF
 
 
 def test_extract_equals_naive_random():
@@ -147,7 +148,7 @@ def test_extract_equals_naive_random():
         k = int(rng.integers(1, 8))
         a = random_matrix(rng, int(rng.integers(1, 8)), k, 12, 0.2)
         b = random_matrix(rng, k, int(rng.integers(1, 8)), 12, 0.2)
-        got = mp.extract_min(mp.poly_matmul(mp.encode_poly(a, 12), mp.encode_poly(b, 12)), 24)
+        got = extract_min(poly_matmul(encode_poly(a, 12), encode_poly(b, 12)), 24)
         assert got == mp.minplus_naive(a, b)
 
 
