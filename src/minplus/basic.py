@@ -4,25 +4,29 @@ Both engines run one level loop (``run_levels``) over a list of block
 lengths: the single-partition engine over ``[l0]``, the recursive engine over
 ``l0, l0/2, ..., 1``. At each level, candidate sets from block
 representatives split the open block pairs. Pairs with many candidates are
-covered by sampling reference columns: each sampled column reduces the
-matrices, and the pairs assigned to it get their block values from the
-block columns whose value buckets correspond. Pairs whose candidate set
+covered by sampling reference columns: the pairs assigned to a sampled
+column r get their block values from the block columns whose value
+buckets, taken relative to column r, correspond. Pairs whose candidate set
 missed the sample fall back to direct enumeration, so the result is always
 exact. The other pairs are refined to half the block length, or enumerated
-directly after the last level.
+directly after the last level; a level with no open pair is skipped.
 
+The paper reduces the operands by column r before bucketing; here the
+reduction only picks block columns, and the picked blocks are evaluated on
+the original operands, because the reduction cancels exactly in every sum.
 This direct per-block evaluation equals the paper's packed rectangular
 products (value segments, randomized slot allocation, collision
-subtraction). Those live in ``recursive`` with the rest of the slot and
-collision code: ``recursive.collision_audit`` replays them after a product,
-and the tests check this module against them. The bucket rule both share
-(``SEGMENT_WIDTH``, ``REL_SHIFTS``, ``build_segments``) is kept here.
+subtraction), shifted back by the reduction. The slot and collision code
+lives in ``recursive``, where ``collision_audit`` replays the allocation
+after a product; the packed products themselves are a test-side reference.
+The bucket rule all of them share (``SEGMENT_WIDTH``, ``REL_SHIFTS``,
+``build_segments``) is kept here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -78,14 +82,7 @@ class Counters:
     max_large_slots: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "block_products": self.block_products,
-            "collision_checks": self.collision_checks,
-            "collisions_found": self.collisions_found,
-            "fallback_pairs": self.fallback_pairs,
-            "poly_degree_ops": self.poly_degree_ops,
-            "max_large_slots": self.max_large_slots,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -155,10 +152,11 @@ class SegmentTable:
     sizes: np.ndarray
 
 
-def _buckets(data: np.ndarray, l: int, width: int) -> np.ndarray:
-    """Bucket of every block representative, floor(representative / width),
-    indexed [block row, block column]."""
-    return data[::l, ::l] // width
+def _buckets(data: np.ndarray, l: int, width: int, base: np.ndarray | int = 0) -> np.ndarray:
+    """Bucket of every block representative relative to ``base``,
+    floor((representative - base) / width), indexed [block row, block
+    column]."""
+    return (data[::l, ::l] - base) // width
 
 
 def _group_by_major(bmat: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
@@ -256,7 +254,8 @@ def sample_r(cands: CandidateSets, params: AlgoParams, active: np.ndarray | None
 def column_reduction(a: np.ndarray, b: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Subtract column r of A from A and row r of B from B, so near-optimal
     block sums become near zero: every A[i,k] + B[k,j] drops by
-    A[i,r] + B[r,j]."""
+    A[i,r] + B[r,j]. The collision audit segments these copies; products
+    bucket relative to column r without them."""
     return a - a[:, r : r + 1], b - b[r : r + 1, :]
 
 
@@ -335,23 +334,29 @@ def _enumerate_pairs(
 
 
 def _assigned_block_values(
-    a_r: np.ndarray,
-    b_r: np.ndarray,
+    a_data: np.ndarray,
+    b_data: np.ndarray,
     l: int,
     width: int,
+    r: int,
     blocks: np.ndarray,
     counters: Counters | None = None,
 ) -> np.ndarray:
-    """Reduced-space values of the assigned blocks: for each block pair, the
-    min over every block column whose A/B buckets fall in one of the
+    """Values of the blocks assigned to sampled column r: for each block
+    pair, the min over every block column whose buckets, taken relative to
+    column r (A[i,k] - A[i,r] and B[k,j] - B[r,j]), fall in one of the
     correspondence relations (p + q in REL_SHIFTS).
 
-    Equals the union of the rectangular segment products after collision
-    subtraction, computed directly per assigned block. The column mask is
-    filled a few pairs at a time, so the int64 bucket sums stay bounded.
+    The reduction only decides which block columns a pair takes: since
+    (A[i,k] - A[i,r]) + (B[k,j] - B[r,j]) + A[i,r] + B[r,j] = A[i,k] + B[k,j]
+    exactly in int64, the selected blocks are evaluated on the original
+    operands and need no reduced copy or add-back. The result equals the
+    union of column r's rectangular segment products after collision
+    subtraction, shifted back by A[i,r] + B[r,j]. The column mask is filled
+    a few pairs at a time, so the int64 bucket sums stay bounded.
     """
-    pa = _buckets(a_r, l, width)
-    qbt = np.ascontiguousarray(_buckets(b_r, l, width).T)  # [bj, bk]
+    pa = _buckets(a_data, l, width, a_data[::l, r, None])
+    qbt = np.ascontiguousarray(_buckets(b_data, l, width, b_data[None, r, ::l]).T)  # [bj, bk]
     lo, hi = REL_SHIFTS[0], REL_SHIFTS[-1]
     sel = np.empty((len(blocks), pa.shape[1]), dtype=bool)
     step = max(1, _TRIPLE_BUDGET // pa.shape[1])
@@ -359,10 +364,9 @@ def _assigned_block_values(
         chunk = blocks[g0 : g0 + step]
         psum = pa[chunk[:, 0]] + qbt[chunk[:, 1]]
         np.logical_and(psum >= lo, psum <= hi, out=sel[g0 : g0 + step])
-    vals = _min_blocks(a_r, b_r, l, blocks, sel)
     if counters is not None:
         counters.poly_degree_ops += int(np.count_nonzero(sel)) * l ** 3
-    return vals
+    return _min_blocks(a_data, b_data, l, blocks, sel)
 
 
 def _finalize(c: np.ndarray, done: np.ndarray, blocks: np.ndarray, vals: np.ndarray, l: int) -> None:
@@ -420,11 +424,13 @@ def run_levels(
 
     At each level the open pairs with more than T_beta candidates are
     active: grids under 4 blocks a side enumerate them directly, larger ones
-    sample columns, compute each assigned pair from its column's reduced
-    matrices, and enumerate the pairs the sample missed. The other open
-    pairs are refined to the next level; after the last level they are
-    enumerated directly (the tail). The tail counts toward block_products
-    only at the top block length, the grid the strict bound is stated on.
+    sample columns, compute each assigned pair from the original operands
+    over the block columns its column's buckets select, and enumerate the
+    pairs the sample missed. The other open pairs are refined to the next
+    level; after the last level they are enumerated directly (the tail). A
+    level with no open pair computes no candidate sets and is traced empty.
+    The tail counts toward block_products only at the top block length, the
+    grid the strict bound is stated on.
     """
     if counters is None:
         counters = Counters()
@@ -436,10 +442,15 @@ def run_levels(
     eligible = np.ones((n // levels[0], n // levels[0]), dtype=bool)
 
     for li, l in enumerate(levels):
-        # candidate sets nest across levels (see blocking), so a level's own
-        # sets need no restriction to the previous level's
-        cands = candidate_sets(a, b, l)
-        active_mask = eligible & (cands.sizes > t_beta)
+        if eligible.any():
+            # candidate sets nest across levels (see blocking), so a level's
+            # own sets need no restriction to the previous level's
+            cands = candidate_sets(a, b, l)
+            active_mask = eligible & (cands.sizes > t_beta)
+        else:
+            # nothing left to refine: skip the (n/l)**3 scan, but keep the
+            # level, empty, in the trace
+            active_mask = eligible
         active = np.argwhere(active_mask)
         assigned: dict[int, np.ndarray] = {}
         missed = active
@@ -449,14 +460,10 @@ def run_levels(
         if len(missed):
             _finalize(c, done, missed, _enumerate_pairs(ad, bd, l, missed, cands.mask, counters), l)
             counters.fallback_pairs += len(missed)
-        span = np.arange(l)
+        width = SEGMENT_WIDTH * params.delta * l
         for r_col in sorted(assigned):
             blocks = assigned[r_col]
-            a_rr, b_rr = column_reduction(ad, bd, r_col)
-            vals = _assigned_block_values(a_rr, b_rr, l, SEGMENT_WIDTH * params.delta * l, blocks, counters)
-            rows = blocks[:, 0][:, None] * l + span
-            cols = blocks[:, 1][:, None] * l + span
-            _finalize(c, done, blocks, vals + ad[rows, r_col][:, :, None] + bd[r_col, cols][:, None, :], l)
+            _finalize(c, done, blocks, _assigned_block_values(ad, bd, l, width, r_col, blocks, counters), l)
         pending_mask = eligible & ~active_mask
         if level_trace is not None:
             level_trace.append(LevelState(l, level_theta(n, l), active, np.argwhere(pending_mask), assigned))

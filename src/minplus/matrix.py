@@ -140,9 +140,6 @@ def validate_bd(m: Matrix, delta: int) -> bool:
     if not m.all_finite():
         raise ValueError("validate_bd requires an all-finite matrix")
     d = m.data
-    if d.shape[0] == 1:
-        horiz_ok = bool(np.all(np.abs(np.diff(d, axis=1)) < delta)) if d.shape[1] > 1 else True
-        return horiz_ok
     return bool(
         np.all(np.abs(np.diff(d, axis=0)) < delta)
         and np.all(np.abs(np.diff(d, axis=1)) < delta)

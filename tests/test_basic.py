@@ -21,18 +21,10 @@ from minplus.basic import (
 )
 from minplus.blocking import candidate_sets
 from minplus.oracle import PolyMatrix, extract_min, poly_matmul
-from minplus.recursive import (
-    AllocationMap,
-    allocate_top,
-    baseline_offset,
-    collision_audit,
-    find_collisions,
-    process_large_segments,
-    process_small_segments,
-    subtract_collisions,
-)
+from minplus.recursive import AllocationMap, allocate_top, baseline_offset, collision_audit, find_collisions
 
 from conftest import valley_bd
+from packed_reference import process_large_segments, process_small_segments, subtract_collisions
 
 
 def zeros_bd(n):
@@ -245,11 +237,17 @@ def _reduced_pair(pool, n, delta, seed, r):
     return ad - ad[:, r : r + 1], bd - bd[r : r + 1, :]
 
 
+def _add_back(ad, bd, l, r, bi, bj, reduced):
+    """A reduced-space block value shifted back by A[i,r] + B[r,j]."""
+    return reduced + ad[bi * l : bi * l + l, r][:, None] + bd[r, bj * l : bj * l + l][None, :]
+
+
 def test_process_large_all_segments(pool):
     # t_gamma = 1 makes every nonempty segment large; union over the three
     # relations reproduces the relation-matched minima exactly
     n, delta, l = 16, 2, 4
     ar, br = _reduced_pair(pool, n, delta, 5, 4)
+    a, b = pool.pair(n, delta, 5)
     seg_a, seg_b, shifts = build_segments(ar, br, l, delta)
     nb = n // l
     blocks = np.argwhere(np.ones((nb, nb), dtype=bool))
@@ -261,9 +259,9 @@ def test_process_large_all_segments(pool):
             got = ce[bi * l : bi * l + l, bj * l : bj * l + l]
             assert np.array_equal(got, wb)
             merged[(bi, bj)] = np.minimum(merged[(bi, bj)], got)
-    fast = _assigned_block_values(ar, br, l, 20 * delta * l, blocks)
+    fast = _assigned_block_values(a.base.data, b.base.data, l, 20 * delta * l, 4, blocks)
     for i, bk in enumerate(map(tuple, blocks)):
-        assert np.array_equal(merged[bk], fast[i])
+        assert np.array_equal(_add_back(a.base.data, b.base.data, l, 4, *bk, merged[bk]), fast[i])
 
 
 def test_process_large_matches_naive_for_covered_pairs(pool):
@@ -509,7 +507,8 @@ def test_basic_rejects_mismatch(pool):
 
 def test_pipeline_matches_faithful_composition(pool):
     # the per-column restricted evaluation used by basic_minplus equals the
-    # packed rectangular composition (large + small with subtraction)
+    # packed rectangular composition (large + small with subtraction),
+    # shifted back by the column's reduction
     n, delta, l = 16, 2, 4
     seed_r = [(10, 4), (11, 8), (12, 0)]
     for seed, r_col in seed_r:
@@ -531,9 +530,9 @@ def test_pipeline_matches_faithful_composition(pool):
             for (bi, bj), v in small.items():
                 ls = large[bi * l : (bi + 1) * l, bj * l : (bj + 1) * l]
                 merged[(bi, bj)] = np.minimum(merged[(bi, bj)], np.minimum(v, ls))
-        fast = _assigned_block_values(ar, br, l, 20 * delta * l, blocks)
+        fast = _assigned_block_values(ad, bd, l, 20 * delta * l, r_col, blocks)
         for i, bk in enumerate(map(tuple, blocks)):
-            assert np.array_equal(merged[bk], fast[i])
+            assert np.array_equal(_add_back(ad, bd, l, r_col, *bk, merged[bk]), fast[i])
 
 
 @pytest.mark.parametrize("budget, r_col", [("default", 8), ("one", 40), ("five_pairs", 72)])
@@ -546,7 +545,8 @@ def test_assigned_block_values_chunks(monkeypatch, budget, r_col):
     # holding the mask of the case before.
     n, delta = 128, 2
     a, b = valley_bd(n, delta, 7)
-    ar, br = column_reduction(a.base.data, b.base.data, r_col)
+    ad, bd = a.base.data, b.base.data
+    ar, br = column_reduction(ad, bd, r_col)
     blocks = np.argwhere(np.ones((n, n), dtype=bool))[::43]
     w = SEGMENT_WIDTH * delta
     psum = (ar // w)[blocks[:, 0]] + (br // w)[:, blocks[:, 1]].T
@@ -558,9 +558,26 @@ def test_assigned_block_values_chunks(monkeypatch, budget, r_col):
     elif budget == "five_pairs":
         monkeypatch.setattr("minplus.basic._TRIPLE_BUDGET", 5 * n)
     counters = Counters()
-    got = _assigned_block_values(ar, br, 1, w, blocks, counters)
-    assert np.array_equal(got[:, 0, 0], want)
+    got = _assigned_block_values(ad, bd, 1, w, r_col, blocks, counters)
+    assert np.array_equal(got[:, 0, 0], want + ad[blocks[:, 0], r_col] + bd[r_col, blocks[:, 1]])
     assert counters.poly_degree_ops == int(sel.sum())
+
+
+@pytest.mark.parametrize("engine", ["basic", "recursive"])
+def test_engines_make_no_reduced_copy(pool, monkeypatch, engine):
+    # sampled columns bucket against the original operands: no product
+    # builds a column's reduced matrices
+    def refuse(*args):
+        raise AssertionError("column_reduction called inside a product")
+
+    monkeypatch.setattr("minplus.basic.column_reduction", refuse)
+    a, b = pool.pair(64, 2, 0)
+    params = AlgoParams(delta=2, seed=7)
+    trace = []
+    f = mp.basic_minplus if engine == "basic" else mp.recursive_minplus
+    got = f(a, b, params, level_trace=trace)
+    assert trace[0].assigned
+    assert np.array_equal(got.data, pool.naive(64, 2, 0).data)
 
 
 def test_counters_work_bounds(pool):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import minplus as mp
-from minplus import AlgoParams, Counters, Matrix
+from minplus import AlgoParams, Counters, Matrix, basic
 from minplus.basic import build_segments, derived_rng, encode_keys
 from minplus.recursive import (
     allocate_recursive,
@@ -176,6 +176,27 @@ def test_recursive_deeper_levels(pool):
         got = mp.recursive_minplus(a, b, params, level_trace=trace)
         assert got == pool.naive(64, 2, seed)
         assert [s.block_len for s in trace] == [4, 2, 1]
+
+
+def test_recursive_skips_empty_levels(pool, monkeypatch):
+    # on a walk every pair is active at l0 = 2, so the l = 1 level has no
+    # open pair: it computes no candidate sets but stays, empty, in the trace
+    calls = []
+    real = basic.candidate_sets
+
+    def counting(a, b, l):
+        calls.append(l)
+        return real(a, b, l)
+
+    monkeypatch.setattr(basic, "candidate_sets", counting)
+    a, b = pool.pair(64, 2, 0)
+    trace = []
+    got = mp.recursive_minplus(a, b, AlgoParams(delta=2, seed=7), level_trace=trace)
+    assert got == pool.naive(64, 2, 0)
+    assert calls == [2]
+    assert [s.block_len for s in trace] == [2, 1]
+    last = trace[-1]
+    assert last.active.shape == last.pending.shape == (0, 2) and last.assigned == {}
 
 
 def test_recursive_level_exponents(pool):
