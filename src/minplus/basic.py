@@ -19,8 +19,10 @@ products (value segments, randomized slot allocation, collision
 subtraction), shifted back by the reduction. The slot and collision code
 lives in ``recursive``, where ``collision_audit`` replays the allocation
 after a product; the packed products themselves are a test-side reference.
-The bucket rule all of them share (``SEGMENT_WIDTH``, ``REL_SHIFTS``,
-``build_segments``) is kept here.
+The bucket rule they all share is kept here: ``_buckets`` takes the
+representatives relative to column r (``SEGMENT_WIDTH``, ``REL_SHIFTS``),
+for the product and for ``build_segments``, the audit's segmentation. No
+reduced copy of an operand is made anywhere.
 """
 
 from __future__ import annotations
@@ -141,15 +143,23 @@ class AlgoParams:
 @dataclass
 class SegmentTable:
     """Value segments of one side: blocks of each block column (A side) or
-    block row (B side) grouped by floor(representative / width)."""
+    block row (B side) grouped by the bucket of their representative,
+    taken relative to the sampled column's reduction."""
 
     block_len: int
     width: int
     m_enc: int  # bound on a centered entry: the width plus a 2*delta*l wobble
     buckets: np.ndarray  # A: bucket of block (bi, bk); B: bucket of block (bk, bj)
     keys: np.ndarray  # (m, 2) [major block index, bucket], lexicographic
-    members: list[np.ndarray]  # block rows (A) / block columns (B) per segment
-    sizes: np.ndarray
+    members: np.ndarray  # block rows (A) / block columns (B), grouped by segment, ascending in each
+    starts: np.ndarray  # (m + 1,) segment s holds members[starts[s]:starts[s + 1]]
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.starts)
+
+    def members_of(self, s: int) -> np.ndarray:
+        return self.members[self.starts[s] : self.starts[s + 1]]
 
 
 def _buckets(data: np.ndarray, l: int, width: int, base: np.ndarray | int = 0) -> np.ndarray:
@@ -159,47 +169,46 @@ def _buckets(data: np.ndarray, l: int, width: int, base: np.ndarray | int = 0) -
     return (data[::l, ::l] - base) // width
 
 
-def _group_by_major(bmat: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """Group bmat[major, member] by (major, bucket value); members sorted."""
+def _group_by_major(bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group bmat[major, member] by (major, bucket value) with one stable
+    sort of the encoded key: segment keys in order, members grouped by
+    segment and ascending in each, and the segment starts."""
     n_major, n_member = bmat.shape
-    major_idx = np.repeat(np.arange(n_major, dtype=np.int64), n_member)
-    member_idx = np.tile(np.arange(n_member, dtype=np.int64), n_major)
-    buck = bmat.ravel()
-    order = np.lexsort((member_idx, buck, major_idx))
-    mi, me, bu = major_idx[order], member_idx[order], buck[order]
-    change = np.empty(mi.size, dtype=bool)
+    enc = encode_keys(np.arange(n_major)[:, None], bmat).ravel()
+    order = np.argsort(enc, kind="stable")
+    enc = enc[order]
+    change = np.empty(enc.size, dtype=bool)
     change[0] = True
-    change[1:] = (mi[1:] != mi[:-1]) | (bu[1:] != bu[:-1])
+    np.not_equal(enc[1:], enc[:-1], out=change[1:])
     starts = np.flatnonzero(change)
-    keys = np.stack([mi[starts], bu[starts]], axis=1)
-    members = np.split(me, starts[1:])
-    sizes = np.diff(np.append(starts, mi.size)).astype(np.int64)
-    return keys, members, sizes
+    first = enc[starts]
+    keys = np.stack([first // _KEY_STRIDE, first % _KEY_STRIDE - _KEY_BIAS], axis=1)
+    return keys, order % n_member, np.append(starts, enc.size)
 
 
 def build_segments(
-    a_r: np.ndarray, b_r: np.ndarray, l: int, delta: int
+    a: np.ndarray, b: np.ndarray, l: int, delta: int, r: int
 ) -> tuple[SegmentTable, SegmentTable, tuple[int, ...]]:
-    """Bucket block representatives of the reduced matrices into half-open
-    segments of width 20*delta*l, per block column of A and block row of B.
+    """Bucket the block representatives of A - A[:, r] and B - B[r, :] into
+    half-open segments of width 20*delta*l, per block column of A and block
+    row of B, bucketing relative to column r exactly as the product does
+    (``_assigned_block_values``); no reduced copy is made.
 
     Returns the two tables plus the correspondence relations: A bucket p is
     paired with B bucket shift - p for each shift in the returned tuple, which
-    together cover every block pair whose representative sums have magnitude
-    at most 16*delta*l.
+    together cover every block pair whose reduced representative sums have
+    magnitude at most 16*delta*l.
     """
     w = SEGMENT_WIDTH * int(delta) * int(l)
-    pa = _buckets(a_r, l, w)  # [bi, bk]
-    qb = _buckets(b_r, l, w)  # [bk, bj]
+    pa = _buckets(a, l, w, a[::l, r, None])  # [bi, bk]
+    qb = _buckets(b, l, w, b[None, r, ::l])  # [bk, bj]
     require(
         np.abs(pa).max(initial=0) < _KEY_BIAS and np.abs(qb).max(initial=0) < _KEY_BIAS,
         "bucket index outside the segment key range",
     )
-    keys_a, members_a, sizes_a = _group_by_major(np.ascontiguousarray(pa.T))
-    keys_b, members_b, sizes_b = _group_by_major(np.ascontiguousarray(qb))
     m_enc = w + 2 * int(delta) * int(l)
-    seg_a = SegmentTable(l, w, m_enc, pa, keys_a, members_a, sizes_a)
-    seg_b = SegmentTable(l, w, m_enc, qb, keys_b, members_b, sizes_b)
+    seg_a = SegmentTable(l, w, m_enc, pa, *_group_by_major(pa.T))
+    seg_b = SegmentTable(l, w, m_enc, qb, *_group_by_major(qb))
     return seg_a, seg_b, REL_SHIFTS
 
 
@@ -249,14 +258,6 @@ def sample_r(cands: CandidateSets, params: AlgoParams, active: np.ndarray | None
             gamma[int(rb) * l] = assigned[chosen == rb]
         missed = active[~hit]
     return (r_blocks * l).astype(np.int64), NeededBlocks(gamma=gamma, missed=missed)
-
-
-def column_reduction(a: np.ndarray, b: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract column r of A from A and row r of B from B, so near-optimal
-    block sums become near zero: every A[i,k] + B[k,j] drops by
-    A[i,r] + B[r,j]. The collision audit segments these copies; products
-    bucket relative to column r without them."""
-    return a - a[:, r : r + 1], b - b[r : r + 1, :]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Block machinery: representative grids, the representative approximation
-matrix, and candidate sets per block pair.
+"""Block machinery: representative grids and candidate sets per block
+pair, with the representative approximation matrix they are cut from.
 
 Indexing is 0-based throughout; the representative of block index b at
 block length l is row/column b*l (the upper-left entry of the block).
@@ -47,9 +47,6 @@ class BlockGrid:
     def n_blocks(self) -> int:
         return self.n // self.l
 
-    def representatives(self) -> np.ndarray:
-        return np.arange(0, self.n, self.l, dtype=np.int64)
-
 
 @dataclass(frozen=True, eq=False)
 class CandidateSets:
@@ -73,10 +70,11 @@ class CandidateSets:
 _SUM_BUDGET = 1 << 17
 
 
-def _rep_scan(a: BDMatrix, b: BDMatrix, l: int, window: int | None) -> tuple[np.ndarray, np.ndarray | None]:
+def _rep_scan(a: BDMatrix, b: BDMatrix, l: int, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Representative minima approx[bi, bj] = min over bk of
-    A[bi*l, bk*l] + B[bk*l, bj*l], and, given a window, the C-contiguous
-    mask[bi, bj, bk] of sums within window of approx[bi, bj].
+    A[bi*l, bk*l] + B[bk*l, bj*l], and the C-contiguous mask[bi, bj, bk] of
+    sums within window of approx[bi, bj]. ``approx`` is within 4*delta*l of
+    the true product on every entry of each block.
 
     The sums are built a few block rows at a time in one reused buffer of
     at most _SUM_BUDGET entries (one block row if a row alone is larger).
@@ -86,7 +84,7 @@ def _rep_scan(a: BDMatrix, b: BDMatrix, l: int, window: int | None) -> tuple[np.
     rbt = np.ascontiguousarray(b.base.data[::l, ::l].T)  # [bj, bk]
     nb = ra.shape[0]
     approx = np.empty((nb, nb), dtype=np.int64)
-    mask = None if window is None else np.empty((nb, nb, nb), dtype=bool)
+    mask = np.empty((nb, nb, nb), dtype=bool)
     rows = max(1, _SUM_BUDGET // (nb * nb))
     buf = np.empty((min(rows, nb), nb, nb), dtype=np.int64)
     for r0 in range(0, nb, rows):
@@ -94,15 +92,8 @@ def _rep_scan(a: BDMatrix, b: BDMatrix, l: int, window: int | None) -> tuple[np.
         t = buf[: r1 - r0]
         np.add(ra[r0:r1, None, :], rbt[None, :, :], out=t)  # [bi, bj, bk]
         t.min(axis=2, out=approx[r0:r1])
-        if mask is not None:
-            np.less_equal(t, (approx[r0:r1] + window)[:, :, None], out=mask[r0:r1])
+        np.less_equal(t, (approx[r0:r1] + window)[:, :, None], out=mask[r0:r1])
     return approx, mask
-
-
-def approx_matrix(a: BDMatrix, b: BDMatrix, l: int) -> Matrix:
-    """Representative min-plus product: an (n/l) x (n/l) matrix within
-    4*delta*l of the true product on every entry of each block."""
-    return Matrix(_rep_scan(a, b, l, None)[0])
 
 
 def candidate_sets(a: BDMatrix, b: BDMatrix, l: int) -> CandidateSets:

@@ -9,10 +9,15 @@ length 1 are finished by direct candidate enumeration.
 No product runs the rest of this module. The collision audit replays the
 slot allocation of the paper after a product: at finer levels it descends
 a 4-way slot tree, so collisions are searched inside the previous level's
-collisions instead of among all segments again. It only fills counters;
-results never depend on it. The flat allocation and collision search
-(``_build_allocation``, ``find_collisions``, ``collision_block_counts``)
-back the collision statistics of the acceptance gate. The packed
+collisions instead of among all segments again. Each sampled column is
+segmented once, with the product's bucket rule (``basic.build_segments``,
+no reduced copy), and its correspondence relations share the tree nodes
+and footprints; only the slot draws and B partners differ between them.
+Shared slots are searched as the children of each slot's diagonal pair.
+The audit only fills counters; results never depend on it. The flat
+allocation and collision search (``_build_allocation``,
+``find_collisions``, ``collision_block_counts``) back the collision
+statistics of the acceptance gate. The packed
 rectangular products that route a sampled column's blocks through these
 slots in the paper are a test-side reference (``tests/packed_reference.py``).
 """
@@ -32,7 +37,6 @@ from .basic import (
     build_segments,
     ceil_tol,
     check_operands,
-    column_reduction,
     derived_rng,
     encode_keys,
     run_levels,
@@ -74,37 +78,29 @@ def baseline_offset(bucket, shift: int, width: int):
     return out if out.ndim else int(out)
 
 
-def _shared_slots(slots: np.ndarray):
-    """Per slot holding two or more indices: the slot and those indices."""
-    if not len(slots):
-        return
-    order = np.argsort(slots, kind="stable")
-    ss = slots[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(ss)) + 1, [len(ss)]])
-    for g0, g1 in zip(starts[:-1], starts[1:]):
-        if g1 - g0 >= 2:
-            yield int(ss[g0]), order[g0:g1]
-
-
 def colocated_pairs(slots: np.ndarray) -> np.ndarray:
-    """All ordered pairs of distinct indices sharing a slot: rows (slot, i, j)."""
-    rows: list[np.ndarray] = []
-    for slot, idx in _shared_slots(slots):
-        p = np.repeat(idx, len(idx))
-        q = np.tile(idx, len(idx))
-        keep = p != q
-        rows.append(np.stack([np.full(int(keep.sum()), slot, dtype=np.int64), p[keep], q[keep]], 1))
-    return np.concatenate(rows, 0) if rows else np.empty((0, 3), dtype=np.int64)
+    """All ordered pairs of distinct indices sharing a slot: rows (slot, i, j)
+    by slot, then i, then j. They are the children of each shared slot's
+    diagonal pair (slot, slot), with the indices as the slots' children;
+    slots are non-negative and index per-slot counts."""
+    members, starts, counts = _children_index(slots, int(slots.max(initial=-1)) + 1)
+    shared = np.flatnonzero(counts >= 2)
+    i, j = _expand_children(np.stack([shared, shared], 1), members, starts, counts)
+    keep = i != j
+    i, j = i[keep], j[keep]
+    return np.stack([slots[i], i, j], 1)
 
 
 def cross_check_count(slots: np.ndarray, a_sizes: np.ndarray, b_sizes: np.ndarray) -> int:
     """Sum over slots of |A_p| * |B_q| across ordered pairs p != q sharing
-    the slot: the block products a collision search enumerates."""
-    total = 0
-    for _, idx in _shared_slots(slots):
-        asz, bsz = a_sizes[idx], b_sizes[idx]
-        total += int(asz.sum()) * int(bsz.sum()) - int((asz * bsz).sum())
-    return total
+    the slot, the block products a collision search enumerates: per slot,
+    (sum of A sizes) * (sum of B sizes) minus the p == q terms."""
+    n_slots = int(slots.max(initial=-1)) + 1
+    a_sum = np.zeros(n_slots, dtype=np.int64)
+    b_sum = np.zeros(n_slots, dtype=np.int64)
+    np.add.at(a_sum, slots, a_sizes)
+    np.add.at(b_sum, slots, b_sizes)
+    return int(a_sum @ b_sum - a_sizes @ b_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +263,10 @@ def _build_allocation(
     pos, found = b_partners(seg_b, keys, shift)
 
     empty = np.empty(0, dtype=np.int64)
-    a_rows = [seg_a.members[i] for i in idxs]
-    b_cols = [seg_b.members[pos[i]] if found[i] else empty for i in range(len(keys))]
-    a_sizes = seg_a.sizes[select].astype(np.int64)
-    b_sizes = np.array([len(c) for c in b_cols], dtype=np.int64)
+    a_rows = [seg_a.members_of(i) for i in idxs]
+    b_cols = [seg_b.members_of(pos[i]) if found[i] else empty for i in range(len(keys))]
+    a_sizes = seg_a.sizes[select]
+    b_sizes = np.where(found, seg_b.sizes[pos], 0)
     return AllocationMap(
         slot_count=slot_count,
         shift=shift,
@@ -318,89 +314,76 @@ def collision_block_counts(alloc: AllocationMap, collisions: np.ndarray, nb: int
 # per-level collision machinery (structural: counters and statistics)
 
 
-def _level_collision_pass(
+def _covering(seg: SegmentTable, seg_of_member: np.ndarray, blocks: np.ndarray, sh: int) -> np.ndarray:
+    """Per segment of seg, whether a member, coarsened sh times, is one of
+    the given block indices coarsened the same way."""
+    target = np.zeros(len(seg.buckets) >> sh, dtype=bool)
+    target[blocks >> sh] = True
+    hit = np.zeros(len(seg.keys), dtype=bool)
+    hit[seg_of_member[target[seg.members >> sh]]] = True
+    return hit
+
+
+def _audit_column(
     seg_a: SegmentTable,
     seg_b: SegmentTable,
+    shifts: tuple[int, ...],
+    rngs: list[np.random.Generator],
     l0: int,
     top_slots: int,
-    gamma_blocks: np.ndarray,
-    rng: np.random.Generator,
-    shift: int,
+    blocks: np.ndarray,
     counters: Counters,
-) -> np.ndarray:
-    """Tree allocation of one reduced column's segments for one
+) -> None:
+    """Tree allocation of one sampled column's segments for each
     correspondence relation, with incremental collision finding restricted
-    to collisions whose footprint touches the assigned blocks."""
-    l = seg_a.block_len
-    keys_t = seg_a.keys
-    n_seg = len(keys_t)
-    depth = int(math.log2(l0 // l))
+    to collisions whose footprint touches the column's assigned blocks.
 
-    # node keys per tree level; halving both the column-block index and the
-    # bucket index reproduces the coarser level's grouping exactly
-    uniq_keys: list[np.ndarray] = []
-    node_of_seg: list[np.ndarray] = []
+    The tree nodes, which segments cover an assigned block row or column,
+    and the A-side node sizes do not depend on the relation and are built
+    once; each relation draws its tree from its own stream in ``rngs``.
+    """
+    depth = int(math.log2(l0 // seg_a.block_len))
+    a_of_member = np.repeat(np.arange(len(seg_a.keys)), seg_a.sizes)
+    b_of_member = np.repeat(np.arange(len(seg_b.keys)), seg_b.sizes)
+    # per tree level j: node keys (halving both the block column and the
+    # bucket index reproduces the coarser level's grouping exactly), each
+    # segment's node, whether a node covers an assigned block row, and
+    # whether a B segment covers an assigned block column
+    node_keys, node_of, row_hit, b_col_hit = [], [], [], []
     for j in range(depth + 1):
         sh = depth - j
-        kj = np.stack([keys_t[:, 0] >> sh, keys_t[:, 1] >> sh], 1)
-        enc = encode_keys(kj[:, 0], kj[:, 1])
-        _, first, inverse = np.unique(enc, return_index=True, return_inverse=True)
-        uniq_keys.append(kj[first])
-        node_of_seg.append(inverse.astype(np.int64))
+        kj = seg_a.keys >> sh
+        _, first, node = np.unique(encode_keys(kj[:, 0], kj[:, 1]), return_index=True, return_inverse=True)
+        node_keys.append(kj[first])
+        node_of.append(node)
+        hit = np.zeros(len(first), dtype=bool)
+        hit[node[_covering(seg_a, a_of_member, blocks[:, 0], sh)]] = True
+        row_hit.append(hit)
+        b_col_hit.append(_covering(seg_b, b_of_member, blocks[:, 1], sh))
+    a_size = np.zeros(len(node_keys[0]), dtype=np.int64)
+    np.add.at(a_size, node_of[0], seg_a.sizes)
 
-    tree = allocate_top(uniq_keys[0], l0, top_slots, rng)
-    for j in range(1, depth + 1):
-        tree = allocate_recursive(tree, uniq_keys[j], rng)
+    for shift, rng in zip(shifts, rngs):
+        tree = allocate_top(node_keys[0], l0, top_slots, rng)
+        for j in range(1, depth + 1):
+            tree = allocate_recursive(tree, node_keys[j], rng)
+        pos, found = b_partners(seg_b, seg_a.keys, shift)
+        b_size = np.zeros(len(node_keys[0]), dtype=np.int64)
+        np.add.at(b_size, node_of[0], np.where(found, seg_b.sizes[pos], 0))
+        counters.collision_checks += cross_check_count(tree.levels[0].slots, a_size, b_size)
+        col_hit = []
+        for j in range(depth + 1):
+            hit = np.zeros(len(node_keys[j]), dtype=bool)
+            hit[node_of[j][found & b_col_hit[j][pos]]] = True
+            col_hit.append(hit)
 
-    # partner sizes per target segment
-    pos, found = b_partners(seg_b, keys_t, shift)
-    b_sizes_t = np.where(found, seg_b.sizes[pos], 0).astype(np.int64)
-
-    # per-level footprint hits: does a node cover an assigned row / column
-    seg_rows = np.concatenate(seg_a.members) if n_seg else np.empty(0, dtype=np.int64)
-    row_seg_id = np.repeat(np.arange(n_seg), seg_a.sizes) if n_seg else np.empty(0, dtype=np.int64)
-    bcol_lists = [seg_b.members[pos[i]] if found[i] else np.empty(0, dtype=np.int64) for i in range(n_seg)]
-    seg_cols = np.concatenate(bcol_lists) if n_seg else np.empty(0, dtype=np.int64)
-    col_seg_id = np.repeat(np.arange(n_seg), b_sizes_t) if n_seg else np.empty(0, dtype=np.int64)
-
-    nb_t = seg_a.buckets.shape[0]
-    row_hit_lv: list[np.ndarray] = []
-    col_hit_lv: list[np.ndarray] = []
-    for j in range(depth + 1):
-        sh = depth - j
-        nb_j = nb_t >> sh
-        grow = np.zeros(nb_j, dtype=bool)
-        gcol = np.zeros(nb_j, dtype=bool)
-        grow[gamma_blocks[:, 0] >> sh] = True
-        gcol[gamma_blocks[:, 1] >> sh] = True
-        rh = np.zeros(len(uniq_keys[j]), dtype=bool)
-        ch = np.zeros(len(uniq_keys[j]), dtype=bool)
-        if len(seg_rows):
-            np.logical_or.at(rh, node_of_seg[j][row_seg_id], grow[seg_rows >> sh])
-        if len(seg_cols):
-            np.logical_or.at(ch, node_of_seg[j][col_seg_id], gcol[seg_cols >> sh])
-        row_hit_lv.append(rh)
-        col_hit_lv.append(ch)
-
-    # aggregate block counts per top node for the enumeration cost counter
-    a_sz0 = np.zeros(len(uniq_keys[0]), dtype=np.int64)
-    b_sz0 = np.zeros(len(uniq_keys[0]), dtype=np.int64)
-    np.add.at(a_sz0, node_of_seg[0], seg_a.sizes)
-    np.add.at(b_sz0, node_of_seg[0], b_sizes_t)
-    counters.collision_checks += cross_check_count(tree.levels[0].slots, a_sz0, b_sz0)
-
-    pairs = colocated_pairs(tree.levels[0].slots)
-    if len(pairs):
-        keep = row_hit_lv[0][pairs[:, 1]] & col_hit_lv[0][pairs[:, 2]]
-        pairs = pairs[keep]
-    for j in range(1, depth + 1):
-        diag = np.flatnonzero(row_hit_lv[j - 1] & col_hit_lv[j - 1]).astype(np.int64)
-        pairs = collisions_incremental(pairs, tree, j, counters, diagonal_nodes=diag)
-        if len(pairs):
-            keep = row_hit_lv[j][pairs[:, 1]] & col_hit_lv[j][pairs[:, 2]]
-            pairs = pairs[keep]
-    counters.collisions_found += len(pairs)
-    return pairs
+        pairs = colocated_pairs(tree.levels[0].slots)
+        pairs = pairs[row_hit[0][pairs[:, 1]] & col_hit[0][pairs[:, 2]]]
+        for j in range(1, depth + 1):
+            diag = np.flatnonzero(row_hit[j - 1] & col_hit[j - 1])
+            pairs = collisions_incremental(pairs, tree, j, counters, diagonal_nodes=diag)
+            pairs = pairs[row_hit[j][pairs[:, 1]] & col_hit[j][pairs[:, 2]]]
+        counters.collisions_found += len(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +424,11 @@ def collision_audit(
         l = st.block_len
         top_slots = max(1, ceil_tol(n ** (2 * level_trace[0].theta - st.theta)))
         for r_col in sorted(st.assigned):
-            a_rr, b_rr = column_reduction(ad, bd, r_col)
-            seg_a, seg_b, shifts = build_segments(a_rr, b_rr, l, params.delta)
+            seg_a, seg_b, shifts = build_segments(ad, bd, l, params.delta, r_col)
             if l == l0:
                 counters.max_large_slots = max(counters.max_large_slots, int((seg_a.sizes >= t_gamma).sum()))
-            for rel, shift in enumerate(shifts):
-                rng = derived_rng(params.seed, _PH_ALLOC_LVL, li, r_col, rel)
-                _level_collision_pass(seg_a, seg_b, l0, top_slots, st.assigned[r_col], rng, shift, counters)
+            rngs = [derived_rng(params.seed, _PH_ALLOC_LVL, li, r_col, rel) for rel in range(len(shifts))]
+            _audit_column(seg_a, seg_b, shifts, rngs, l0, top_slots, st.assigned[r_col], counters)
 
 
 def recursive_minplus(

@@ -50,13 +50,13 @@ def process_large_segments(
     for s, seg_idx in enumerate(large):
         bk, p = (int(v) for v in seg_a.keys[seg_idx])
         u = baseline_offset(p, shift, w)
-        rows = (seg_a.members[seg_idx][:, None] * l + span).ravel()
+        rows = (seg_a.members_of(seg_idx)[:, None] * l + span).ravel()
         src = bk * l + span
         placed = a_r[np.ix_(rows, src)] + u
         require(np.abs(placed).max(initial=0) <= m_enc, "centered A value escapes its window")
         ae[np.ix_(rows, s * l + span)] = placed
         if found[s]:
-            cols = (seg_b.members[pos[s]][:, None] * l + span).ravel()
+            cols = (seg_b.members_of(pos[s])[:, None] * l + span).ravel()
             placed_b = b_r[np.ix_(src, cols)] - u
             require(np.abs(placed_b).max(initial=0) <= m_enc, "centered B value escapes its window")
             be[np.ix_(s * l + span, cols)] = placed_b

@@ -12,7 +12,7 @@ import pytest
 import minplus as mp
 from minplus import AlgoParams, Counters
 from minplus.basic import build_segments, derived_rng, sample_r
-from minplus.blocking import approx_matrix, candidate_sets
+from minplus.blocking import candidate_sets
 from minplus.cli import RunRecord, _run_once, strict_violations
 from minplus.recursive import (
     _build_allocation,
@@ -88,7 +88,7 @@ def test_criterion_4_approximation_bounds(pool):
     for seed in range(50):
         a, b = pool.pair(n, delta, seed)
         c = pool.naive(n, delta, seed).data
-        approx = approx_matrix(a, b, l).data
+        approx = candidate_sets(a, b, l).approx.data
         per_entry = np.repeat(np.repeat(approx, l, 0), l, 1)
         if np.abs(c - per_entry).max() > 4 * delta * l:
             ok = False
@@ -156,9 +156,7 @@ def test_criterion_7_collision_statistics():
         ad, bd = a.base.data, b.base.data
         rng_pick = np.random.default_rng(seed)
         r = int(rng_pick.integers(0, nb)) * l
-        ar = ad - ad[:, r : r + 1]
-        br = bd - bd[r : r + 1, :]
-        seg_a, seg_b, shifts = build_segments(ar, br, l, delta)
+        seg_a, seg_b, shifts = build_segments(ad, bd, l, delta, r)
         shift = shifts[seed % 3]
         alloc = _build_allocation(
             seg_a, seg_b, seg_a.sizes < t_gamma, shift, slot_count, derived_rng(seed, 71)
@@ -194,9 +192,7 @@ def test_criterion_8_incremental_collision_equality(pool):
         ad, bd = a.base.data, b.base.data
         l0, l = 4, 1
         r = int(np.random.default_rng(seed).integers(0, n // l0)) * l0
-        ar = ad - ad[:, r : r + 1]
-        br = bd - bd[r : r + 1, :]
-        seg_a, _, _ = build_segments(ar, br, l, delta)
+        seg_a, _, _ = build_segments(ad, bd, l, delta, r)
         depth = int(math.log2(l0 // l))
         keys_t = seg_a.keys
         uk = []

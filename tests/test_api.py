@@ -33,7 +33,6 @@ PUBLIC = [
 SLOT_AND_COLLISION = [
     "AllocationMap",
     "_build_allocation",
-    "_shared_slots",
     "b_partners",
     "baseline_offset",
     "colocated_pairs",

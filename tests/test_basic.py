@@ -12,9 +12,9 @@ from minplus.basic import (
     SEGMENT_WIDTH,
     _PH_SAMPLE_LVL,
     _assigned_block_values,
+    _group_by_major,
     _min_blocks,
     build_segments,
-    column_reduction,
     derived_rng,
     level_theta,
     sample_r,
@@ -117,16 +117,21 @@ def test_sample_r_monte_carlo_coverage():
 
 
 def test_shift_zero_column_row(pool):
-    a, b = pool.pair(16, 2, 3)
-    ar, br = column_reduction(a.base.data, b.base.data, 4)
-    assert np.all(ar[:, 4] == 0)
-    assert np.all(br[4, :] == 0)
+    # buckets relative to column r put block column r of A and block row r
+    # of B in bucket 0, as the reduced copies' zero column and row would
+    n, delta, l, r = 16, 2, 4, 4
+    a, b = pool.pair(n, delta, 3)
+    seg_a, seg_b, _ = build_segments(a.base.data, b.base.data, l, delta, r)
+    assert np.all(seg_a.buckets[:, r // l] == 0)
+    assert np.all(seg_b.buckets[r // l, :] == 0)
 
 
 def test_shift_algebraic_identity(pool):
+    # the reduction cancels exactly, so sampled columns evaluate their
+    # blocks on the original operands
     a, b = pool.pair(8, 2, 3)
     ad, bd = a.base.data, b.base.data
-    ar, br = column_reduction(ad, bd, 2)
+    ar, br = ad - ad[:, 2:3], bd - bd[2:3, :]
     for i, k, j in ((0, 3, 5), (7, 0, 1), (4, 4, 4)):
         lhs = int(ar[i, k]) + int(br[k, j])
         rhs = int(ad[i, k]) + int(bd[k, j]) - (int(ad[i, 2]) + int(bd[2, j]))
@@ -156,14 +161,33 @@ def test_shift_diametric_bound(pool):
 
 def test_build_segments_all_zero():
     z = np.zeros((8, 8), dtype=np.int64)
-    seg_a, seg_b, shifts = build_segments(z, z, 2, 1)
+    seg_a, seg_b, shifts = build_segments(z, z, 2, 1, 0)
     assert shifts == (-2, -1, 0)
     assert seg_a.width == 20 * 1 * 2
     assert np.all(seg_a.buckets == 0) and np.all(seg_b.buckets == 0)
-    # one segment per block column, all in bucket 0
+    # one segment per block column, all in bucket 0, holding every block row
     assert seg_a.keys.tolist() == [[k, 0] for k in range(4)]
+    assert [seg_a.members_of(s).tolist() for s in range(4)] == [[0, 1, 2, 3]] * 4
     # the single A bucket pairs with B buckets {-2, -1, 0}
     assert sorted(s - 0 for s in shifts) == [-2, -1, 0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_group_by_major_matches_lexsort(seed):
+    # one stable sort of the encoded key groups like a three-key lexsort of
+    # (major, bucket, member), negative buckets included
+    rng = np.random.default_rng(seed)
+    bmat = rng.integers(-4, 4, size=(int(rng.integers(1, 9)), int(rng.integers(1, 9))))
+    n_major, n_member = bmat.shape
+    major = np.repeat(np.arange(n_major), n_member)
+    member = np.tile(np.arange(n_member), n_major)
+    order = np.lexsort((member, bmat.ravel(), major))
+    seg = np.stack([major[order], bmat.ravel()[order]], 1)
+    first = np.flatnonzero(np.r_[True, (seg[1:] != seg[:-1]).any(axis=1)])
+    keys, members, starts = _group_by_major(bmat)
+    assert np.array_equal(keys, seg[first])
+    assert np.array_equal(members, member[order])
+    assert np.array_equal(starts, np.r_[first, len(order)])
 
 
 def test_segments_cover_diametric_pairs(pool):
@@ -174,7 +198,9 @@ def test_segments_cover_diametric_pairs(pool):
         r = 8 * (seed % 4)
         ar = ad - ad[:, r : r + 1]
         br = bd - bd[r : r + 1, :]
-        seg_a, seg_b, shifts = build_segments(ar, br, l, delta)
+        seg_a, seg_b, shifts = build_segments(ad, bd, l, delta, r)
+        assert np.array_equal(seg_a.buckets, ar[::l, ::l] // seg_a.width)
+        assert np.array_equal(seg_b.buckets, br[::l, ::l] // seg_b.width)
         ra = ar[::l, ::l]
         rb = br[::l, ::l]
         sums = ra[:, :, None] + rb[None, :, :]
@@ -232,6 +258,9 @@ def _per_relation_minima(ar, br, l, delta, shift, blocks):
 
 
 def _reduced_pair(pool, n, delta, seed, r):
+    """The pair's operands reduced by column r: the packed products' inputs.
+    Column r of the reduced A (row r of B) is zero, so segmenting them
+    relative to column r gives the originals' segments."""
     a, b = pool.pair(n, delta, seed)
     ad, bd = a.base.data, b.base.data
     return ad - ad[:, r : r + 1], bd - bd[r : r + 1, :]
@@ -248,7 +277,7 @@ def test_process_large_all_segments(pool):
     n, delta, l = 16, 2, 4
     ar, br = _reduced_pair(pool, n, delta, 5, 4)
     a, b = pool.pair(n, delta, 5)
-    seg_a, seg_b, shifts = build_segments(ar, br, l, delta)
+    seg_a, seg_b, shifts = build_segments(a.base.data, b.base.data, l, delta, 4)
     nb = n // l
     blocks = np.argwhere(np.ones((nb, nb), dtype=bool))
     merged = {tuple(bk): np.full((l, l), mp.INF, dtype=np.int64) for bk in map(tuple, blocks)}
@@ -273,7 +302,7 @@ def test_process_large_matches_naive_for_covered_pairs(pool):
     ad, bd = a.base.data, b.base.data
     ar = ad - ad[:, r_col : r_col + 1]
     br = bd - bd[r_col : r_col + 1, :]
-    seg_a, seg_b, shifts = build_segments(ar, br, l, delta)
+    seg_a, seg_b, shifts = build_segments(ad, bd, l, delta, r_col)
     merged = np.full((n, n), mp.INF, dtype=np.int64)
     for shift in shifts:
         merged = np.minimum(merged, process_large_segments(seg_a, seg_b, shift, ar, br, t_gamma=1))
@@ -288,7 +317,7 @@ def test_process_large_matches_naive_for_covered_pairs(pool):
 def test_process_large_noop(pool):
     n, delta, l = 16, 2, 4
     ar, br = _reduced_pair(pool, n, delta, 5, 4)
-    seg_a, seg_b, _ = build_segments(ar, br, l, delta)
+    seg_a, seg_b, _ = build_segments(ar, br, l, delta, 4)
     counters = Counters()
     ce = process_large_segments(seg_a, seg_b, -1, ar, br, t_gamma=10**6, counters=counters)
     assert np.all(ce == mp.INF)
@@ -298,7 +327,7 @@ def test_process_large_noop(pool):
 def test_process_large_slot_bound(pool):
     n, delta, l = 64, 2, 8
     ar, br = _reduced_pair(pool, n, delta, 6, 16)
-    seg_a, seg_b, _ = build_segments(ar, br, l, delta)
+    seg_a, seg_b, _ = build_segments(ar, br, l, delta, 16)
     t_gamma = 2
     counters = Counters()
     process_large_segments(seg_a, seg_b, -1, ar, br, t_gamma, counters)
@@ -309,7 +338,7 @@ def test_process_small_single_segment(pool):
     # one segment total: the packed product reproduces the block products
     n, delta, l = 4, 2, 4
     ar, br = _reduced_pair(pool, n, delta, 7, 0)
-    seg_a, seg_b, _ = build_segments(ar, br, l, delta)
+    seg_a, seg_b, _ = build_segments(ar, br, l, delta, 0)
     assert len(seg_a.keys) == 1
     rng = np.random.default_rng(3)
     cf, alloc = process_small_segments(seg_a, seg_b, 0, ar, br, t_gamma=10, slot_count=4, rng=rng)
@@ -323,7 +352,7 @@ def _forced_collision_setup(pool, slot_count=1):
     # two A segments (block columns 0 and 1) forced into one slot
     n, delta, l = 8, 2, 4
     ar, br = _reduced_pair(pool, n, delta, 8, 0)
-    seg_a, seg_b, _ = build_segments(ar, br, l, delta)
+    seg_a, seg_b, _ = build_segments(ar, br, l, delta, 0)
     rng = np.random.default_rng(11)
     cf, alloc = process_small_segments(
         seg_a, seg_b, 0, ar, br, t_gamma=10**6, slot_count=slot_count, rng=rng
@@ -444,7 +473,7 @@ def test_subtract_collisions_none_needed(pool):
     # with no collisions, extraction is already exact
     n, delta, l = 4, 2, 4
     ar, br = _reduced_pair(pool, n, delta, 7, 0)
-    seg_a, seg_b, _ = build_segments(ar, br, l, delta)
+    seg_a, seg_b, _ = build_segments(ar, br, l, delta, 0)
     cf, alloc = process_small_segments(
         seg_a, seg_b, 0, ar, br, t_gamma=10, slot_count=4, rng=np.random.default_rng(3)
     )
@@ -516,7 +545,7 @@ def test_pipeline_matches_faithful_composition(pool):
         ad, bd = a.base.data, b.base.data
         ar = ad - ad[:, r_col : r_col + 1]
         br = bd - bd[r_col : r_col + 1, :]
-        seg_a, seg_b, shifts = build_segments(ar, br, l, delta)
+        seg_a, seg_b, shifts = build_segments(ad, bd, l, delta, r_col)
         cs = candidate_sets(a, b, l)
         blocks = np.argwhere(cs.mask[:, :, r_col // l])
         t_gamma = 2
@@ -546,7 +575,7 @@ def test_assigned_block_values_chunks(monkeypatch, budget, r_col):
     n, delta = 128, 2
     a, b = valley_bd(n, delta, 7)
     ad, bd = a.base.data, b.base.data
-    ar, br = column_reduction(ad, bd, r_col)
+    ar, br = ad - ad[:, r_col : r_col + 1], bd - bd[r_col : r_col + 1, :]
     blocks = np.argwhere(np.ones((n, n), dtype=bool))[::43]
     w = SEGMENT_WIDTH * delta
     psum = (ar // w)[blocks[:, 0]] + (br // w)[:, blocks[:, 1]].T
@@ -565,12 +594,13 @@ def test_assigned_block_values_chunks(monkeypatch, budget, r_col):
 
 @pytest.mark.parametrize("engine", ["basic", "recursive"])
 def test_engines_make_no_reduced_copy(pool, monkeypatch, engine):
-    # sampled columns bucket against the original operands: no product
-    # builds a column's reduced matrices
+    # sampled columns bucket against the original operands, and no product
+    # builds the collision audit's segment tables
     def refuse(*args):
-        raise AssertionError("column_reduction called inside a product")
+        raise AssertionError("build_segments called inside a product")
 
-    monkeypatch.setattr("minplus.basic.column_reduction", refuse)
+    monkeypatch.setattr("minplus.basic.build_segments", refuse)
+    monkeypatch.setattr("minplus.recursive.build_segments", refuse)
     a, b = pool.pair(64, 2, 0)
     params = AlgoParams(delta=2, seed=7)
     trace = []
@@ -682,9 +712,11 @@ import numpy as np
 from minplus import InvariantError
 from minplus.basic import _enumerate_pairs, build_segments
 z = np.zeros((8, 8), dtype=np.int64)
+big = np.zeros((8, 8), dtype=np.int64)
+big[:, 4:] = 1 << 40
 caught = []
 try:
-    build_segments(np.full((8, 8), 1 << 40, dtype=np.int64), z, 2, 1)
+    build_segments(big, z, 2, 1, 0)
 except InvariantError:
     caught.append("key range")
 try:

@@ -3,17 +3,15 @@ import pytest
 
 import minplus as mp
 from minplus import Matrix
-from minplus.blocking import BlockGrid, approx_matrix, candidate_sets
+from minplus.blocking import BlockGrid, candidate_sets
 
 from conftest import valley_bd
 
 ZERO8 = mp.BDMatrix(Matrix(np.zeros((8, 8), dtype=np.int64)), 1)
 
 
-def test_grid_representatives():
-    g = BlockGrid(16, 4)
-    assert g.representatives().tolist() == [0, 4, 8, 12]
-    assert g.n_blocks == 4
+def test_grid_n_blocks():
+    assert BlockGrid(16, 4).n_blocks == 4
 
 
 def test_grid_rejects_nondivisor():
@@ -23,14 +21,14 @@ def test_grid_rejects_nondivisor():
 
 def test_approx_one_block(pool):
     a, b = pool.pair(8, 2, 0)
-    got = approx_matrix(a, b, 8)
+    got = candidate_sets(a, b, 8).approx
     want = int(a.base.data[0, 0]) + int(b.base.data[0, 0])
     assert got.shape == (1, 1) and got.data[0, 0] == want
 
 
 def test_approx_unit_blocks(pool):
     a, b = pool.pair(8, 2, 0)
-    assert approx_matrix(a, b, 1) == pool.naive(8, 2, 0)
+    assert candidate_sets(a, b, 1).approx == pool.naive(8, 2, 0)
 
 
 def test_approx_bounds(pool):
@@ -40,7 +38,7 @@ def test_approx_bounds(pool):
     for seed in range(5):
         a, b = pool.pair(n, delta, seed)
         c = pool.naive(n, delta, seed).data
-        approx = approx_matrix(a, b, l).data
+        approx = candidate_sets(a, b, l).approx.data
         per_entry = np.repeat(np.repeat(approx, l, 0), l, 1)
         assert np.abs(c - per_entry).max() <= 4 * delta * l
         rep = np.repeat(np.repeat(c[::l, ::l], l, 0), l, 1)
@@ -82,7 +80,6 @@ def test_candidate_chunks_match_dense(pool, monkeypatch, budget):
     assert cs.mask.flags.c_contiguous
     assert np.array_equal(cs.approx.data, approx)
     assert np.array_equal(cs.mask, sums <= approx[:, :, None] + 8 * delta * l)
-    assert np.array_equal(approx_matrix(a, b, l).data, approx)
 
 
 def test_candidate_soundness_exhaustive(pool):

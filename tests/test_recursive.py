@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import minplus as mp
 from minplus import AlgoParams, Counters, Matrix, basic
@@ -11,8 +13,10 @@ from minplus.recursive import (
     allocate_recursive,
     allocate_top,
     collision_audit,
+    colocated_pairs,
     collisions_exhaustive,
     collisions_incremental,
+    cross_check_count,
 )
 
 from conftest import valley_bd
@@ -48,6 +52,54 @@ def test_children_of_distinct_slots_disjoint():
         t2 = allocate_recursive(tree, child, np.random.default_rng(seed))
         if tree.levels[0].slots[0] != tree.levels[0].slots[1]:
             assert t2.leaf.slots[0] != t2.leaf.slots[1]
+
+
+def _shared_slots_loop(slots):
+    """Per slot holding two or more indices, in slot order: the slot and its
+    indices in index order."""
+    order = np.argsort(slots, kind="stable")
+    ss = slots[order]
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(ss)) + 1, [len(ss)]])
+    for g0, g1 in zip(starts[:-1], starts[1:]):
+        if g1 - g0 >= 2:
+            yield int(ss[g0]), order[g0:g1]
+
+
+def _colocated_pairs_loop(slots):
+    """Reference: each shared slot's ordered pairs by repeat/tile."""
+    rows = [np.empty((0, 3), dtype=np.int64)]
+    for slot, idx in _shared_slots_loop(slots):
+        p = np.repeat(idx, len(idx))
+        q = np.tile(idx, len(idx))
+        keep = p != q
+        rows.append(np.stack([np.full(int(keep.sum()), slot, dtype=np.int64), p[keep], q[keep]], 1))
+    return np.concatenate(rows, 0)
+
+
+def _cross_check_loop(slots, a_sizes, b_sizes):
+    total = 0
+    for _, idx in _shared_slots_loop(slots):
+        asz, bsz = a_sizes[idx], b_sizes[idx]
+        total += int(asz.sum()) * int(bsz.sum()) - int((asz * bsz).sum())
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 5) | st.integers(0, 1 << 16), max_size=40), st.integers(0, 2**32))
+@example([], 0)  # empty
+@example(list(range(9)), 1)  # every index alone in its slot
+@example([3] * 7, 2)  # one slot holds everything
+def test_slot_search_matches_per_slot_loop(slots, seed):
+    # the vectorised search and count equal the per-slot loops, rows in the
+    # same order
+    slots = np.array(slots, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    a_sizes = rng.integers(0, 50, size=len(slots))
+    b_sizes = rng.integers(0, 50, size=len(slots))
+    got = colocated_pairs(slots)
+    assert got.shape[1] == 3
+    assert np.array_equal(got, _colocated_pairs_loop(slots))
+    assert cross_check_count(slots, a_sizes, b_sizes) == _cross_check_loop(slots, a_sizes, b_sizes)
 
 
 def test_slot_counts_quadruple():
@@ -104,10 +156,7 @@ def test_incremental_equals_exhaustive_random(pool):
         n, delta, l0, l = 64, 2, 4, 1
         a, b = pool.pair(n, delta, 40 + seed)
         ad, bd = a.base.data, b.base.data
-        r = 8
-        ar = ad - ad[:, r : r + 1]
-        br = bd - bd[r : r + 1, :]
-        seg_a, _, _ = build_segments(ar, br, l, delta)
+        seg_a, _, _ = build_segments(ad, bd, l, delta, 8)
         depth = int(math.log2(l0 // l))
         uk = _segment_node_levels(seg_a.keys, depth)
         rng = derived_rng(seed, 99)
@@ -127,9 +176,7 @@ def test_tree_heredity(pool):
     n, delta, l0, l = 64, 2, 4, 1
     a, b = pool.pair(n, delta, 50)
     ad, bd = a.base.data, b.base.data
-    ar = ad - ad[:, :1]
-    br = bd - bd[:1, :]
-    seg_a, _, _ = build_segments(ar, br, l, delta)
+    seg_a, _, _ = build_segments(ad, bd, l, delta, 0)
     depth = int(math.log2(l0 // l))
     uk = _segment_node_levels(seg_a.keys, depth)
     rng = derived_rng(7, 98)

@@ -12,9 +12,9 @@ The grid is random walks (``generate_bd``) at n in {32, 64, 128}, delta in
 at n in {64, 128, 256}, delta in {2, 5}; every pair runs at alpha 0.9 and
 0.6 through both engines with engine seed 7. Each case records the sha1 of
 the product, each level's active, pending and assigned pair arrays (shape
-and sha1), and all six counters, with the collision audit run for n <= 128.
-The script imports ``minplus`` from the ``src`` next to it, so each checkout
-measures its own code.
+and sha1), and all six counters, with the collision audit run for n <= 256
+(every case). The script imports ``minplus`` from the ``src`` next to it,
+so each checkout measures its own code.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import minplus as mp  # noqa: E402
 from conftest import valley_bd  # noqa: E402
 
 ENGINE_SEED = 7
-AUDIT_MAX_N = 128
+AUDIT_MAX_N = 256
 
 
 def pairs():
