@@ -3,13 +3,18 @@
 Both engines run one level loop (``run_levels``) over a list of block
 lengths: the single-partition engine over ``[l0]``, the recursive engine over
 ``l0, l0/2, ..., 1``. At each level, candidate sets from block
-representatives split the open block pairs. Pairs with many candidates are
-covered by sampling reference columns: the pairs assigned to a sampled
-column r get their block values from the block columns whose value
-buckets, taken relative to column r, correspond. Pairs whose candidate set
-missed the sample fall back to direct enumeration, so the result is always
-exact. The other pairs are refined to half the block length, or enumerated
-directly after the last level; a level with no open pair is skipped.
+representatives split the open block pairs. The top level scans every
+representative triple (``candidate_sets``, a dense mask); a finer level
+scans only the children of its pending parents' candidate columns
+(``child_sets``, CSR rows), which the nesting lemma in ``blocking`` makes
+exact. Pairs with many candidates are covered by sampling reference
+columns: the pairs assigned to a sampled column r get their block values
+from the block columns whose value buckets, taken relative to column r,
+correspond. Pairs whose candidate set missed the sample fall back to direct
+enumeration, so the result is always exact. The other pairs are refined to
+half the block length, or enumerated directly after the last level; a level
+with no open pair is skipped. At block length 1 the fallback and the tail
+read the representative minimum, which there is the product entry.
 
 The paper reduces the operands by column r before bucketing; here the
 reduction only picks block columns, and the picked blocks are evaluated on
@@ -32,7 +37,17 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .blocking import CandidateSets, candidate_sets
+from .blocking import (
+    CandidateSets,
+    ChildSets,
+    Columns,
+    candidate_sets,
+    child_sets,
+    chunk_columns,
+    first_selected,
+    pair_chunks,
+    selection_starts,
+)
 from .matrix import INF, BDMatrix, Matrix, check_operand
 
 SEGMENT_WIDTH = 20  # value segments are 20*delta*l wide
@@ -230,7 +245,9 @@ class NeededBlocks:
     missed: np.ndarray
 
 
-def sample_r(cands: CandidateSets, params: AlgoParams, active: np.ndarray | None = None, level: int = 0):
+def sample_r(
+    cands: CandidateSets | ChildSets, params: AlgoParams, active: np.ndarray | None = None, level: int = 0
+):
     """Sample params.sample_count(n, l) representative columns uniformly with
     replacement (then dedup) from the level's own stream, and assign every
     active pair to the smallest sampled column inside its candidate set.
@@ -245,16 +262,20 @@ def sample_r(cands: CandidateSets, params: AlgoParams, active: np.ndarray | None
         active = np.argwhere(cands.sizes > params.t_beta(n))
     count = params.sample_count(n, l)
     rng = derived_rng(params.seed, _PH_SAMPLE_LVL, level)
-    r_blocks = np.unique(rng.integers(0, nb, size=count)) if count else np.empty(0, dtype=np.int64)
+    drawn = np.zeros(nb, dtype=bool)
+    if count:
+        drawn[rng.integers(0, nb, size=count)] = True
+    r_blocks = np.flatnonzero(drawn)
     gamma: dict[int, np.ndarray] = {}
     missed = active
     if len(active) and len(r_blocks):
-        sel = cands.mask[active[:, 0], active[:, 1]][:, r_blocks]
-        hit = sel.any(axis=1)
-        first = sel.argmax(axis=1)
+        first = first_selected(cands.columns(active), drawn)
+        hit = first < nb
         assigned = active[hit]
-        chosen = r_blocks[first[hit]]
-        for rb in np.unique(chosen):
+        chosen = first[hit]
+        used = np.zeros(nb, dtype=bool)
+        used[chosen] = True
+        for rb in np.flatnonzero(used):
             gamma[int(rb) * l] = assigned[chosen == rb]
         missed = active[~hit]
     return (r_blocks * l).astype(np.int64), NeededBlocks(gamma=gamma, missed=missed)
@@ -278,31 +299,25 @@ def _planes(data: np.ndarray, l: int) -> np.ndarray:
     return data.reshape(nb, l, nb, l).transpose(1, 3, 0, 2).reshape(l * l, nb * nb)
 
 
-def _min_blocks(a_data: np.ndarray, b_data: np.ndarray, l: int, pairs: np.ndarray, sel: np.ndarray) -> np.ndarray:
+def _min_blocks(
+    a_data: np.ndarray, b_data: np.ndarray, l: int, pairs: np.ndarray, sel: np.ndarray | Columns
+) -> np.ndarray:
     """Min over candidate block columns of the block min-plus products of two
     all-finite matrices.
 
-    ``sel[g, bk]`` marks the block columns of block pair ``pairs[g] = (bi,
-    bj)``; every pair needs at least one. Triples are gathered from the
-    planes chunk by chunk, with the triple axis last and contiguous, and the
-    inner index c is the only Python loop. Returns (len(pairs), l, l).
+    ``sel`` selects the block columns of each block pair ``pairs[g] = (bi,
+    bj)``, as a dense row mask ``sel[g, bk]`` or as CSR ``Columns``; every
+    pair needs at least one. Triples are gathered from the planes chunk by
+    chunk, with the triple axis last and contiguous, and the inner index c
+    is the only Python loop. Returns (len(pairs), l, l).
     """
     nb = a_data.shape[0] // l
-    counts = sel.sum(axis=1)
-    require(counts.min(initial=1) >= 1, "block pair without a candidate")
-    g_total = len(pairs)
-    out = np.empty((g_total, l * l), dtype=np.int64)
+    starts = selection_starts(sel)
+    require(np.diff(starts).min(initial=1) >= 1, "block pair without a candidate")
+    out = np.empty((len(pairs), l * l), dtype=np.int64)
     a_pl, b_pl = _planes(a_data, l), _planes(b_data, l)
-    starts = np.zeros(g_total + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    budget = max(1, _TRIPLE_BUDGET // (l * l))
-    g0 = 0
-    while g0 < g_total:
-        g1 = int(np.searchsorted(starts, starts[g0] + budget, side="right")) - 1
-        g1 = min(max(g1, g0 + 1), g_total)
-        # triple t of local pair p sits at p*nb + bk in the flattened chunk mask
-        local = np.repeat(np.arange(g1 - g0), counts[g0:g1])
-        bk = np.flatnonzero(sel[g0:g1]) - local * nb
+    for g0, g1 in pair_chunks(starts, max(1, _TRIPLE_BUDGET // (l * l))):
+        local, bk = chunk_columns(sel, starts, g0, g1)
         local += g0
         a_blk = np.take(a_pl, pairs[local, 0] * nb + bk, axis=1).reshape(l, l, -1)  # [i, c, t]
         b_blk = np.take(b_pl, bk * nb + pairs[local, 1], axis=1).reshape(l, l, -1)  # [c, j, t]
@@ -314,8 +329,7 @@ def _min_blocks(a_data: np.ndarray, b_data: np.ndarray, l: int, pairs: np.ndarra
             np.minimum(vals, tmp, out=vals)
         del a_blk, b_blk, tmp
         out[g0:g1] = np.minimum.reduceat(vals.reshape(l * l, -1), starts[g0:g1] - starts[g0], axis=1).T
-        g0 = g1
-    return out.reshape(g_total, l, l)
+    return out.reshape(len(pairs), l, l)
 
 
 def _enumerate_pairs(
@@ -323,14 +337,27 @@ def _enumerate_pairs(
     b_data: np.ndarray,
     l: int,
     pairs: np.ndarray,
-    mask: np.ndarray,
+    cands: CandidateSets | ChildSets,
     counters: Counters | None = None,
 ) -> np.ndarray:
-    """Direct enumeration of each pair's candidate blocks."""
-    sel = mask[pairs[:, 0], pairs[:, 1], :]
-    vals = _min_blocks(a_data, b_data, l, pairs, sel)
+    """Direct enumeration of each pair's candidate blocks.
+
+    At block length 1 a representative sum is A[i,k] + B[k,j] itself, so the
+    representative minimum over the candidate columns already is the
+    product entry, and it is read instead of enumerated; each candidate
+    still counts as one block product.
+    """
+    if l == 1:
+        counts = cands.sizes[pairs[:, 0], pairs[:, 1]]
+        require(counts.min(initial=1) >= 1, "block pair without a candidate")
+        vals = cands.approx.data[pairs[:, 0], pairs[:, 1]].reshape(-1, 1, 1)
+        n_products = int(counts.sum())
+    else:
+        sel = cands.columns(pairs)
+        vals = _min_blocks(a_data, b_data, l, pairs, sel)
+        n_products = int(selection_starts(sel)[-1])
     if counters is not None:
-        counters.block_products += int(np.count_nonzero(sel))
+        counters.block_products += n_products
     return vals
 
 
@@ -423,15 +450,18 @@ def run_levels(
     lengths ``levels`` (the top block length first, each next one half the
     one before).
 
-    At each level the open pairs with more than T_beta candidates are
-    active: grids under 4 blocks a side enumerate them directly, larger ones
-    sample columns, compute each assigned pair from the original operands
-    over the block columns its column's buckets select, and enumerate the
-    pairs the sample missed. The other open pairs are refined to the next
-    level; after the last level they are enumerated directly (the tail). A
-    level with no open pair computes no candidate sets and is traced empty.
-    The tail counts toward block_products only at the top block length, the
-    grid the strict bound is stated on.
+    The top level computes every pair's candidate sets; each finer level
+    computes only those of the children of the pairs refined to it, from
+    their parents' candidate columns. At each level the open pairs with
+    more than T_beta candidates are active: grids under 4 blocks a side
+    enumerate them directly, larger ones sample columns, compute each
+    assigned pair from the original operands over the block columns its
+    column's buckets select, and enumerate the pairs the sample missed. The
+    other open pairs are refined to the next level; after the last level
+    they are enumerated directly (the tail). A level with no open pair
+    computes no candidate sets and is traced empty. The tail counts toward
+    block_products only at the top block length, the grid the strict bound
+    is stated on.
     """
     if counters is None:
         counters = Counters()
@@ -441,17 +471,20 @@ def run_levels(
     c = np.full((n, n), INF, dtype=np.int64)
     done = np.zeros((n, n), dtype=bool)
     eligible = np.ones((n // levels[0], n // levels[0]), dtype=bool)
+    cands = candidate_sets(a, b, levels[0])
 
     for li, l in enumerate(levels):
-        if eligible.any():
-            # candidate sets nest across levels (see blocking), so a level's
-            # own sets need no restriction to the previous level's
-            cands = candidate_sets(a, b, l)
-            active_mask = eligible & (cands.sizes > t_beta)
-        else:
-            # nothing left to refine: skip the (n/l)**3 scan, but keep the
-            # level, empty, in the trace
-            active_mask = eligible
+        if li:
+            eligible = np.repeat(np.repeat(pending_mask, 2, 0), 2, 1)
+            # the children of the pending pairs, scanned only under their
+            # parents' candidate columns (nesting, see blocking); with none
+            # left, the level is skipped but kept, empty, in the trace. At
+            # block length 1 only the active pairs' columns are read: the
+            # fallback and the tail read the minimum
+            keep = t_beta if l == 1 else 0
+            cands = child_sets(a, b, l, pending, parent_cols, keep) if len(pending) else None
+            parent_cols = None
+        active_mask = eligible & (cands.sizes > t_beta) if cands is not None else eligible
         active = np.argwhere(active_mask)
         assigned: dict[int, np.ndarray] = {}
         missed = active
@@ -459,21 +492,24 @@ def run_levels(
             _, needed = sample_r(cands, params, active, li)
             assigned, missed = needed.gamma, needed.missed
         if len(missed):
-            _finalize(c, done, missed, _enumerate_pairs(ad, bd, l, missed, cands.mask, counters), l)
+            _finalize(c, done, missed, _enumerate_pairs(ad, bd, l, missed, cands, counters), l)
             counters.fallback_pairs += len(missed)
         width = SEGMENT_WIDTH * params.delta * l
         for r_col in sorted(assigned):
             blocks = assigned[r_col]
             _finalize(c, done, blocks, _assigned_block_values(ad, bd, l, width, r_col, blocks, counters), l)
         pending_mask = eligible & ~active_mask
+        pending = np.argwhere(pending_mask)
         if level_trace is not None:
-            level_trace.append(LevelState(l, level_theta(n, l), active, np.argwhere(pending_mask), assigned))
-        if li + 1 < len(levels):
-            eligible = np.repeat(np.repeat(pending_mask, 2, 0), 2, 1)
+            level_trace.append(LevelState(l, level_theta(n, l), active, pending, assigned))
+        if li + 1 < len(levels) and len(pending):
+            # the next level reads only the pending pairs' columns
+            parent_cols = cands.columns(pending)
+            cands = None
 
-    tail = np.argwhere(pending_mask)
+    tail = pending
     if len(tail):
-        vals = _enumerate_pairs(ad, bd, l, tail, cands.mask, counters if l == levels[0] else None)
+        vals = _enumerate_pairs(ad, bd, l, tail, cands, counters if l == levels[0] else None)
         _finalize(c, done, tail, vals, l)
     require(done.all(), "some output blocks were never finalized")
     return Matrix(c)

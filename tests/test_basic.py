@@ -709,9 +709,11 @@ def test_invariants_survive_optimize():
     # exactness guards raise explicitly, so python -O keeps them
     script = """
 import numpy as np
-from minplus import InvariantError
+from minplus import InvariantError, Matrix
 from minplus.basic import _enumerate_pairs, build_segments
+from minplus.blocking import BlockGrid, CandidateSets
 z = np.zeros((8, 8), dtype=np.int64)
+empty = CandidateSets(BlockGrid(8, 2), 1, Matrix(z[:4, :4]), np.zeros((4, 4, 4), dtype=bool))
 big = np.zeros((8, 8), dtype=np.int64)
 big[:, 4:] = 1 << 40
 caught = []
@@ -720,7 +722,7 @@ try:
 except InvariantError:
     caught.append("key range")
 try:
-    _enumerate_pairs(z, z, 2, np.array([[0, 0]]), np.zeros((4, 4, 4), dtype=bool))
+    _enumerate_pairs(z, z, 2, np.array([[0, 0]]), empty)
 except InvariantError:
     caught.append("empty candidate set")
 print(__debug__, caught)

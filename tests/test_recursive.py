@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import minplus as mp
 from minplus import AlgoParams, Counters, Matrix, basic
-from minplus.basic import build_segments, derived_rng, encode_keys
+from minplus.basic import NeededBlocks, build_segments, derived_rng, encode_keys
+from minplus.blocking import candidate_sets
 from minplus.recursive import (
     allocate_recursive,
     allocate_top,
@@ -244,6 +245,89 @@ def test_recursive_skips_empty_levels(pool, monkeypatch):
     assert [s.block_len for s in trace] == [2, 1]
     last = trace[-1]
     assert last.active.shape == last.pending.shape == (0, 2) and last.assigned == {}
+    # on a valley pair every level below the top has open pairs, yet only
+    # the top runs the full scan: finer levels scan their parents' candidates
+    calls.clear()
+    a, b = valley_bd(128, 2, 130)
+    trace = []
+    got = mp.recursive_minplus(a, b, AlgoParams(delta=2, alpha=0.6, seed=7), level_trace=trace)
+    assert got == mp.minplus_naive(a.base, b.base)
+    assert [s.block_len for s in trace] == [8, 4, 2, 1]
+    assert all(len(s.pending) for s in trace)
+    assert calls == [8]
+
+
+@pytest.mark.parametrize("alpha", [0.9, 0.6])
+@pytest.mark.parametrize("delta", [1, 2, 5])
+@pytest.mark.parametrize("family", ["walk", "valley"])
+def test_level_child_sets_equal_dense_sets(pool, monkeypatch, family, delta, alpha):
+    # below the top, a level scans only the children of its parents'
+    # candidate columns; by the nesting lemma (blocking docstring) its CSR
+    # sets and minima are the full scan's on every child pair. alpha = 0.6
+    # gives l0 = 8, so CSR levels at l = 4 and 2 read CSR parents
+    n = 128
+    a, b = pool.pair(n, delta, 2) if family == "walk" else valley_bd(n, delta, n + delta)
+    ad, bd = a.base.data, b.base.data
+    scans = []
+    real = basic.child_sets
+
+    def recording(a_, b_, l, parents, sel, cols_above=0):
+        cs = real(a_, b_, l, parents, sel, cols_above)
+        scans.append((l, parents, cs))
+        return cs
+
+    monkeypatch.setattr(basic, "child_sets", recording)
+    params = AlgoParams(delta=delta, alpha=alpha, seed=7)
+    trace = []
+    assert mp.recursive_minplus(a, b, params, level_trace=trace) == mp.minplus_naive(a.base, b.base)
+    assert [l for l, _, _ in scans] == [cur.block_len for prev, cur in zip(trace, trace[1:]) if len(prev.pending)]
+    for l, parents, cs in scans:
+        dense = candidate_sets(a, b, l)
+        eligible = np.zeros((n // l, n // l), dtype=bool)
+        for di in (0, 1):
+            for dj in (0, 1):
+                eligible[2 * parents[:, 0] + di, 2 * parents[:, 1] + dj] = True
+        kids = np.argwhere(eligible)
+        assert np.array_equal(cs.approx.data[eligible], dense.approx.data[eligible])
+        assert (cs.approx.data[~eligible] == mp.INF).all()
+        assert np.array_equal(cs.sizes, np.where(eligible, dense.sizes, 0))
+        # columns are stored, ascending, for every pair whose columns are
+        # read: all of them above block length 1, the active ones at 1
+        assert cs.cols_above == (params.t_beta(n) if l == 1 else 0)
+        big = cs.sizes[kids[:, 0], kids[:, 1]] > cs.cols_above
+        got = cs.columns(kids[big])
+        want = dense.columns(kids[big])
+        assert np.array_equal(np.diff(got.starts), want.sum(axis=1))
+        assert np.array_equal(got.cols, np.nonzero(want)[1])
+        if not big.all():
+            with pytest.raises(ValueError):
+                cs.columns(kids)
+        # the fallback and the tail: at block length 1 they read the
+        # minimum, which equals enumerating the same columns
+        counters = Counters()
+        vals = basic._enumerate_pairs(ad, bd, l, kids, cs, counters)
+        assert np.array_equal(vals, basic._min_blocks(ad, bd, l, kids, dense.columns(kids)))
+        assert counters.block_products == dense.sizes[eligible].sum()
+
+
+def test_fallback_below_top_is_exact(monkeypatch):
+    # with every sampled column missing, each level's active pairs fall
+    # back to enumerating their candidate sets: dense at the top, CSR at
+    # l = 4 and 2, the minimum at l = 1
+    real = basic.sample_r
+
+    def sample_nothing(cands, params, active=None, level=0):
+        r_cols, _ = real(cands, params, active, level)
+        return r_cols, NeededBlocks(gamma={}, missed=active)
+
+    monkeypatch.setattr(basic, "sample_r", sample_nothing)
+    a, b = valley_bd(128, 2, 130)
+    params = AlgoParams(delta=2, alpha=0.6, seed=7)
+    counters = Counters()
+    trace = []
+    assert mp.recursive_minplus(a, b, params, counters=counters, level_trace=trace) == mp.minplus_naive(a.base, b.base)
+    assert [(s.block_len, len(s.active) > 0) for s in trace] == [(8, False), (4, True), (2, True), (1, True)]
+    assert counters.fallback_pairs == sum(len(s.active) for s in trace)
 
 
 def test_recursive_level_exponents(pool):
@@ -332,11 +416,9 @@ def test_recursive_audited_counters_golden():
 
 @pytest.mark.parametrize("delta", [2, 5])
 def test_recursive_peak_memory(delta):
-    # the peak is in the block kernel at the l=1 level: the candidate mask
-    # and the column mask of the evaluated pairs, one byte per (pair, block
-    # column) triple each, plus the kernel's fixed-size chunk temporaries;
-    # about 5*n**3 bytes. The representative sums and the bucket sums are
-    # built in bounded chunks, never all at once
+    # only the top level holds a dense (n/l)**3 candidate mask; finer
+    # levels hold CSR columns of their child pairs, and every sum and
+    # bucket sum is built in bounded chunks, never all at once
     n = 128
     a, b = valley_bd(n, delta, 7)
     params = AlgoParams(delta=delta)
@@ -347,3 +429,20 @@ def test_recursive_peak_memory(delta):
     finally:
         tracemalloc.stop()
     assert peak < 10 * n**3
+
+
+def test_recursive_memory_below_cubic():
+    # no level below the top holds (n/l)**3 of anything: on a valley pair
+    # at n = 512 the l = 1 level keeps CSR columns of its active pairs only,
+    # so the whole product stays under n**3 bytes (the dense l = 1 mask alone
+    # was n**3)
+    n = 512
+    a, b = valley_bd(n, 2, n + 2)
+    tracemalloc.start()
+    try:
+        got = mp.recursive_minplus(a, b, AlgoParams(delta=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n**3
+    assert got == mp.minplus_naive(a.base, b.base)
