@@ -28,11 +28,24 @@ The bucket rule they all share is kept here: ``_buckets`` takes the
 representatives relative to column r (``SEGMENT_WIDTH``, ``REL_SHIFTS``),
 for the product and for ``build_segments``, the audit's segmentation. No
 reduced copy of an operand is made anywhere.
+
+Every block value comes from one kernel, ``_min_blocks``, with two inner
+paths. A pair that selects only some block columns gathers its triples from
+per-entry planes (``_min_gathered``). A pair that selects every block column
+(density 1, as on random walks) needs no selection at all: its value is the
+plain min-plus product of its rows of A and columns of B, which
+``_min_full`` computes straight from operand slices in bounded chunks, so
+the dense case costs no more than a row-chunked naive product. The sampled
+columns of a level hand their full pairs to one dense call together, so
+pairs split between columns still form whole rows there. The switch reads
+only the selections; the counters are computed from the same selections
+either way.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -46,6 +59,7 @@ from .blocking import (
     chunk_columns,
     first_selected,
     pair_chunks,
+    select_pairs,
     selection_starts,
 )
 from .matrix import INF, BDMatrix, Matrix, check_operand
@@ -288,7 +302,8 @@ def sample_r(
 # Block entries (triples times l*l) per kernel chunk: each of the chunk's
 # five (l*l, triples) int64 temporaries stays at 1 MiB, unless one pair's
 # candidate columns alone hold more. The bucket sums that select an assigned
-# pair's block columns are built under the same budget.
+# pair's block columns, and the dense path's sums, are built under the same
+# budget.
 _TRIPLE_BUDGET = 1 << 17
 
 
@@ -307,13 +322,103 @@ def _min_blocks(
 
     ``sel`` selects the block columns of each block pair ``pairs[g] = (bi,
     bj)``, as a dense row mask ``sel[g, bk]`` or as CSR ``Columns``; every
-    pair needs at least one. Triples are gathered from the planes chunk by
+    pair needs at least one. A pair that selects every block column takes
+    the dense path (``_min_full``): its value is the plain min-plus product
+    of its rows of A and columns of B, so it is exact by construction. The
+    other pairs take the gather path (``_min_gathered``). When no pair is
+    full, the split allocates nothing. Returns (len(pairs), l, l).
+    """
+    nb = a_data.shape[0] // l
+    starts = selection_starts(sel)
+    counts = np.diff(starts)
+    require(counts.min(initial=1) >= 1, "block pair without a candidate")
+    if counts.max(initial=0) < nb:
+        del counts  # the gather path alone: nothing per pair is kept
+        return _min_gathered(a_data, b_data, l, pairs, sel, starts)
+    full = counts == nb
+    if full.all():
+        return _min_full(a_data, b_data, l, pairs)
+    out = np.empty((len(pairs), l, l), dtype=np.int64)
+    out[full] = _min_full(a_data, b_data, l, pairs[full])
+    rest = ~full
+    out[rest] = _min_gathered(a_data, b_data, l, pairs[rest], *select_pairs(sel, counts, rest))
+    return out
+
+
+def _min_full(a_data: np.ndarray, b_data: np.ndarray, l: int, pairs: np.ndarray) -> np.ndarray:
+    """Block min-plus products over every column: out[g] = min over k of
+    A[bi*l + i, k] + B[k, bj*l + j] for pairs[g] = (bi, bj).
+
+    The pairs are grouped into rectangles: runs of consecutive block columns
+    in one block row, stacked over consecutive block rows that hold the same
+    run. A rectangle's rows of A and columns of B are slices of the
+    operands, so nothing is copied or gathered. Its sums are built in a
+    (rows, k, columns) view of one buffer allocated per call, at most
+    _TRIPLE_BUDGET entries at a time, and reduced over k: several block rows
+    with every k at once, or one block row with k in slices whose running
+    minimum is kept (one k's sums of a block row, if those alone are more).
+    Returns (len(pairs), l, l).
+    """
+    n = a_data.shape[0]
+    nb = n // l
+    out = np.empty((len(pairs), l, l), dtype=np.int64)
+    key = pairs[:, 0] * nb + pairs[:, 1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # runs: consecutive block columns of one block row
+    cut = np.ones(len(key), dtype=bool)
+    cut[1:] = (np.diff(key) != 1) | (key[1:] % nb == 0)
+    run_at = np.flatnonzero(cut)
+    run_len = np.diff(np.append(run_at, len(key)))
+    run_bi, run_bj = np.divmod(key[run_at], nb)
+    # rectangles: equal runs in consecutive block rows
+    runs = np.lexsort((run_bi, run_len, run_bj))
+    bi, bj, width = run_bi[runs], run_bj[runs], run_len[runs]
+    cut = np.ones(len(runs), dtype=bool)
+    cut[1:] = (bj[1:] != bj[:-1]) | (width[1:] != width[:-1]) | (bi[1:] != bi[:-1] + 1)
+    rect_at = np.flatnonzero(cut)
+    # one buffer each for a chunk's sums, its minima and a k slice's minima;
+    # a chunk never holds more than max(_TRIPLE_BUDGET, l*n) sums, nor more
+    # than all pairs'
+    size = len(pairs) * l * l
+    sums = np.empty(min(max(_TRIPLE_BUDGET, l * n), size * n), dtype=np.int64)
+    mins = np.empty(min(max(_TRIPLE_BUDGET // n, l * n), size), dtype=np.int64)
+    part = np.empty_like(mins)
+    for s, e in zip(rect_at, np.append(rect_at[1:], len(runs))):
+        bi0, bj0, wd = int(bi[s]), int(bj[s]), int(width[s])
+        at = order[run_at[runs[s:e], None] + np.arange(wd)]  # [block row, block column] -> pair
+        cols = b_data[:, bj0 * l : (bj0 + wd) * l]
+        w = wd * l
+        br = min(e - s, max(1, _TRIPLE_BUDGET // (l * n * w)))
+        kc = n if br > 1 else min(n, max(1, _TRIPLE_BUDGET // (l * w)))
+        for r0 in range(0, e - s, br):
+            r1 = min(r0 + br, e - s)
+            h = (r1 - r0) * l
+            rows = a_data[(bi0 + r0) * l : (bi0 + r1) * l]
+            m = mins[: h * w].reshape(h, w)
+            for k0 in range(0, n, kc):
+                k1 = min(k0 + kc, n)
+                t = sums[: h * (k1 - k0) * w].reshape(h, k1 - k0, w)
+                np.add(rows[:, k0:k1, None], cols[None, k0:k1], out=t)
+                if k0:
+                    p = part[: h * w].reshape(h, w)
+                    t.min(axis=1, out=p)
+                    np.minimum(m, p, out=m)
+                else:
+                    t.min(axis=1, out=m)
+            out[at[r0:r1]] = m.reshape(r1 - r0, l, wd, l).transpose(0, 2, 1, 3)
+    return out
+
+
+def _min_gathered(
+    a_data: np.ndarray, b_data: np.ndarray, l: int, pairs: np.ndarray, sel: np.ndarray | Columns, starts: np.ndarray
+) -> np.ndarray:
+    """``_min_blocks`` over the selected triples, with ``starts`` from
+    ``selection_starts(sel)``. Triples are gathered from the planes chunk by
     chunk, with the triple axis last and contiguous, and the inner index c
     is the only Python loop. Returns (len(pairs), l, l).
     """
     nb = a_data.shape[0] // l
-    starts = selection_starts(sel)
-    require(np.diff(starts).min(initial=1) >= 1, "block pair without a candidate")
     out = np.empty((len(pairs), l * l), dtype=np.int64)
     a_pl, b_pl = _planes(a_data, l), _planes(b_data, l)
     for g0, g1 in pair_chunks(starts, max(1, _TRIPLE_BUDGET // (l * l))):
@@ -366,35 +471,54 @@ def _assigned_block_values(
     b_data: np.ndarray,
     l: int,
     width: int,
-    r: int,
-    blocks: np.ndarray,
+    assigned: dict[int, np.ndarray],
     counters: Counters | None = None,
-) -> np.ndarray:
-    """Values of the blocks assigned to sampled column r: for each block
-    pair, the min over every block column whose buckets, taken relative to
-    column r (A[i,k] - A[i,r] and B[k,j] - B[r,j]), fall in one of the
-    correspondence relations (p + q in REL_SHIFTS).
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Values of the blocks assigned to the sampled columns: for each block
+    pair of ``assigned[r]``, the min over every block column whose buckets,
+    taken relative to column r (A[i,k] - A[i,r] and B[k,j] - B[r,j]), fall
+    in one of the correspondence relations (p + q in REL_SHIFTS).
 
     The reduction only decides which block columns a pair takes: since
     (A[i,k] - A[i,r]) + (B[k,j] - B[r,j]) + A[i,r] + B[r,j] = A[i,k] + B[k,j]
     exactly in int64, the selected blocks are evaluated on the original
     operands and need no reduced copy or add-back. The result equals the
     union of column r's rectangular segment products after collision
-    subtraction, shifted back by A[i,r] + B[r,j]. The column mask is filled
-    a few pairs at a time, so the int64 bucket sums stay bounded.
+    subtraction, shifted back by A[i,r] + B[r,j]. Each column mask is
+    filled a few pairs at a time, so the int64 bucket sums stay bounded.
+
+    Yields (pairs, values) parts: column by column in ascending order, the
+    pairs that select some of the block columns; then, in one call of the
+    dense path, the pairs of every column that select all of them, so that
+    the columns' shares of a block row are computed together.
     """
-    pa = _buckets(a_data, l, width, a_data[::l, r, None])
-    qbt = np.ascontiguousarray(_buckets(b_data, l, width, b_data[None, r, ::l]).T)  # [bj, bk]
+    nb = a_data.shape[0] // l
     lo, hi = REL_SHIFTS[0], REL_SHIFTS[-1]
-    sel = np.empty((len(blocks), pa.shape[1]), dtype=bool)
-    step = max(1, _TRIPLE_BUDGET // pa.shape[1])
-    for g0 in range(0, len(blocks), step):
-        chunk = blocks[g0 : g0 + step]
-        psum = pa[chunk[:, 0]] + qbt[chunk[:, 1]]
-        np.logical_and(psum >= lo, psum <= hi, out=sel[g0 : g0 + step])
-    if counters is not None:
-        counters.poly_degree_ops += int(np.count_nonzero(sel)) * l ** 3
-    return _min_blocks(a_data, b_data, l, blocks, sel)
+    step = max(1, _TRIPLE_BUDGET // nb)
+    full = []
+    for r in sorted(assigned):
+        blocks = assigned[r]
+        pa = _buckets(a_data, l, width, a_data[::l, r, None])
+        qbt = np.ascontiguousarray(_buckets(b_data, l, width, b_data[None, r, ::l]).T)  # [bj, bk]
+        sel = np.empty((len(blocks), nb), dtype=bool)
+        for g0 in range(0, len(blocks), step):
+            chunk = blocks[g0 : g0 + step]
+            psum = pa[chunk[:, 0]] + qbt[chunk[:, 1]]
+            np.logical_and(psum >= lo, psum <= hi, out=sel[g0 : g0 + step])
+        del pa, qbt, psum  # dropped before the kernel runs
+        if counters is not None:
+            counters.poly_degree_ops += int(np.count_nonzero(sel)) * l ** 3
+        some = sel.sum(axis=1) < nb
+        if not some.all():
+            full.append(blocks[~some])
+            blocks, sel = blocks[some], sel[some]
+        if len(blocks):
+            vals = _min_blocks(a_data, b_data, l, blocks, sel)
+            del sel
+            yield blocks, vals
+    if full:
+        blocks = np.concatenate(full)
+        yield blocks, _min_full(a_data, b_data, l, blocks)
 
 
 def _finalize(c: np.ndarray, done: np.ndarray, blocks: np.ndarray, vals: np.ndarray, l: int) -> None:
@@ -495,16 +619,16 @@ def run_levels(
             _finalize(c, done, missed, _enumerate_pairs(ad, bd, l, missed, cands, counters), l)
             counters.fallback_pairs += len(missed)
         width = SEGMENT_WIDTH * params.delta * l
-        for r_col in sorted(assigned):
-            blocks = assigned[r_col]
-            _finalize(c, done, blocks, _assigned_block_values(ad, bd, l, width, r_col, blocks, counters), l)
+        for blocks, vals in _assigned_block_values(ad, bd, l, width, assigned, counters):
+            _finalize(c, done, blocks, vals, l)
         pending_mask = eligible & ~active_mask
         pending = np.argwhere(pending_mask)
         if level_trace is not None:
             level_trace.append(LevelState(l, level_theta(n, l), active, pending, assigned))
         if li + 1 < len(levels) and len(pending):
-            # the next level reads only the pending pairs' columns
-            parent_cols = cands.columns(pending)
+            # the next level reads only the pending pairs' columns; the top
+            # level hands them over as compact CSR, not as dense mask rows
+            parent_cols = cands.columns(pending) if li else cands.compact_columns(pending)
             cands = None
 
     tail = pending

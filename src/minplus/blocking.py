@@ -66,7 +66,7 @@ class BlockGrid:
 
 class Columns(NamedTuple):
     """CSR block columns of a list of block pairs: pair g holds
-    cols[starts[g]:starts[g + 1]], ascending."""
+    cols[starts[g]:starts[g + 1]], ascending, in any integer type."""
 
     starts: np.ndarray
     cols: np.ndarray
@@ -87,8 +87,18 @@ def chunk_columns(sel: np.ndarray | Columns, starts: np.ndarray, g0: int, g1: in
     pairs g0..g1-1, pair by pair, columns ascending."""
     local = np.repeat(np.arange(g1 - g0), np.diff(starts[g0 : g1 + 1]))
     if isinstance(sel, Columns):
-        return local, sel.cols[starts[g0] : starts[g1]]
+        return local, sel.cols[starts[g0] : starts[g1]].astype(np.int64, copy=False)
     return local, np.flatnonzero(sel[g0:g1]) - local * sel.shape[1]
+
+
+def select_pairs(sel: np.ndarray | Columns, counts: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray | Columns, np.ndarray]:
+    """The selection of the pairs flagged in ``keep``, in the same form, and
+    its starts; ``counts`` holds every pair's number of columns."""
+    starts = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int64)
+    np.cumsum(counts[keep], out=starts[1:])
+    if isinstance(sel, Columns):
+        return Columns(starts, sel.cols[np.repeat(keep, counts)]), starts
+    return sel[keep], starts
 
 
 def pair_chunks(starts: np.ndarray, budget: int):
@@ -138,6 +148,22 @@ class CandidateSets:
     def columns(self, pairs: np.ndarray) -> np.ndarray:
         """Candidate columns of the block pairs, as a dense row mask."""
         return self.mask[pairs[:, 0], pairs[:, 1]]
+
+    def compact_columns(self, pairs: np.ndarray) -> Columns:
+        """Candidate columns of the block pairs, as CSR in the narrowest
+        integer type that holds a block column. The rows are decoded a few
+        at a time, so no dense copy of them is made."""
+        nb = self.grid.n_blocks
+        starts = np.zeros(len(pairs) + 1, dtype=np.int64)
+        np.cumsum(self.sizes[pairs[:, 0], pairs[:, 1]], out=starts[1:])
+        cols = np.empty(starts[-1], dtype=np.int16 if nb <= 1 << 15 else np.int32)
+        ids = np.arange(nb, dtype=cols.dtype)
+        step = max(1, _SUM_BUDGET // nb)
+        for g0 in range(0, len(pairs), step):
+            g1 = min(g0 + step, len(pairs))
+            rows = self.mask[pairs[g0:g1, 0], pairs[g0:g1, 1]]
+            cols[starts[g0] : starts[g1]] = np.broadcast_to(ids, rows.shape)[rows]
+        return Columns(starts, cols)
 
 
 @dataclass(frozen=True, eq=False)

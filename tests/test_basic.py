@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import minplus as mp
-from minplus import AlgoParams, Counters, Matrix
+from minplus import AlgoParams, Counters, Matrix, basic
 from minplus.basic import (
     REL_SHIFTS,
     SEGMENT_WIDTH,
@@ -19,7 +19,7 @@ from minplus.basic import (
     level_theta,
     sample_r,
 )
-from minplus.blocking import candidate_sets
+from minplus.blocking import Columns, candidate_sets
 from minplus.oracle import PolyMatrix, extract_min, poly_matmul
 from minplus.recursive import AllocationMap, allocate_top, baseline_offset, collision_audit, find_collisions
 
@@ -271,6 +271,15 @@ def _add_back(ad, bd, l, r, bi, bj, reduced):
     return reduced + ad[bi * l : bi * l + l, r][:, None] + bd[r, bj * l : bj * l + l][None, :]
 
 
+def _column_values(ad, bd, l, width, r_col, blocks, counters=None):
+    """``_assigned_block_values`` of one sampled column, in the order of blocks."""
+    got = {}
+    for part, vals in _assigned_block_values(ad, bd, l, width, {r_col: blocks}, counters):
+        got.update(zip(map(tuple, part), vals))
+    assert len(got) == len(blocks)
+    return np.array([got[tuple(bk)] for bk in blocks])
+
+
 def test_process_large_all_segments(pool):
     # t_gamma = 1 makes every nonempty segment large; union over the three
     # relations reproduces the relation-matched minima exactly
@@ -288,7 +297,7 @@ def test_process_large_all_segments(pool):
             got = ce[bi * l : bi * l + l, bj * l : bj * l + l]
             assert np.array_equal(got, wb)
             merged[(bi, bj)] = np.minimum(merged[(bi, bj)], got)
-    fast = _assigned_block_values(a.base.data, b.base.data, l, 20 * delta * l, 4, blocks)
+    fast = _column_values(a.base.data, b.base.data, l, 20 * delta * l, 4, blocks)
     for i, bk in enumerate(map(tuple, blocks)):
         assert np.array_equal(_add_back(a.base.data, b.base.data, l, 4, *bk, merged[bk]), fast[i])
 
@@ -559,7 +568,7 @@ def test_pipeline_matches_faithful_composition(pool):
             for (bi, bj), v in small.items():
                 ls = large[bi * l : (bi + 1) * l, bj * l : (bj + 1) * l]
                 merged[(bi, bj)] = np.minimum(merged[(bi, bj)], np.minimum(v, ls))
-        fast = _assigned_block_values(ad, bd, l, 20 * delta * l, r_col, blocks)
+        fast = _column_values(ad, bd, l, 20 * delta * l, r_col, blocks)
         for i, bk in enumerate(map(tuple, blocks)):
             assert np.array_equal(_add_back(ad, bd, l, r_col, *bk, merged[bk]), fast[i])
 
@@ -587,7 +596,7 @@ def test_assigned_block_values_chunks(monkeypatch, budget, r_col):
     elif budget == "five_pairs":
         monkeypatch.setattr("minplus.basic._TRIPLE_BUDGET", 5 * n)
     counters = Counters()
-    got = _assigned_block_values(ad, bd, 1, w, r_col, blocks, counters)
+    got = _column_values(ad, bd, 1, w, r_col, blocks, counters)
     assert np.array_equal(got[:, 0, 0], want + ad[blocks[:, 0], r_col] + bd[r_col, blocks[:, 1]])
     assert counters.poly_degree_ops == int(sel.sum())
 
@@ -682,27 +691,71 @@ def _min_blocks_loop(ad, bd, l, pairs, sel):
 @pytest.mark.parametrize("l", [1, 2, 4, 8, 16])
 @pytest.mark.parametrize("budget", ["default", "one", "below_group"])
 def test_min_blocks_matches_loop(monkeypatch, l, budget):
-    # ragged candidate counts (1 up to every block column) in pair order,
-    # entries up to the reduced operands' magnitude, and chunk cuts forced
-    # at every pair or below the largest group's size
+    # three selections, each as a dense row mask and as CSR with int16
+    # columns (the top level's compact form): ragged candidate counts in pair
+    # order, 1 up to every block column, so both paths run; every pair of
+    # the grid full, in shuffled order, so the dense path forms whole rows
+    # and rectangles; full pairs around a few partial ones, so its runs are
+    # short. Entries up to the reduced operands' magnitude, and chunk cuts
+    # at every pair or below the largest group's size (in the dense path,
+    # inside k)
     nb = 6 if l < 8 else 3
     n = nb * l
     rng = np.random.default_rng(l)
     bound = 1 << 61
     ad = rng.integers(-bound, bound, size=(n, n))
     bd = rng.integers(-bound, bound, size=(n, n))
-    pairs = np.array([(bi, bj) for bi in range(nb) for bj in range(nb)][::2], dtype=np.int64)
-    sel = np.zeros((len(pairs), nb), dtype=bool)
-    for g in range(len(pairs)):
+    grid = np.array([(bi, bj) for bi in range(nb) for bj in range(nb)], dtype=np.int64)
+    ragged = np.zeros((len(grid[::2]), nb), dtype=bool)
+    for g in range(len(ragged)):
         size = [1, nb, 2, 1, nb - 1][g % 5]
-        sel[g, rng.choice(nb, size=size, replace=False)] = True
+        ragged[g, rng.choice(nb, size=size, replace=False)] = True
+    shuffled = grid[rng.permutation(len(grid))]
+    gaps = np.ones((len(grid), nb), dtype=bool)
+    for g in rng.choice(len(grid), size=3, replace=False):
+        gaps[g, rng.choice(nb, size=nb - 1, replace=False)] = False
     if budget == "one":
         monkeypatch.setattr("minplus.basic._TRIPLE_BUDGET", 1)
     elif budget == "below_group":
         monkeypatch.setattr("minplus.basic._TRIPLE_BUDGET", 2 * l * l)
-    got = _min_blocks(ad, bd, l, pairs, sel)
-    assert got.shape == (len(pairs), l, l)
-    assert np.array_equal(got, _min_blocks_loop(ad, bd, l, pairs, sel))
+    for pairs, sel in [(grid[::2], ragged), (shuffled, np.ones_like(gaps)), (shuffled, gaps)]:
+        want = _min_blocks_loop(ad, bd, l, pairs, sel)
+        csr = Columns(np.concatenate([[0], np.cumsum(sel.sum(axis=1))]), np.nonzero(sel)[1].astype(np.int16))
+        for form in (sel, csr):
+            got = _min_blocks(ad, bd, l, pairs, form)
+            assert got.shape == (len(pairs), l, l)
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("engine", ["basic", "recursive"])
+def test_full_selections_skip_gather(pool, monkeypatch, engine):
+    # on a walk every pair the kernel evaluates selects every block column,
+    # so none of them builds the gather path's planes
+    def refuse(*args):
+        raise AssertionError("gather path taken by pairs that select every column")
+
+    monkeypatch.setattr("minplus.basic._planes", refuse)
+    a, b = pool.pair(64, 2, 0)
+    f = mp.basic_minplus if engine == "basic" else mp.recursive_minplus
+    got = f(a, b, AlgoParams(delta=2, seed=7))
+    assert np.array_equal(got.data, pool.naive(64, 2, 0).data)
+
+
+def test_partial_selections_take_gather(monkeypatch):
+    # on a valley the l = 1 sampled pairs select only some block columns, so
+    # the gather path still runs inside a product
+    calls = []
+    real = basic._planes
+
+    def counting(data, l):
+        calls.append(l)
+        return real(data, l)
+
+    monkeypatch.setattr("minplus.basic._planes", counting)
+    a, b = valley_bd(128, 2, 7)
+    got = mp.recursive_minplus(a, b, AlgoParams(delta=2, seed=7))
+    assert calls and set(calls) == {1}
+    assert got == mp.minplus_naive(a.base, b.base)
 
 
 def test_invariants_survive_optimize():

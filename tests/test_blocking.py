@@ -82,6 +82,22 @@ def test_candidate_chunks_match_dense(pool, monkeypatch, budget):
     assert np.array_equal(cs.mask, sums <= approx[:, :, None] + 8 * delta * l)
 
 
+@pytest.mark.parametrize("budget", [1, 3 * 8, 1 << 30])
+def test_compact_columns_match_mask_rows(pool, monkeypatch, budget):
+    # CSR of any pairs' candidate columns, decoded one row, three rows or
+    # all rows at a time, equals the dense mask rows, in int16
+    n, delta, l = 64, 2, 2
+    a, b = pool.pair(n, delta, 3)
+    cs = candidate_sets(a, b, l)
+    pairs = np.random.default_rng(0).integers(0, n // l, size=(50, 2))
+    monkeypatch.setattr("minplus.blocking._SUM_BUDGET", budget)
+    got = cs.compact_columns(pairs)
+    want = cs.columns(pairs)
+    assert got.cols.dtype == np.int16
+    assert np.array_equal(np.diff(got.starts), want.sum(axis=1))
+    assert np.array_equal(got.cols, np.nonzero(want)[1])
+
+
 def test_candidate_soundness_exhaustive(pool):
     # the tie-broken argmin witness block is always admitted
     n, delta, l = 64, 2, 8

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import minplus as mp
 from minplus import AlgoParams, Counters, Matrix, basic
 from minplus.basic import NeededBlocks, build_segments, derived_rng, encode_keys
-from minplus.blocking import candidate_sets
+from minplus.blocking import Columns, candidate_sets
 from minplus.recursive import (
     allocate_recursive,
     allocate_top,
@@ -445,4 +445,36 @@ def test_recursive_memory_below_cubic():
     finally:
         tracemalloc.stop()
     assert peak < n**3
+    assert got == mp.minplus_naive(a.base, b.base)
+
+
+def test_first_child_scan_reads_compact_columns(monkeypatch):
+    # the top level hands the first child scan its pending pairs' columns as
+    # int16 CSR, not as dense rows of its mask (n/l0 bytes a pair). On a
+    # valley at n = 512 nearly every top pair is pending: the scan is entered
+    # holding under n**3/16 bytes and the product peaks under n**3/4 (with
+    # the dense rows, 19.6 and 38.7 MiB)
+    n = 512
+    a, b = valley_bd(n, 2, n + 2)
+    real = basic.child_sets
+    entered = []
+
+    def recording(a_, b_, l, parents, sel, cols_above=0):
+        entered.append((l, sel, tracemalloc.get_traced_memory()[0] - base))
+        return real(a_, b_, l, parents, sel, cols_above)
+
+    monkeypatch.setattr(basic, "child_sets", recording)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = mp.recursive_minplus(a, b, AlgoParams(delta=2))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert [l for l, _, _ in entered] == [1]
+    _, sel, held = entered[0]
+    assert isinstance(sel, Columns) and sel.cols.dtype == np.int16
+    assert held < n**3 / 16
+    assert peak < n**3 / 4
     assert got == mp.minplus_naive(a.base, b.base)
