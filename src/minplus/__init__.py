@@ -5,7 +5,7 @@ sampling, segments, slot allocation, the packed products and the
 polynomial kernel) stay importable from their modules.
 """
 
-from .basic import AlgoParams, Counters, InvariantError, LevelState, basic_minplus
+from .basic import AlgoParams, Counters, InvariantError, LevelState, basic_minplus, dense_minplus
 from .matrix import (
     INF,
     MAX_ENTRY,
@@ -36,6 +36,7 @@ __all__ = [
     "Matrix",
     "basic_minplus",
     "collision_audit",
+    "dense_minplus",
     "generate_bd",
     "minplus_naive",
     "minplus_small_entries",

@@ -35,7 +35,9 @@ per-entry planes (``_min_gathered``). A pair that selects every block column
 (density 1, as on random walks) needs no selection at all: its value is the
 plain min-plus product of its rows of A and columns of B, which
 ``_min_full`` computes straight from operand slices in bounded chunks, so
-the dense case costs no more than a row-chunked naive product. The sampled
+the dense case costs no more than a row-chunked naive product;
+``dense_minplus``, the same path over every block pair at a fixed tile, is
+the cubic reference the engines are measured against. The sampled
 columns of a level hand their full pairs to one dense call together, so
 pairs split between columns still form whole rows there. The switch reads
 only the selections; the counters are computed from the same selections
@@ -123,10 +125,15 @@ class AlgoParams:
     alpha sets the block length l ~ n**(1-alpha); beta the small-candidate
     threshold n**beta; gamma the segment-size threshold n**gamma; c0 scales
     the sample size.
+
+    The default alpha = 0.7 gives l = 4 at n = 32..256 and l = 8 at
+    n = 512..2048, where per-block overhead no longer outweighs the pruning
+    (measured against ``dense_minplus``, see the README). The paper's
+    schedule, l = 2 at every n from 32 to 16384, is ``alpha=0.9``.
     """
 
     delta: int
-    alpha: float = 0.9
+    alpha: float = 0.7
     beta: float = 0.6
     gamma: float = 0.6
     c0: int = 3
@@ -301,10 +308,14 @@ def sample_r(
 
 # Block entries (triples times l*l) per kernel chunk: each of the chunk's
 # five (l*l, triples) int64 temporaries stays at 1 MiB, unless one pair's
-# candidate columns alone hold more. The bucket sums that select an assigned
-# pair's block columns, and the dense path's sums, are built under the same
-# budget.
+# candidate columns alone hold more. The gather path counts at least four
+# entries a triple, because at l = 1 its per-triple index arrays (pair,
+# column and the two flat indices) are as large as those temporaries. The
+# bucket sums that select an assigned pair's block columns, and the dense
+# path's sums, are built under the same budget.
 _TRIPLE_BUDGET = 1 << 17
+
+_DENSE_TILE = 16
 
 
 def _planes(data: np.ndarray, l: int) -> np.ndarray:
@@ -410,6 +421,29 @@ def _min_full(a_data: np.ndarray, b_data: np.ndarray, l: int, pairs: np.ndarray)
     return out
 
 
+def dense_minplus(a: Matrix, b: Matrix) -> Matrix:
+    """Exact min-plus product of two square all-finite matrices of one size:
+    the dense path's kernel (``_min_full``) over every block pair, at a tile
+    of gcd(n, 16), which is 16 for every multiple of 16 and n for a smaller
+    power of two.
+
+    This is the cubic reference the engines' times are stated against; the
+    engines never call it, and ``minplus_naive`` stays the test oracle.
+    """
+    if not (a.is_square() and b.is_square() and a.n_rows == b.n_rows):
+        raise ValueError(f"dense_minplus expects square operands of one size, got {a.shape} x {b.shape}")
+    if not (a.all_finite() and b.all_finite()):
+        raise ValueError("dense_minplus expects all-finite operands")
+    check_operand(a, "a")
+    check_operand(b, "b")
+    n = a.n_rows
+    l = math.gcd(n, _DENSE_TILE)
+    nb = n // l
+    pairs = np.stack(np.divmod(np.arange(nb * nb), nb), axis=1)
+    vals = _min_full(a.data, b.data, l, pairs)
+    return Matrix(vals.reshape(nb, nb, l, l).transpose(0, 2, 1, 3).reshape(n, n))
+
+
 def _min_gathered(
     a_data: np.ndarray, b_data: np.ndarray, l: int, pairs: np.ndarray, sel: np.ndarray | Columns, starts: np.ndarray
 ) -> np.ndarray:
@@ -421,7 +455,7 @@ def _min_gathered(
     nb = a_data.shape[0] // l
     out = np.empty((len(pairs), l * l), dtype=np.int64)
     a_pl, b_pl = _planes(a_data, l), _planes(b_data, l)
-    for g0, g1 in pair_chunks(starts, max(1, _TRIPLE_BUDGET // (l * l))):
+    for g0, g1 in pair_chunks(starts, max(1, _TRIPLE_BUDGET // max(l * l, 4))):
         local, bk = chunk_columns(sel, starts, g0, g1)
         local += g0
         a_blk = np.take(a_pl, pairs[local, 0] * nb + bk, axis=1).reshape(l, l, -1)  # [i, c, t]

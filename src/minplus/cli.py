@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .basic import AlgoParams, Counters, basic_minplus
+from .basic import AlgoParams, Counters, basic_minplus, dense_minplus
 from .matrix import INF, BDMatrix, FormatError, Matrix, generate_bd, read_matrix, write_matrix
 from .oracle import minplus_naive, minplus_small_entries
 from .recursive import collision_audit, recursive_minplus
@@ -24,7 +24,10 @@ CSV_HEADER = (
     "block_products,collision_checks,collisions_found,fallback_pairs,verified"
 )
 
-ALGOS = ("naive", "smallentry", "basic", "recursive")
+ALGOS = ("naive", "dense", "smallentry", "basic", "recursive")
+
+# run takes its parameter defaults from the library, so both agree
+_DEFAULTS = {f.name: f.default for f in fields(AlgoParams)}
 
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
@@ -146,6 +149,8 @@ def _execute(
 ) -> Matrix:
     if algo == "naive":
         return minplus_naive(_base(a), _base(b))
+    if algo == "dense":
+        return dense_minplus(_base(a), _base(b))
     if algo == "smallentry":
         if m_bound is None:
             raise UsageError("--m-bound is required for the smallentry algorithm")
@@ -317,11 +322,11 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--a", required=True)
     r.add_argument("--b", required=True)
     r.add_argument("--out", required=True)
-    r.add_argument("--alpha", type=float, default=0.9)
-    r.add_argument("--beta", type=float, default=0.6)
-    r.add_argument("--gamma", type=float, default=0.6)
-    r.add_argument("--c0", type=int, default=3)
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--alpha", type=float, default=_DEFAULTS["alpha"])
+    r.add_argument("--beta", type=float, default=_DEFAULTS["beta"])
+    r.add_argument("--gamma", type=float, default=_DEFAULTS["gamma"])
+    r.add_argument("--c0", type=int, default=_DEFAULTS["c0"])
+    r.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
     r.add_argument("--m-bound", type=int, default=None)
     r.add_argument("--verify", action="store_true")
     r.add_argument("--strict", action="store_true")

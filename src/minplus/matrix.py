@@ -41,7 +41,7 @@ def _as_entry_array(values) -> np.ndarray:
         raise ValueError("matrix dimensions must be positive")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"matrix entries must be integers, got dtype {arr.dtype}")
-    arr = arr.astype(np.int64, copy=True)
+    arr = arr.astype(np.int64, order="C", copy=True)  # C order: the kernels read rows and slices
     finite = arr != INF
     if np.any(finite & (np.abs(arr) > MAX_ENTRY)):
         raise ValueError("finite entries must have magnitude <= 2**61")
@@ -153,6 +153,13 @@ def generate_bd(n: int, delta: int, seed: int) -> BDMatrix:
     adjacency constraints; the window is never empty because diagonal
     neighbours differ by at most 2*(delta-1). Deterministic for fixed
     (n, delta, seed).
+
+    Entry (i, j) depends only on (i-1, j) and (i, j-1), so the entries
+    are filled one anti-diagonal at a time. In the flat C-order matrix, entry
+    (i, d - i) of anti-diagonal d sits at i*(n-1) + d, so a diagonal is a
+    slice of stride n - 1, and the up and left neighbours of its entries are
+    two shifted slices of the diagonal before. The entries are those of the
+    row-by-row walk over the same draws.
     """
     n = int(n)
     delta = int(delta)
@@ -165,22 +172,17 @@ def generate_bd(n: int, delta: int, seed: int) -> BDMatrix:
         rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
         span = 2 * delta - 1  # window width for a single-constraint step
         steps = rng.integers(-(delta - 1), delta, size=n - 1)
+        draws = rng.integers(0, 1 << 62, size=(n - 1, n), dtype=np.int64)  # draws[i - 1, j] sets entry (i, j)
         x[0, 1:] = np.cumsum(steps)
-        draws_shape = (n - 1, n)
-        draws = rng.integers(0, 1 << 62, size=draws_shape, dtype=np.int64)
-        row_prev = x[0]
-        for i in range(1, n):
-            row = x[i]
-            row[0] = row_prev[0] - (delta - 1) + int(draws[i - 1, 0]) % span
-            d_row = draws[i - 1]
-            prev = int(row[0])
-            for j in range(1, n):
-                up = int(row_prev[j])
-                lo = (up if up > prev else prev) - delta + 1
-                hi = (up if up < prev else prev) + delta - 1
-                prev = lo + int(d_row[j]) % (hi - lo + 1)
-                row[j] = prev
-            row_prev = row
+        x[1:, 0] = np.cumsum(draws[:, 0] % span - (delta - 1))
+        flat, d_flat, m = x.reshape(-1), draws.reshape(-1), n - 1
+        for d in range(2, 2 * n - 1):
+            lo, hi = max(1, d - m), min(d, n)  # rows of the diagonal's inner entries
+            prev = flat[(lo - 1) * m + d - 1 : hi * m + d - 1 : m]  # rows lo-1 .. hi-1 of diagonal d-1
+            up, left = prev[:-1], prev[1:]
+            top, bottom = np.maximum(up, left), np.minimum(up, left)
+            d_row = d_flat[(lo - 1) * m + d - 1 : (hi - 1) * m + d - 1 : m]
+            flat[lo * m + d : hi * m + d : m] = top - (delta - 1) + d_row % (bottom - top + 2 * delta - 1)
     return BDMatrix(Matrix(x), delta)
 
 

@@ -19,6 +19,7 @@ PUBLIC = [
     "Matrix",
     "basic_minplus",
     "collision_audit",
+    "dense_minplus",
     "generate_bd",
     "minplus_naive",
     "minplus_small_entries",

@@ -23,7 +23,7 @@ from minplus.blocking import Columns, candidate_sets
 from minplus.oracle import PolyMatrix, extract_min, poly_matmul
 from minplus.recursive import AllocationMap, allocate_top, baseline_offset, collision_audit, find_collisions
 
-from conftest import valley_bd
+from conftest import random_matrix, valley_bd
 from packed_reference import process_large_segments, process_small_segments, subtract_collisions
 
 
@@ -35,7 +35,7 @@ def zeros_bd(n):
 
 
 def test_params_block_len():
-    p = AlgoParams(delta=2)
+    p = AlgoParams(delta=2, alpha=0.9)
     assert p.block_len(128) == 2
     assert p.block_len(64) == 2
     assert p.block_len(32) == 2
@@ -49,7 +49,7 @@ def test_level_theta():
 
 
 def test_params_thresholds():
-    p = AlgoParams(delta=2)
+    p = AlgoParams(delta=2, alpha=0.9)
     assert p.t_beta(64) == 13
     assert p.t_gamma(128) == 19
     assert p.sample_count(64) == 48  # ceil(c0 * log2(n) * (n/l) * n**-beta) at l = 2
@@ -68,7 +68,13 @@ def test_params_validation():
 
 def test_params_defaults():
     p = AlgoParams(delta=1)
-    assert (p.alpha, p.beta, p.gamma, p.c0) == (0.9, 0.6, 0.6, 3)
+    assert (p.alpha, p.beta, p.gamma, p.c0) == (0.7, 0.6, 0.6, 3)
+
+
+def test_default_block_len():
+    # the default schedule: l0 = 4 at n = 32..256, 8 at n = 512..2048
+    p = AlgoParams(delta=2)
+    assert [p.block_len(1 << e) for e in range(5, 12)] == [4, 4, 4, 4, 8, 8, 8]
 
 
 # --- sampling --------------------------------------------------------------
@@ -91,7 +97,7 @@ def test_sample_r_full_candidates():
 def test_sample_r_count_matches_formula(pool):
     a, b = pool.pair(64, 2, 2)
     cs = candidate_sets(a, b, 2)
-    params = AlgoParams(delta=2, seed=0)
+    params = AlgoParams(delta=2, alpha=0.9, seed=0)
     for level in (0, 1):
         rng = derived_rng(0, _PH_SAMPLE_LVL, level)
         draws = rng.integers(0, 32, size=params.sample_count(64))
@@ -624,7 +630,7 @@ def test_counters_work_bounds(pool):
     # collision counters are the audited ones
     for n, delta in ((64, 2), (64, 1), (32, 5)):
         a, b = pool.pair(n, delta, 3)
-        params = AlgoParams(delta=delta, seed=7)
+        params = AlgoParams(delta=delta, alpha=0.9, seed=7)
         counters = Counters()
         trace = []
         mp.basic_minplus(a, b, params, counters, trace)
@@ -670,6 +676,42 @@ def test_engines_exact_at_block_length_16(pool, engine, family):
     got = f(a, b, params, level_trace=trace)
     assert trace[0].block_len == 16
     assert np.array_equal(got.data, mp.minplus_naive(a.base, b.base).data)
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+@pytest.mark.parametrize("family", ["walk", "valley"])
+def test_dense_minplus_matches_naive(pool, n, family):
+    # the dense reference runs at a tile of 16, or of n below that
+    a, b = pool.pair(n, 2, 1) if family == "walk" else valley_bd(n, 2, n)
+    assert np.array_equal(mp.dense_minplus(a.base, b.base).data, mp.minplus_naive(a.base, b.base).data)
+
+
+def test_dense_minplus_operands():
+    rng = np.random.default_rng(0)
+    a, b = random_matrix(rng, 24, 24, mp.MAX_OPERAND), random_matrix(rng, 24, 24, mp.MAX_OPERAND)
+    assert mp.dense_minplus(a, b) == mp.minplus_naive(a, b)  # 24 is no multiple of 16: tile 8
+    small = random_matrix(rng, 8, 8, 5)
+    for x, y in [
+        (random_matrix(rng, 8, 4, 5), random_matrix(rng, 4, 8, 5)),  # not square
+        (small, random_matrix(rng, 16, 16, 5)),  # sizes differ
+        (small, random_matrix(rng, 8, 8, 5, inf_prob=0.5)),  # not all-finite
+        (small, Matrix(np.full((8, 8), mp.MAX_OPERAND + 1))),  # beyond the operand cap
+    ]:
+        with pytest.raises(ValueError):
+            mp.dense_minplus(x, y)
+
+
+def test_transposed_operand_is_stored_c_order(pool):
+    # a transposed operand is stored C-contiguous, the layout the dense path
+    # reads fast, and gives the product of its C-order copy
+    a, b = pool.pair(64, 2, 2)
+    t = b.base.data.T
+    assert not t.flags.c_contiguous
+    bt, bc = (mp.BDMatrix(Matrix(x), 2) for x in (t, np.ascontiguousarray(t)))
+    assert bt.base.data.flags.c_contiguous
+    params = AlgoParams(delta=2, seed=7)
+    assert np.array_equal(mp.basic_minplus(a, bt, params).data, mp.basic_minplus(a, bc, params).data)
+    assert np.array_equal(mp.dense_minplus(a.base, bt.base).data, mp.dense_minplus(a.base, bc.base).data)
 
 
 def _min_blocks_loop(ad, bd, l, pairs, sel):

@@ -55,7 +55,7 @@ def test_run_naive_verified(tmp_path, capsys):
     assert recs[0].algo == "naive"
 
 
-@pytest.mark.parametrize("algo", ["basic", "recursive"])
+@pytest.mark.parametrize("algo", ["basic", "recursive", "dense"])
 def test_run_engines_verified(tmp_path, capsys, algo):
     pa, pb = _gen_pair(tmp_path)
     out = tmp_path / "c.mpm"
@@ -68,6 +68,17 @@ def test_run_engines_verified(tmp_path, capsys, algo):
     a = mp.read_matrix(pa)
     b = mp.read_matrix(pb)
     assert product == mp.minplus_naive(a.base, b.base)
+
+
+def test_run_takes_library_defaults(tmp_path, capsys):
+    # run without schedule flags records the library's defaults, alpha 0.7
+    pa, pb = _gen_pair(tmp_path)
+    rc = run_cli("run", "--algo", "basic", "--a", str(pa), "--b", str(pb), "--out", str(tmp_path / "c.mpm"))
+    assert rc == 0
+    rec = parse_records("\n".join(capsys.readouterr().out.splitlines()[-2:]))[0]
+    assert rec.alpha == 0.7
+    d = mp.AlgoParams(delta=2)
+    assert (rec.alpha, rec.beta, rec.gamma, rec.c0, rec.seed) == (d.alpha, d.beta, d.gamma, d.c0, d.seed)
 
 
 def test_run_smallentry_range_error(tmp_path, capsys):

@@ -64,6 +64,31 @@ def test_generate_property_sweep():
         assert mp.validate_bd(m.base, delta)
 
 
+def generate_bd_loop(n, delta, seed):
+    """Reference for generate_bd: the walk row by row, entry by entry, over
+    the same draws."""
+    x = np.zeros((n, n), dtype=np.int64)
+    if delta > 1 and n > 1:
+        rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+        span = 2 * delta - 1
+        x[0, 1:] = np.cumsum(rng.integers(-(delta - 1), delta, size=n - 1))
+        draws = rng.integers(0, 1 << 62, size=(n - 1, n), dtype=np.int64)
+        for i in range(1, n):
+            x[i, 0] = x[i - 1, 0] - (delta - 1) + int(draws[i - 1, 0]) % span
+            for j in range(1, n):
+                up, prev = int(x[i - 1, j]), int(x[i, j - 1])
+                lo, hi = max(up, prev) - delta + 1, min(up, prev) + delta - 1
+                x[i, j] = lo + int(draws[i - 1, j]) % (hi - lo + 1)
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 32, 128])
+@pytest.mark.parametrize("delta", [1, 2, 3, 5])
+def test_generate_matches_row_walk(n, delta):
+    for seed in (0, 1, 7, 2**40 + 3):
+        assert np.array_equal(mp.generate_bd(n, delta, seed).base.data, generate_bd_loop(n, delta, seed))
+
+
 def test_generate_rejects():
     with pytest.raises(ValueError):
         mp.generate_bd(3, 1, 0)

@@ -239,7 +239,7 @@ def test_recursive_skips_empty_levels(pool, monkeypatch):
     monkeypatch.setattr(basic, "candidate_sets", counting)
     a, b = pool.pair(64, 2, 0)
     trace = []
-    got = mp.recursive_minplus(a, b, AlgoParams(delta=2, seed=7), level_trace=trace)
+    got = mp.recursive_minplus(a, b, AlgoParams(delta=2, alpha=0.9, seed=7), level_trace=trace)
     assert got == pool.naive(64, 2, 0)
     assert calls == [2]
     assert [s.block_len for s in trace] == [2, 1]
@@ -400,7 +400,7 @@ def test_recursive_audited_counters_golden():
     # counters and per-level pairs of the earlier implementation with
     # separate basic and recursive loops, on a fixed pair and seed
     a, b = valley_bd(64, 5, 0)
-    params = AlgoParams(delta=5, seed=0)
+    params = AlgoParams(delta=5, alpha=0.9, seed=0)
     counters = Counters()
     trace = []
     got = mp.recursive_minplus(a, b, params, counters=counters, level_trace=trace)
@@ -468,7 +468,7 @@ def test_first_child_scan_reads_compact_columns(monkeypatch):
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        got = mp.recursive_minplus(a, b, AlgoParams(delta=2))
+        got = mp.recursive_minplus(a, b, AlgoParams(delta=2, alpha=0.9))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
