@@ -2,7 +2,8 @@
 
 Both engines run one level loop (``run_levels``) over a list of block
 lengths: the single-partition engine over ``[l0]``, the recursive engine over
-``l0, l0/2, ..., 1``. At each level, candidate sets from block
+``l0, l0/2, ...`` down to the floor ``AlgoParams.l_min`` (``AlgoParams.levels``;
+single entries at ``l_min=1``). At each level, candidate sets from block
 representatives split the open block pairs. The top level scans every
 representative triple (``candidate_sets``, a dense mask); a finer level
 scans only the children of its pending parents' candidate columns
@@ -124,12 +125,18 @@ class AlgoParams:
 
     alpha sets the block length l ~ n**(1-alpha); beta the small-candidate
     threshold n**beta; gamma the segment-size threshold n**gamma; c0 scales
-    the sample size.
+    the sample size; l_min, a power of two, the finest block length the
+    recursive engine refines to.
 
     The default alpha = 0.7 gives l = 4 at n = 32..256 and l = 8 at
     n = 512..2048, where per-block overhead no longer outweighs the pruning
-    (measured against ``dense_minplus``, see the README). The paper's
-    schedule, l = 2 at every n from 32 to 16384, is ``alpha=0.9``.
+    (measured against ``dense_minplus``, see the README). The default
+    l_min = 8 keeps the recursive engine at the top level up to n = 2048,
+    where no finer level pays at every size, and adds the level 8 under
+    l = 16 at n = 4096, where it pays on valley (README grid). Sizes from
+    n = 8192 on, with levels [32, 16, 8], have not been measured. The paper's
+    schedule, l = 2 at every n from 32 to 16384 refined down to single
+    entries, is ``alpha=0.9, l_min=1``.
     """
 
     delta: int
@@ -138,6 +145,7 @@ class AlgoParams:
     gamma: float = 0.6
     c0: int = 3
     seed: int = 0
+    l_min: int = 8
 
     def __post_init__(self):
         if int(self.delta) < 1:
@@ -148,6 +156,9 @@ class AlgoParams:
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
         if int(self.c0) < 1:
             raise ValueError(f"c0 must be a positive integer, got {self.c0}")
+        l_min = int(self.l_min)
+        if l_min != self.l_min or l_min < 1 or l_min & (l_min - 1):
+            raise ValueError(f"l_min must be a positive power of two, got {self.l_min}")
 
     def block_len(self, n: int) -> int:
         """Power-of-two block length nearest n**(1-alpha) (half-up rounding)."""
@@ -156,6 +167,12 @@ class AlgoParams:
         lg = int(math.log2(n))
         exp = int(math.floor((1.0 - self.alpha) * lg + 0.5 + 1e-9))
         return 1 << max(0, min(lg, exp))
+
+    def levels(self, n: int) -> list[int]:
+        """Block lengths of the recursive schedule at size n: the top block
+        length l0, then l0/2, l0/4, ... down to min(l0, l_min)."""
+        l0 = self.block_len(n)
+        return [l0 >> j for j in range((l0 // min(l0, int(self.l_min))).bit_length())]
 
     def t_beta(self, n: int) -> int:
         return ceil_tol(n ** self.beta)

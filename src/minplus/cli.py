@@ -233,7 +233,13 @@ def cmd_run(args) -> int:
         else:
             delta = a.delta if isinstance(a, BDMatrix) else 1
         params = AlgoParams(
-            delta=delta, alpha=args.alpha, beta=args.beta, gamma=args.gamma, c0=args.c0, seed=args.seed
+            delta=delta,
+            alpha=args.alpha,
+            beta=args.beta,
+            gamma=args.gamma,
+            c0=args.c0,
+            seed=args.seed,
+            l_min=args.l_min,
         )
         result, rec = _run_once(args.algo, a, b, params, m_bound=args.m_bound, verify=args.verify)
     except UsageError as e:
@@ -327,6 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--gamma", type=float, default=_DEFAULTS["gamma"])
     r.add_argument("--c0", type=int, default=_DEFAULTS["c0"])
     r.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
+    r.add_argument("--l-min", type=int, default=_DEFAULTS["l_min"])
     r.add_argument("--m-bound", type=int, default=None)
     r.add_argument("--verify", action="store_true")
     r.add_argument("--strict", action="store_true")

@@ -1,10 +1,11 @@
-"""Level-recursive min-plus product, and every slot and collision concern.
+"""Level-recursive min-plus product and the collision audit.
 
 The recursive engine runs the shared level loop (``basic.run_levels``) from
-the top block length down to single entries, halving the block length each
-round. Pairs whose candidate set crosses the size threshold at some level
-are finished by that level's sampled pipeline; pairs still small at block
-length 1 are finished by direct candidate enumeration.
+the top block length down to the floor ``AlgoParams.l_min`` (single entries
+at ``l_min=1``, the paper's schedule), halving the block length each round.
+Pairs whose candidate set crosses the size threshold at some level are
+finished by that level's sampled pipeline; pairs still small at the last
+level are finished there by direct candidate enumeration.
 
 No product runs the rest of this module. The collision audit replays the
 slot allocation of the paper after a product: at finer levels it descends
@@ -15,11 +16,9 @@ no reduced copy), and its correspondence relations share the tree nodes
 and footprints; only the slot draws and B partners differ between them.
 Shared slots are searched as the children of each slot's diagonal pair.
 The audit only fills counters; results never depend on it. The flat
-allocation and collision search (``_build_allocation``,
-``find_collisions``, ``collision_block_counts``) back the collision
-statistics of the acceptance gate. The packed
-rectangular products that route a sampled column's blocks through these
-slots in the paper are a test-side reference (``tests/packed_reference.py``).
+slot allocation and the packed rectangular products that route a sampled
+column's blocks through these slots in the paper are a test-side reference
+(``tests/packed_reference.py``).
 """
 
 from __future__ import annotations
@@ -60,22 +59,6 @@ def b_partners(seg_b: SegmentTable, a_keys: np.ndarray, shift: int) -> tuple[np.
         return np.zeros(len(want), dtype=np.int64), np.zeros(len(want), dtype=bool)
     pos = np.minimum(np.searchsorted(b_enc, want), len(b_enc) - 1)
     return pos, b_enc[pos] == want
-
-
-def baseline_offset(bucket, shift: int, width: int):
-    """Value added to A-side segment entries and subtracted from the B-side
-    partner. Centers both sides into [-(width + wobble), width + wobble]
-    while leaving every pair sum unchanged."""
-    bucket = np.asarray(bucket, dtype=np.int64)
-    if shift == -2:
-        out = -(bucket + 1) * width
-    elif shift == -1:
-        out = -bucket * width - width // 2
-    elif shift == 0:
-        out = -bucket * width
-    else:
-        raise ValueError(f"unknown correspondence shift {shift}")
-    return out if out.ndim else int(out)
 
 
 def colocated_pairs(slots: np.ndarray) -> np.ndarray:
@@ -151,11 +134,6 @@ def allocate_recursive(tree: SlotTree, child_keys: np.ndarray, rng: np.random.Ge
     return SlotTree(tree.levels + [lev])
 
 
-def collisions_exhaustive(tree: SlotTree, level_index: int) -> np.ndarray:
-    """Reference per-slot enumeration at one tree level."""
-    return colocated_pairs(tree.levels[level_index].slots)
-
-
 def _expand_children(pairs: np.ndarray, child_of: np.ndarray, starts: np.ndarray, counts: np.ndarray):
     """Cartesian products of the children of each (parent a, parent b) pair."""
     pa, pb = pairs[:, 0], pairs[:, 1]
@@ -219,95 +197,6 @@ def collisions_incremental(
         _, first = np.unique(enc, return_index=True)
         out = out[np.sort(first)]
     return out
-
-
-# ---------------------------------------------------------------------------
-# flat allocation and collisions
-
-
-@dataclass
-class AllocationMap:
-    """Randomized placement of small segments into rectangular slots.
-
-    Corresponding A/B segments share a slot; ``offsets`` records the
-    baseline added to the A side and subtracted from the B side.
-    """
-
-    slot_count: int
-    shift: int
-    block_len: int
-    width: int
-    m_enc: int
-    keys: np.ndarray  # (m, 2) [home block column, bucket]
-    slots: np.ndarray
-    offsets: np.ndarray
-    a_rows: list[np.ndarray]
-    b_cols: list[np.ndarray]
-    a_sizes: np.ndarray
-    b_sizes: np.ndarray
-
-
-def _build_allocation(
-    seg_a: SegmentTable,
-    seg_b: SegmentTable,
-    select: np.ndarray,
-    shift: int,
-    slot_count: int,
-    rng: np.random.Generator,
-) -> AllocationMap:
-    l, w = seg_a.block_len, seg_a.width
-    keys = seg_a.keys[select]
-    idxs = np.flatnonzero(select)
-    slots = allocate_top(keys, l, slot_count, rng).leaf.slots
-    offsets = baseline_offset(keys[:, 1], shift, w)
-    pos, found = b_partners(seg_b, keys, shift)
-
-    empty = np.empty(0, dtype=np.int64)
-    a_rows = [seg_a.members_of(i) for i in idxs]
-    b_cols = [seg_b.members_of(pos[i]) if found[i] else empty for i in range(len(keys))]
-    a_sizes = seg_a.sizes[select]
-    b_sizes = np.where(found, seg_b.sizes[pos], 0)
-    return AllocationMap(
-        slot_count=slot_count,
-        shift=shift,
-        block_len=l,
-        width=w,
-        m_enc=seg_a.m_enc,
-        keys=keys,
-        slots=slots,
-        offsets=offsets,
-        a_rows=a_rows,
-        b_cols=b_cols,
-        a_sizes=a_sizes,
-        b_sizes=b_sizes,
-    )
-
-
-def find_collisions(alloc: AllocationMap, counters: Counters | None = None) -> np.ndarray:
-    """All co-located non-corresponding segment pairs, as rows
-    (slot, A-segment id, B-segment id) indexing ``alloc.keys``; pairs with
-    an empty A or B side are left out.
-
-    The enumeration cost counter adds sum over slots of |A_p| * |B_q| across
-    ordered cross pairs, block counts multiplied.
-    """
-    pairs = colocated_pairs(alloc.slots)
-    out = pairs[(alloc.a_sizes[pairs[:, 1]] > 0) & (alloc.b_sizes[pairs[:, 2]] > 0)]
-    if counters is not None:
-        counters.collision_checks += cross_check_count(alloc.slots, alloc.a_sizes, alloc.b_sizes)
-        counters.collisions_found += len(out)
-    return out
-
-
-def collision_block_counts(alloc: AllocationMap, collisions: np.ndarray, nb: int) -> np.ndarray:
-    """Number of collision pairs whose footprint covers each output block."""
-    counts = np.zeros((nb, nb), dtype=np.int64)
-    for _, pi, qi in collisions:
-        rows = alloc.a_rows[int(pi)]
-        cols = alloc.b_cols[int(qi)]
-        if len(rows) and len(cols):
-            counts[np.ix_(rows, cols)] += 1
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +329,12 @@ def recursive_minplus(
     level_trace: list[LevelState] | None = None,
 ) -> Matrix:
     """Exact min-plus product via level-by-level candidate refinement: the
-    level loop over block lengths l0, l0/2, ..., 1.
+    level loop over block lengths l0, l0/2, ..., down to min(l0, l_min)
+    (``AlgoParams.levels``); pairs still pending at the last level are
+    enumerated there. ``l_min=1`` refines to single entries, as the paper
+    does.
 
     Deterministic for a fixed params.seed.
     """
-    l0 = params.block_len(check_operands(a, b, params, "recursive_minplus"))
-    return run_levels(a, b, params, [l0 >> j for j in range(l0.bit_length())], counters, level_trace)
+    n = check_operands(a, b, params, "recursive_minplus")
+    return run_levels(a, b, params, params.levels(n), counters, level_trace)

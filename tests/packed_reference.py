@@ -1,22 +1,142 @@
 """The paper's packed rectangular products, the reference the level loop's
 direct per-block evaluation (``basic._assigned_block_values``) is tested
-against.
+against, and the flat slot allocation they run on.
 
 For one sampled column's reduced matrices and one correspondence relation:
 large segments go into private rectangular slots and run through the
-small-entry product; small segments are randomly allocated to shared slots,
-packed as polynomials, multiplied, and cleaned by subtracting the block
-products of every collision. No product of the library runs this code.
+small-entry product; small segments are randomly allocated to shared slots
+(``_build_allocation``, centered by ``baseline_offset``), packed as
+polynomials, multiplied, and cleaned by subtracting the block products of
+every collision (``find_collisions``). The acceptance gate's collision
+statistics use the same allocation, and ``collisions_exhaustive`` is the
+per-slot reference for the slot tree's incremental search. No product or
+audit of the library runs this code; the slot tree, ``b_partners`` and the
+collision audit stay in ``minplus.recursive``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from minplus import INF, Counters, Matrix, minplus_small_entries
 from minplus.basic import SegmentTable, require
 from minplus.oracle import PolyMatrix, extract_min, poly_matmul
-from minplus.recursive import AllocationMap, _build_allocation, b_partners, baseline_offset
+from minplus.recursive import SlotTree, allocate_top, b_partners, colocated_pairs, cross_check_count
+
+# ---------------------------------------------------------------------------
+# flat allocation and collisions
+
+
+def baseline_offset(bucket, shift: int, width: int):
+    """Value added to A-side segment entries and subtracted from the B-side
+    partner. Centers both sides into [-(width + wobble), width + wobble]
+    while leaving every pair sum unchanged."""
+    bucket = np.asarray(bucket, dtype=np.int64)
+    if shift == -2:
+        out = -(bucket + 1) * width
+    elif shift == -1:
+        out = -bucket * width - width // 2
+    elif shift == 0:
+        out = -bucket * width
+    else:
+        raise ValueError(f"unknown correspondence shift {shift}")
+    return out if out.ndim else int(out)
+
+
+@dataclass
+class AllocationMap:
+    """Randomized placement of small segments into rectangular slots.
+
+    Corresponding A/B segments share a slot; ``offsets`` records the
+    baseline added to the A side and subtracted from the B side.
+    """
+
+    slot_count: int
+    shift: int
+    block_len: int
+    width: int
+    m_enc: int
+    keys: np.ndarray  # (m, 2) [home block column, bucket]
+    slots: np.ndarray
+    offsets: np.ndarray
+    a_rows: list[np.ndarray]
+    b_cols: list[np.ndarray]
+    a_sizes: np.ndarray
+    b_sizes: np.ndarray
+
+
+def _build_allocation(
+    seg_a: SegmentTable,
+    seg_b: SegmentTable,
+    select: np.ndarray,
+    shift: int,
+    slot_count: int,
+    rng: np.random.Generator,
+) -> AllocationMap:
+    l, w = seg_a.block_len, seg_a.width
+    keys = seg_a.keys[select]
+    idxs = np.flatnonzero(select)
+    slots = allocate_top(keys, l, slot_count, rng).leaf.slots
+    offsets = baseline_offset(keys[:, 1], shift, w)
+    pos, found = b_partners(seg_b, keys, shift)
+
+    empty = np.empty(0, dtype=np.int64)
+    a_rows = [seg_a.members_of(i) for i in idxs]
+    b_cols = [seg_b.members_of(pos[i]) if found[i] else empty for i in range(len(keys))]
+    a_sizes = seg_a.sizes[select]
+    b_sizes = np.where(found, seg_b.sizes[pos], 0)
+    return AllocationMap(
+        slot_count=slot_count,
+        shift=shift,
+        block_len=l,
+        width=w,
+        m_enc=seg_a.m_enc,
+        keys=keys,
+        slots=slots,
+        offsets=offsets,
+        a_rows=a_rows,
+        b_cols=b_cols,
+        a_sizes=a_sizes,
+        b_sizes=b_sizes,
+    )
+
+
+def find_collisions(alloc: AllocationMap, counters: Counters | None = None) -> np.ndarray:
+    """All co-located non-corresponding segment pairs, as rows
+    (slot, A-segment id, B-segment id) indexing ``alloc.keys``; pairs with
+    an empty A or B side are left out.
+
+    The enumeration cost counter adds sum over slots of |A_p| * |B_q| across
+    ordered cross pairs, block counts multiplied.
+    """
+    pairs = colocated_pairs(alloc.slots)
+    out = pairs[(alloc.a_sizes[pairs[:, 1]] > 0) & (alloc.b_sizes[pairs[:, 2]] > 0)]
+    if counters is not None:
+        counters.collision_checks += cross_check_count(alloc.slots, alloc.a_sizes, alloc.b_sizes)
+        counters.collisions_found += len(out)
+    return out
+
+
+def collision_block_counts(alloc: AllocationMap, collisions: np.ndarray, nb: int) -> np.ndarray:
+    """Number of collision pairs whose footprint covers each output block."""
+    counts = np.zeros((nb, nb), dtype=np.int64)
+    for _, pi, qi in collisions:
+        rows = alloc.a_rows[int(pi)]
+        cols = alloc.b_cols[int(qi)]
+        if len(rows) and len(cols):
+            counts[np.ix_(rows, cols)] += 1
+    return counts
+
+
+def collisions_exhaustive(tree: SlotTree, level_index: int) -> np.ndarray:
+    """Reference per-slot enumeration at one tree level."""
+    return colocated_pairs(tree.levels[level_index].slots)
+
+
+# ---------------------------------------------------------------------------
+# packed products
 
 
 def process_large_segments(

@@ -14,17 +14,10 @@ from minplus import AlgoParams, Counters
 from minplus.basic import build_segments, derived_rng, sample_r
 from minplus.blocking import candidate_sets
 from minplus.cli import RunRecord, _run_once, strict_violations
-from minplus.recursive import (
-    _build_allocation,
-    allocate_recursive,
-    allocate_top,
-    collision_block_counts,
-    collisions_exhaustive,
-    collisions_incremental,
-    find_collisions,
-)
+from minplus.recursive import allocate_recursive, allocate_top, collisions_incremental
 
 from conftest import random_matrix
+from packed_reference import _build_allocation, collision_block_counts, collisions_exhaustive, find_collisions
 
 GRID_NS = (32, 64, 128)
 GRID_DELTAS = (1, 2, 5)

@@ -29,22 +29,24 @@ PUBLIC = [
     "write_matrix",
 ]
 
-# slot and collision code: recursive owns it, the product module binds none
-# of it
+# slot and collision code the collision audit runs: recursive owns it, the
+# product module binds none of it
 SLOT_AND_COLLISION = [
-    "AllocationMap",
-    "_build_allocation",
     "b_partners",
-    "baseline_offset",
     "colocated_pairs",
-    "collision_block_counts",
     "cross_check_count",
-    "find_collisions",
 ]
 
-# the paper's packed products: a test-side reference, in no library module
+# the paper's packed products and the flat slot allocation only they and the
+# tests run: a test-side reference, in no library module
 PACKED_REFERENCE = [
+    "AllocationMap",
     "_POLY_BYTES_LIMIT",
+    "_build_allocation",
+    "baseline_offset",
+    "collision_block_counts",
+    "collisions_exhaustive",
+    "find_collisions",
     "process_large_segments",
     "process_small_segments",
     "subtract_collisions",

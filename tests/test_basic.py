@@ -21,10 +21,17 @@ from minplus.basic import (
 )
 from minplus.blocking import Columns, candidate_sets
 from minplus.oracle import PolyMatrix, extract_min, poly_matmul
-from minplus.recursive import AllocationMap, allocate_top, baseline_offset, collision_audit, find_collisions
+from minplus.recursive import allocate_top, collision_audit
 
 from conftest import random_matrix, valley_bd
-from packed_reference import process_large_segments, process_small_segments, subtract_collisions
+from packed_reference import (
+    AllocationMap,
+    baseline_offset,
+    find_collisions,
+    process_large_segments,
+    process_small_segments,
+    subtract_collisions,
+)
 
 
 def zeros_bd(n):
@@ -75,6 +82,24 @@ def test_default_block_len():
     # the default schedule: l0 = 4 at n = 32..256, 8 at n = 512..2048
     p = AlgoParams(delta=2)
     assert [p.block_len(1 << e) for e in range(5, 12)] == [4, 4, 4, 4, 8, 8, 8]
+
+
+def test_default_levels():
+    # the default floor l_min = 8 is at or above l0 up to n = 2048, so the
+    # recursive schedule is the top level alone there, and one halving at
+    # n = 4096; a lower floor adds levels down to it, and l_min = 1 is the
+    # paper's descent
+    p = AlgoParams(delta=2)
+    assert [p.levels(n) for n in (2, 32, 256, 512, 2048)] == [[1], [4], [4], [8], [8]]
+    assert p.levels(4096) == [16, 8]
+    assert AlgoParams(delta=2, l_min=4).levels(512) == [8, 4]
+    assert AlgoParams(delta=2, alpha=0.9, l_min=1).levels(64) == [2, 1]
+
+
+@pytest.mark.parametrize("l_min", [0, 3, -4])
+def test_params_reject_bad_l_min(l_min):
+    with pytest.raises(ValueError, match="l_min"):
+        AlgoParams(delta=2, l_min=l_min)
 
 
 # --- sampling --------------------------------------------------------------
@@ -653,7 +678,7 @@ def test_engines_exact_on_valley_tails(n, delta):
     a, b = valley_bd(n, delta, n + delta)
     want = mp.minplus_naive(a.base, b.base)
     for beta in (0.6, 0.85):
-        params = AlgoParams(delta=delta, beta=beta, seed=1)
+        params = AlgoParams(delta=delta, beta=beta, seed=1, l_min=1)
         basic_trace, rec_trace = [], []
         assert mp.basic_minplus(a, b, params, level_trace=basic_trace) == want
         assert mp.recursive_minplus(a, b, params, level_trace=rec_trace) == want
@@ -795,7 +820,7 @@ def test_partial_selections_take_gather(monkeypatch):
 
     monkeypatch.setattr("minplus.basic._planes", counting)
     a, b = valley_bd(128, 2, 7)
-    got = mp.recursive_minplus(a, b, AlgoParams(delta=2, seed=7))
+    got = mp.recursive_minplus(a, b, AlgoParams(delta=2, seed=7, l_min=1))
     assert calls and set(calls) == {1}
     assert got == mp.minplus_naive(a.base, b.base)
 

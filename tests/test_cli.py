@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import minplus as mp
+from minplus import cli
 from minplus.cli import (
     CSV_HEADER,
     EXIT_STRICT,
@@ -79,6 +80,25 @@ def test_run_takes_library_defaults(tmp_path, capsys):
     assert rec.alpha == 0.7
     d = mp.AlgoParams(delta=2)
     assert (rec.alpha, rec.beta, rec.gamma, rec.c0, rec.seed) == (d.alpha, d.beta, d.gamma, d.c0, d.seed)
+
+
+def test_run_l_min(tmp_path, capsys, monkeypatch):
+    # --l-min reaches AlgoParams (default from the library); the CSV does
+    # not record it
+    seen = []
+    real = cli.recursive_minplus
+
+    def recording(a, b, params, **kw):
+        seen.append(params.l_min)
+        return real(a, b, params, **kw)
+
+    monkeypatch.setattr(cli, "recursive_minplus", recording)
+    pa, pb = _gen_pair(tmp_path)
+    base = ("run", "--algo", "recursive", "--a", str(pa), "--b", str(pb), "--out", str(tmp_path / "c.mpm"))
+    assert run_cli(*base, "--verify") == 0
+    assert run_cli(*base, "--alpha", "0.9", "--l-min", "1", "--verify", "--strict") == 0
+    assert seen == [mp.AlgoParams(delta=2).l_min, 1]
+    assert run_cli(*base, "--l-min", "3") == EXIT_USAGE
 
 
 def test_run_smallentry_range_error(tmp_path, capsys):

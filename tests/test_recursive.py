@@ -15,12 +15,12 @@ from minplus.recursive import (
     allocate_top,
     collision_audit,
     colocated_pairs,
-    collisions_exhaustive,
     collisions_incremental,
     cross_check_count,
 )
 
 from conftest import valley_bd
+from packed_reference import collisions_exhaustive
 
 
 def _chain_tree(seed, levels=2, top_slots=1):
@@ -216,8 +216,41 @@ def test_recursive_matches_naive_sweep(pool):
             assert mp.recursive_minplus(a, b, params) == pool.naive(64, delta, seed)
 
 
+@pytest.mark.parametrize("alpha", [0.9, 0.6])
+def test_paper_schedule_matches_naive_sweep(pool, alpha):
+    # the default floor keeps the recursive engine at the top level up to
+    # n = 2048; the paper's descent to single entries (l_min = 1) stays
+    # exact on the walk grid of the acceptance gate, with ten seeds at n = 64
+    # as the default-parameter sweep above ran before the floor
+    for n in (32, 64, 128):
+        for delta in (1, 2, 5):
+            params = AlgoParams(delta=delta, alpha=alpha, seed=4, l_min=1)
+            for seed in range(10 if n == 64 else 3):
+                a, b = pool.pair(n, delta, seed)
+                trace = []
+                assert mp.recursive_minplus(a, b, params, level_trace=trace) == pool.naive(n, delta, seed)
+                assert [s.block_len for s in trace] == params.levels(n)
+
+
+@pytest.mark.parametrize("l_min", [2, 4])
+@pytest.mark.parametrize("delta", [2, 5])
+def test_tail_at_floor_above_one_is_exact(delta, l_min):
+    # a floor above 1 ends the descent at a CSR level, whose pending pairs
+    # are enumerated there from their stored columns
+    tails = []
+    for n in (64, 128, 256):
+        a, b = valley_bd(n, delta, n + delta)
+        params = AlgoParams(delta=delta, alpha=0.6, seed=7, l_min=l_min)
+        trace = []
+        assert mp.recursive_minplus(a, b, params, level_trace=trace) == mp.minplus_naive(a.base, b.base)
+        assert [s.block_len for s in trace] == params.levels(n)
+        if len(trace) > 1:
+            tails.append(len(trace[-1].pending))
+    assert max(tails) > 0
+
+
 def test_recursive_deeper_levels(pool):
-    params = AlgoParams(delta=2, alpha=0.6, seed=3)
+    params = AlgoParams(delta=2, alpha=0.6, seed=3, l_min=1)
     for seed in range(5):
         a, b = pool.pair(64, 2, seed)
         trace = []
@@ -239,7 +272,7 @@ def test_recursive_skips_empty_levels(pool, monkeypatch):
     monkeypatch.setattr(basic, "candidate_sets", counting)
     a, b = pool.pair(64, 2, 0)
     trace = []
-    got = mp.recursive_minplus(a, b, AlgoParams(delta=2, alpha=0.9, seed=7), level_trace=trace)
+    got = mp.recursive_minplus(a, b, AlgoParams(delta=2, alpha=0.9, seed=7, l_min=1), level_trace=trace)
     assert got == pool.naive(64, 2, 0)
     assert calls == [2]
     assert [s.block_len for s in trace] == [2, 1]
@@ -250,7 +283,7 @@ def test_recursive_skips_empty_levels(pool, monkeypatch):
     calls.clear()
     a, b = valley_bd(128, 2, 130)
     trace = []
-    got = mp.recursive_minplus(a, b, AlgoParams(delta=2, alpha=0.6, seed=7), level_trace=trace)
+    got = mp.recursive_minplus(a, b, AlgoParams(delta=2, alpha=0.6, seed=7, l_min=1), level_trace=trace)
     assert got == mp.minplus_naive(a.base, b.base)
     assert [s.block_len for s in trace] == [8, 4, 2, 1]
     assert all(len(s.pending) for s in trace)
@@ -277,7 +310,7 @@ def test_level_child_sets_equal_dense_sets(pool, monkeypatch, family, delta, alp
         return cs
 
     monkeypatch.setattr(basic, "child_sets", recording)
-    params = AlgoParams(delta=delta, alpha=alpha, seed=7)
+    params = AlgoParams(delta=delta, alpha=alpha, seed=7, l_min=1)
     trace = []
     assert mp.recursive_minplus(a, b, params, level_trace=trace) == mp.minplus_naive(a.base, b.base)
     assert [l for l, _, _ in scans] == [cur.block_len for prev, cur in zip(trace, trace[1:]) if len(prev.pending)]
@@ -322,7 +355,7 @@ def test_fallback_below_top_is_exact(monkeypatch):
 
     monkeypatch.setattr(basic, "sample_r", sample_nothing)
     a, b = valley_bd(128, 2, 130)
-    params = AlgoParams(delta=2, alpha=0.6, seed=7)
+    params = AlgoParams(delta=2, alpha=0.6, seed=7, l_min=1)
     counters = Counters()
     trace = []
     assert mp.recursive_minplus(a, b, params, counters=counters, level_trace=trace) == mp.minplus_naive(a.base, b.base)
@@ -355,7 +388,7 @@ def test_recursive_level_partition(pool):
     # every surviving pair is either active at its level or refined onward;
     # pairs at the next level descend from this level's pending pairs
     a, b = pool.pair(64, 2, 13)
-    params = AlgoParams(delta=2, alpha=0.6, seed=5)
+    params = AlgoParams(delta=2, alpha=0.6, seed=5, l_min=1)
     trace = []
     mp.recursive_minplus(a, b, params, level_trace=trace)
     for prev, cur in zip(trace, trace[1:]):
@@ -400,7 +433,7 @@ def test_recursive_audited_counters_golden():
     # counters and per-level pairs of the earlier implementation with
     # separate basic and recursive loops, on a fixed pair and seed
     a, b = valley_bd(64, 5, 0)
-    params = AlgoParams(delta=5, alpha=0.9, seed=0)
+    params = AlgoParams(delta=5, alpha=0.9, seed=0, l_min=1)
     counters = Counters()
     trace = []
     got = mp.recursive_minplus(a, b, params, counters=counters, level_trace=trace)
@@ -440,7 +473,7 @@ def test_recursive_memory_below_cubic():
     a, b = valley_bd(n, 2, n + 2)
     tracemalloc.start()
     try:
-        got = mp.recursive_minplus(a, b, AlgoParams(delta=2))
+        got = mp.recursive_minplus(a, b, AlgoParams(delta=2, l_min=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -468,7 +501,7 @@ def test_first_child_scan_reads_compact_columns(monkeypatch):
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        got = mp.recursive_minplus(a, b, AlgoParams(delta=2, alpha=0.9))
+        got = mp.recursive_minplus(a, b, AlgoParams(delta=2, alpha=0.9, l_min=1))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
