@@ -43,6 +43,18 @@ columns of a level hand their full pairs to one dense call together, so
 pairs split between columns still form whole rows there. The switch reads
 only the selections; the counters are computed from the same selections
 either way.
+
+The kernels add and reduce in the narrowest integer type the data allows.
+Once per product, ``kernel_operands`` shifts the operands to start at 0,
+A - min A and B - min B, and stores them in the narrowest of int16, int32
+and int64 whose max holds span(A) + span(B). Every sum a kernel forms lies
+in [0, span(A) + span(B)], so it is exact in that type; a bounded-difference
+operand spans at most 2*(delta-1)*(n-1), so small delta gives int16. The
+shift min A + min B is added back in one place, when a block is written
+(``_finalize``). The candidate scans, the bucket sums and the block length
+1 reads of the representative minimum stay on the int64 originals: a bucket
+is a difference within one row of A or one column of B, where the shift
+cancels anyway.
 """
 
 from __future__ import annotations
@@ -50,6 +62,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -324,15 +337,41 @@ def sample_r(
 
 
 # Block entries (triples times l*l) per kernel chunk: each of the chunk's
-# five (l*l, triples) int64 temporaries stays at 1 MiB, unless one pair's
-# candidate columns alone hold more. The gather path counts at least four
-# entries a triple, because at l = 1 its per-triple index arrays (pair,
-# column and the two flat indices) are as large as those temporaries. The
-# bucket sums that select an assigned pair's block columns, and the dense
-# path's sums, are built under the same budget.
+# five (l*l, triples) temporaries, in the kernel operands' type, stays at
+# 256 KiB in int16 (1 MiB in int64), unless one pair's candidate columns
+# alone hold more. The gather path counts at least four entries a triple,
+# because at l = 1 its per-triple int64 index arrays (pair, column and the
+# two flat indices) are at least as large as those temporaries. The bucket
+# sums that select an assigned pair's block columns, and the dense path's
+# sums, are built under the same budget.
 _TRIPLE_BUDGET = 1 << 17
 
 _DENSE_TILE = 16
+
+
+class KernelOperands(NamedTuple):
+    """A product's operands as the block kernels read them: A - min A and
+    B - min B, whose sums are the original sums minus ``shift`` = min A +
+    min B, in one integer type that holds every such sum."""
+
+    a: np.ndarray
+    b: np.ndarray
+    shift: int
+
+
+def kernel_operands(a_data: np.ndarray, b_data: np.ndarray) -> KernelOperands:
+    """The operands shifted to start at 0, in the narrowest of int16, int32
+    and int64 whose max holds span(A) + span(B), the largest shifted sum.
+    Every sum, and so every minimum, a kernel forms on them is then exact in
+    that type; a kernel value plus ``shift`` is the original's."""
+    lo_a, lo_b = int(a_data.min()), int(b_data.min())
+    top = int(a_data.max()) - lo_a + int(b_data.max()) - lo_b
+    require(top < 1 << 63, "shifted operand sums beyond int64")
+    dtype = np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64
+    # subtracted in int64 and written in the narrow type, chunk by chunk
+    a = np.subtract(a_data, lo_a, out=np.empty(a_data.shape, dtype))
+    b = np.subtract(b_data, lo_b, out=np.empty(b_data.shape, dtype))
+    return KernelOperands(a, b, lo_a + lo_b)
 
 
 def _planes(data: np.ndarray, l: int) -> np.ndarray:
@@ -354,7 +393,10 @@ def _min_blocks(
     the dense path (``_min_full``): its value is the plain min-plus product
     of its rows of A and columns of B, so it is exact by construction. The
     other pairs take the gather path (``_min_gathered``). When no pair is
-    full, the split allocates nothing. Returns (len(pairs), l, l).
+    full, the split allocates nothing. Both paths add and reduce in the
+    operands' type, which must hold every sum of an A and a B entry (as
+    ``kernel_operands`` guarantees). Returns (len(pairs), l, l) in that
+    type.
     """
     nb = a_data.shape[0] // l
     starts = selection_starts(sel)
@@ -366,7 +408,7 @@ def _min_blocks(
     full = counts == nb
     if full.all():
         return _min_full(a_data, b_data, l, pairs)
-    out = np.empty((len(pairs), l, l), dtype=np.int64)
+    out = np.empty((len(pairs), l, l), dtype=np.result_type(a_data, b_data))
     out[full] = _min_full(a_data, b_data, l, pairs[full])
     rest = ~full
     out[rest] = _min_gathered(a_data, b_data, l, pairs[rest], *select_pairs(sel, counts, rest))
@@ -385,11 +427,13 @@ def _min_full(a_data: np.ndarray, b_data: np.ndarray, l: int, pairs: np.ndarray)
     _TRIPLE_BUDGET entries at a time, and reduced over k: several block rows
     with every k at once, or one block row with k in slices whose running
     minimum is kept (one k's sums of a block row, if those alone are more).
-    Returns (len(pairs), l, l).
+    The buffers and the result are in the operands' type, which must hold
+    every sum. Returns (len(pairs), l, l).
     """
     n = a_data.shape[0]
     nb = n // l
-    out = np.empty((len(pairs), l, l), dtype=np.int64)
+    dtype = np.result_type(a_data, b_data)
+    out = np.empty((len(pairs), l, l), dtype=dtype)
     key = pairs[:, 0] * nb + pairs[:, 1]
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -409,8 +453,8 @@ def _min_full(a_data: np.ndarray, b_data: np.ndarray, l: int, pairs: np.ndarray)
     # a chunk never holds more than max(_TRIPLE_BUDGET, l*n) sums, nor more
     # than all pairs'
     size = len(pairs) * l * l
-    sums = np.empty(min(max(_TRIPLE_BUDGET, l * n), size * n), dtype=np.int64)
-    mins = np.empty(min(max(_TRIPLE_BUDGET // n, l * n), size), dtype=np.int64)
+    sums = np.empty(min(max(_TRIPLE_BUDGET, l * n), size * n), dtype=dtype)
+    mins = np.empty(min(max(_TRIPLE_BUDGET // n, l * n), size), dtype=dtype)
     part = np.empty_like(mins)
     for s, e in zip(rect_at, np.append(rect_at[1:], len(runs))):
         bi0, bj0, wd = int(bi[s]), int(bj[s]), int(width[s])
@@ -442,7 +486,9 @@ def dense_minplus(a: Matrix, b: Matrix) -> Matrix:
     """Exact min-plus product of two square all-finite matrices of one size:
     the dense path's kernel (``_min_full``) over every block pair, at a tile
     of gcd(n, 16), which is 16 for every multiple of 16 and n for a smaller
-    power of two.
+    power of two. Like the engines, it runs on ``kernel_operands``, in the
+    narrowest integer type that holds every shifted sum, and adds the shift
+    back once.
 
     This is the cubic reference the engines' times are stated against; the
     engines never call it, and ``minplus_naive`` stays the test oracle.
@@ -457,8 +503,9 @@ def dense_minplus(a: Matrix, b: Matrix) -> Matrix:
     l = math.gcd(n, _DENSE_TILE)
     nb = n // l
     pairs = np.stack(np.divmod(np.arange(nb * nb), nb), axis=1)
-    vals = _min_full(a.data, b.data, l, pairs)
-    return Matrix(vals.reshape(nb, nb, l, l).transpose(0, 2, 1, 3).reshape(n, n))
+    kern = kernel_operands(a.data, b.data)
+    vals = _min_full(kern.a, kern.b, l, pairs).reshape(nb, nb, l, l).transpose(0, 2, 1, 3)
+    return Matrix(np.add(vals.reshape(n, n), kern.shift, dtype=np.int64))
 
 
 def _min_gathered(
@@ -467,10 +514,11 @@ def _min_gathered(
     """``_min_blocks`` over the selected triples, with ``starts`` from
     ``selection_starts(sel)``. Triples are gathered from the planes chunk by
     chunk, with the triple axis last and contiguous, and the inner index c
-    is the only Python loop. Returns (len(pairs), l, l).
+    is the only Python loop. The planes, the chunk temporaries and the
+    result are in the operands' type. Returns (len(pairs), l, l).
     """
     nb = a_data.shape[0] // l
-    out = np.empty((len(pairs), l * l), dtype=np.int64)
+    out = np.empty((len(pairs), l * l), dtype=np.result_type(a_data, b_data))
     a_pl, b_pl = _planes(a_data, l), _planes(b_data, l)
     for g0, g1 in pair_chunks(starts, max(1, _TRIPLE_BUDGET // max(l * l, 4))):
         local, bk = chunk_columns(sel, starts, g0, g1)
@@ -489,28 +537,29 @@ def _min_gathered(
 
 
 def _enumerate_pairs(
-    a_data: np.ndarray,
-    b_data: np.ndarray,
+    kern: KernelOperands,
     l: int,
     pairs: np.ndarray,
     cands: CandidateSets | ChildSets,
     counters: Counters | None = None,
 ) -> np.ndarray:
-    """Direct enumeration of each pair's candidate blocks.
+    """Direct enumeration of each pair's candidate blocks, on the kernel
+    operands: the values plus ``kern.shift`` are the product's.
 
     At block length 1 a representative sum is A[i,k] + B[k,j] itself, so the
     representative minimum over the candidate columns already is the
-    product entry, and it is read instead of enumerated; each candidate
-    still counts as one block product.
+    product entry, and it is read (from the int64 originals, less the
+    shift) instead of enumerated; each candidate still counts as one block
+    product.
     """
     if l == 1:
         counts = cands.sizes[pairs[:, 0], pairs[:, 1]]
         require(counts.min(initial=1) >= 1, "block pair without a candidate")
-        vals = cands.approx.data[pairs[:, 0], pairs[:, 1]].reshape(-1, 1, 1)
+        vals = cands.approx.data[pairs[:, 0], pairs[:, 1]].reshape(-1, 1, 1) - kern.shift
         n_products = int(counts.sum())
     else:
         sel = cands.columns(pairs)
-        vals = _min_blocks(a_data, b_data, l, pairs, sel)
+        vals = _min_blocks(kern.a, kern.b, l, pairs, sel)
         n_products = int(selection_starts(sel)[-1])
     if counters is not None:
         counters.block_products += n_products
@@ -520,6 +569,7 @@ def _enumerate_pairs(
 def _assigned_block_values(
     a_data: np.ndarray,
     b_data: np.ndarray,
+    kern: KernelOperands,
     l: int,
     width: int,
     assigned: dict[int, np.ndarray],
@@ -532,11 +582,14 @@ def _assigned_block_values(
 
     The reduction only decides which block columns a pair takes: since
     (A[i,k] - A[i,r]) + (B[k,j] - B[r,j]) + A[i,r] + B[r,j] = A[i,k] + B[k,j]
-    exactly in int64, the selected blocks are evaluated on the original
+    exactly in int64, the selected blocks are evaluated on the unreduced
     operands and need no reduced copy or add-back. The result equals the
     union of column r's rectangular segment products after collision
-    subtraction, shifted back by A[i,r] + B[r,j]. Each column mask is
-    filled a few pairs at a time, so the int64 bucket sums stay bounded.
+    subtraction, shifted back by A[i,r] + B[r,j]. The buckets are taken on
+    the int64 originals ``a_data`` and ``b_data``, the blocks evaluated on
+    the kernel operands ``kern`` (values plus ``kern.shift`` are the
+    product's). Each column mask is filled a few pairs at a time, so the
+    int64 bucket sums stay bounded.
 
     Yields (pairs, values) parts: column by column in ascending order, the
     pairs that select some of the block columns; then, in one call of the
@@ -564,16 +617,17 @@ def _assigned_block_values(
             full.append(blocks[~some])
             blocks, sel = blocks[some], sel[some]
         if len(blocks):
-            vals = _min_blocks(a_data, b_data, l, blocks, sel)
+            vals = _min_blocks(kern.a, kern.b, l, blocks, sel)
             del sel
             yield blocks, vals
     if full:
         blocks = np.concatenate(full)
-        yield blocks, _min_full(a_data, b_data, l, blocks)
+        yield blocks, _min_full(kern.a, kern.b, l, blocks)
 
 
-def _finalize(c: np.ndarray, done: np.ndarray, blocks: np.ndarray, vals: np.ndarray, l: int) -> None:
-    """Write the final values of distinct output blocks, each exactly once."""
+def _finalize(c: np.ndarray, done: np.ndarray, blocks: np.ndarray, vals: np.ndarray, l: int, shift: int) -> None:
+    """Write the final values of distinct output blocks, each exactly once:
+    the kernel values ``vals`` plus the operands' ``shift``, in int64."""
     n = c.shape[1]
     span = np.arange(l)
     rows = blocks[:, 0][:, None] * l + span
@@ -582,7 +636,7 @@ def _finalize(c: np.ndarray, done: np.ndarray, blocks: np.ndarray, vals: np.ndar
     done_flat = done.reshape(-1)
     require(not done_flat[flat].any(), "block finalized twice")
     done_flat[flat] = True
-    c.reshape(-1)[flat] = vals.reshape(-1)
+    c.reshape(-1)[flat] = np.add(vals.reshape(-1), shift, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +694,8 @@ def run_levels(
     """
     if counters is None:
         counters = Counters()
-    ad, bd = a.base.data, b.base.data
+    ad, bd = a.base.data, b.base.data  # the bucket sums read the int64 originals
+    kern = kernel_operands(ad, bd)  # the block kernels read these
     n = a.n
     t_beta = params.t_beta(n)
     c = np.full((n, n), INF, dtype=np.int64)
@@ -667,11 +722,11 @@ def run_levels(
             _, needed = sample_r(cands, params, active, li)
             assigned, missed = needed.gamma, needed.missed
         if len(missed):
-            _finalize(c, done, missed, _enumerate_pairs(ad, bd, l, missed, cands, counters), l)
+            _finalize(c, done, missed, _enumerate_pairs(kern, l, missed, cands, counters), l, kern.shift)
             counters.fallback_pairs += len(missed)
         width = SEGMENT_WIDTH * params.delta * l
-        for blocks, vals in _assigned_block_values(ad, bd, l, width, assigned, counters):
-            _finalize(c, done, blocks, vals, l)
+        for blocks, vals in _assigned_block_values(ad, bd, kern, l, width, assigned, counters):
+            _finalize(c, done, blocks, vals, l, kern.shift)
         pending_mask = eligible & ~active_mask
         pending = np.argwhere(pending_mask)
         if level_trace is not None:
@@ -684,8 +739,8 @@ def run_levels(
 
     tail = pending
     if len(tail):
-        vals = _enumerate_pairs(ad, bd, l, tail, cands, counters if l == levels[0] else None)
-        _finalize(c, done, tail, vals, l)
+        vals = _enumerate_pairs(kern, l, tail, cands, counters if l == levels[0] else None)
+        _finalize(c, done, tail, vals, l, kern.shift)
     require(done.all(), "some output blocks were never finalized")
     return Matrix(c)
 

@@ -118,7 +118,8 @@ def first_selected(sel: np.ndarray | Columns, flags: np.ndarray) -> np.ndarray:
     every pair has a column and at least one column is flagged."""
     nb = len(flags)
     if isinstance(sel, Columns):
-        return np.minimum.reduceat(np.where(flags[sel.cols], sel.cols, nb), sel.starts[:-1])
+        # an int64 sentinel: nb itself may lie outside a narrow column type
+        return np.minimum.reduceat(np.where(flags[sel.cols], sel.cols, np.int64(nb)), sel.starts[:-1])
     cols = np.flatnonzero(flags)
     sub = sel[:, cols]
     return np.where(sub.any(axis=1), cols[sub.argmax(axis=1)], nb)
@@ -156,7 +157,7 @@ class CandidateSets:
         nb = self.grid.n_blocks
         starts = np.zeros(len(pairs) + 1, dtype=np.int64)
         np.cumsum(self.sizes[pairs[:, 0], pairs[:, 1]], out=starts[1:])
-        cols = np.empty(starts[-1], dtype=np.int16 if nb <= 1 << 15 else np.int32)
+        cols = np.empty(starts[-1], dtype=_column_dtype(nb))
         ids = np.arange(nb, dtype=cols.dtype)
         step = max(1, _SUM_BUDGET // nb)
         for g0 in range(0, len(pairs), step):
@@ -174,7 +175,9 @@ class ChildSets:
     ``cols``; other pairs have row -1, size 0 and approx INF. The sets and
     minima equal those of ``candidate_sets`` on every child pair. A row
     holds its columns only if the pair has more than ``cols_above``
-    candidates; smaller pairs keep their size and minimum alone.
+    candidates; smaller pairs keep their size and minimum alone. ``cols``
+    is in the narrowest integer type that holds a block column, as are the
+    ``Columns`` that ``columns`` returns.
     """
 
     grid: BlockGrid
@@ -201,6 +204,11 @@ class ChildSets:
 
 # int64 representative sums held at once while scanning (1 MiB).
 _SUM_BUDGET = 1 << 17
+
+
+def _column_dtype(nb: int) -> np.dtype:
+    """Narrowest integer type that holds every block column below nb."""
+    return np.dtype(np.int16 if nb <= 1 << 15 else np.int32)
 
 
 def _rep_scan(a: BDMatrix, b: BDMatrix, l: int, window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +308,7 @@ def child_sets(
         counts[r0 : 4 * g1] = np.where(stored, cnt, 0).ravel()
     row_starts = np.zeros(4 * n_par + 1, dtype=np.int64)
     np.cumsum(counts, out=row_starts[1:])
-    cols = np.empty(row_starts[-1], dtype=np.int64)
+    cols = np.empty(row_starts[-1], dtype=_column_dtype(nb))
     # the columns are decoded once their total is known, chunk by chunk,
     # so only one chunk's int64 columns exist besides the result
     masks.reverse()

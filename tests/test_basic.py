@@ -16,6 +16,7 @@ from minplus.basic import (
     _min_blocks,
     build_segments,
     derived_rng,
+    kernel_operands,
     level_theta,
     sample_r,
 )
@@ -303,10 +304,12 @@ def _add_back(ad, bd, l, r, bi, bj, reduced):
 
 
 def _column_values(ad, bd, l, width, r_col, blocks, counters=None):
-    """``_assigned_block_values`` of one sampled column, in the order of blocks."""
+    """``_assigned_block_values`` of one sampled column, in the order of
+    blocks, evaluated on the shifted kernel operands and shifted back."""
+    kern = kernel_operands(ad, bd)
     got = {}
-    for part, vals in _assigned_block_values(ad, bd, l, width, {r_col: blocks}, counters):
-        got.update(zip(map(tuple, part), vals))
+    for part, vals in _assigned_block_values(ad, bd, kern, l, width, {r_col: blocks}, counters):
+        got.update(zip(map(tuple, part), vals.astype(np.int64) + kern.shift))
     assert len(got) == len(blocks)
     return np.array([got[tuple(bk)] for bk in blocks])
 
@@ -714,6 +717,7 @@ def test_dense_minplus_matches_naive(pool, n, family):
 def test_dense_minplus_operands():
     rng = np.random.default_rng(0)
     a, b = random_matrix(rng, 24, 24, mp.MAX_OPERAND), random_matrix(rng, 24, 24, mp.MAX_OPERAND)
+    assert kernel_operands(a.data, b.data).a.dtype == np.int64  # the whole operand range: int64 kernels
     assert mp.dense_minplus(a, b) == mp.minplus_naive(a, b)  # 24 is no multiple of 16: tile 8
     small = random_matrix(rng, 8, 8, 5)
     for x, y in [
@@ -763,15 +767,17 @@ def test_min_blocks_matches_loop(monkeypatch, l, budget):
     # order, 1 up to every block column, so both paths run; every pair of
     # the grid full, in shuffled order, so the dense path forms whole rows
     # and rectangles; full pairs around a few partial ones, so its runs are
-    # short. Entries up to the reduced operands' magnitude, and chunk cuts
-    # at every pair or below the largest group's size (in the dense path,
-    # inside k)
+    # short. Operands in int64, int32 and int16, each with entries up to an
+    # eighth of its type's range, so every sum fits, and the kernel answers
+    # in the operands' type. Chunk cuts at every pair or below the largest
+    # group's size (in the dense path, inside k)
     nb = 6 if l < 8 else 3
     n = nb * l
     rng = np.random.default_rng(l)
-    bound = 1 << 61
-    ad = rng.integers(-bound, bound, size=(n, n))
-    bd = rng.integers(-bound, bound, size=(n, n))
+    operands = []
+    for dtype in (np.int64, np.int32, np.int16):
+        bound = 1 << (8 * np.dtype(dtype).itemsize - 3)
+        operands.append([rng.integers(-bound, bound, size=(n, n)).astype(dtype) for _ in "ab"])
     grid = np.array([(bi, bj) for bi in range(nb) for bj in range(nb)], dtype=np.int64)
     ragged = np.zeros((len(grid[::2]), nb), dtype=bool)
     for g in range(len(ragged)):
@@ -785,13 +791,69 @@ def test_min_blocks_matches_loop(monkeypatch, l, budget):
         monkeypatch.setattr("minplus.basic._TRIPLE_BUDGET", 1)
     elif budget == "below_group":
         monkeypatch.setattr("minplus.basic._TRIPLE_BUDGET", 2 * l * l)
-    for pairs, sel in [(grid[::2], ragged), (shuffled, np.ones_like(gaps)), (shuffled, gaps)]:
-        want = _min_blocks_loop(ad, bd, l, pairs, sel)
-        csr = Columns(np.concatenate([[0], np.cumsum(sel.sum(axis=1))]), np.nonzero(sel)[1].astype(np.int16))
-        for form in (sel, csr):
-            got = _min_blocks(ad, bd, l, pairs, form)
-            assert got.shape == (len(pairs), l, l)
-            assert np.array_equal(got, want)
+    for ad, bd in operands:
+        for pairs, sel in [(grid[::2], ragged), (shuffled, np.ones_like(gaps)), (shuffled, gaps)]:
+            want = _min_blocks_loop(ad, bd, l, pairs, sel)
+            csr = Columns(np.concatenate([[0], np.cumsum(sel.sum(axis=1))]), np.nonzero(sel)[1].astype(np.int16))
+            for form in (sel, csr):
+                got = _min_blocks(ad, bd, l, pairs, form)
+                assert got.shape == (len(pairs), l, l) and got.dtype == ad.dtype
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "top, dtype", [(32767, np.int16), (32768, np.int32), ((1 << 31) - 1, np.int32), (1 << 31, np.int64)]
+)
+def test_kernel_operands_narrowest_type(top, dtype):
+    # the kernel operands start at 0 and take the narrowest type whose max
+    # holds span(A) + span(B), the largest shifted sum; the spans are
+    # uneven and the minima far from 0, so only the spans decide
+    lo_a, lo_b = (1 << 60) - top, -(1 << 59)
+    a = np.array([[lo_a + 1, lo_a + top // 3], [lo_a, lo_a + 5]])
+    b = np.array([[lo_b, lo_b + 2], [lo_b + top - top // 3, lo_b + 7]])
+    kern = kernel_operands(a, b)
+    assert kern.a.dtype == dtype and kern.b.dtype == dtype
+    assert kern.shift == lo_a + lo_b
+    assert int(kern.a.max()) + int(kern.b.max()) == top
+    assert np.array_equal(kern.a.astype(np.int64) + lo_a, a) and np.array_equal(kern.b.astype(np.int64) + lo_b, b)
+
+
+def test_kernel_operands_beyond_int64():
+    # a shifted sum that int64 cannot hold is refused, not wrapped
+    a = np.array([[-(1 << 62), (1 << 62) - 1]])
+    with pytest.raises(mp.InvariantError):
+        kernel_operands(a, np.array([[0, 1]]))
+
+
+def _offset_pair(a, b):
+    """The pair moved to the ends of the operand range: A's maximum at
+    2**60 and B's minimum at -2**60."""
+    ad, bd = a.base.data, b.base.data
+    shifted = ad + (mp.MAX_OPERAND - ad.max()), bd - (mp.MAX_OPERAND + bd.min())
+    return (mp.BDMatrix(Matrix(x), a.delta) for x in shifted)
+
+
+@pytest.mark.parametrize(
+    "case, dtype",
+    [("walk-offset", np.int16), ("valley-offset", np.int16), ("walk-wide", np.int32)],
+)
+def test_engines_exact_in_every_kernel_type(case, dtype):
+    # every engine, and the recursion down to single entries, is bitwise
+    # equal to naive whatever type its kernels run in. The offset pairs sit
+    # near +-2**60 and shift down to int16; the wide walk (delta 3000, seeds
+    # 3 and 4, the pair the CI command line runs) spans more than int16 holds
+    if case == "walk-offset":
+        a, b = _offset_pair(mp.generate_bd(64, 2, 5), mp.generate_bd(64, 2, 6))
+    elif case == "valley-offset":
+        a, b = _offset_pair(*valley_bd(128, 2, 9))
+    else:
+        a, b = mp.generate_bd(64, 3000, 3), mp.generate_bd(64, 3000, 4)
+    assert kernel_operands(a.base.data, b.base.data).a.dtype == dtype
+    want = mp.minplus_naive(a.base, b.base).data
+    for params in (AlgoParams(delta=a.delta, seed=7), AlgoParams(delta=a.delta, seed=7, l_min=1)):
+        assert np.array_equal(mp.basic_minplus(a, b, params).data, want)
+        assert np.array_equal(mp.recursive_minplus(a, b, params).data, want)
+    assert np.array_equal(mp.dense_minplus(a.base, b.base).data, want)
 
 
 @pytest.mark.parametrize("engine", ["basic", "recursive"])
@@ -830,7 +892,7 @@ def test_invariants_survive_optimize():
     script = """
 import numpy as np
 from minplus import InvariantError, Matrix
-from minplus.basic import _enumerate_pairs, build_segments
+from minplus.basic import KernelOperands, _enumerate_pairs, build_segments
 from minplus.blocking import BlockGrid, CandidateSets
 z = np.zeros((8, 8), dtype=np.int64)
 empty = CandidateSets(BlockGrid(8, 2), 1, Matrix(z[:4, :4]), np.zeros((4, 4, 4), dtype=bool))
@@ -842,7 +904,7 @@ try:
 except InvariantError:
     caught.append("key range")
 try:
-    _enumerate_pairs(z, z, 2, np.array([[0, 0]]), empty)
+    _enumerate_pairs(KernelOperands(z, z, 0), 2, np.array([[0, 0]]), empty)
 except InvariantError:
     caught.append("empty candidate set")
 print(__debug__, caught)

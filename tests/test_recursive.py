@@ -331,15 +331,17 @@ def test_level_child_sets_equal_dense_sets(pool, monkeypatch, family, delta, alp
         got = cs.columns(kids[big])
         want = dense.columns(kids[big])
         assert np.array_equal(np.diff(got.starts), want.sum(axis=1))
-        assert np.array_equal(got.cols, np.nonzero(want)[1])
+        assert np.array_equal(got.cols, np.nonzero(want)[1]) and got.cols.dtype == np.int16
         if not big.all():
             with pytest.raises(ValueError):
                 cs.columns(kids)
         # the fallback and the tail: at block length 1 they read the
         # minimum, which equals enumerating the same columns
         counters = Counters()
-        vals = basic._enumerate_pairs(ad, bd, l, kids, cs, counters)
-        assert np.array_equal(vals, basic._min_blocks(ad, bd, l, kids, dense.columns(kids)))
+        kern = basic.kernel_operands(ad, bd)
+        vals = basic._enumerate_pairs(kern, l, kids, cs, counters)
+        want_vals = basic._min_blocks(ad, bd, l, kids, dense.columns(kids))
+        assert np.array_equal(vals.astype(np.int64) + kern.shift, want_vals)
         assert counters.block_products == dense.sizes[eligible].sum()
 
 
