@@ -5,16 +5,16 @@ lengths: the single-partition engine over ``[l0]``, the recursive engine over
 ``l0, l0/2, ...`` down to the floor ``AlgoParams.l_min`` (``AlgoParams.levels``;
 single entries at ``l_min=1``). At each level, candidate sets from block
 representatives split the open block pairs. The top level scans every
-representative triple (``candidate_sets``, a dense mask); a finer level
-scans only the children of its pending parents' candidate columns
-(``child_sets``, CSR rows), which the nesting lemma in ``blocking`` makes
-exact. Pairs with many candidates are covered by sampling reference
-columns: the pairs assigned to a sampled column r get their block values
-from the block columns whose value buckets, taken relative to column r,
-correspond. Pairs whose candidate set missed the sample fall back to direct
-enumeration, so the result is always exact. The other pairs are refined to
-half the block length, or enumerated directly after the last level; a level
-with no open pair is skipped. At block length 1 the fallback and the tail
+representative triple (``candidate_sets``); a finer level scans only the
+child columns under its pending parents' candidate spans (``child_sets``),
+which the nesting lemma in ``blocking`` makes exact. Pairs with many
+candidates are covered by sampling reference columns: the pairs assigned to
+a sampled column r get their block values from the block columns whose
+value buckets, taken relative to column r, correspond. Pairs whose
+candidate set missed the sample fall back to direct enumeration, so the
+result is always exact. The other pairs are refined to half the block
+length, or enumerated directly after the last level; a level with no open
+pair is skipped. At block length 1 the fallback and the tail
 read the representative minimum, which there is the product entry.
 
 The paper reduces the operands by column r before bucketing; here the
@@ -30,19 +30,21 @@ representatives relative to column r (``SEGMENT_WIDTH``, ``REL_SHIFTS``),
 for the product and for ``build_segments``, the audit's segmentation. No
 reduced copy of an operand is made anywhere.
 
-Every block value comes from one kernel, ``_min_blocks``, with two inner
-paths. A pair that selects only some block columns gathers its triples from
-per-entry planes (``_min_gathered``). A pair that selects every block column
-(density 1, as on random walks) needs no selection at all: its value is the
-plain min-plus product of its rows of A and columns of B, which
-``_min_full`` computes straight from operand slices in bounded chunks, so
-the dense case costs no more than a row-chunked naive product;
-``dense_minplus``, the same path over every block pair at a fixed tile, is
-the cubic reference the engines are measured against. The sampled
-columns of a level hand their full pairs to one dense call together, so
-pairs split between columns still form whole rows there. The switch reads
-only the selections; the counters are computed from the same selections
-either way.
+Every block value comes from one kernel, ``_min_blocks``, which reduces
+each block pair over a span of block columns: an enumerated pair over its
+candidate span, an assigned pair over the span of the block columns its
+sampled column's buckets select. Either span holds every block of an
+optimal witness, so a minimum over it, or over any larger set of columns,
+is exact. The kernel groups the pairs into rectangles, runs of consecutive
+block columns in one block row, and reduces operand slices over the union
+of a rectangle's spans, so it gathers nothing. A pair whose span is every
+block column (density 1, as on random walks) gets the plain min-plus
+product of its rows of A and columns of B, so the dense case costs no more
+than a row-chunked naive product; ``dense_minplus``, the same kernel over
+every block pair at full spans and a fixed tile, is the cubic reference
+the engines are measured against. The sampled columns of a level hand all
+their pairs to one kernel call, so pairs split between columns still form
+whole rows there.
 
 The kernels add and reduce in the narrowest integer type the data allows.
 Once per product, ``kernel_operands`` shifts the operands to start at 0,
@@ -60,24 +62,12 @@ cancels anyway.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .blocking import (
-    CandidateSets,
-    ChildSets,
-    Columns,
-    candidate_sets,
-    child_sets,
-    chunk_columns,
-    first_selected,
-    pair_chunks,
-    select_pairs,
-    selection_starts,
-)
+from .blocking import CandidateSets, candidate_sets, child_sets
 from .matrix import INF, BDMatrix, Matrix, check_operand
 
 SEGMENT_WIDTH = 20  # value segments are 20*delta*l wide
@@ -296,9 +286,7 @@ class NeededBlocks:
     missed: np.ndarray
 
 
-def sample_r(
-    cands: CandidateSets | ChildSets, params: AlgoParams, active: np.ndarray | None = None, level: int = 0
-):
+def sample_r(cands: CandidateSets, params: AlgoParams, active: np.ndarray | None = None, level: int = 0):
     """Sample params.sample_count(n, l) representative columns uniformly with
     replacement (then dedup) from the level's own stream, and assign every
     active pair to the smallest sampled column inside its candidate set.
@@ -320,7 +308,7 @@ def sample_r(
     gamma: dict[int, np.ndarray] = {}
     missed = active
     if len(active) and len(r_blocks):
-        first = first_selected(cands.columns(active), drawn)
+        first = cands.first_candidate(active, r_blocks)
         hit = first < nb
         assigned = active[hit]
         chosen = first[hit]
@@ -336,14 +324,10 @@ def sample_r(
 # batched block products of the level loop (all-finite inputs)
 
 
-# Block entries (triples times l*l) per kernel chunk: each of the chunk's
-# five (l*l, triples) temporaries, in the kernel operands' type, stays at
-# 256 KiB in int16 (1 MiB in int64), unless one pair's candidate columns
-# alone hold more. The gather path counts at least four entries a triple,
-# because at l = 1 its per-triple int64 index arrays (pair, column and the
-# two flat indices) are at least as large as those temporaries. The bucket
-# sums that select an assigned pair's block columns, and the dense path's
-# sums, are built under the same budget.
+# Sums per kernel chunk: the kernel's sum buffer, in the kernel operands'
+# type, stays at 256 KiB in int16 (1 MiB in int64), unless one k of one
+# block row's run holds more. The bucket sums that select an assigned
+# pair's block columns are built under the same budget.
 _TRIPLE_BUDGET = 1 << 17
 
 _DENSE_TILE = 16
@@ -374,62 +358,31 @@ def kernel_operands(a_data: np.ndarray, b_data: np.ndarray) -> KernelOperands:
     return KernelOperands(a, b, lo_a + lo_b)
 
 
-def _planes(data: np.ndarray, l: int) -> np.ndarray:
-    """Copy of an n x n matrix as l*l planes of shape (nb*nb,): plane
-    u*l + v holds entry (u, v) of every block, blocks in row-major order."""
-    nb = data.shape[0] // l
-    return data.reshape(nb, l, nb, l).transpose(1, 3, 0, 2).reshape(l * l, nb * nb)
-
-
 def _min_blocks(
-    a_data: np.ndarray, b_data: np.ndarray, l: int, pairs: np.ndarray, sel: np.ndarray | Columns
+    a_data: np.ndarray, b_data: np.ndarray, l: int, pairs: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """Min over candidate block columns of the block min-plus products of two
-    all-finite matrices.
-
-    ``sel`` selects the block columns of each block pair ``pairs[g] = (bi,
-    bj)``, as a dense row mask ``sel[g, bk]`` or as CSR ``Columns``; every
-    pair needs at least one. A pair that selects every block column takes
-    the dense path (``_min_full``): its value is the plain min-plus product
-    of its rows of A and columns of B, so it is exact by construction. The
-    other pairs take the gather path (``_min_gathered``). When no pair is
-    full, the split allocates nothing. Both paths add and reduce in the
-    operands' type, which must hold every sum of an A and a B entry (as
-    ``kernel_operands`` guarantees). Returns (len(pairs), l, l) in that
-    type.
-    """
-    nb = a_data.shape[0] // l
-    starts = selection_starts(sel)
-    counts = np.diff(starts)
-    require(counts.min(initial=1) >= 1, "block pair without a candidate")
-    if counts.max(initial=0) < nb:
-        del counts  # the gather path alone: nothing per pair is kept
-        return _min_gathered(a_data, b_data, l, pairs, sel, starts)
-    full = counts == nb
-    if full.all():
-        return _min_full(a_data, b_data, l, pairs)
-    out = np.empty((len(pairs), l, l), dtype=np.result_type(a_data, b_data))
-    out[full] = _min_full(a_data, b_data, l, pairs[full])
-    rest = ~full
-    out[rest] = _min_gathered(a_data, b_data, l, pairs[rest], *select_pairs(sel, counts, rest))
-    return out
-
-
-def _min_full(a_data: np.ndarray, b_data: np.ndarray, l: int, pairs: np.ndarray) -> np.ndarray:
-    """Block min-plus products over every column: out[g] = min over k of
-    A[bi*l + i, k] + B[k, bj*l + j] for pairs[g] = (bi, bj).
+    """Block min-plus products over spans of block columns: for pairs[g] =
+    (bi, bj), out[g][i, j] is the minimum of A[bi*l + i, k] + B[k, bj*l + j]
+    over every k in block columns lo[g]..hi[g], and perhaps over more block
+    columns (below). A span that holds the block of every optimal witness,
+    as a candidate span does, therefore gives the product's block; a full
+    span, 0..nb-1, gives the plain min-plus product.
 
     The pairs are grouped into rectangles: runs of consecutive block columns
-    in one block row, stacked over consecutive block rows that hold the same
-    run. A rectangle's rows of A and columns of B are slices of the
-    operands, so nothing is copied or gathered. Its sums are built in a
-    (rows, k, columns) view of one buffer allocated per call, at most
-    _TRIPLE_BUDGET entries at a time, and reduced over k: several block rows
-    with every k at once, or one block row with k in slices whose running
-    minimum is kept (one k's sums of a block row, if those alone are more).
-    The buffers and the result are in the operands' type, which must hold
-    every sum. Returns (len(pairs), l, l).
+    in one block row, stacked over consecutive block rows that hold the
+    same run with the same union of spans. A rectangle reduces over the
+    union of its pairs' spans; a pair alone, or among equal spans, gets the
+    minimum over its own span. A rectangle's rows of A and columns of B are
+    slices of the operands, so nothing is copied or gathered. Its sums are
+    built in a (rows, k, columns) view of one buffer allocated per call, at
+    most _TRIPLE_BUDGET entries at a time, and reduced over k: several
+    block rows with the whole span at once, or one block row with the span
+    in slices whose running minimum is kept (one k's sums of a block row, if
+    those alone are more). The buffers and the result are in the operands'
+    type, which must hold every sum of an A and a B entry (as
+    ``kernel_operands`` guarantees). Returns (len(pairs), l, l).
     """
+    require(np.all(lo <= hi), "block pair with an empty span")
     n = a_data.shape[0]
     nb = n // l
     dtype = np.result_type(a_data, b_data)
@@ -437,39 +390,46 @@ def _min_full(a_data: np.ndarray, b_data: np.ndarray, l: int, pairs: np.ndarray)
     key = pairs[:, 0] * nb + pairs[:, 1]
     order = np.argsort(key, kind="stable")
     key = key[order]
-    # runs: consecutive block columns of one block row
+    # runs: consecutive block columns of one block row, and their union span
     cut = np.ones(len(key), dtype=bool)
     cut[1:] = (np.diff(key) != 1) | (key[1:] % nb == 0)
     run_at = np.flatnonzero(cut)
     run_len = np.diff(np.append(run_at, len(key)))
     run_bi, run_bj = np.divmod(key[run_at], nb)
-    # rectangles: equal runs in consecutive block rows
-    runs = np.lexsort((run_bi, run_len, run_bj))
-    bi, bj, width = run_bi[runs], run_bj[runs], run_len[runs]
-    cut = np.ones(len(runs), dtype=bool)
-    cut[1:] = (bj[1:] != bj[:-1]) | (width[1:] != width[:-1]) | (bi[1:] != bi[:-1] + 1)
+    run_lo = np.minimum.reduceat(lo[order], run_at)
+    run_hi = np.maximum.reduceat(hi[order], run_at)
+    # rectangles: runs that follow each other in consecutive block rows
+    # with one shape (first block column, length and union span)
+    shape = np.stack((run_bj, run_len, run_lo, run_hi))
+    cut = np.ones(len(run_at), dtype=bool)
+    cut[1:] = (shape[:, 1:] != shape[:, :-1]).any(axis=0) | (run_bi[1:] != run_bi[:-1] + 1)
     rect_at = np.flatnonzero(cut)
+    bj, width, span_lo, span_hi = shape
     # one buffer each for a chunk's sums, its minima and a k slice's minima;
     # a chunk never holds more than max(_TRIPLE_BUDGET, l*n) sums, nor more
-    # than all pairs'
+    # than all pairs' over every k, and so no more minima (rows times
+    # columns) than that over the shortest union span, nor than all pairs'
     size = len(pairs) * l * l
+    k_min = (int((span_hi - span_lo).min()) + 1) * l
     sums = np.empty(min(max(_TRIPLE_BUDGET, l * n), size * n), dtype=dtype)
-    mins = np.empty(min(max(_TRIPLE_BUDGET // n, l * n), size), dtype=dtype)
+    mins = np.empty(min(max(_TRIPLE_BUDGET // k_min, l * n), size), dtype=dtype)
     part = np.empty_like(mins)
-    for s, e in zip(rect_at, np.append(rect_at[1:], len(runs))):
-        bi0, bj0, wd = int(bi[s]), int(bj[s]), int(width[s])
-        at = order[run_at[runs[s:e], None] + np.arange(wd)]  # [block row, block column] -> pair
-        cols = b_data[:, bj0 * l : (bj0 + wd) * l]
+    for s, e in zip(rect_at, np.append(rect_at[1:], len(run_at))):
+        bi0, bj0, wd = int(run_bi[s]), int(bj[s]), int(width[s])
+        ks, ke = int(span_lo[s]) * l, (int(span_hi[s]) + 1) * l
+        kn = ke - ks
+        at = order[run_at[s:e, None] + np.arange(wd)]  # [block row, block column] -> pair
+        cols = b_data[ks:ke, bj0 * l : (bj0 + wd) * l]
         w = wd * l
-        br = min(e - s, max(1, _TRIPLE_BUDGET // (l * n * w)))
-        kc = n if br > 1 else min(n, max(1, _TRIPLE_BUDGET // (l * w)))
+        br = min(e - s, max(1, _TRIPLE_BUDGET // (l * kn * w)))
+        kc = kn if br > 1 else min(kn, max(1, _TRIPLE_BUDGET // (l * w)))
         for r0 in range(0, e - s, br):
             r1 = min(r0 + br, e - s)
             h = (r1 - r0) * l
-            rows = a_data[(bi0 + r0) * l : (bi0 + r1) * l]
+            rows = a_data[(bi0 + r0) * l : (bi0 + r1) * l, ks:ke]
             m = mins[: h * w].reshape(h, w)
-            for k0 in range(0, n, kc):
-                k1 = min(k0 + kc, n)
+            for k0 in range(0, kn, kc):
+                k1 = min(k0 + kc, kn)
                 t = sums[: h * (k1 - k0) * w].reshape(h, k1 - k0, w)
                 np.add(rows[:, k0:k1, None], cols[None, k0:k1], out=t)
                 if k0:
@@ -484,9 +444,9 @@ def _min_full(a_data: np.ndarray, b_data: np.ndarray, l: int, pairs: np.ndarray)
 
 def dense_minplus(a: Matrix, b: Matrix) -> Matrix:
     """Exact min-plus product of two square all-finite matrices of one size:
-    the dense path's kernel (``_min_full``) over every block pair, at a tile
-    of gcd(n, 16), which is 16 for every multiple of 16 and n for a smaller
-    power of two. Like the engines, it runs on ``kernel_operands``, in the
+    the block kernel (``_min_blocks``) over every block pair and every block
+    column, at a tile of gcd(n, 16), which is 16 for every multiple of 16
+    and n for a smaller power of two. Like the engines, it runs on ``kernel_operands``, in the
     narrowest integer type that holds every shifted sum, and adds the shift
     back once.
 
@@ -504,65 +464,37 @@ def dense_minplus(a: Matrix, b: Matrix) -> Matrix:
     nb = n // l
     pairs = np.stack(np.divmod(np.arange(nb * nb), nb), axis=1)
     kern = kernel_operands(a.data, b.data)
-    vals = _min_full(kern.a, kern.b, l, pairs).reshape(nb, nb, l, l).transpose(0, 2, 1, 3)
+    vals = _min_blocks(kern.a, kern.b, l, pairs, np.zeros(nb * nb, dtype=np.int64), np.full(nb * nb, nb - 1))
+    vals = vals.reshape(nb, nb, l, l).transpose(0, 2, 1, 3)
     return Matrix(np.add(vals.reshape(n, n), kern.shift, dtype=np.int64))
-
-
-def _min_gathered(
-    a_data: np.ndarray, b_data: np.ndarray, l: int, pairs: np.ndarray, sel: np.ndarray | Columns, starts: np.ndarray
-) -> np.ndarray:
-    """``_min_blocks`` over the selected triples, with ``starts`` from
-    ``selection_starts(sel)``. Triples are gathered from the planes chunk by
-    chunk, with the triple axis last and contiguous, and the inner index c
-    is the only Python loop. The planes, the chunk temporaries and the
-    result are in the operands' type. Returns (len(pairs), l, l).
-    """
-    nb = a_data.shape[0] // l
-    out = np.empty((len(pairs), l * l), dtype=np.result_type(a_data, b_data))
-    a_pl, b_pl = _planes(a_data, l), _planes(b_data, l)
-    for g0, g1 in pair_chunks(starts, max(1, _TRIPLE_BUDGET // max(l * l, 4))):
-        local, bk = chunk_columns(sel, starts, g0, g1)
-        local += g0
-        a_blk = np.take(a_pl, pairs[local, 0] * nb + bk, axis=1).reshape(l, l, -1)  # [i, c, t]
-        b_blk = np.take(b_pl, bk * nb + pairs[local, 1], axis=1).reshape(l, l, -1)  # [c, j, t]
-        del local, bk  # dropped early, so chunks never overlap in memory
-        vals = a_blk[:, 0, None, :] + b_blk[None, 0, :, :]  # [i, j, t]
-        tmp = np.empty_like(vals) if l > 1 else None
-        for c in range(1, l):
-            np.add(a_blk[:, c, None, :], b_blk[None, c, :, :], out=tmp)
-            np.minimum(vals, tmp, out=vals)
-        del a_blk, b_blk, tmp
-        out[g0:g1] = np.minimum.reduceat(vals.reshape(l * l, -1), starts[g0:g1] - starts[g0], axis=1).T
-    return out.reshape(len(pairs), l, l)
 
 
 def _enumerate_pairs(
     kern: KernelOperands,
     l: int,
     pairs: np.ndarray,
-    cands: CandidateSets | ChildSets,
+    cands: CandidateSets,
     counters: Counters | None = None,
 ) -> np.ndarray:
     """Direct enumeration of each pair's candidate blocks, on the kernel
-    operands: the values plus ``kern.shift`` are the product's.
+    operands, over the pair's candidate span: the values plus
+    ``kern.shift`` are the product's. Each candidate counts as one block
+    product.
 
     At block length 1 a representative sum is A[i,k] + B[k,j] itself, so the
     representative minimum over the candidate columns already is the
     product entry, and it is read (from the int64 originals, less the
-    shift) instead of enumerated; each candidate still counts as one block
-    product.
+    shift) instead of enumerated.
     """
+    bi, bj = pairs[:, 0], pairs[:, 1]
+    counts = cands.sizes[bi, bj]
+    require(counts.min(initial=1) >= 1, "block pair without a candidate")
     if l == 1:
-        counts = cands.sizes[pairs[:, 0], pairs[:, 1]]
-        require(counts.min(initial=1) >= 1, "block pair without a candidate")
-        vals = cands.approx.data[pairs[:, 0], pairs[:, 1]].reshape(-1, 1, 1) - kern.shift
-        n_products = int(counts.sum())
+        vals = cands.approx.data[bi, bj].reshape(-1, 1, 1) - kern.shift
     else:
-        sel = cands.columns(pairs)
-        vals = _min_blocks(kern.a, kern.b, l, pairs, sel)
-        n_products = int(selection_starts(sel)[-1])
+        vals = _min_blocks(kern.a, kern.b, l, pairs, cands.lo[bi, bj], cands.hi[bi, bj])
     if counters is not None:
-        counters.block_products += n_products
+        counters.block_products += int(counts.sum())
     return vals
 
 
@@ -574,9 +506,9 @@ def _assigned_block_values(
     width: int,
     assigned: dict[int, np.ndarray],
     counters: Counters | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Values of the blocks assigned to the sampled columns: for each block
-    pair of ``assigned[r]``, the min over every block column whose buckets,
+    pair of ``assigned[r]``, the min over the block columns whose buckets,
     taken relative to column r (A[i,k] - A[i,r] and B[k,j] - B[r,j]), fall
     in one of the correspondence relations (p + q in REL_SHIFTS).
 
@@ -585,58 +517,58 @@ def _assigned_block_values(
     exactly in int64, the selected blocks are evaluated on the unreduced
     operands and need no reduced copy or add-back. The result equals the
     union of column r's rectangular segment products after collision
-    subtraction, shifted back by A[i,r] + B[r,j]. The buckets are taken on
-    the int64 originals ``a_data`` and ``b_data``, the blocks evaluated on
-    the kernel operands ``kern`` (values plus ``kern.shift`` are the
-    product's). Each column mask is filled a few pairs at a time, so the
-    int64 bucket sums stay bounded.
+    subtraction, shifted back by A[i,r] + B[r,j]. The selected columns hold
+    every candidate of a pair assigned to r, and so the optimal witness
+    blocks; the kernel takes the span from the first to the last of them
+    (column r itself is always selected: both its buckets are 0), which
+    gives the same value. The buckets are taken on the int64 originals
+    ``a_data`` and ``b_data``, a few pairs at a time, so the int64 bucket
+    sums stay bounded; the selection of every block column still counts
+    toward ``poly_degree_ops``. The blocks are evaluated on the kernel
+    operands ``kern`` (values plus ``kern.shift`` are the product's), every
+    column's pairs in one call, so that the columns' shares of a block row
+    are computed together.
 
-    Yields (pairs, values) parts: column by column in ascending order, the
-    pairs that select some of the block columns; then, in one call of the
-    dense path, the pairs of every column that select all of them, so that
-    the columns' shares of a block row are computed together.
+    Returns the pairs, column by column in ascending order, and their
+    values.
     """
     nb = a_data.shape[0] // l
-    lo, hi = REL_SHIFTS[0], REL_SHIFTS[-1]
+    rel_lo, rel_hi = REL_SHIFTS[0], REL_SHIFTS[-1]
     step = max(1, _TRIPLE_BUDGET // nb)
-    full = []
+    pairs = np.concatenate([assigned[r] for r in sorted(assigned)])
+    lo = np.empty(len(pairs), dtype=np.int64)
+    hi = np.empty(len(pairs), dtype=np.int64)
+    selected = 0
+    g = 0
     for r in sorted(assigned):
         blocks = assigned[r]
         pa = _buckets(a_data, l, width, a_data[::l, r, None])
         qbt = np.ascontiguousarray(_buckets(b_data, l, width, b_data[None, r, ::l]).T)  # [bj, bk]
-        sel = np.empty((len(blocks), nb), dtype=bool)
         for g0 in range(0, len(blocks), step):
             chunk = blocks[g0 : g0 + step]
             psum = pa[chunk[:, 0]] + qbt[chunk[:, 1]]
-            np.logical_and(psum >= lo, psum <= hi, out=sel[g0 : g0 + step])
-        del pa, qbt, psum  # dropped before the kernel runs
-        if counters is not None:
-            counters.poly_degree_ops += int(np.count_nonzero(sel)) * l ** 3
-        some = sel.sum(axis=1) < nb
-        if not some.all():
-            full.append(blocks[~some])
-            blocks, sel = blocks[some], sel[some]
-        if len(blocks):
-            vals = _min_blocks(kern.a, kern.b, l, blocks, sel)
-            del sel
-            yield blocks, vals
-    if full:
-        blocks = np.concatenate(full)
-        yield blocks, _min_full(kern.a, kern.b, l, blocks)
+            sel = (psum >= rel_lo) & (psum <= rel_hi)
+            selected += int(np.count_nonzero(sel))
+            lo[g + g0 : g + g0 + len(chunk)] = sel.argmax(axis=1)
+            hi[g + g0 : g + g0 + len(chunk)] = nb - 1 - sel[:, ::-1].argmax(axis=1)
+        g += len(blocks)
+        del pa, qbt, psum, sel  # dropped before the kernel runs
+    if counters is not None:
+        counters.poly_degree_ops += selected * l**3
+    return pairs, _min_blocks(kern.a, kern.b, l, pairs, lo, hi)
 
 
 def _finalize(c: np.ndarray, done: np.ndarray, blocks: np.ndarray, vals: np.ndarray, l: int, shift: int) -> None:
     """Write the final values of distinct output blocks, each exactly once:
-    the kernel values ``vals`` plus the operands' ``shift``, in int64."""
-    n = c.shape[1]
-    span = np.arange(l)
-    rows = blocks[:, 0][:, None] * l + span
-    cols = blocks[:, 1][:, None] * l + span
-    flat = (rows[:, :, None] * n + cols[:, None, :]).reshape(-1)
-    done_flat = done.reshape(-1)
-    require(not done_flat[flat].any(), "block finalized twice")
-    done_flat[flat] = True
-    c.reshape(-1)[flat] = np.add(vals.reshape(-1), shift, dtype=np.int64)
+    the kernel values ``vals`` plus the operands' ``shift``, in int64,
+    through (block row, row, block column, column) views of the output and
+    of the ledger ``done``."""
+    nb = c.shape[0] // l
+    bi, bj = blocks[:, 0], blocks[:, 1]
+    done_blocks = done.reshape(nb, l, nb, l)
+    require(not done_blocks[bi, :, bj, :].any(), "block finalized twice")
+    done_blocks[bi, :, bj, :] = True
+    c.reshape(nb, l, nb, l)[bi, :, bj, :] = np.add(vals, shift, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +612,8 @@ def run_levels(
     one before).
 
     The top level computes every pair's candidate sets; each finer level
-    computes only those of the children of the pairs refined to it, from
-    their parents' candidate columns. At each level the open pairs with
+    computes only those of the children of the pairs refined to it, under
+    their parents' candidate spans. At each level the open pairs with
     more than T_beta candidates are active: grids under 4 blocks a side
     enumerate them directly, larger ones sample columns, compute each
     assigned pair from the original operands over the block columns its
@@ -705,17 +637,13 @@ def run_levels(
 
     for li, l in enumerate(levels):
         if li:
-            eligible = np.repeat(np.repeat(pending_mask, 2, 0), 2, 1)
+            eligible = np.repeat(np.repeat(is_pending, 2, 0), 2, 1)
             # the children of the pending pairs, scanned only under their
-            # parents' candidate columns (nesting, see blocking); with none
-            # left, the level is skipped but kept, empty, in the trace. At
-            # block length 1 only the active pairs' columns are read: the
-            # fallback and the tail read the minimum
-            keep = t_beta if l == 1 else 0
-            cands = child_sets(a, b, l, pending, parent_cols, keep) if len(pending) else None
-            parent_cols = None
-        active_mask = eligible & (cands.sizes > t_beta) if cands is not None else eligible
-        active = np.argwhere(active_mask)
+            # parents' candidate spans (nesting, see blocking); with none
+            # left, the level is skipped but kept, empty, in the trace
+            cands = child_sets(a, b, l, pending, cands) if len(pending) else None
+        is_active = eligible & (cands.sizes > t_beta) if cands is not None else eligible
+        active = np.argwhere(is_active)
         assigned: dict[int, np.ndarray] = {}
         missed = active
         if len(active) and n // l >= 4:
@@ -724,18 +652,14 @@ def run_levels(
         if len(missed):
             _finalize(c, done, missed, _enumerate_pairs(kern, l, missed, cands, counters), l, kern.shift)
             counters.fallback_pairs += len(missed)
-        width = SEGMENT_WIDTH * params.delta * l
-        for blocks, vals in _assigned_block_values(ad, bd, kern, l, width, assigned, counters):
+        if assigned:
+            width = SEGMENT_WIDTH * params.delta * l
+            blocks, vals = _assigned_block_values(ad, bd, kern, l, width, assigned, counters)
             _finalize(c, done, blocks, vals, l, kern.shift)
-        pending_mask = eligible & ~active_mask
-        pending = np.argwhere(pending_mask)
+        is_pending = eligible & ~is_active
+        pending = np.argwhere(is_pending)
         if level_trace is not None:
             level_trace.append(LevelState(l, level_theta(n, l), active, pending, assigned))
-        if li + 1 < len(levels) and len(pending):
-            # the next level reads only the pending pairs' columns; the top
-            # level hands them over as compact CSR, not as dense mask rows
-            parent_cols = cands.columns(pending) if li else cands.compact_columns(pending)
-            cands = None
 
     tail = pending
     if len(tail):

@@ -16,7 +16,7 @@ from minplus.blocking import candidate_sets
 from minplus.cli import RunRecord, _run_once, strict_violations
 from minplus.recursive import allocate_recursive, allocate_top, collisions_incremental
 
-from conftest import random_matrix
+from conftest import candidate_mask, random_matrix
 from packed_reference import _build_allocation, collision_block_counts, collisions_exhaustive, find_collisions
 
 GRID_NS = (32, 64, 128)
@@ -98,17 +98,23 @@ def test_criterion_5_candidate_soundness(pool):
         a, b = pool.pair(n, delta, seed)
         ad, bd = a.base.data, b.base.data
         cs = candidate_sets(a, b, l)
+        mask, _ = candidate_mask(a, b, l)  # the test-side reference sets
+        if not np.array_equal(cs.sizes, mask.sum(axis=2)):
+            ok = False
         for i in range(n):
             sums = ad[i, :][:, None] + bd
             ks = sums.argmin(axis=0)  # ties break to the smallest index
-            if not cs.mask[i // l, np.arange(n) // l, ks // l].all():
+            bjs, bks = np.arange(n) // l, ks // l  # block pair and argmin block of each j
+            if not mask[i // l, bjs, bks].all():
+                ok = False
+            if not ((cs.lo[i // l, bjs] <= bks) & (bks <= cs.hi[i // l, bjs])).all():
                 ok = False
         ra, rb = ad[::l, ::l], bd[::l, ::l]
         rsums = ra[:, :, None] + rb[None, :, :]
         nb = n // l
         for bi in range(nb):
             for bj in range(nb):
-                vals = rsums[bi, :, bj][cs.mask[bi, bj]]
+                vals = rsums[bi, :, bj][mask[bi, bj]]
                 if vals.max() - vals.min() > 16 * delta * l:
                     ok = False
     assert report(5, "candidate sets contain every argmin block; 16*delta*l closeness", ok)

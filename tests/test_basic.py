@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import minplus as mp
-from minplus import AlgoParams, Counters, Matrix, basic
+from minplus import AlgoParams, Counters, Matrix
 from minplus.basic import (
     REL_SHIFTS,
     SEGMENT_WIDTH,
@@ -20,11 +20,11 @@ from minplus.basic import (
     level_theta,
     sample_r,
 )
-from minplus.blocking import Columns, candidate_sets
+from minplus.blocking import candidate_sets, child_sets
 from minplus.oracle import PolyMatrix, extract_min, poly_matmul
 from minplus.recursive import allocate_top, collision_audit
 
-from conftest import random_matrix, valley_bd
+from conftest import candidate_mask, random_matrix, two_valley_bd, valley_bd
 from packed_reference import (
     AllocationMap,
     baseline_offset,
@@ -131,6 +131,40 @@ def test_sample_r_count_matches_formula(pool):
         assert np.array_equal(r_cols, np.unique(draws) * 2)
 
 
+@pytest.mark.parametrize("family", ["walk", "valley", "two-valley"])
+def test_sample_r_assigns_first_drawn_candidate(pool, family):
+    # every active pair goes to the smallest drawn block column of its
+    # candidate set (the reference mask), in the order of active, and a
+    # pair with no drawn candidate is missed. c0 = 1 and beta = 0.95 draw a
+    # few columns, so on the valley some pairs miss, and on the two valleys
+    # drawn columns fall between a pair's runs; the scan runs at l and l/2
+    n = 256
+    if family == "walk":
+        a, b = pool.pair(n, 2, 5)
+    else:
+        a, b = (valley_bd if family == "valley" else two_valley_bd)(n, 2, 9)
+    params = AlgoParams(delta=2, beta=0.95, c0=1, seed=3)
+    top = candidate_sets(a, b, 4)
+    parents = np.argwhere(np.ones((64, 64), dtype=bool))
+    for l, cs in ((4, top), (2, child_sets(a, b, 2, parents, top))):
+        mask, _ = candidate_mask(a, b, l)
+        if family != "walk":
+            # the valley's sets fill their spans; the two valleys' leave
+            # gaps, where the drawn columns are tested
+            assert (cs.hi - cs.lo + 1 > cs.sizes).any() == (family == "two-valley")
+        nb = n // l
+        active = np.argwhere(np.ones((nb, nb), dtype=bool))[np.random.default_rng(l).permutation(nb * nb)]
+        r_cols, needed = sample_r(cs, params, active, level=l)
+        drawn = r_cols // l
+        hits = mask[active[:, 0], active[:, 1]][:, drawn]
+        first = np.where(hits.any(axis=1), drawn[hits.argmax(axis=1)], -1)
+        assert (first >= 0).any() and ((first < 0).any() or family != "valley")
+        assert np.array_equal(needed.missed, active[first < 0])
+        assert sorted(needed.gamma) == sorted(set(first[first >= 0] * l))
+        for r, got in needed.gamma.items():
+            assert np.array_equal(got, active[first * l == r])
+
+
 def test_sample_r_monte_carlo_coverage():
     # unassigned fraction is zero in at least 95 of 100 seeded runs
     clean = 0
@@ -175,14 +209,14 @@ def test_shift_diametric_bound(pool):
     # representative sums stay within 16*delta*l
     n, delta, l = 64, 2, 8
     a, b = pool.pair(n, delta, 4)
-    cs = candidate_sets(a, b, l)
+    mask, _ = candidate_mask(a, b, l)
     ra = a.base.data[::l, ::l]
     rb = b.base.data[::l, ::l]
     sums = ra[:, :, None] + rb[None, :, :]  # (bi, bk, bj)
     nb = n // l
     for bi in range(nb):
         for bj in range(nb):
-            cand = np.flatnonzero(cs.mask[bi, bj])
+            cand = np.flatnonzero(mask[bi, bj])
             for rblk in cand:
                 reduced = sums[bi, cand, bj] - sums[bi, rblk, bj]
                 assert np.abs(reduced).max() <= 16 * delta * l
@@ -307,11 +341,9 @@ def _column_values(ad, bd, l, width, r_col, blocks, counters=None):
     """``_assigned_block_values`` of one sampled column, in the order of
     blocks, evaluated on the shifted kernel operands and shifted back."""
     kern = kernel_operands(ad, bd)
-    got = {}
-    for part, vals in _assigned_block_values(ad, bd, kern, l, width, {r_col: blocks}, counters):
-        got.update(zip(map(tuple, part), vals.astype(np.int64) + kern.shift))
-    assert len(got) == len(blocks)
-    return np.array([got[tuple(bk)] for bk in blocks])
+    pairs, vals = _assigned_block_values(ad, bd, kern, l, width, {r_col: blocks}, counters)
+    assert np.array_equal(pairs, blocks)
+    return vals.astype(np.int64) + kern.shift
 
 
 def test_process_large_all_segments(pool):
@@ -351,8 +383,8 @@ def test_process_large_matches_naive_for_covered_pairs(pool):
         merged = np.minimum(merged, process_large_segments(seg_a, seg_b, shift, ar, br, t_gamma=1))
     restored = merged + ad[:, r_col][:, None] + bd[r_col, :][None, :]
     naive = pool.naive(n, delta, seed).data
-    cs = candidate_sets(a, b, l)
-    for bi, bj in np.argwhere(cs.mask[:, :, r_col // l]):
+    mask, _ = candidate_mask(a, b, l)
+    for bi, bj in np.argwhere(mask[:, :, r_col // l]):
         sl = (slice(bi * l, bi * l + l), slice(bj * l, bj * l + l))
         assert np.array_equal(restored[sl], naive[sl])
 
@@ -589,8 +621,7 @@ def test_pipeline_matches_faithful_composition(pool):
         ar = ad - ad[:, r_col : r_col + 1]
         br = bd - bd[r_col : r_col + 1, :]
         seg_a, seg_b, shifts = build_segments(ad, bd, l, delta, r_col)
-        cs = candidate_sets(a, b, l)
-        blocks = np.argwhere(cs.mask[:, :, r_col // l])
+        blocks = np.argwhere(candidate_mask(a, b, l)[0][:, :, r_col // l])
         t_gamma = 2
         merged = {tuple(bk): np.full((l, l), mp.INF, dtype=np.int64) for bk in map(tuple, blocks)}
         for rel, shift in enumerate(shifts):
@@ -609,29 +640,31 @@ def test_pipeline_matches_faithful_composition(pool):
 
 @pytest.mark.parametrize("budget, r_col", [("default", 8), ("one", 40), ("five_pairs", 72)])
 def test_assigned_block_values_chunks(monkeypatch, budget, r_col):
-    # the column mask is filled a few pairs at a time: one pair per chunk,
-    # five pairs with a short last chunk, and one chunk all give the min
-    # over the bucket-matched columns. At l = 1 on a valley the buckets
-    # are selective, and column r_col itself always matches. Each case
-    # reduces at its own column, so a row left unfilled cannot pass by
-    # holding the mask of the case before.
+    # the column selections are built a few pairs at a time: one pair per
+    # chunk, five pairs with a short last chunk, and one chunk all give the
+    # product entries of the pairs whose candidate set holds r_col, and
+    # count the bucket-matched columns of each. At l = 1 on a valley along
+    # the diagonal, A[i,k] = |k - i| and B[k,j] = |k - j|, every column is
+    # a candidate of some pairs, the buckets are selective, and column
+    # r_col itself always matches. Each case reduces at its own column, so
+    # a span left unset cannot pass by holding the span of the case before.
     n, delta = 128, 2
-    a, b = valley_bd(n, delta, 7)
+    ks = np.arange(n)
+    a = b = mp.BDMatrix(Matrix((delta - 1) * np.abs(ks[None, :] - ks[:, None])), delta)
     ad, bd = a.base.data, b.base.data
     ar, br = ad - ad[:, r_col : r_col + 1], bd - bd[r_col : r_col + 1, :]
-    blocks = np.argwhere(np.ones((n, n), dtype=bool))[::43]
+    blocks = np.argwhere(candidate_mask(a, b, 1)[0][:, :, r_col])[::13]
     w = SEGMENT_WIDTH * delta
     psum = (ar // w)[blocks[:, 0]] + (br // w)[:, blocks[:, 1]].T
     sel = (psum >= REL_SHIFTS[0]) & (psum <= REL_SHIFTS[-1])
     assert 0 < sel.mean() < 1 and len(blocks) % 5
-    want = np.where(sel, ar[blocks[:, 0]] + br[:, blocks[:, 1]].T, mp.INF).min(axis=1)
     if budget == "one":
         monkeypatch.setattr("minplus.basic._TRIPLE_BUDGET", 1)
     elif budget == "five_pairs":
         monkeypatch.setattr("minplus.basic._TRIPLE_BUDGET", 5 * n)
     counters = Counters()
     got = _column_values(ad, bd, 1, w, r_col, blocks, counters)
-    assert np.array_equal(got[:, 0, 0], want + ad[blocks[:, 0], r_col] + bd[r_col, blocks[:, 1]])
+    assert np.array_equal(got[:, 0, 0], mp.minplus_naive(a.base, b.base).data[blocks[:, 0], blocks[:, 1]])
     assert counters.poly_degree_ops == int(sel.sum())
 
 
@@ -690,6 +723,26 @@ def test_engines_exact_on_valley_tails(n, delta):
     assert rec_trace[-1].block_len == 1 and len(rec_trace[-1].pending) > 0
 
 
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_engines_exact_on_two_valleys(n):
+    # each pair's candidates lie in two runs of block columns n/2 apart, so
+    # its span holds many columns that are not candidates; a minimum over
+    # the span is still the product, at the default schedule and the
+    # paper's, with and without the recursion to single entries
+    gaps = []
+    for delta in (2, 5):
+        a, b = two_valley_bd(n, delta, n + delta)
+        want = mp.minplus_naive(a.base, b.base).data
+        for alpha in (0.7, 0.9):
+            cs = candidate_sets(a, b, AlgoParams(delta=delta, alpha=alpha).block_len(n))
+            gaps.append((cs.hi - cs.lo + 1).sum() > cs.sizes.sum())
+            for l_min in (8, 1):
+                params = AlgoParams(delta=delta, alpha=alpha, seed=7, l_min=l_min)
+                assert np.array_equal(mp.basic_minplus(a, b, params).data, want)
+                assert np.array_equal(mp.recursive_minplus(a, b, params).data, want)
+    assert any(gaps)  # at n = 64 only delta 5 at alpha 0.9 leaves gaps
+
+
 @pytest.mark.parametrize("engine", ["basic", "recursive"])
 @pytest.mark.parametrize("family", ["walk", "valley"])
 def test_engines_exact_at_block_length_16(pool, engine, family):
@@ -743,62 +796,82 @@ def test_transposed_operand_is_stored_c_order(pool):
     assert np.array_equal(mp.dense_minplus(a.base, bt.base).data, mp.dense_minplus(a.base, bc.base).data)
 
 
-def _min_blocks_loop(ad, bd, l, pairs, sel):
-    """Per-triple reference: for each pair, the min over its selected block
-    columns bk and inner index c of A[bi*l+i, bk*l+c] + B[bk*l+c, bj*l+j]."""
+def _min_blocks_loop(ad, bd, l, pairs, lo, hi):
+    """Per-pair reference: for each pair, the min over block columns
+    lo..hi of its block of sums A[rows, k] + B[k, cols], in int64."""
     out = np.empty((len(pairs), l, l), dtype=np.int64)
     for g, (bi, bj) in enumerate(pairs):
-        for i in range(l):
-            for j in range(l):
-                best = None
-                for bk in np.flatnonzero(sel[g]):
-                    for c in range(l):
-                        v = int(ad[bi * l + i, bk * l + c]) + int(bd[bk * l + c, bj * l + j])
-                        best = v if best is None else min(best, v)
-                out[g, i, j] = best
+        ks = slice(lo[g] * l, (hi[g] + 1) * l)
+        rows = ad[bi * l : bi * l + l, ks].astype(np.int64)
+        cols = bd[ks, bj * l : bj * l + l].astype(np.int64)
+        out[g] = (rows[:, :, None] + cols[None, :, :]).min(axis=1)
     return out
 
 
 @pytest.mark.parametrize("l", [1, 2, 4, 8, 16])
 @pytest.mark.parametrize("budget", ["default", "one", "below_group"])
 def test_min_blocks_matches_loop(monkeypatch, l, budget):
-    # three selections, each as a dense row mask and as CSR with int16
-    # columns (the top level's compact form): ragged candidate counts in pair
-    # order, 1 up to every block column, so both paths run; every pair of
-    # the grid full, in shuffled order, so the dense path forms whole rows
-    # and rectangles; full pairs around a few partial ones, so its runs are
-    # short. Operands in int64, int32 and int16, each with entries up to an
-    # eighth of its type's range, so every sum fits, and the kernel answers
-    # in the operands' type. Chunk cuts at every pair or below the largest
-    # group's size (in the dense path, inside k)
+    # operands in int64, int32 and int16, each with entries up to an eighth
+    # of its type's range, so every sum fits, and the kernel answers in the
+    # operands' type. Each pair alone gets the minimum over its own span,
+    # whatever the span: single columns, random spans, full rows. Pairs
+    # together may share a rectangle's union span, which is exact for
+    # spans that hold every optimal witness block of their pairs: the
+    # witness span itself (a single column wherever it is one, as at
+    # l = 1), strict supersets of it, and full rows, on the whole grid in
+    # shuffled order, so whole rows and stacked rectangles form. Chunk cuts
+    # at every entry or below one block row's sums (inside k)
     nb = 6 if l < 8 else 3
     n = nb * l
     rng = np.random.default_rng(l)
-    operands = []
-    for dtype in (np.int64, np.int32, np.int16):
-        bound = 1 << (8 * np.dtype(dtype).itemsize - 3)
-        operands.append([rng.integers(-bound, bound, size=(n, n)).astype(dtype) for _ in "ab"])
     grid = np.array([(bi, bj) for bi in range(nb) for bj in range(nb)], dtype=np.int64)
-    ragged = np.zeros((len(grid[::2]), nb), dtype=bool)
-    for g in range(len(ragged)):
-        size = [1, nb, 2, 1, nb - 1][g % 5]
-        ragged[g, rng.choice(nb, size=size, replace=False)] = True
-    shuffled = grid[rng.permutation(len(grid))]
-    gaps = np.ones((len(grid), nb), dtype=bool)
-    for g in rng.choice(len(grid), size=3, replace=False):
-        gaps[g, rng.choice(nb, size=nb - 1, replace=False)] = False
     if budget == "one":
         monkeypatch.setattr("minplus.basic._TRIPLE_BUDGET", 1)
     elif budget == "below_group":
         monkeypatch.setattr("minplus.basic._TRIPLE_BUDGET", 2 * l * l)
-    for ad, bd in operands:
-        for pairs, sel in [(grid[::2], ragged), (shuffled, np.ones_like(gaps)), (shuffled, gaps)]:
-            want = _min_blocks_loop(ad, bd, l, pairs, sel)
-            csr = Columns(np.concatenate([[0], np.cumsum(sel.sum(axis=1))]), np.nonzero(sel)[1].astype(np.int16))
-            for form in (sel, csr):
-                got = _min_blocks(ad, bd, l, pairs, form)
-                assert got.shape == (len(pairs), l, l) and got.dtype == ad.dtype
-                assert np.array_equal(got, want)
+    ks = np.arange(n)
+    for dtype in (np.int64, np.int32, np.int16):
+        # valleys about the diagonal, plus noise: witness spans are narrow
+        # near it and vary from pair to pair
+        bound = 1 << (8 * np.dtype(dtype).itemsize - 3)
+        slope = bound // (2 * n)
+        ad, bd = (
+            (-bound + slope * np.abs(ks[None, :] - ks[:, None] - rng.integers(-l, l + 1, size=(n, 1)))
+             + rng.integers(0, 2 * slope, size=(n, n))).astype(dtype)
+            for _ in "ab"
+        )
+        bd = bd.T.copy()
+        # alone: any span
+        lo = rng.integers(0, nb, size=len(grid))
+        hi = np.minimum(lo + rng.choice([0, 0, 1, nb], size=len(grid)), nb - 1)
+        lo[:3], hi[:3] = 0, nb - 1
+        want = _min_blocks_loop(ad, bd, l, grid, lo, hi)
+        for g in range(len(grid)):
+            got = _min_blocks(ad, bd, l, grid[g : g + 1], lo[g : g + 1], hi[g : g + 1])
+            assert got.dtype == ad.dtype and np.array_equal(got[0], want[g])
+        # together: spans that hold each pair's optimal witness blocks
+        full = _min_blocks_loop(ad, bd, l, grid, np.zeros(len(grid), dtype=int), np.full(len(grid), nb - 1))
+        wit_lo, wit_hi = np.empty(len(grid), dtype=int), np.empty(len(grid), dtype=int)
+        for g, (bi, bj) in enumerate(grid):
+            sums = ad[bi * l : bi * l + l].astype(np.int64)[:, :, None] + bd[:, bj * l : bj * l + l][None]
+            wit = np.flatnonzero((sums == full[g][:, None, :]).any(axis=(0, 2))) // l
+            wit_lo[g], wit_hi[g] = wit.min(), wit.max()
+        if l == 1:
+            assert (wit_lo == wit_hi).all()
+        wider_lo = np.maximum(wit_lo - rng.integers(0, 2, size=len(grid)), 0)
+        wider_hi = np.minimum(wit_hi + rng.integers(0, 2, size=len(grid)), nb - 1)
+        assert ((wider_lo < wit_lo) | (wider_hi > wit_hi)).any()
+        shuffled = rng.permutation(len(grid))
+        for lo, hi in [(wit_lo, wit_hi), (wider_lo, wider_hi), (np.zeros_like(wit_lo), np.full_like(wit_hi, nb - 1))]:
+            got = _min_blocks(ad, bd, l, grid[shuffled], lo[shuffled], hi[shuffled])
+            assert got.shape == (len(grid), l, l) and got.dtype == ad.dtype
+            assert np.array_equal(got, full[shuffled])
+
+
+def test_min_blocks_rejects_empty_span():
+    z = np.zeros((4, 4), dtype=np.int64)
+    with pytest.raises(mp.InvariantError):
+        _min_blocks(z, z, 2, np.array([[0, 0]]), np.array([1]), np.array([0]))
 
 
 @pytest.mark.parametrize(
@@ -856,37 +929,6 @@ def test_engines_exact_in_every_kernel_type(case, dtype):
     assert np.array_equal(mp.dense_minplus(a.base, b.base).data, want)
 
 
-@pytest.mark.parametrize("engine", ["basic", "recursive"])
-def test_full_selections_skip_gather(pool, monkeypatch, engine):
-    # on a walk every pair the kernel evaluates selects every block column,
-    # so none of them builds the gather path's planes
-    def refuse(*args):
-        raise AssertionError("gather path taken by pairs that select every column")
-
-    monkeypatch.setattr("minplus.basic._planes", refuse)
-    a, b = pool.pair(64, 2, 0)
-    f = mp.basic_minplus if engine == "basic" else mp.recursive_minplus
-    got = f(a, b, AlgoParams(delta=2, seed=7))
-    assert np.array_equal(got.data, pool.naive(64, 2, 0).data)
-
-
-def test_partial_selections_take_gather(monkeypatch):
-    # on a valley the l = 1 sampled pairs select only some block columns, so
-    # the gather path still runs inside a product
-    calls = []
-    real = basic._planes
-
-    def counting(data, l):
-        calls.append(l)
-        return real(data, l)
-
-    monkeypatch.setattr("minplus.basic._planes", counting)
-    a, b = valley_bd(128, 2, 7)
-    got = mp.recursive_minplus(a, b, AlgoParams(delta=2, seed=7, l_min=1))
-    assert calls and set(calls) == {1}
-    assert got == mp.minplus_naive(a.base, b.base)
-
-
 def test_invariants_survive_optimize():
     # exactness guards raise explicitly, so python -O keeps them
     script = """
@@ -895,7 +937,8 @@ from minplus import InvariantError, Matrix
 from minplus.basic import KernelOperands, _enumerate_pairs, build_segments
 from minplus.blocking import BlockGrid, CandidateSets
 z = np.zeros((8, 8), dtype=np.int64)
-empty = CandidateSets(BlockGrid(8, 2), 1, Matrix(z[:4, :4]), np.zeros((4, 4, 4), dtype=bool))
+none = np.zeros((4, 4), dtype=np.int64)
+empty = CandidateSets(BlockGrid(8, 2), 1, Matrix(none), none, none, none, z[::2, ::2], z[::2, ::2])
 big = np.zeros((8, 8), dtype=np.int64)
 big[:, 4:] = 1 << 40
 caught = []

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import minplus as mp
 from minplus import Matrix
 from minplus.blocking import BlockGrid, candidate_sets
 
-from conftest import valley_bd
+from conftest import candidate_mask, check_candidate_sets, two_valley_bd, valley_bd
 
 ZERO8 = mp.BDMatrix(Matrix(np.zeros((8, 8), dtype=np.int64)), 1)
 
@@ -47,7 +49,8 @@ def test_approx_bounds(pool):
 
 def test_candidates_all_zero():
     cs = candidate_sets(ZERO8, ZERO8, 2)
-    assert cs.mask.all()
+    assert (cs.sizes == 4).all() and (cs.lo == 0).all() and (cs.hi == 3).all()
+    check_candidate_sets(cs, ZERO8, ZERO8)
 
 
 def test_candidate_threshold_exact(pool):
@@ -61,41 +64,41 @@ def test_candidate_threshold_exact(pool):
     for bi in range(nb):
         for bj in range(nb):
             sums = ra[bi, :] + rb[:, bj]
-            want = sums <= cs.approx.data[bi, bj] + 8 * delta * l
-            assert np.array_equal(cs.mask[bi, bj], want)
+            assert cs.approx.data[bi, bj] == sums.min()
+            want = np.flatnonzero(sums <= sums.min() + 8 * delta * l)
+            assert (cs.sizes[bi, bj], cs.lo[bi, bj], cs.hi[bi, bj]) == (len(want), want[0], want[-1])
 
 
 @pytest.mark.parametrize("budget", [1, 3 * 8 * 8, 1 << 30])
 def test_candidate_chunks_match_dense(pool, monkeypatch, budget):
     # one block row per chunk, chunks of 3 rows with a short last one, and
-    # a single chunk all give the dense result, with a C-contiguous mask
+    # a single chunk all give the dense result, on a walk and on a valley
+    # (whose spans are narrow and differ from pair to pair); on two valleys
+    # the sets leave gaps, so a span is more than its set
     n, delta, l = 32, 2, 4
-    a, b = pool.pair(n, delta, 3)
-    ra = a.base.data[::l, ::l]
-    rb = b.base.data[::l, ::l]
-    sums = ra[:, None, :] + rb.T[None, :, :]  # [bi, bj, bk]
-    approx = sums.min(axis=2)
     monkeypatch.setattr("minplus.blocking._SUM_BUDGET", budget)
-    cs = candidate_sets(a, b, l)
-    assert cs.mask.flags.c_contiguous
-    assert np.array_equal(cs.approx.data, approx)
-    assert np.array_equal(cs.mask, sums <= approx[:, :, None] + 8 * delta * l)
+    for a, b in (pool.pair(n, delta, 3), valley_bd(n, delta, 5)):
+        check_candidate_sets(candidate_sets(a, b, l), a, b)
+    a, b = two_valley_bd(128, 5, 1)
+    cs = candidate_sets(a, b, 2)
+    assert (cs.hi - cs.lo + 1 > cs.sizes).any()
+    check_candidate_sets(cs, a, b)
 
 
-@pytest.mark.parametrize("budget", [1, 3 * 8, 1 << 30])
-def test_compact_columns_match_mask_rows(pool, monkeypatch, budget):
-    # CSR of any pairs' candidate columns, decoded one row, three rows or
-    # all rows at a time, equals the dense mask rows, in int16
-    n, delta, l = 64, 2, 2
-    a, b = pool.pair(n, delta, 3)
-    cs = candidate_sets(a, b, l)
-    pairs = np.random.default_rng(0).integers(0, n // l, size=(50, 2))
-    monkeypatch.setattr("minplus.blocking._SUM_BUDGET", budget)
-    got = cs.compact_columns(pairs)
-    want = cs.columns(pairs)
-    assert got.cols.dtype == np.int16
-    assert np.array_equal(np.diff(got.starts), want.sum(axis=1))
-    assert np.array_equal(got.cols, np.nonzero(want)[1])
+def test_candidate_sets_memory_is_quadratic():
+    # the sets keep (n/l)**2 words a field and the scan holds a bounded
+    # chunk of sums: on a walk at n = 1024, l = 2 (256**3 triples) the
+    # tracemalloc peak stays under 16 MiB; a dense (n/l)**3 mask alone
+    # would be 128 MiB
+    a, b = mp.generate_bd(1024, 2, 0), mp.generate_bd(1024, 2, 1)
+    tracemalloc.start()
+    try:
+        cs = candidate_sets(a, b, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cs.sizes.shape == (512, 512)
+    assert peak < 16 << 20
 
 
 def test_candidate_soundness_exhaustive(pool):
@@ -104,11 +107,13 @@ def test_candidate_soundness_exhaustive(pool):
     a, b = pool.pair(n, delta, 2)
     ad, bd = a.base.data, b.base.data
     cs = candidate_sets(a, b, l)
+    mask, _ = candidate_mask(a, b, l)
     for i in range(n):
         sums = ad[i, :][:, None] + bd  # (k, j)
         ks = sums.argmin(axis=0)  # smallest index on ties
         for j in range(n):
-            assert cs.mask[i // l, j // l, ks[j] // l]
+            assert mask[i // l, j // l, ks[j] // l]
+            assert cs.lo[i // l, j // l] <= ks[j] // l <= cs.hi[i // l, j // l]
 
 
 def test_two_candidate_closeness(pool):
@@ -118,12 +123,12 @@ def test_two_candidate_closeness(pool):
         a, b = pool.pair(n, delta, seed)
         ra = a.base.data[::l, ::l]
         rb = b.base.data[::l, ::l]
-        cs = candidate_sets(a, b, l)
+        mask, _ = candidate_mask(a, b, l)
         nb = n // l
         sums = ra[:, :, None] + rb[None, :, :]
         for bi in range(nb):
             for bj in range(nb):
-                vals = sums[bi, :, bj][cs.mask[bi, bj]]
+                vals = sums[bi, :, bj][mask[bi, bj]]
                 assert vals.max() - vals.min() <= 16 * delta * l
 
 
@@ -131,27 +136,30 @@ def test_refine_all_zero():
     cs = candidate_sets(ZERO8, ZERO8, 2)
     child = candidate_sets(ZERO8, ZERO8, 1)
     assert child.grid.l == 1
-    assert child.mask.all()
+    assert (child.lo == 0).all() and (child.hi == 7).all()
     assert cs.sizes.max() == 4 and child.sizes.max() == 8
 
 
 @pytest.mark.parametrize("family", ["walk", "valley"])
 def test_child_candidates_inside_parent(pool, family):
     # candidate sets nest across halving block lengths: every child candidate
-    # lies inside its parent's candidate set, and so does the child argmin
+    # lies inside its parent's candidate set, and so does the child argmin;
+    # so each child span lies under its parent's span
     for n, delta, seed in ((32, 2, 3), (64, 1, 3), (64, 5, 3), (64, 2, 4)):
         a, b = pool.pair(n, delta, seed) if family == "walk" else valley_bd(n, delta, seed)
         l = n
-        parent = candidate_sets(a, b, l)
+        parent, parent_spans = candidate_mask(a, b, l)[0], candidate_sets(a, b, l)
         while l >= 2:
             h = l // 2
-            child = candidate_sets(a, b, h)
+            child, child_spans = candidate_mask(a, b, h)[0], candidate_sets(a, b, h)
             up = np.arange(n // h) // 2
-            assert not (child.mask & ~parent.mask[np.ix_(up, up, up)]).any()
+            assert not (child & ~parent[np.ix_(up, up, up)]).any()
             sums = a.base.data[::h, ::h][:, :, None] + b.base.data[::h, ::h][None, :, :]
             k_min = sums.argmin(axis=1)  # child argmin column per (i', j')
-            assert parent.mask[up[:, None], up[None, :], k_min // 2].all()
-            parent, l = child, h
+            assert parent[up[:, None], up[None, :], k_min // 2].all()
+            assert (child_spans.lo >= 2 * parent_spans.lo[np.ix_(up, up)]).all()
+            assert (child_spans.hi <= 2 * parent_spans.hi[np.ix_(up, up)] + 1).all()
+            parent, parent_spans, l = child, child_spans, h
 
 
 def test_refine_size_bound():

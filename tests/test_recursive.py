@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import minplus as mp
 from minplus import AlgoParams, Counters, Matrix, basic
 from minplus.basic import NeededBlocks, build_segments, derived_rng, encode_keys
-from minplus.blocking import Columns, candidate_sets
 from minplus.recursive import (
     allocate_recursive,
     allocate_top,
@@ -19,7 +18,7 @@ from minplus.recursive import (
     cross_check_count,
 )
 
-from conftest import valley_bd
+from conftest import candidate_mask, check_candidate_sets, two_valley_bd, valley_bd
 from packed_reference import collisions_exhaustive
 
 
@@ -292,63 +291,57 @@ def test_recursive_skips_empty_levels(pool, monkeypatch):
 
 @pytest.mark.parametrize("alpha", [0.9, 0.6])
 @pytest.mark.parametrize("delta", [1, 2, 5])
-@pytest.mark.parametrize("family", ["walk", "valley"])
+@pytest.mark.parametrize("family", ["walk", "valley", "two-valley"])
 def test_level_child_sets_equal_dense_sets(pool, monkeypatch, family, delta, alpha):
-    # below the top, a level scans only the children of its parents'
-    # candidate columns; by the nesting lemma (blocking docstring) its CSR
-    # sets and minima are the full scan's on every child pair. alpha = 0.6
-    # gives l0 = 8, so CSR levels at l = 4 and 2 read CSR parents
+    # below the top, a level scans only the child columns under its
+    # parents' candidate spans; by the nesting lemma (blocking docstring)
+    # its minima, counts and spans are the full scan's on every child pair,
+    # as the test-side reference mask gives them. alpha = 0.6 gives l0 = 8,
+    # so the levels at l = 4 and 2 read the spans of a scanned level; on two
+    # valleys the parents' spans hold gaps
     n = 128
-    a, b = pool.pair(n, delta, 2) if family == "walk" else valley_bd(n, delta, n + delta)
+    if family == "walk":
+        a, b = pool.pair(n, delta, 2)
+    else:
+        a, b = (valley_bd if family == "valley" else two_valley_bd)(n, delta, n + delta)
     ad, bd = a.base.data, b.base.data
     scans = []
     real = basic.child_sets
 
-    def recording(a_, b_, l, parents, sel, cols_above=0):
-        cs = real(a_, b_, l, parents, sel, cols_above)
+    def recording(a_, b_, l, parents, spans):
+        cs = real(a_, b_, l, parents, spans)
         scans.append((l, parents, cs))
         return cs
 
     monkeypatch.setattr(basic, "child_sets", recording)
     params = AlgoParams(delta=delta, alpha=alpha, seed=7, l_min=1)
     trace = []
-    assert mp.recursive_minplus(a, b, params, level_trace=trace) == mp.minplus_naive(a.base, b.base)
+    want = mp.minplus_naive(a.base, b.base).data
+    assert np.array_equal(mp.recursive_minplus(a, b, params, level_trace=trace).data, want)
     assert [l for l, _, _ in scans] == [cur.block_len for prev, cur in zip(trace, trace[1:]) if len(prev.pending)]
     for l, parents, cs in scans:
-        dense = candidate_sets(a, b, l)
-        eligible = np.zeros((n // l, n // l), dtype=bool)
+        nb = n // l
+        eligible = np.zeros((nb, nb), dtype=bool)
         for di in (0, 1):
             for dj in (0, 1):
                 eligible[2 * parents[:, 0] + di, 2 * parents[:, 1] + dj] = True
         kids = np.argwhere(eligible)
-        assert np.array_equal(cs.approx.data[eligible], dense.approx.data[eligible])
-        assert (cs.approx.data[~eligible] == mp.INF).all()
-        assert np.array_equal(cs.sizes, np.where(eligible, dense.sizes, 0))
-        # columns are stored, ascending, for every pair whose columns are
-        # read: all of them above block length 1, the active ones at 1
-        assert cs.cols_above == (params.t_beta(n) if l == 1 else 0)
-        big = cs.sizes[kids[:, 0], kids[:, 1]] > cs.cols_above
-        got = cs.columns(kids[big])
-        want = dense.columns(kids[big])
-        assert np.array_equal(np.diff(got.starts), want.sum(axis=1))
-        assert np.array_equal(got.cols, np.nonzero(want)[1]) and got.cols.dtype == np.int16
-        if not big.all():
-            with pytest.raises(ValueError):
-                cs.columns(kids)
-        # the fallback and the tail: at block length 1 they read the
-        # minimum, which equals enumerating the same columns
+        check_candidate_sets(cs, a, b, eligible)
+        assert (cs.approx.data[~eligible] == mp.INF).all() and (cs.sizes[~eligible] == 0).all()
+        # the fallback and the tail: enumerating the candidate spans (at
+        # block length 1, reading the minimum) gives the product's blocks
         counters = Counters()
         kern = basic.kernel_operands(ad, bd)
         vals = basic._enumerate_pairs(kern, l, kids, cs, counters)
-        want_vals = basic._min_blocks(ad, bd, l, kids, dense.columns(kids))
-        assert np.array_equal(vals.astype(np.int64) + kern.shift, want_vals)
-        assert counters.block_products == dense.sizes[eligible].sum()
+        blocks = want.reshape(nb, l, nb, l)[kids[:, 0], :, kids[:, 1], :]
+        assert np.array_equal(vals.astype(np.int64) + kern.shift, blocks)
+        assert counters.block_products == candidate_mask(a, b, l)[0][eligible].sum()
 
 
 def test_fallback_below_top_is_exact(monkeypatch):
     # with every sampled column missing, each level's active pairs fall
-    # back to enumerating their candidate sets: dense at the top, CSR at
-    # l = 4 and 2, the minimum at l = 1
+    # back to enumerating their candidate spans at l = 8, 4 and 2, and to
+    # the minimum at l = 1
     real = basic.sample_r
 
     def sample_nothing(cands, params, active=None, level=0):
@@ -451,9 +444,9 @@ def test_recursive_audited_counters_golden():
 
 @pytest.mark.parametrize("delta", [2, 5])
 def test_recursive_peak_memory(delta):
-    # only the top level holds a dense (n/l)**3 candidate mask; finer
-    # levels hold CSR columns of their child pairs, and every sum and
-    # bucket sum is built in bounded chunks, never all at once
+    # no level holds an (n/l)**3 array: candidate sets keep (n/l)**2 words a
+    # field, and every sum and bucket sum is built in bounded chunks, never
+    # all at once
     n = 128
     a, b = valley_bd(n, delta, 7)
     params = AlgoParams(delta=delta)
@@ -467,49 +460,20 @@ def test_recursive_peak_memory(delta):
 
 
 def test_recursive_memory_below_cubic():
-    # no level below the top holds (n/l)**3 of anything: on a valley pair
-    # at n = 512 the l = 1 level keeps CSR columns of its active pairs only,
-    # so the whole product stays under n**3 bytes (the dense l = 1 mask alone
-    # was n**3)
+    # no level holds (n/l)**3 of anything: on a valley pair at n = 512 the
+    # l = 1 level keeps (n/l)**2 words a field, so the whole product stays
+    # under n**3 bytes (a dense l = 1 mask alone would be n**3); at
+    # alpha = 0.9 (l0 = 2, nearly every top pair refined to l = 1) it stays
+    # under n**3 / 4
     n = 512
     a, b = valley_bd(n, 2, n + 2)
-    tracemalloc.start()
-    try:
-        got = mp.recursive_minplus(a, b, AlgoParams(delta=2, l_min=1))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < n**3
-    assert got == mp.minplus_naive(a.base, b.base)
-
-
-def test_first_child_scan_reads_compact_columns(monkeypatch):
-    # the top level hands the first child scan its pending pairs' columns as
-    # int16 CSR, not as dense rows of its mask (n/l0 bytes a pair). On a
-    # valley at n = 512 nearly every top pair is pending: the scan is entered
-    # holding under n**3/16 bytes and the product peaks under n**3/4 (with
-    # the dense rows, 19.6 and 38.7 MiB)
-    n = 512
-    a, b = valley_bd(n, 2, n + 2)
-    real = basic.child_sets
-    entered = []
-
-    def recording(a_, b_, l, parents, sel, cols_above=0):
-        entered.append((l, sel, tracemalloc.get_traced_memory()[0] - base))
-        return real(a_, b_, l, parents, sel, cols_above)
-
-    monkeypatch.setattr(basic, "child_sets", recording)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        got = mp.recursive_minplus(a, b, AlgoParams(delta=2, alpha=0.9, l_min=1))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert [l for l, _, _ in entered] == [1]
-    _, sel, held = entered[0]
-    assert isinstance(sel, Columns) and sel.cols.dtype == np.int16
-    assert held < n**3 / 16
-    assert peak < n**3 / 4
-    assert got == mp.minplus_naive(a.base, b.base)
+    want = mp.minplus_naive(a.base, b.base)
+    for alpha, bound in ((0.7, n**3), (0.9, n**3 / 4)):
+        tracemalloc.start()
+        try:
+            got = mp.recursive_minplus(a, b, AlgoParams(delta=2, alpha=alpha, l_min=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+        assert got == want
