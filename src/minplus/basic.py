@@ -37,25 +37,34 @@ sampled column's buckets select. Either span holds every block of an
 optimal witness, so a minimum over it, or over any larger set of columns,
 is exact. The kernel groups the pairs into rectangles, runs of consecutive
 block columns in one block row, and reduces operand slices over the union
-of a rectangle's spans, so it gathers nothing. A pair whose span is every
-block column (density 1, as on random walks) gets the plain min-plus
-product of its rows of A and columns of B, so the dense case costs no more
-than a row-chunked naive product; ``dense_minplus``, the same kernel over
+of a rectangle's spans, so it gathers nothing, and it writes each rectangle
+straight into the product, so it scatters nothing either. A pair whose span
+is every block column (density 1, as on random walks) gets the plain
+min-plus product of its rows of A and columns of B, so the dense case
+costs no more than a dense product; ``dense_minplus``, the same kernel over
 every block pair at full spans and a fixed tile, is the cubic reference
 the engines are measured against. The sampled columns of a level hand all
 their pairs to one kernel call, so pairs split between columns still form
 whole rows there.
 
-The kernels add and reduce in the narrowest integer type the data allows.
-Once per product, ``kernel_operands`` shifts the operands to start at 0,
-A - min A and B - min B, and stores them in the narrowest of int16, int32
-and int64 whose max holds span(A) + span(B). Every sum a kernel forms lies
-in [0, span(A) + span(B)], so it is exact in that type; a bounded-difference
+The kernel reduces a rectangle one of two ways. Once per product,
+``kernel_operands`` shifts the operands to start at 0, A - min A and
+B - min B, and stores them in the narrowest of int16, int32 and int64
+whose max holds span(A) + span(B). Every sum add+min forms lies in
+[0, span(A) + span(B)], so it is exact in that type; a bounded-difference
 operand spans at most 2*(delta-1)*(n-1), so small delta gives int16. The
-shift min A + min B is added back in one place, when a block is written
-(``_finalize``). The candidate scans, the bucket sums and the block length
-1 reads of the representative minimum stay on the int64 originals: a bucket
-is a difference within one row of A or one column of B, where the shift
+first rectangle with enough rows and a long enough span for the GEMM path
+(``_takes_gemm``) measures the exponent slices (``exp_slices``): the
+widest of 32, 64 and 128 columns over which no row of A or column of B
+rises more than R above its minimum, with 2*s*R <= 2045 - s. On those
+slices such a rectangle is reduced by float64 GEMMs of exponent-encoded
+operands (``_gemm_rect``, which holds the exactness argument); every other
+rectangle, and every rectangle of a product without such slices (int64
+operands among them), by add+min.
+Both add the shift min A + min B back as they write. The candidate scans,
+the bucket sums and the block length 1 reads of the representative
+minimum (``_finalize``) stay on the int64 originals: a bucket is a
+difference within one row of A or one column of B, where the shift
 cancels anyway.
 """
 
@@ -63,12 +72,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .blocking import CandidateSets, candidate_sets, child_sets
-from .matrix import INF, BDMatrix, Matrix, check_operand
+from .matrix import BDMatrix, Matrix, operand_range
 
 SEGMENT_WIDTH = 20  # value segments are 20*delta*l wide
 # A-side bucket p corresponds to B-side bucket shift - p, one relation per
@@ -324,16 +334,56 @@ def sample_r(cands: CandidateSets, params: AlgoParams, active: np.ndarray | None
 # batched block products of the level loop (all-finite inputs)
 
 
-# Sums per kernel chunk: the kernel's sum buffer, in the kernel operands'
-# type, stays at 256 KiB in int16 (1 MiB in int64), unless one k of one
-# block row's run holds more. The bucket sums that select an assigned
-# pair's block columns are built under the same budget.
+# Sums per chunk of the add+min path: its sum buffer, in the kernel
+# operands' type, stays at 256 KiB in int16 (1 MiB in int64), unless one k
+# of one block row's run holds more. The bucket sums that select an
+# assigned pair's block columns are built under the same budget.
 _TRIPLE_BUDGET = 1 << 17
 
 _DENSE_TILE = 16
 
+# Multiply-adds per GEMM call. OpenBLAS runs a dgemm of at most 2**18
+# multiply-adds on the calling thread and hands a larger one to its thread
+# pool, whose hand-off can stall a small product for milliseconds.
+_GEMM_CALL = 1 << 18
+_GEMM_ROWS = 64  # rows of A per GEMM call
+# A rows encoded and GEMM results decoded at once (256 KiB each), or _GEMM_ROWS rows' if more
+_DECODE_BUDGET = 1 << 15
+# The slice widths K' the encoding tries. A slice costs one decoding pass
+# over the rectangle, and a wider one leaves fewer output columns to each
+# GEMM call under _GEMM_CALL: on a walk at n = 1024, K' = 128 beat 64 and
+# 256 by 20% and more.
+_SLICE_MIN, _SLICE_MAX = 32, 128
+# 1023 + 1022: normal doubles have unbiased exponents -1022 .. 1023
+_EXP_SPAN = 2045
+# A rectangle of h rows over a span of kn columns takes the GEMM path when
+# h * min(kn, K') reaches this. Each slice costs an encoding of B's (K' by
+# columns) and a decoding of the results (h by columns), where add+min
+# costs h * K' sums per column; so the GEMM path pays only on enough rows
+# and a long enough span, whatever the columns. Timed one rectangle at a
+# time on walks and valleys at n = 512 (4 to 256 columns), it took, of the
+# add+min time, at K' = 128: 0.75-0.88x for 16 rows over 128 columns,
+# 1.0-1.7x for 16 over 64, 0.87-0.95x for 32 over 64 and 0.92-1.1x for 8
+# over 512; at K' = 32: 1.3-1.5x for 16 rows over 32 columns, 0.64-1.1x for
+# 32 and 0.85-1.0x for 64 (README, Implementation notes).
+_GEMM_MIN_TERMS = 1 << 11
 
-class KernelOperands(NamedTuple):
+
+class ExpSlices(NamedTuple):
+    """The k axis of a product cut into aligned slices of ``width`` = K'
+    columns, a power of two, with ``bits`` = s = K'.bit_length(), and the
+    minimum of each row of A and of each column of B inside each slice:
+    what the GEMM path encodes relative to."""
+
+    width: int
+    bits: int
+    top: int  # R: no entry lies more than this above its minimum
+    a_min: np.ndarray  # [slice, row], in the kernel operands' type
+    b_min: np.ndarray  # [slice, column]
+
+
+@dataclass(eq=False)
+class KernelOperands:
     """A product's operands as the block kernels read them: A - min A and
     B - min B, whose sums are the original sums minus ``shift`` = min A +
     min B, in one integer type that holds every such sum."""
@@ -342,51 +392,105 @@ class KernelOperands(NamedTuple):
     b: np.ndarray
     shift: int
 
+    @cached_property
+    def slices(self) -> ExpSlices | None:
+        """The exponent slices of the operands (``exp_slices``), measured
+        when the first rectangle that could take the GEMM path asks."""
+        return exp_slices(self.a, self.b)
 
-def kernel_operands(a_data: np.ndarray, b_data: np.ndarray) -> KernelOperands:
-    """The operands shifted to start at 0, in the narrowest of int16, int32
-    and int64 whose max holds span(A) + span(B), the largest shifted sum.
-    Every sum, and so every minimum, a kernel forms on them is then exact in
-    that type; a kernel value plus ``shift`` is the original's."""
-    lo_a, lo_b = int(a_data.min()), int(b_data.min())
-    top = int(a_data.max()) - lo_a + int(b_data.max()) - lo_b
-    require(top < 1 << 63, "shifted operand sums beyond int64")
+
+def kernel_operands(x: Matrix, y: Matrix) -> KernelOperands:
+    """The all-finite operands x and y of a product shifted to start at 0,
+    in the narrowest of int16, int32 and int64 whose max holds span(x) +
+    span(y), the largest shifted sum. Every sum, and so every minimum, a
+    kernel forms on them is then exact in that type; a kernel value plus
+    ``shift`` is the original's. One min and one max per operand both find
+    the shift and check the operand cap (``operand_range``, which raises
+    ValueError); within the cap a span is at most 2**61, so int64 holds
+    every shifted sum."""
+    (lo_a, hi_a), (lo_b, hi_b) = operand_range(x, "a"), operand_range(y, "b")
+    top = hi_a - lo_a + hi_b - lo_b
     dtype = np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64
     # subtracted in int64 and written in the narrow type, chunk by chunk
-    a = np.subtract(a_data, lo_a, out=np.empty(a_data.shape, dtype))
-    b = np.subtract(b_data, lo_b, out=np.empty(b_data.shape, dtype))
+    a = np.subtract(x.data, lo_a, out=np.empty(x.data.shape, dtype))
+    b = np.subtract(y.data, lo_b, out=np.empty(y.data.shape, dtype))
     return KernelOperands(a, b, lo_a + lo_b)
 
 
+def exp_slices(a: np.ndarray, b: np.ndarray) -> ExpSlices | None:
+    """The widest slice width K' from _SLICE_MIN to _SLICE_MAX that divides
+    the inner size and keeps the GEMM path exact, 2*s*R <= 2045 - s, with R
+    the largest entry of a row of A or a column of B inside a slice less
+    that row's or column's minimum there; None if no width does, and for
+    int64 operands. The GEMM path forms s*(a_min + b_min) in int64, which
+    int16 and int32 operands keep below 2**34, while int64 ones could wrap.
+
+    A is read transposed, next to B, so that every minimum and maximum is a
+    reduction over a middle axis (numpy reduces a short last axis several
+    times slower). The narrowest slices are reduced once, and each wider
+    width merges the one before pairwise."""
+    k, n_rows = a.shape[1], a.shape[0]
+    if k % _SLICE_MIN or a.dtype == np.int64:
+        return None
+    both = np.concatenate((a.T, b), axis=1).reshape(k // _SLICE_MIN, _SLICE_MIN, -1)  # [slice, k, row | column]
+    lo, hi = both.min(axis=1), both.max(axis=1)
+    del both
+    width, found = _SLICE_MIN, None
+    while True:
+        s = width.bit_length()
+        top = int((hi - lo).max())
+        if 2 * s * top > _EXP_SPAN - s:
+            break
+        found = width, s, top, lo
+        if width == _SLICE_MAX or k % (2 * width):
+            break
+        width *= 2
+        lo, hi = np.minimum(lo[::2], lo[1::2]), np.maximum(hi[::2], hi[1::2])
+    if found is None:
+        return None
+    width, s, top, lo = found
+    return ExpSlices(width, s, top, lo[:, :n_rows], lo[:, n_rows:])
+
+
 def _min_blocks(
-    a_data: np.ndarray, b_data: np.ndarray, l: int, pairs: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """Block min-plus products over spans of block columns: for pairs[g] =
-    (bi, bj), out[g][i, j] is the minimum of A[bi*l + i, k] + B[k, bj*l + j]
-    over every k in block columns lo[g]..hi[g], and perhaps over more block
-    columns (below). A span that holds the block of every optimal witness,
-    as a candidate span does, therefore gives the product's block; a full
-    span, 0..nb-1, gives the plain min-plus product.
+    kern: KernelOperands,
+    l: int,
+    pairs: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    c: np.ndarray,
+    done: np.ndarray,
+) -> None:
+    """Block min-plus products over spans of block columns, written into the
+    int64 product ``c``: for pairs[g] = (bi, bj), block (bi, bj) of c gets
+    the minimum of A[bi*l + i, k] + B[k, bj*l + j] over every k in block
+    columns lo[g]..hi[g], and perhaps over more block columns (below), plus
+    ``kern.shift``. A span that holds the block of every optimal witness, as
+    a candidate span does, therefore gives the product's block; a full span,
+    0..nb-1, gives the plain min-plus product. The ledger ``done`` marks
+    each entry written, and refuses an entry written before.
 
     The pairs are grouped into rectangles: runs of consecutive block columns
     in one block row, stacked over consecutive block rows that hold the
     same run with the same union of spans. A rectangle reduces over the
     union of its pairs' spans; a pair alone, or among equal spans, gets the
     minimum over its own span. A rectangle's rows of A and columns of B are
-    slices of the operands, so nothing is copied or gathered. Its sums are
-    built in a (rows, k, columns) view of one buffer allocated per call, at
-    most _TRIPLE_BUDGET entries at a time, and reduced over k: several
-    block rows with the whole span at once, or one block row with the span
-    in slices whose running minimum is kept (one k's sums of a block row, if
-    those alone are more). The buffers and the result are in the operands'
-    type, which must hold every sum of an A and a B entry (as
-    ``kernel_operands`` guarantees). Returns (len(pairs), l, l).
+    slices of the operands, and its result is a rectangle of c, so nothing
+    is gathered or scattered.
+
+    A rectangle with enough rows and a long enough span (``_takes_gemm``)
+    takes the GEMM path (``_gemm_rect``). Any other is reduced by add+min: its sums are built in a (rows, k,
+    columns) view of one buffer allocated per call, at most _TRIPLE_BUDGET
+    entries at a time, and reduced over k: several block rows with the whole
+    span at once, or one block row with the span in slices whose running
+    minimum is kept (one k's sums of a block row, if those alone are more).
+    The buffers are in the operands' type, which must hold every sum of an
+    A and a B entry (as ``kernel_operands`` guarantees).
     """
     require(np.all(lo <= hi), "block pair with an empty span")
+    a_data, b_data = kern.a, kern.b
     n = a_data.shape[0]
     nb = n // l
-    dtype = np.result_type(a_data, b_data)
-    out = np.empty((len(pairs), l, l), dtype=dtype)
     key = pairs[:, 0] * nb + pairs[:, 1]
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -405,50 +509,179 @@ def _min_blocks(
     cut[1:] = (shape[:, 1:] != shape[:, :-1]).any(axis=0) | (run_bi[1:] != run_bi[:-1] + 1)
     rect_at = np.flatnonzero(cut)
     bj, width, span_lo, span_hi = shape
-    # one buffer each for a chunk's sums, its minima and a k slice's minima;
-    # a chunk never holds more than max(_TRIPLE_BUDGET, l*n) sums, nor more
-    # than all pairs' over every k, and so no more minima (rows times
-    # columns) than that over the shortest union span, nor than all pairs'
-    size = len(pairs) * l * l
-    k_min = (int((span_hi - span_lo).min()) + 1) * l
-    sums = np.empty(min(max(_TRIPLE_BUDGET, l * n), size * n), dtype=dtype)
-    mins = np.empty(min(max(_TRIPLE_BUDGET // k_min, l * n), size), dtype=dtype)
-    part = np.empty_like(mins)
+    sums = None  # the add+min buffers, made when a rectangle first needs them
     for s, e in zip(rect_at, np.append(rect_at[1:], len(run_at))):
         bi0, bj0, wd = int(run_bi[s]), int(bj[s]), int(width[s])
         ks, ke = int(span_lo[s]) * l, (int(span_hi[s]) + 1) * l
         kn = ke - ks
-        at = order[run_at[s:e, None] + np.arange(wd)]  # [block row, block column] -> pair
-        cols = b_data[ks:ke, bj0 * l : (bj0 + wd) * l]
+        cols = slice(bj0 * l, (bj0 + wd) * l)
         w = wd * l
+        if _takes_gemm(kern, (e - s) * l, kn):
+            rows = slice(bi0 * l, (bi0 + e - s) * l)
+            _claim(done, rows, cols)
+            _gemm_rect(kern, rows, cols, ks, ke, c[rows, cols])
+            continue
+        if sums is None:
+            # one buffer each for a chunk's sums, its minima and a k
+            # slice's minima; a chunk never holds more than
+            # max(_TRIPLE_BUDGET, l*n) sums, nor more than all pairs' over
+            # every k, and so no more minima (rows times columns) than that
+            # over the shortest union span, nor than all pairs'
+            size = len(pairs) * l * l
+            k_min = (int((span_hi - span_lo).min()) + 1) * l
+            sums = np.empty(min(max(_TRIPLE_BUDGET, l * n), size * n), dtype=a_data.dtype)
+            mins = np.empty(min(max(_TRIPLE_BUDGET // k_min, l * n), size), dtype=a_data.dtype)
+            part = np.empty_like(mins)
+        cols_b = b_data[ks:ke, cols]
         br = min(e - s, max(1, _TRIPLE_BUDGET // (l * kn * w)))
         kc = kn if br > 1 else min(kn, max(1, _TRIPLE_BUDGET // (l * w)))
         for r0 in range(0, e - s, br):
             r1 = min(r0 + br, e - s)
+            rows = slice((bi0 + r0) * l, (bi0 + r1) * l)
             h = (r1 - r0) * l
-            rows = a_data[(bi0 + r0) * l : (bi0 + r1) * l, ks:ke]
+            rows_a = a_data[rows, ks:ke]
             m = mins[: h * w].reshape(h, w)
             for k0 in range(0, kn, kc):
                 k1 = min(k0 + kc, kn)
                 t = sums[: h * (k1 - k0) * w].reshape(h, k1 - k0, w)
-                np.add(rows[:, k0:k1, None], cols[None, k0:k1], out=t)
+                np.add(rows_a[:, k0:k1, None], cols_b[None, k0:k1], out=t)
                 if k0:
                     p = part[: h * w].reshape(h, w)
                     t.min(axis=1, out=p)
                     np.minimum(m, p, out=m)
                 else:
                     t.min(axis=1, out=m)
-            out[at[r0:r1]] = m.reshape(r1 - r0, l, wd, l).transpose(0, 2, 1, 3)
-    return out
+            _claim(done, rows, cols)
+            np.add(m, kern.shift, out=c[rows, cols], dtype=np.int64)
+
+
+def _takes_gemm(kern: KernelOperands, h: int, kn: int) -> bool:
+    """Whether a rectangle of h rows reduced over kn columns takes the GEMM
+    path: h * min(kn, K') of at least _GEMM_MIN_TERMS, on a product with
+    exponent slices. The slices are measured only for a rectangle that
+    could reach it at the widest K'."""
+    if h * min(kn, _SLICE_MAX) < _GEMM_MIN_TERMS or kern.slices is None:
+        return False
+    return h * min(kn, kern.slices.width) >= _GEMM_MIN_TERMS
+
+
+def _claim(done: np.ndarray, rows: slice, cols: slice) -> None:
+    """Mark a rectangle of the product written in the ledger ``done``,
+    refusing one that holds an entry written before."""
+    claimed = done[rows, cols]
+    require(not claimed.any(), "block finalized twice")
+    claimed[...] = True
+
+
+def _gemm_rect(kern: KernelOperands, rows: slice, cols: slice, ks: int, ke: int, out: np.ndarray) -> None:
+    """out[i, j] = min of A[i, k] + B[k, j] over ks <= k < ke, plus
+    ``kern.shift``, for the given rows of A and columns of B, by one float64
+    GEMM per slice of the k axis.
+
+    Inside slice t, every entry a of a row of A and b of a column of B lies
+    at most R above that row's or column's minimum in the slice: a' = a -
+    a_min[t, i] and b' = b - b_min[t, j] are in [0, R]. A is encoded as
+    2**(E_a - s*a') and B as 2**(E_b - s*b'), with E_a + E_b = 1023 - s, so
+    the product of the two is 2**(1023 - s - s*(a' + b')). With m the least
+    a' + b' of a cell, its largest term is T = 2**(1023 - s - s*m), and the
+    sum of at most K' = 2**(s - 1) terms lies in [T, 2**s * T): the biased
+    exponent of the GEMM's cell is in [2046 - s*(m + 1), 2045 - s*m], and
+    (2045 - exponent) // s = m. Every factor and term is a normal double
+    while 2*s*R <= 2045 - s, so every term is exact, and a sum of K' exact
+    positive terms rounded monotonically, in any order, stays at least its
+    largest term and below twice K' times it. This takes a dgemm that sums
+    the terms as products and additions, as OpenBLAS does, with no
+    Strassen-type subtraction.
+
+    The running minimum over the slices is kept in ``out`` as the exponent
+    less s*(a_min + b_min), V = exponent - s*(a_min + b_min), whose largest
+    value over the slices gives min (a + b) = (2045 - V) // s. A slice of B
+    is encoded once, into column tiles that each GEMM call reads
+    contiguously (a strided or transposed B made a call up to 1.8x
+    slower); a slice of A a group of rows at a time, under _DECODE_BUDGET,
+    and the group's results are decoded together. Each call takes
+    _GEMM_ROWS rows and one tile, at most _GEMM_CALL terms (or one
+    column's, if more), and writes a contiguous tile of results. The tiles
+    cover the columns left to right, and the last one ends at the
+    rectangle's edge, overlapping the one before where the tile width does
+    not divide it.
+    """
+    sl = kern.slices
+    width, s = sl.width, sl.bits
+    require(2 * s * sl.top <= _EXP_SPAN - s, "slice range beyond the exponent encoding")
+    e_a = (1023 - s) // 2 + 1023  # biased exponents of a' = 0 and b' = 0
+    e_b = 1023 - s - (1023 - s) // 2 + 1023
+    h, w = out.shape
+    hr = min(h, _GEMM_ROWS)
+    wc = min(w, max(1, _GEMM_CALL // (width * hr)))
+    full = w // wc
+    hg = min(h, max(hr, _DECODE_BUDGET // max(w, width)) // hr * hr)  # rows encoded and decoded at once
+
+    def tiled(x):
+        """The column tiles of the 2-D x[:, :w], as (tile indices, view)
+        pairs whose views are (tiles, rows of x, wc)."""
+        parts = [(slice(0, full), x[:, : full * wc].reshape(len(x), full, wc).transpose(1, 0, 2))]
+        if w % wc:
+            parts.append((slice(full, full + 1), x[None, :, w - wc :]))
+        return parts
+
+    n_tiles = full + (w % wc > 0)
+    t0, t1 = ks // width, (ke - 1) // width + 1  # the slices the span meets
+    # the shifts s*a_min and s*b_min of every slice, and the operands and
+    # output, cut into column tiles once
+    a_shift = np.multiply(sl.a_min[t0:t1, rows, None], s, dtype=np.int64)  # [slice, row, 1]
+    b_shift = np.empty((n_tiles, t1 - t0, wc), dtype=np.int64)  # [tile, slice, column]
+    for tiles, part in tiled(sl.b_min[t0:t1, cols]):
+        np.multiply(part, s, out=b_shift[tiles], dtype=np.int64)
+    b_tiles = tiled(kern.b[:, cols])
+    out_tiles = [tiled(out[g0 : g0 + hg]) for g0 in range(0, h, hg)]
+    enc_b = np.empty((n_tiles, width, wc), dtype=np.int64)  # [tile, k, column]
+    enc_a = np.empty((hg, width), dtype=np.int64)
+    prod = np.empty((n_tiles, hg, wc))
+    for t in range(t0, t1):
+        k0, k1 = max(ks, t * width), min(ke, (t + 1) * width)
+        eb = enc_b[:, : k1 - k0]
+        for tiles, part in b_tiles:
+            np.multiply(part[:, k0:k1], -s, out=eb[tiles], dtype=np.int64)
+        eb += b_shift[:, t - t0, None] + e_b
+        eb <<= 52
+        fb = eb.view(np.float64)
+        for g0, o_tiles in zip(range(0, h, hg), out_tiles):
+            g1 = min(g0 + hg, h)
+            ea = enc_a[: g1 - g0, : k1 - k0]
+            np.multiply(kern.a[rows][g0:g1, k0:k1], -s, out=ea, dtype=np.int64)
+            ea += a_shift[t - t0, g0:g1] + e_a
+            ea <<= 52
+            fa = ea.view(np.float64)
+            p = prod[:, : g1 - g0]
+            for i0 in range(0, g1 - g0, hr):
+                for j in range(n_tiles):
+                    _matmul(fa[i0 : i0 + hr], fb[j], out=p[j, i0 : i0 + hr])
+            v = p.view(np.int64)
+            v >>= 52
+            v -= a_shift[t - t0, g0:g1]
+            v -= b_shift[:, t - t0, None]
+            for tiles, o in o_tiles:
+                if t == t0:
+                    o[...] = v[tiles]
+                else:
+                    np.maximum(o, v[tiles], out=o)
+    np.subtract(_EXP_SPAN, out, out=out)
+    out //= s
+    out += kern.shift
+
+
+_matmul = np.matmul  # the one name the kernel's GEMM calls go through, so that tests can record them
 
 
 def dense_minplus(a: Matrix, b: Matrix) -> Matrix:
     """Exact min-plus product of two square all-finite matrices of one size:
     the block kernel (``_min_blocks``) over every block pair and every block
     column, at a tile of gcd(n, 16), which is 16 for every multiple of 16
-    and n for a smaller power of two. Like the engines, it runs on ``kernel_operands``, in the
-    narrowest integer type that holds every shifted sum, and adds the shift
-    back once.
+    and n for a smaller power of two. Like the engines, it runs on
+    ``kernel_operands``: by GEMM where the operands' exponent slices allow,
+    by add+min in the narrowest integer type that holds every shifted sum
+    elsewhere.
 
     This is the cubic reference the engines' times are stated against; the
     engines never call it, and ``minplus_naive`` stays the test oracle.
@@ -457,16 +690,14 @@ def dense_minplus(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError(f"dense_minplus expects square operands of one size, got {a.shape} x {b.shape}")
     if not (a.all_finite() and b.all_finite()):
         raise ValueError("dense_minplus expects all-finite operands")
-    check_operand(a, "a")
-    check_operand(b, "b")
+    kern = kernel_operands(a, b)
     n = a.n_rows
     l = math.gcd(n, _DENSE_TILE)
     nb = n // l
     pairs = np.stack(np.divmod(np.arange(nb * nb), nb), axis=1)
-    kern = kernel_operands(a.data, b.data)
-    vals = _min_blocks(kern.a, kern.b, l, pairs, np.zeros(nb * nb, dtype=np.int64), np.full(nb * nb, nb - 1))
-    vals = vals.reshape(nb, nb, l, l).transpose(0, 2, 1, 3)
-    return Matrix(np.add(vals.reshape(n, n), kern.shift, dtype=np.int64))
+    c = np.empty((n, n), dtype=np.int64)
+    _min_blocks(kern, l, pairs, np.zeros(nb * nb, dtype=np.int64), np.full(nb * nb, nb - 1), c, np.zeros((n, n), dtype=bool))
+    return Matrix(c)
 
 
 def _enumerate_pairs(
@@ -474,28 +705,28 @@ def _enumerate_pairs(
     l: int,
     pairs: np.ndarray,
     cands: CandidateSets,
+    c: np.ndarray,
+    done: np.ndarray,
     counters: Counters | None = None,
-) -> np.ndarray:
+) -> None:
     """Direct enumeration of each pair's candidate blocks, on the kernel
-    operands, over the pair's candidate span: the values plus
-    ``kern.shift`` are the product's. Each candidate counts as one block
-    product.
+    operands, over the pair's candidate span, written into the product
+    ``c`` (ledger ``done``). Each candidate counts as one block product.
 
     At block length 1 a representative sum is A[i,k] + B[k,j] itself, so the
     representative minimum over the candidate columns already is the
-    product entry, and it is read (from the int64 originals, less the
-    shift) instead of enumerated.
+    product entry, and it is read (from the int64 originals) instead of
+    enumerated.
     """
     bi, bj = pairs[:, 0], pairs[:, 1]
     counts = cands.sizes[bi, bj]
     require(counts.min(initial=1) >= 1, "block pair without a candidate")
     if l == 1:
-        vals = cands.approx.data[bi, bj].reshape(-1, 1, 1) - kern.shift
+        _finalize(c, done, pairs, cands.approx.data[bi, bj])
     else:
-        vals = _min_blocks(kern.a, kern.b, l, pairs, cands.lo[bi, bj], cands.hi[bi, bj])
+        _min_blocks(kern, l, pairs, cands.lo[bi, bj], cands.hi[bi, bj], c, done)
     if counters is not None:
         counters.block_products += int(counts.sum())
-    return vals
 
 
 def _assigned_block_values(
@@ -505,8 +736,10 @@ def _assigned_block_values(
     l: int,
     width: int,
     assigned: dict[int, np.ndarray],
+    c: np.ndarray,
+    done: np.ndarray,
     counters: Counters | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Values of the blocks assigned to the sampled columns: for each block
     pair of ``assigned[r]``, the min over the block columns whose buckets,
     taken relative to column r (A[i,k] - A[i,r] and B[k,j] - B[r,j]), fall
@@ -525,19 +758,18 @@ def _assigned_block_values(
     ``a_data`` and ``b_data``, a few pairs at a time, so the int64 bucket
     sums stay bounded; the selection of every block column still counts
     toward ``poly_degree_ops``. The blocks are evaluated on the kernel
-    operands ``kern`` (values plus ``kern.shift`` are the product's), every
-    column's pairs in one call, so that the columns' shares of a block row
-    are computed together.
+    operands ``kern`` and written into the product ``c`` (ledger ``done``),
+    every column's pairs in one call, so that the columns' shares of a block
+    row are computed together.
 
-    Returns the pairs, column by column in ascending order, and their
-    values.
+    Returns the pairs, column by column in ascending order.
     """
     nb = a_data.shape[0] // l
     rel_lo, rel_hi = REL_SHIFTS[0], REL_SHIFTS[-1]
     step = max(1, _TRIPLE_BUDGET // nb)
     pairs = np.concatenate([assigned[r] for r in sorted(assigned)])
-    lo = np.empty(len(pairs), dtype=np.int64)
-    hi = np.empty(len(pairs), dtype=np.int64)
+    lo = np.empty(len(pairs), dtype=np.int32)  # block columns; live while the bucket sums peak
+    hi = np.empty(len(pairs), dtype=np.int32)
     selected = 0
     g = 0
     for r in sorted(assigned):
@@ -555,20 +787,20 @@ def _assigned_block_values(
         del pa, qbt, psum, sel  # dropped before the kernel runs
     if counters is not None:
         counters.poly_degree_ops += selected * l**3
-    return pairs, _min_blocks(kern.a, kern.b, l, pairs, lo, hi)
+    _min_blocks(kern, l, pairs, lo, hi, c, done)
+    return pairs
 
 
-def _finalize(c: np.ndarray, done: np.ndarray, blocks: np.ndarray, vals: np.ndarray, l: int, shift: int) -> None:
-    """Write the final values of distinct output blocks, each exactly once:
-    the kernel values ``vals`` plus the operands' ``shift``, in int64,
-    through (block row, row, block column, column) views of the output and
-    of the ledger ``done``."""
-    nb = c.shape[0] // l
-    bi, bj = blocks[:, 0], blocks[:, 1]
-    done_blocks = done.reshape(nb, l, nb, l)
-    require(not done_blocks[bi, :, bj, :].any(), "block finalized twice")
-    done_blocks[bi, :, bj, :] = True
-    c.reshape(nb, l, nb, l)[bi, :, bj, :] = np.add(vals, shift, dtype=np.int64)
+def _finalize(c: np.ndarray, done: np.ndarray, entries: np.ndarray, vals: np.ndarray) -> None:
+    """Write the final values ``vals`` of distinct entries (row, column) of
+    the product, each exactly once, through flat indices of the output and
+    of the ledger ``done``: the block length 1 reads of the representative
+    minimum, the one write the kernel does not make."""
+    at = entries[:, 0] * c.shape[1] + entries[:, 1]
+    flat = done.reshape(-1)
+    require(not flat[at].any(), "block finalized twice")
+    flat[at] = True
+    c.reshape(-1)[at] = vals
 
 
 # ---------------------------------------------------------------------------
@@ -586,17 +818,17 @@ class LevelState:
     assigned: dict[int, np.ndarray]  # sampled column -> the active pairs it computed
 
 
-def check_operands(a: BDMatrix, b: BDMatrix, params: AlgoParams, caller: str) -> int:
-    """Validate an engine's inputs; returns n."""
+def check_operands(a: BDMatrix, b: BDMatrix, params: AlgoParams, caller: str) -> KernelOperands:
+    """Validate an engine's inputs; returns their kernel operands. A
+    bounded-difference matrix is all finite, so one min and one max of each
+    operand both check it against the operand cap and shift it."""
     if not isinstance(a, BDMatrix) or not isinstance(b, BDMatrix):
         raise TypeError(f"{caller} expects BDMatrix inputs")
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     if a.delta != b.delta or a.delta != params.delta:
         raise ValueError("delta mismatch between inputs and params")
-    check_operand(a.base, "a")
-    check_operand(b.base, "b")
-    return a.n
+    return kernel_operands(a.base, b.base)
 
 
 def run_levels(
@@ -604,12 +836,14 @@ def run_levels(
     b: BDMatrix,
     params: AlgoParams,
     levels: list[int],
+    kern: KernelOperands,
     counters: Counters | None = None,
     level_trace: list[LevelState] | None = None,
 ) -> Matrix:
     """Exact product of inputs that passed check_operands, over the block
     lengths ``levels`` (the top block length first, each next one half the
-    one before).
+    one before), with the block kernels on ``kern``, the kernel operands
+    check_operands returned.
 
     The top level computes every pair's candidate sets; each finer level
     computes only those of the children of the pairs refined to it, under
@@ -627,13 +861,13 @@ def run_levels(
     if counters is None:
         counters = Counters()
     ad, bd = a.base.data, b.base.data  # the bucket sums read the int64 originals
-    kern = kernel_operands(ad, bd)  # the block kernels read these
     n = a.n
     t_beta = params.t_beta(n)
-    c = np.full((n, n), INF, dtype=np.int64)
-    done = np.zeros((n, n), dtype=bool)
     eligible = np.ones((n // levels[0], n // levels[0]), dtype=bool)
     cands = candidate_sets(a, b, levels[0])
+    # made after the top scan's buffers are freed; every entry is written once
+    c = np.empty((n, n), dtype=np.int64)
+    done = np.zeros((n, n), dtype=bool)
 
     for li, l in enumerate(levels):
         if li:
@@ -650,12 +884,11 @@ def run_levels(
             _, needed = sample_r(cands, params, active, li)
             assigned, missed = needed.gamma, needed.missed
         if len(missed):
-            _finalize(c, done, missed, _enumerate_pairs(kern, l, missed, cands, counters), l, kern.shift)
+            _enumerate_pairs(kern, l, missed, cands, c, done, counters)
             counters.fallback_pairs += len(missed)
         if assigned:
             width = SEGMENT_WIDTH * params.delta * l
-            blocks, vals = _assigned_block_values(ad, bd, kern, l, width, assigned, counters)
-            _finalize(c, done, blocks, vals, l, kern.shift)
+            _assigned_block_values(ad, bd, kern, l, width, assigned, c, done, counters)
         is_pending = eligible & ~is_active
         pending = np.argwhere(is_pending)
         if level_trace is not None:
@@ -663,8 +896,7 @@ def run_levels(
 
     tail = pending
     if len(tail):
-        vals = _enumerate_pairs(kern, l, tail, cands, counters if l == levels[0] else None)
-        _finalize(c, done, tail, vals, l, kern.shift)
+        _enumerate_pairs(kern, l, tail, cands, c, done, counters if l == levels[0] else None)
     require(done.all(), "some output blocks were never finalized")
     return Matrix(c)
 
@@ -683,5 +915,5 @@ def basic_minplus(
     Deterministic for a fixed params.seed; always bitwise equal to the naive
     product because unassigned pairs fall back to candidate enumeration.
     """
-    n = check_operands(a, b, params, "basic_minplus")
-    return run_levels(a, b, params, [params.block_len(n)], counters, level_trace)
+    kern = check_operands(a, b, params, "basic_minplus")
+    return run_levels(a, b, params, [params.block_len(a.n)], kern, counters, level_trace)

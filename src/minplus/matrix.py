@@ -53,7 +53,21 @@ def check_operand(m: Matrix, name: str = "operand") -> None:
     magnitude; within the cap, every product entry stays within MAX_ENTRY."""
     d = m.data
     if np.any((d != INF) & (np.abs(d) > MAX_OPERAND)):
-        raise ValueError(f"{name}: product operands must have finite entries of magnitude <= 2**60")
+        raise ValueError(_operand_cap_message(name))
+
+
+def operand_range(m: Matrix, name: str = "operand") -> tuple[int, int]:
+    """Minimum and maximum of an all-finite product operand, checked against
+    the operand cap as ``check_operand`` does, in two reductions and no
+    temporary."""
+    lo, hi = int(m.data.min()), int(m.data.max())
+    if max(-lo, hi) > MAX_OPERAND:
+        raise ValueError(_operand_cap_message(name))
+    return lo, hi
+
+
+def _operand_cap_message(name: str) -> str:
+    return f"{name}: product operands must have finite entries of magnitude <= 2**60"
 
 
 @dataclass(frozen=True, eq=False)

@@ -336,5 +336,5 @@ def recursive_minplus(
 
     Deterministic for a fixed params.seed.
     """
-    n = check_operands(a, b, params, "recursive_minplus")
-    return run_levels(a, b, params, params.levels(n), counters, level_trace)
+    kern = check_operands(a, b, params, "recursive_minplus")
+    return run_levels(a, b, params, params.levels(a.n), kern, counters, level_trace)

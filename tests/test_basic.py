@@ -339,11 +339,16 @@ def _add_back(ad, bd, l, r, bi, bj, reduced):
 
 def _column_values(ad, bd, l, width, r_col, blocks, counters=None):
     """``_assigned_block_values`` of one sampled column, in the order of
-    blocks, evaluated on the shifted kernel operands and shifted back."""
-    kern = kernel_operands(ad, bd)
-    pairs, vals = _assigned_block_values(ad, bd, kern, l, width, {r_col: blocks}, counters)
+    blocks, as written into the product: those blocks and no other entry."""
+    n = ad.shape[0]
+    c, done = np.full((n, n), mp.INF, dtype=np.int64), np.zeros((n, n), dtype=bool)
+    pairs = _assigned_block_values(ad, bd, kernel_operands(Matrix(ad), Matrix(bd)), l, width, {r_col: blocks}, c, done, counters)
     assert np.array_equal(pairs, blocks)
-    return vals.astype(np.int64) + kern.shift
+    nb = n // l
+    written = np.zeros((nb, nb), dtype=bool)
+    written[blocks[:, 0], blocks[:, 1]] = True
+    assert np.array_equal(done.reshape(nb, l, nb, l).transpose(0, 2, 1, 3), np.broadcast_to(written[:, :, None, None], (nb, nb, l, l)))
+    return c.reshape(nb, l, nb, l)[blocks[:, 0], :, blocks[:, 1], :]
 
 
 def test_process_large_all_segments(pool):
@@ -770,7 +775,7 @@ def test_dense_minplus_matches_naive(pool, n, family):
 def test_dense_minplus_operands():
     rng = np.random.default_rng(0)
     a, b = random_matrix(rng, 24, 24, mp.MAX_OPERAND), random_matrix(rng, 24, 24, mp.MAX_OPERAND)
-    assert kernel_operands(a.data, b.data).a.dtype == np.int64  # the whole operand range: int64 kernels
+    assert kernel_operands(a, b).a.dtype == np.int64  # the whole operand range: int64 kernels
     assert mp.dense_minplus(a, b) == mp.minplus_naive(a, b)  # 24 is no multiple of 16: tile 8
     small = random_matrix(rng, 8, 8, 5)
     for x, y in [
@@ -808,27 +813,77 @@ def _min_blocks_loop(ad, bd, l, pairs, lo, hi):
     return out
 
 
+def _written_blocks(kern, l, pairs, lo, hi):
+    """``_min_blocks`` into a fresh product and ledger: the pairs' blocks,
+    in the order of pairs, once the ledger shows exactly those blocks
+    written and every other entry is still INF."""
+    n = kern.a.shape[0]
+    nb = n // l
+    c, done = np.full((n, n), mp.INF, dtype=np.int64), np.zeros((n, n), dtype=bool)
+    _min_blocks(kern, l, pairs, lo, hi, c, done)
+    written = np.zeros((nb, nb), dtype=bool)
+    written[pairs[:, 0], pairs[:, 1]] = True
+    assert np.array_equal(done, np.repeat(np.repeat(written, l, 0), l, 1))
+    assert (c[~done] == mp.INF).all()
+    return c.reshape(nb, l, nb, l)[pairs[:, 0], :, pairs[:, 1], :]
+
+
+def _recording_gemm(monkeypatch):
+    """Route the kernel's GEMM calls through a recorder; returns the list
+    of (m, k, n) shapes it fills."""
+    calls = []
+    real = mp.basic._matmul
+
+    def recording(x, y, out):
+        calls.append((x.shape[0], x.shape[1], y.shape[1]))
+        return real(x, y, out=out)
+
+    monkeypatch.setattr("minplus.basic._matmul", recording)
+    return calls
+
+
+def _slice_operands(rng, n, top, dtype=np.int16):
+    """Operands whose rows of A and columns of B span exactly ``top``
+    inside every aligned slice of 32, 64 or 128 columns: each slice of 32
+    holds one entry at its base and one at top above it, with bases that
+    wander by more than top from one slice of 128 to the next, so only the
+    per-slice shifts keep the encoding in range."""
+    ad, bd = (rng.integers(0, top + 1, size=(n, n)) for _ in "ab")
+    for x in (ad, bd.T):
+        x.reshape(n, -1, 32)[:, :, 0], x.reshape(n, -1, 32)[:, :, 1] = 0, top
+        x += rng.integers(0, 4 * top, size=(n, max(1, n // 128))).repeat(min(n, 128), axis=1)
+    return ad.astype(dtype), bd.astype(dtype)
+
+
 @pytest.mark.parametrize("l", [1, 2, 4, 8, 16])
 @pytest.mark.parametrize("budget", ["default", "one", "below_group"])
 def test_min_blocks_matches_loop(monkeypatch, l, budget):
     # operands in int64, int32 and int16, each with entries up to an eighth
-    # of its type's range, so every sum fits, and the kernel answers in the
-    # operands' type. Each pair alone gets the minimum over its own span,
-    # whatever the span: single columns, random spans, full rows. Pairs
-    # together may share a rectangle's union span, which is exact for
-    # spans that hold every optimal witness block of their pairs: the
-    # witness span itself (a single column wherever it is one, as at
-    # l = 1), strict supersets of it, and full rows, on the whole grid in
-    # shuffled order, so whole rows and stacked rectangles form. Chunk cuts
-    # at every entry or below one block row's sums (inside k)
+    # of its type's range, so every sum fits, and the kernel writes them
+    # plus the shift into the int64 product. Each pair alone gets the
+    # minimum over its own span, whatever the span: single columns, random
+    # spans, full rows. Pairs together may share a rectangle's union span,
+    # which is exact for spans that hold every optimal witness block of
+    # their pairs: the witness span itself (a single column wherever it is
+    # one, as at l = 1), strict supersets of it, and full rows, on the
+    # whole grid in shuffled order, so whole rows and stacked rectangles
+    # form. Chunk cuts at every entry or below one block row's sums (inside
+    # k). These operands span too much for the GEMM path, which runs in
+    # the second half, with the same budgets cut to one column and one row
+    # per GEMM call and per decoded group, or to tiles that do not divide
+    # the rectangle (below_group)
     nb = 6 if l < 8 else 3
     n = nb * l
     rng = np.random.default_rng(l)
     grid = np.array([(bi, bj) for bi in range(nb) for bj in range(nb)], dtype=np.int64)
     if budget == "one":
-        monkeypatch.setattr("minplus.basic._TRIPLE_BUDGET", 1)
+        for name in ("_TRIPLE_BUDGET", "_GEMM_CALL", "_GEMM_ROWS", "_DECODE_BUDGET"):
+            monkeypatch.setattr(f"minplus.basic.{name}", 1)
     elif budget == "below_group":
         monkeypatch.setattr("minplus.basic._TRIPLE_BUDGET", 2 * l * l)
+        monkeypatch.setattr("minplus.basic._GEMM_ROWS", 3)
+        monkeypatch.setattr("minplus.basic._GEMM_CALL", 3 * 7 * 128)  # 7 columns a call at K' = 128
+        monkeypatch.setattr("minplus.basic._DECODE_BUDGET", 1)
     ks = np.arange(n)
     for dtype in (np.int64, np.int32, np.int16):
         # valleys about the diagonal, plus noise: witness spans are narrow
@@ -841,14 +896,15 @@ def test_min_blocks_matches_loop(monkeypatch, l, budget):
             for _ in "ab"
         )
         bd = bd.T.copy()
+        kern = mp.basic.KernelOperands(ad, bd, 7)
         # alone: any span
         lo = rng.integers(0, nb, size=len(grid))
         hi = np.minimum(lo + rng.choice([0, 0, 1, nb], size=len(grid)), nb - 1)
         lo[:3], hi[:3] = 0, nb - 1
         want = _min_blocks_loop(ad, bd, l, grid, lo, hi)
         for g in range(len(grid)):
-            got = _min_blocks(ad, bd, l, grid[g : g + 1], lo[g : g + 1], hi[g : g + 1])
-            assert got.dtype == ad.dtype and np.array_equal(got[0], want[g])
+            got = _written_blocks(kern, l, grid[g : g + 1], lo[g : g + 1], hi[g : g + 1])
+            assert np.array_equal(got[0], want[g] + 7)
         # together: spans that hold each pair's optimal witness blocks
         full = _min_blocks_loop(ad, bd, l, grid, np.zeros(len(grid), dtype=int), np.full(len(grid), nb - 1))
         wit_lo, wit_hi = np.empty(len(grid), dtype=int), np.empty(len(grid), dtype=int)
@@ -863,15 +919,49 @@ def test_min_blocks_matches_loop(monkeypatch, l, budget):
         assert ((wider_lo < wit_lo) | (wider_hi > wit_hi)).any()
         shuffled = rng.permutation(len(grid))
         for lo, hi in [(wit_lo, wit_hi), (wider_lo, wider_hi), (np.zeros_like(wit_lo), np.full_like(wit_hi, nb - 1))]:
-            got = _min_blocks(ad, bd, l, grid[shuffled], lo[shuffled], hi[shuffled])
-            assert got.shape == (len(grid), l, l) and got.dtype == ad.dtype
-            assert np.array_equal(got, full[shuffled])
+            got = _written_blocks(kern, l, grid[shuffled], lo[shuffled], hi[shuffled])
+            assert np.array_equal(got, full[shuffled] + 7)
+
+    # the GEMM path, taken here by every rectangle of at least one row and
+    # column, on 128 x 128 operands whose slice range sits at each width's
+    # bound (K' = 128, s = 8: R = 127; K' = 64 at one past it; K' = 32 at
+    # 169, the last range any width allows, where the smallest term is
+    # 2**-1011): every span, most of them not slice-aligned, alone, in
+    # rectangles, and over whole rows of several slices, with every GEMM
+    # call within the call budget. At R = 170 a term would be subnormal, no
+    # width is exact, and the kernel makes no GEMM call
+    monkeypatch.setattr("minplus.basic._GEMM_MIN_TERMS", 1)
+    calls = _recording_gemm(monkeypatch)
+    n = 128
+    nb = n // l
+    grid = np.array([(bi, bj) for bi in range(nb) for bj in range(nb)], dtype=np.int64)
+    for top, width in [(127, 128), (128, 64), (169, 32), (170, None)]:
+        ad, bd = _slice_operands(rng, n, top)
+        kern = kernel_operands(Matrix(ad), Matrix(bd))
+        if width is None:
+            assert kern.slices is None
+        else:
+            assert (kern.slices.width, kern.slices.top) == (width, top)
+        calls.clear()
+        lo = rng.integers(0, nb, size=len(grid))
+        hi = np.minimum(lo + rng.choice([0, 1, nb // 3, nb], size=len(grid)), nb - 1)
+        alone = rng.choice(len(grid), size=6, replace=False)
+        want = _min_blocks_loop(ad, bd, l, grid[alone], lo[alone], hi[alone])
+        for g, w in zip(alone, want):
+            assert np.array_equal(_written_blocks(kern, l, grid[g : g + 1], lo[g : g + 1], hi[g : g + 1])[0], w)
+        # together, over spans that hold the witnesses: whole rows, and
+        # their unions in rectangles
+        full = mp.minplus_naive(Matrix(ad), Matrix(bd)).data.reshape(nb, l, nb, l).transpose(0, 2, 1, 3).reshape(-1, l, l)
+        got = _written_blocks(kern, l, grid, np.zeros(len(grid), dtype=int), np.full(len(grid), nb - 1))
+        assert np.array_equal(got, full)
+        assert all(m * k * c <= mp.basic._GEMM_CALL or (m, c) == (1, 1) for m, k, c in calls)
+        assert max((k for _, k, _ in calls), default=None) == width
 
 
 def test_min_blocks_rejects_empty_span():
     z = np.zeros((4, 4), dtype=np.int64)
     with pytest.raises(mp.InvariantError):
-        _min_blocks(z, z, 2, np.array([[0, 0]]), np.array([1]), np.array([0]))
+        _min_blocks(mp.basic.KernelOperands(z, z, 0), 2, np.array([[0, 0]]), np.array([1]), np.array([0]), z.copy(), z > 0)
 
 
 @pytest.mark.parametrize(
@@ -884,7 +974,7 @@ def test_kernel_operands_narrowest_type(top, dtype):
     lo_a, lo_b = (1 << 60) - top, -(1 << 59)
     a = np.array([[lo_a + 1, lo_a + top // 3], [lo_a, lo_a + 5]])
     b = np.array([[lo_b, lo_b + 2], [lo_b + top - top // 3, lo_b + 7]])
-    kern = kernel_operands(a, b)
+    kern = kernel_operands(Matrix(a), Matrix(b))
     assert kern.a.dtype == dtype and kern.b.dtype == dtype
     assert kern.shift == lo_a + lo_b
     assert int(kern.a.max()) + int(kern.b.max()) == top
@@ -892,10 +982,14 @@ def test_kernel_operands_narrowest_type(top, dtype):
 
 
 def test_kernel_operands_beyond_int64():
-    # a shifted sum that int64 cannot hold is refused, not wrapped
-    a = np.array([[-(1 << 62), (1 << 62) - 1]])
-    with pytest.raises(mp.InvariantError):
-        kernel_operands(a, np.array([[0, 1]]))
+    # a shifted sum that int64 cannot hold is refused, not wrapped: only
+    # operands beyond the operand cap have one (here span(A) + span(B) =
+    # 2**63, from the widest matrices there are), and the cap check refuses
+    # them before they are shifted
+    a = np.array([[-(1 << 61), 1 << 61]])
+    for x, y, name in [(a, a, "a"), (np.array([[0, 1]]), a, "b")]:
+        with pytest.raises(ValueError, match=f"{name}: product operands"):
+            kernel_operands(Matrix(x), Matrix(y))
 
 
 def _offset_pair(a, b):
@@ -908,25 +1002,50 @@ def _offset_pair(a, b):
 
 @pytest.mark.parametrize(
     "case, dtype",
-    [("walk-offset", np.int16), ("valley-offset", np.int16), ("walk-wide", np.int32)],
+    [
+        ("walk-offset", np.int16),
+        ("valley-offset", np.int16),
+        ("walk-wide", np.int32),
+        ("valley-slices", np.int16),
+        ("flat-rows", np.int64),
+    ],
 )
-def test_engines_exact_in_every_kernel_type(case, dtype):
+def test_engines_exact_in_every_kernel_type(monkeypatch, case, dtype):
     # every engine, and the recursion down to single entries, is bitwise
-    # equal to naive whatever type its kernels run in. The offset pairs sit
-    # near +-2**60 and shift down to int16; the wide walk (delta 3000, seeds
-    # 3 and 4, the pair the CI command line runs) spans more than int16 holds
+    # equal to naive whatever type its kernels run in, and whichever path
+    # they take. The offset pairs sit near +-2**60, shift down to int16 and
+    # take GEMMs; the wide walk (delta 3000, seeds 3 and 4, the pair the CI
+    # command line runs) spans more than int16 holds and more than any
+    # slice width allows, so it stays on add+min; the valley at delta 5 and
+    # n = 256 allows only K' = 32 and reduces its rectangles over several
+    # slices. The flat rows (A[i, k] = i * 2**53, B[k, j] = j * 2**53) have
+    # slice range 0, but their per-slice shifts s*(a_min + b_min) would
+    # wrap int64, so their int64 kernels stay on add+min. Every GEMM call is
+    # within the per-call budget
+    calls = _recording_gemm(monkeypatch)
     if case == "walk-offset":
         a, b = _offset_pair(mp.generate_bd(64, 2, 5), mp.generate_bd(64, 2, 6))
     elif case == "valley-offset":
         a, b = _offset_pair(*valley_bd(128, 2, 9))
-    else:
+    elif case == "walk-wide":
         a, b = mp.generate_bd(64, 3000, 3), mp.generate_bd(64, 3000, 4)
-    assert kernel_operands(a.base.data, b.base.data).a.dtype == dtype
+    elif case == "valley-slices":
+        a, b = valley_bd(256, 5, 9)
+    else:
+        rows = np.arange(128, dtype=np.int64)[:, None] << 53
+        a, b = (mp.BDMatrix(Matrix(x), (1 << 53) + 1) for x in (rows.repeat(128, 1), rows.T.repeat(128, 0)))
+    kern = kernel_operands(a.base, b.base)
+    assert kern.a.dtype == dtype
+    assert (kern.slices is None) == (case in ("walk-wide", "flat-rows"))
+    if case == "valley-slices":
+        assert kern.slices.width == 32
     want = mp.minplus_naive(a.base, b.base).data
     for params in (AlgoParams(delta=a.delta, seed=7), AlgoParams(delta=a.delta, seed=7, l_min=1)):
         assert np.array_equal(mp.basic_minplus(a, b, params).data, want)
         assert np.array_equal(mp.recursive_minplus(a, b, params).data, want)
     assert np.array_equal(mp.dense_minplus(a.base, b.base).data, want)
+    assert bool(calls) == (kern.slices is not None)
+    assert all(m * k * c <= mp.basic._GEMM_CALL for m, k, c in calls)
 
 
 def test_invariants_survive_optimize():
@@ -934,7 +1053,7 @@ def test_invariants_survive_optimize():
     script = """
 import numpy as np
 from minplus import InvariantError, Matrix
-from minplus.basic import KernelOperands, _enumerate_pairs, build_segments
+from minplus.basic import ExpSlices, KernelOperands, _enumerate_pairs, _min_blocks, build_segments
 from minplus.blocking import BlockGrid, CandidateSets
 z = np.zeros((8, 8), dtype=np.int64)
 none = np.zeros((4, 4), dtype=np.int64)
@@ -947,13 +1066,23 @@ try:
 except InvariantError:
     caught.append("key range")
 try:
-    _enumerate_pairs(KernelOperands(z, z, 0), 2, np.array([[0, 0]]), empty)
+    _enumerate_pairs(KernelOperands(z, z, 0), 2, np.array([[0, 0]]), empty, z.copy(), z > 0)
 except InvariantError:
     caught.append("empty candidate set")
+# slices whose range R = 170 is one past the K' = 32 bound, 2*s*R <= 2045 - s,
+# under a rectangle of 64 rows, which takes the GEMM path
+wide = ExpSlices(32, 6, 170, np.zeros((2, 64), dtype=np.int16), np.zeros((2, 64), dtype=np.int16))
+y = np.zeros((64, 64), dtype=np.int16)
+try:
+    kern = KernelOperands(y, y, 0)
+    kern.slices = wide
+    _min_blocks(kern, 64, np.array([[0, 0]]), np.array([0]), np.array([0]), np.zeros((64, 64), dtype=np.int64), y > 0)
+except InvariantError:
+    caught.append("slice range")
 print(__debug__, caught)
 """
     src = os.path.dirname(os.path.dirname(mp.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False ['key range', 'empty candidate set']"
+    assert proc.stdout.strip() == "False ['key range', 'empty candidate set', 'slice range']"

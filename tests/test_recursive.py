@@ -331,10 +331,10 @@ def test_level_child_sets_equal_dense_sets(pool, monkeypatch, family, delta, alp
         # the fallback and the tail: enumerating the candidate spans (at
         # block length 1, reading the minimum) gives the product's blocks
         counters = Counters()
-        kern = basic.kernel_operands(ad, bd)
-        vals = basic._enumerate_pairs(kern, l, kids, cs, counters)
-        blocks = want.reshape(nb, l, nb, l)[kids[:, 0], :, kids[:, 1], :]
-        assert np.array_equal(vals.astype(np.int64) + kern.shift, blocks)
+        c, done = np.full((n, n), mp.INF, dtype=np.int64), np.zeros((n, n), dtype=bool)
+        basic._enumerate_pairs(basic.kernel_operands(mp.Matrix(ad), mp.Matrix(bd)), l, kids, cs, c, done, counters)
+        written = np.repeat(np.repeat(eligible, l, 0), l, 1)
+        assert np.array_equal(done, written) and np.array_equal(c[written], want[written])
         assert counters.block_products == candidate_mask(a, b, l)[0][eligible].sum()
 
 
