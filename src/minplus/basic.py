@@ -10,7 +10,10 @@ child columns under its pending parents' candidate spans (``child_sets``),
 which the nesting lemma in ``blocking`` makes exact. Pairs with many
 candidates are covered by sampling reference columns: the pairs assigned to
 a sampled column r get their block values from the block columns whose
-value buckets, taken relative to column r, correspond. Pairs whose
+value buckets, taken relative to column r, correspond. At the default
+parameters no top-level pair has that many (``AlgoParams``: T_beta is at
+least the number of block columns), so a default product only enumerates
+and refines; the paper's schedule samples. Pairs whose
 candidate set missed the sample fall back to direct enumeration, so the
 result is always exact. The other pairs are refined to half the block
 length, or enumerated directly after the last level; a level with no open
@@ -78,7 +81,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .blocking import CandidateSets, candidate_sets, child_sets
-from .matrix import BDMatrix, Matrix, operand_range
+from .matrix import BDMatrix, Matrix, operand_range, product_matrix
 
 SEGMENT_WIDTH = 20  # value segments are 20*delta*l wide
 # A-side bucket p corresponds to B-side bucket shift - p, one relation per
@@ -147,14 +150,25 @@ class AlgoParams:
     l_min = 8 keeps the recursive engine at the top level up to n = 2048,
     where no finer level pays at every size, and adds the level 8 under
     l = 16 at n = 4096, where it pays on valley (README grid). Sizes from
-    n = 8192 on, with levels [32, 16, 8], have not been measured. The paper's
-    schedule, l = 2 at every n from 32 to 16384 refined down to single
-    entries, is ``alpha=0.9, l_min=1``.
+    n = 8192 on, with levels [16, 8], have not been measured.
+
+    The default beta = 0.75 was measured too: T_beta = ceil(n**0.75) is at
+    least n/l0, the most candidates a top-level pair can have, at every
+    power of two n from 2 to 16384, so at the defaults no top-level pair is
+    active. Every pair is enumerated over its candidate span or refined, and
+    the sampled stage does not run; on walks at n = 64 and 128 that made a
+    product about 30% faster than at 0.6 (README). The same holds at the
+    level 8 of n = 4096 (512 block columns, T_beta = 512); from n = 8192
+    on, a level-8 pair can have more candidates than T_beta and be sampled.
+
+    The paper's schedule, l = 2 at every n from 32 to 16384 refined down to
+    single entries with sampled reference columns, is ``alpha=0.9,
+    beta=0.6, l_min=1``.
     """
 
     delta: int
     alpha: float = 0.7
-    beta: float = 0.6
+    beta: float = 0.75
     gamma: float = 0.6
     c0: int = 3
     seed: int = 0
@@ -696,8 +710,10 @@ def dense_minplus(a: Matrix, b: Matrix) -> Matrix:
     nb = n // l
     pairs = np.stack(np.divmod(np.arange(nb * nb), nb), axis=1)
     c = np.empty((n, n), dtype=np.int64)
-    _min_blocks(kern, l, pairs, np.zeros(nb * nb, dtype=np.int64), np.full(nb * nb, nb - 1), c, np.zeros((n, n), dtype=bool))
-    return Matrix(c)
+    done = np.zeros((n, n), dtype=bool)
+    _min_blocks(kern, l, pairs, np.zeros(nb * nb, dtype=np.int64), np.full(nb * nb, nb - 1), c, done)
+    require(done.all(), "some output blocks were never written")
+    return product_matrix(c)
 
 
 def _enumerate_pairs(
@@ -898,7 +914,7 @@ def run_levels(
     if len(tail):
         _enumerate_pairs(kern, l, tail, cands, c, done, counters if l == levels[0] else None)
     require(done.all(), "some output blocks were never finalized")
-    return Matrix(c)
+    return product_matrix(c)
 
 
 def basic_minplus(

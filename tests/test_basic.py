@@ -21,6 +21,7 @@ from minplus.basic import (
     sample_r,
 )
 from minplus.blocking import candidate_sets, child_sets
+from minplus.cli import _run_once, strict_violations
 from minplus.oracle import PolyMatrix, extract_min, poly_matmul
 from minplus.recursive import allocate_top, collision_audit
 
@@ -57,12 +58,14 @@ def test_level_theta():
 
 
 def test_params_thresholds():
-    p = AlgoParams(delta=2, alpha=0.9)
+    p = AlgoParams(delta=2, alpha=0.9, beta=0.6)
     assert p.t_beta(64) == 13
     assert p.t_gamma(128) == 19
     assert p.sample_count(64) == 48  # ceil(c0 * log2(n) * (n/l) * n**-beta) at l = 2
     assert p.sample_count(64, 1) == 96
     assert p.sample_count(1) == 0
+    d = AlgoParams(delta=2, alpha=0.9)  # the default beta = 0.75
+    assert (d.t_beta(64), d.sample_count(64), d.sample_count(64, 1)) == (23, 26, 51)
 
 
 def test_params_validation():
@@ -76,7 +79,16 @@ def test_params_validation():
 
 def test_params_defaults():
     p = AlgoParams(delta=1)
-    assert (p.alpha, p.beta, p.gamma, p.c0) == (0.7, 0.6, 0.6, 3)
+    assert (p.alpha, p.beta, p.gamma, p.c0) == (0.7, 0.75, 0.6, 3)
+
+
+def test_default_beta_exceeds_top_block_columns():
+    # a top-level pair has at most n/l0 candidates, and at the defaults
+    # T_beta is at least that at every size up to 2**14: no pair is active
+    p = AlgoParams(delta=2)
+    for e in range(1, 15):
+        n = 1 << e
+        assert p.t_beta(n) >= n // p.block_len(n), n
 
 
 def test_default_block_len():
@@ -584,7 +596,7 @@ def test_basic_single_entry():
 
 
 def test_basic_matches_naive_sweep(pool):
-    params = AlgoParams(delta=2, seed=0)
+    params = AlgoParams(delta=2, seed=0, beta=0.6)  # the paper's beta: sampled
     for seed in range(100):
         a, b = pool.pair(64, 2, seed)
         assert mp.basic_minplus(a, b, params) == pool.naive(64, 2, seed)
@@ -600,7 +612,7 @@ def test_basic_other_deltas(pool):
 
 def test_basic_deterministic(pool):
     a, b = pool.pair(64, 2, 9)
-    params = AlgoParams(delta=2, seed=123)
+    params = AlgoParams(delta=2, seed=123, beta=0.6)  # the sampled stage draws from the seed
     c1, c2 = Counters(), Counters()
     r1 = mp.basic_minplus(a, b, params, c1)
     r2 = mp.basic_minplus(a, b, params, c2)
@@ -683,12 +695,45 @@ def test_engines_make_no_reduced_copy(pool, monkeypatch, engine):
     monkeypatch.setattr("minplus.basic.build_segments", refuse)
     monkeypatch.setattr("minplus.recursive.build_segments", refuse)
     a, b = pool.pair(64, 2, 0)
-    params = AlgoParams(delta=2, seed=7)
+    params = AlgoParams(delta=2, seed=7, beta=0.6)  # the paper's beta: sampled
     trace = []
     f = mp.basic_minplus if engine == "basic" else mp.recursive_minplus
     got = f(a, b, params, level_trace=trace)
     assert trace[0].assigned
     assert np.array_equal(got.data, pool.naive(64, 2, 0).data)
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+def test_default_products_only_enumerate(pool, monkeypatch, n):
+    # at the default beta no top-level pair has more than T_beta candidates,
+    # so neither engine samples a column or evaluates an assigned block: on
+    # walks and valleys each product is still the naive one, within the
+    # strict counter bounds
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled stage called at the defaults")
+
+    monkeypatch.setattr("minplus.basic.sample_r", refuse)
+    monkeypatch.setattr("minplus.basic._assigned_block_values", refuse)
+    params = AlgoParams(delta=2, seed=7)
+    for a, b in (pool.pair(n, 2, 0), valley_bd(n, 2, n + 2)):
+        want = mp.minplus_naive(a.base, b.base).data
+        for engine in ("basic", "recursive"):
+            got, rec = _run_once(engine, a, b, params)
+            assert np.array_equal(got.data, want)
+            assert strict_violations(rec, params) == []
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_products_are_kept_read_only(pool, n):
+    # each engine and dense hand back the array they wrote, uncopied: int64,
+    # C-contiguous, read-only, and the naive product
+    a, b = pool.pair(n, 2, 3)
+    want = pool.naive(n, 2, 3).data
+    params = AlgoParams(delta=2, seed=7)
+    for got in (mp.basic_minplus(a, b, params), mp.recursive_minplus(a, b, params), mp.dense_minplus(a.base, b.base)):
+        d = got.data
+        assert d.dtype == np.int64 and d.flags.c_contiguous and not d.flags.writeable
+        assert np.array_equal(d, want)
 
 
 def test_counters_work_bounds(pool):
@@ -733,7 +778,8 @@ def test_engines_exact_on_two_valleys(n):
     # each pair's candidates lie in two runs of block columns n/2 apart, so
     # its span holds many columns that are not candidates; a minimum over
     # the span is still the product, at the default schedule and the
-    # paper's, with and without the recursion to single entries
+    # paper's, with and without the recursion to single entries, and with
+    # the sampled stage (beta = 0.6) and without it (the default beta)
     gaps = []
     for delta in (2, 5):
         a, b = two_valley_bd(n, delta, n + delta)
@@ -742,9 +788,10 @@ def test_engines_exact_on_two_valleys(n):
             cs = candidate_sets(a, b, AlgoParams(delta=delta, alpha=alpha).block_len(n))
             gaps.append((cs.hi - cs.lo + 1).sum() > cs.sizes.sum())
             for l_min in (8, 1):
-                params = AlgoParams(delta=delta, alpha=alpha, seed=7, l_min=l_min)
-                assert np.array_equal(mp.basic_minplus(a, b, params).data, want)
-                assert np.array_equal(mp.recursive_minplus(a, b, params).data, want)
+                for beta in (0.6, 0.75):
+                    params = AlgoParams(delta=delta, alpha=alpha, beta=beta, seed=7, l_min=l_min)
+                    assert np.array_equal(mp.basic_minplus(a, b, params).data, want)
+                    assert np.array_equal(mp.recursive_minplus(a, b, params).data, want)
     assert any(gaps)  # at n = 64 only delta 5 at alpha 0.9 leaves gaps
 
 
@@ -752,10 +799,11 @@ def test_engines_exact_on_two_valleys(n):
 @pytest.mark.parametrize("family", ["walk", "valley"])
 def test_engines_exact_at_block_length_16(pool, engine, family):
     # alpha = 0.5 at n = 256 gives l = 16, where the block kernel's inner
-    # loop is longest and its chunks hold the fewest triples
+    # loop is longest and its chunks hold the fewest triples; at the paper's
+    # beta the walk's level 8 below it is sampled
     n, delta = 256, 2
     a, b = pool.pair(n, delta, 1) if family == "walk" else valley_bd(n, delta, 3)
-    params = AlgoParams(delta=delta, alpha=0.5, seed=2)
+    params = AlgoParams(delta=delta, alpha=0.5, beta=0.6, seed=2)
     assert params.block_len(n) == 16
     f = mp.basic_minplus if engine == "basic" else mp.recursive_minplus
     trace = []
@@ -796,7 +844,7 @@ def test_transposed_operand_is_stored_c_order(pool):
     assert not t.flags.c_contiguous
     bt, bc = (mp.BDMatrix(Matrix(x), 2) for x in (t, np.ascontiguousarray(t)))
     assert bt.base.data.flags.c_contiguous
-    params = AlgoParams(delta=2, seed=7)
+    params = AlgoParams(delta=2, seed=7, beta=0.6)  # sampled columns read the operand too
     assert np.array_equal(mp.basic_minplus(a, bt, params).data, mp.basic_minplus(a, bc, params).data)
     assert np.array_equal(mp.dense_minplus(a.base, bt.base).data, mp.dense_minplus(a.base, bc.base).data)
 
@@ -1020,7 +1068,8 @@ def test_engines_exact_in_every_kernel_type(monkeypatch, case, dtype):
     # n = 256 allows only K' = 32 and reduces its rectangles over several
     # slices. The flat rows (A[i, k] = i * 2**53, B[k, j] = j * 2**53) have
     # slice range 0, but their per-slice shifts s*(a_min + b_min) would
-    # wrap int64, so their int64 kernels stay on add+min. Every GEMM call is
+    # wrap int64, so their int64 kernels stay on add+min. Each runs at the
+    # defaults and at the paper's beta, which samples. Every GEMM call is
     # within the per-call budget
     calls = _recording_gemm(monkeypatch)
     if case == "walk-offset":
@@ -1040,7 +1089,11 @@ def test_engines_exact_in_every_kernel_type(monkeypatch, case, dtype):
     if case == "valley-slices":
         assert kern.slices.width == 32
     want = mp.minplus_naive(a.base, b.base).data
-    for params in (AlgoParams(delta=a.delta, seed=7), AlgoParams(delta=a.delta, seed=7, l_min=1)):
+    for params in (
+        AlgoParams(delta=a.delta, seed=7),
+        AlgoParams(delta=a.delta, seed=7, beta=0.6),
+        AlgoParams(delta=a.delta, seed=7, beta=0.6, l_min=1),
+    ):
         assert np.array_equal(mp.basic_minplus(a, b, params).data, want)
         assert np.array_equal(mp.recursive_minplus(a, b, params).data, want)
     assert np.array_equal(mp.dense_minplus(a.base, b.base).data, want)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -146,7 +148,14 @@ def test_run_requires_delta_header(tmp_path):
     assert rc == EXIT_USAGE
 
 
-def test_bench_grid(tmp_path, capsys):
+def _paper_beta(monkeypatch):
+    """Make ``bench``, which has no --beta, run at the paper's beta = 0.6,
+    so that its products sample and its audits count collisions."""
+    monkeypatch.setattr(cli, "AlgoParams", functools.partial(mp.AlgoParams, beta=0.6))
+
+
+def test_bench_grid(tmp_path, capsys, monkeypatch):
+    _paper_beta(monkeypatch)
     csv = tmp_path / "bench.csv"
     rc = run_cli(
         "bench", "--sizes", "32,64,128", "--algos", "naive,basic", "--reps", "3", "--csv", str(csv)
@@ -160,7 +169,8 @@ def test_bench_grid(tmp_path, capsys):
     )
 
 
-def test_bench_fixed_seed_counters_identical(tmp_path):
+def test_bench_fixed_seed_counters_identical(tmp_path, monkeypatch):
+    _paper_beta(monkeypatch)
     csv = tmp_path / "bench.csv"
     rc = run_cli(
         "bench", "--sizes", "64", "--algos", "basic", "--reps", "3", "--csv", str(csv), "--seed", "5"
@@ -231,12 +241,16 @@ def test_strict_violation_detection():
 @pytest.mark.parametrize("algo", ["naive", "basic", "recursive"])
 def test_run_product_beyond_operand_range_roundtrips(tmp_path, capsys, algo):
     # operands at the 2**60 cap give products near 2**61, which the output
-    # file holds and reads back exactly
+    # file holds and reads back exactly; the paper's beta also sends the
+    # engines' pairs through the sampled stage's bucket sums
     pa, pb, out = tmp_path / "a.mpm", tmp_path / "b.mpm", tmp_path / "c.mpm"
     for path, seed in ((pa, 1), (pb, 2)):
         x = mp.generate_bd(16, 2, seed).base.data
         mp.write_matrix(mp.BDMatrix(mp.Matrix(mp.MAX_OPERAND - (x - x.min())), 2), path)
-    rc = run_cli("run", "--algo", algo, "--a", str(pa), "--b", str(pb), "--out", str(out), "--verify", "--strict")
+    rc = run_cli(
+        "run", "--algo", algo, "--a", str(pa), "--b", str(pb), "--out", str(out),
+        "--verify", "--strict", "--beta", "0.6",
+    )
     assert rc == 0
     a, b, c = mp.read_matrix(pa), mp.read_matrix(pb), mp.read_matrix(out)
     assert c == mp.minplus_naive(a.base, b.base)

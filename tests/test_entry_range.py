@@ -41,9 +41,10 @@ def test_engines_at_the_cap(n, delta, seed, sign, alpha):
     a, b = capped_bd(n, delta, 2 * seed, sign), capped_bd(n, delta, 2 * seed + 1, sign)
     want = mp.minplus_naive(a.base, b.base)
     assert np.abs(want.data).max() > MAX_OPERAND  # the product leaves the operand range
-    params = AlgoParams(delta=delta, alpha=alpha, seed=seed)
-    assert mp.basic_minplus(a, b, params) == want
-    assert mp.recursive_minplus(a, b, params) == want
+    for beta in (0.6, 0.75):  # the paper's, which samples, and the default
+        params = AlgoParams(delta=delta, alpha=alpha, beta=beta, seed=seed)
+        assert mp.basic_minplus(a, b, params) == want
+        assert mp.recursive_minplus(a, b, params) == want
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import minplus as mp
 from minplus import INF, MAX_ENTRY, BDMatrix, FormatError, Matrix
+from minplus.matrix import product_matrix
 
 
 def bd_holds_brute(data, delta):
@@ -29,6 +30,18 @@ def test_matrix_validation():
     assert m.shape == (2, 2) and not m.all_finite()
     with pytest.raises(ValueError):
         m.data[0, 0] = 5  # immutable
+
+
+def test_product_matrix_keeps_the_array():
+    # the engines' result wrapper keeps the written array, read-only, and
+    # takes only a C-contiguous 2-D int64 one
+    c = np.arange(6, dtype=np.int64).reshape(2, 3)
+    m = product_matrix(c)
+    assert m.data is c and not c.flags.writeable and m == Matrix(np.arange(6).reshape(2, 3))
+    not_c_order = np.zeros((4, 4), dtype=np.int64)[:, ::2]
+    for bad in (np.zeros((2, 2), dtype=np.int32), not_c_order, np.zeros(4, dtype=np.int64)):
+        with pytest.raises(ValueError):
+            product_matrix(bad)
 
 
 def test_generate_single_entry():

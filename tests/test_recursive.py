@@ -209,7 +209,7 @@ def test_recursive_single_entry():
 
 def test_recursive_matches_naive_sweep(pool):
     for delta in (1, 2, 5):
-        params = AlgoParams(delta=delta, seed=2)
+        params = AlgoParams(delta=delta, seed=2, beta=0.6)  # the paper's beta: sampled
         for seed in range(10):
             a, b = pool.pair(64, delta, seed)
             assert mp.recursive_minplus(a, b, params) == pool.naive(64, delta, seed)
@@ -239,7 +239,7 @@ def test_tail_at_floor_above_one_is_exact(delta, l_min):
     tails = []
     for n in (64, 128, 256):
         a, b = valley_bd(n, delta, n + delta)
-        params = AlgoParams(delta=delta, alpha=0.6, seed=7, l_min=l_min)
+        params = AlgoParams(delta=delta, alpha=0.6, beta=0.6, seed=7, l_min=l_min)
         trace = []
         assert mp.recursive_minplus(a, b, params, level_trace=trace) == mp.minplus_naive(a.base, b.base)
         assert [s.block_len for s in trace] == params.levels(n)
@@ -350,7 +350,7 @@ def test_fallback_below_top_is_exact(monkeypatch):
 
     monkeypatch.setattr(basic, "sample_r", sample_nothing)
     a, b = valley_bd(128, 2, 130)
-    params = AlgoParams(delta=2, alpha=0.6, seed=7, l_min=1)
+    params = AlgoParams(delta=2, alpha=0.6, beta=0.6, seed=7, l_min=1)
     counters = Counters()
     trace = []
     assert mp.recursive_minplus(a, b, params, counters=counters, level_trace=trace) == mp.minplus_naive(a.base, b.base)
@@ -372,7 +372,7 @@ def test_recursive_level_exponents(pool):
 
 def test_recursive_deterministic(pool):
     a, b = pool.pair(64, 2, 11)
-    params = AlgoParams(delta=2, seed=77)
+    params = AlgoParams(delta=2, seed=77, beta=0.6)  # the sampled stage draws from the seed
     c1, c2 = Counters(), Counters()
     r1 = mp.recursive_minplus(a, b, params, counters=c1)
     r2 = mp.recursive_minplus(a, b, params, counters=c2)
@@ -396,7 +396,7 @@ def test_recursive_level_partition(pool):
 
 def test_recursive_counter_monotonicity(pool):
     a, b = pool.pair(128, 1, 0)  # flat instance exercises the sampled path
-    params = AlgoParams(delta=1, seed=1)
+    params = AlgoParams(delta=1, seed=1, beta=0.6)
     counters = Counters()
     trace = []
     got = mp.recursive_minplus(a, b, params, counters=counters, level_trace=trace)
@@ -410,7 +410,7 @@ def test_recursive_counter_monotonicity(pool):
 def test_audit_fills_collision_counters(pool, engine):
     # products leave the collision counters at zero; the audit fills them
     a, b = pool.pair(64, 2, 4)
-    params = AlgoParams(delta=2, seed=9)
+    params = AlgoParams(delta=2, seed=9, beta=0.6)  # the paper's beta: sampled
     counters = Counters()
     trace = []
     if engine == "basic":
@@ -428,7 +428,7 @@ def test_recursive_audited_counters_golden():
     # counters and per-level pairs of the earlier implementation with
     # separate basic and recursive loops, on a fixed pair and seed
     a, b = valley_bd(64, 5, 0)
-    params = AlgoParams(delta=5, alpha=0.9, seed=0, l_min=1)
+    params = AlgoParams(delta=5, alpha=0.9, beta=0.6, seed=0, l_min=1)
     counters = Counters()
     trace = []
     got = mp.recursive_minplus(a, b, params, counters=counters, level_trace=trace)
@@ -449,7 +449,7 @@ def test_recursive_peak_memory(delta):
     # all at once
     n = 128
     a, b = valley_bd(n, delta, 7)
-    params = AlgoParams(delta=delta)
+    params = AlgoParams(delta=delta, beta=0.6)  # the paper's beta: bucket sums too
     tracemalloc.start()
     try:
         mp.recursive_minplus(a, b, params)
@@ -471,7 +471,7 @@ def test_recursive_memory_below_cubic():
     for alpha, bound in ((0.7, n**3), (0.9, n**3 / 4)):
         tracemalloc.start()
         try:
-            got = mp.recursive_minplus(a, b, AlgoParams(delta=2, alpha=alpha, l_min=1))
+            got = mp.recursive_minplus(a, b, AlgoParams(delta=2, alpha=alpha, beta=0.6, l_min=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -10,8 +10,9 @@ compares the two files byte for byte:
 The grid is random walks (``generate_bd``) at n in {32, 64, 128}, delta in
 {1, 2, 5}, three seeds each, and valley pairs (``tests/conftest.valley_bd``)
 at n in {64, 128, 256}, delta in {2, 5}; every pair runs at alpha 0.9 and
-0.6, with the recursion down to single entries (``l_min=1``), through both
-engines with engine seed 7. Each case records the sha1 of
+0.6, with the recursion down to single entries (``l_min=1``) and the
+paper's small-candidate threshold (``beta=0.6``, so that the sampled stage
+runs), through both engines with engine seed 7. Each case records the sha1 of
 the product, each level's active, pending and assigned pair arrays (shape
 and sha1), and all six counters, with the collision audit run for n <= 256
 (every case). The script imports ``minplus`` from the ``src`` next to it,
@@ -89,7 +90,7 @@ def main(argv=None) -> int:
     cases = {}
     for name, n, delta, a, b in pairs():
         for alpha in (0.9, 0.6):
-            params = mp.AlgoParams(delta=delta, alpha=alpha, seed=ENGINE_SEED, l_min=1)
+            params = mp.AlgoParams(delta=delta, alpha=alpha, beta=0.6, seed=ENGINE_SEED, l_min=1)
             for engine in ("basic", "recursive"):
                 cases[f"{name}-a{alpha}-{engine}"] = run_case(engine, a, b, params, n <= AUDIT_MAX_N)
     with open(args.out, "w", encoding="ascii") as fh:
