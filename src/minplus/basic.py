@@ -39,16 +39,18 @@ candidate span, an assigned pair over the span of the block columns its
 sampled column's buckets select. Either span holds every block of an
 optimal witness, so a minimum over it, or over any larger set of columns,
 is exact. The kernel groups the pairs into rectangles, runs of consecutive
-block columns in one block row, and reduces operand slices over the union
-of a rectangle's spans, so it gathers nothing, and it writes each rectangle
-straight into the product, so it scatters nothing either. A pair whose span
-is every block column (density 1, as on random walks) gets the plain
-min-plus product of its rows of A and columns of B, so the dense case
-costs no more than a dense product; ``dense_minplus``, the same kernel over
-every block pair at full spans and a fixed tile, is the cubic reference
-the engines are measured against. The sampled columns of a level hand all
-their pairs to one kernel call, so pairs split between columns still form
-whole rows there.
+block columns in one block row stacked over consecutive block rows that hold
+the same run with the same union of spans, or, for a stack that takes the
+GEMM path below, with spans that meet the same K'-column slices. It reduces
+operand slices over the union of a rectangle's spans, so it gathers
+nothing, and it writes each rectangle straight into the product, so it
+scatters nothing either. A pair whose span is every block column (density
+1, as on random walks) gets the plain min-plus product of its rows of A
+and columns of B, so the dense case costs no more than a dense product;
+``dense_minplus``, the same kernel over every block pair at full spans and
+a fixed tile, is the cubic reference the engines are measured against.
+The sampled columns of a level hand all their pairs to one kernel call, so
+pairs split between columns still form whole rows there.
 
 The kernel reduces a rectangle one of two ways. Once per product,
 ``kernel_operands`` shifts the operands to start at 0, A - min A and
@@ -64,11 +66,12 @@ slices such a rectangle is reduced by float64 GEMMs of exponent-encoded
 operands (``_gemm_rect``, which holds the exactness argument); every other
 rectangle, and every rectangle of a product without such slices (int64
 operands among them), by add+min.
-Both add the shift min A + min B back as they write. The candidate scans,
-the bucket sums and the block length 1 reads of the representative
-minimum (``_finalize``) stay on the int64 originals: a bucket is a
-difference within one row of A or one column of B, where the shift
-cancels anyway.
+Both add the shift min A + min B back as they write. The top candidate
+scan narrows its representative tables by the same rule
+(``candidate_sets``). The child scans, the bucket sums and the block
+length 1 reads of the representative minimum (``_finalize``) stay on the
+int64 originals: a bucket is a difference within one row of A or one
+column of B, where the shift cancels anyway.
 """
 
 from __future__ import annotations
@@ -486,11 +489,15 @@ def _min_blocks(
 
     The pairs are grouped into rectangles: runs of consecutive block columns
     in one block row, stacked over consecutive block rows that hold the
-    same run with the same union of spans. A rectangle reduces over the
-    union of its pairs' spans; a pair alone, or among equal spans, gets the
-    minimum over its own span. A rectangle's rows of A and columns of B are
-    slices of the operands, and its result is a rectangle of c, so nothing
-    is gathered or scattered.
+    same run with the same union of spans. Where that gives more than one
+    rectangle, consecutive block rows holding the same run whose spans
+    meet the same K'-aligned slices of the inner axis are stacked too, if
+    the stack takes the GEMM path (``_stack_by_slice``): a GEMM rectangle
+    costs about the same over any span inside the same slices. A rectangle
+    reduces over the union of its pairs' spans; a pair alone, or among
+    equal spans, gets the minimum over its own span. A rectangle's rows of
+    A and columns of B are slices of the operands, and its result is a
+    rectangle of c, so nothing is gathered or scattered.
 
     A rectangle with enough rows and a long enough span (``_takes_gemm``)
     takes the GEMM path (``_gemm_rect``). Any other is reduced by add+min: its sums are built in a (rows, k,
@@ -521,12 +528,14 @@ def _min_blocks(
     shape = np.stack((run_bj, run_len, run_lo, run_hi))
     cut = np.ones(len(run_at), dtype=bool)
     cut[1:] = (shape[:, 1:] != shape[:, :-1]).any(axis=0) | (run_bi[1:] != run_bi[:-1] + 1)
+    if cut[1:].any():
+        cut, shape = _stack_by_slice(kern, l, run_bi, shape, cut)
     rect_at = np.flatnonzero(cut)
-    bj, width, span_lo, span_hi = shape
     sums = None  # the add+min buffers, made when a rectangle first needs them
     for s, e in zip(rect_at, np.append(rect_at[1:], len(run_at))):
-        bi0, bj0, wd = int(run_bi[s]), int(bj[s]), int(width[s])
-        ks, ke = int(span_lo[s]) * l, (int(span_hi[s]) + 1) * l
+        bi0 = int(run_bi[s])
+        bj0, wd, span_lo, span_hi = shape[:, s].tolist()
+        ks, ke = span_lo * l, (span_hi + 1) * l
         kn = ke - ks
         cols = slice(bj0 * l, (bj0 + wd) * l)
         w = wd * l
@@ -542,7 +551,7 @@ def _min_blocks(
             # every k, and so no more minima (rows times columns) than that
             # over the shortest union span, nor than all pairs'
             size = len(pairs) * l * l
-            k_min = (int((span_hi - span_lo).min()) + 1) * l
+            k_min = (int((shape[3] - shape[2]).min()) + 1) * l
             sums = np.empty(min(max(_TRIPLE_BUDGET, l * n), size * n), dtype=a_data.dtype)
             mins = np.empty(min(max(_TRIPLE_BUDGET // k_min, l * n), size), dtype=a_data.dtype)
             part = np.empty_like(mins)
@@ -567,6 +576,40 @@ def _min_blocks(
                     t.min(axis=1, out=m)
             _claim(done, rows, cols)
             np.add(m, kern.shift, out=c[rows, cols], dtype=np.int64)
+
+
+def _stack_by_slice(
+    kern: KernelOperands, l: int, run_bi: np.ndarray, shape: np.ndarray, cut: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rectangle starts of ``_min_blocks``, ``cut`` (one flag per run,
+    the exact grouping), with the runs of each slice group that takes the
+    GEMM path stacked into one rectangle, and ``shape`` with each stacked
+    run's span widened to its rectangle's. A slice group is a stretch of
+    runs in consecutive block rows (``run_bi``, per run) with one first
+    block column and length, whose union spans (``shape``: first block
+    column, length, first and last block column of the span, per run) meet
+    the same K'-aligned slices of the inner axis; its rectangle takes the
+    GEMM path if it has two rows or more and ``_takes_gemm`` holds over its
+    union span. A group at K' lies inside one at _SLICE_MAX, so K' is
+    measured only if a group at _SLICE_MAX could reach _GEMM_MIN_TERMS."""
+
+    def groups(width):
+        t0, t1 = shape[2] * l // width, ((shape[3] + 1) * l - 1) // width
+        key = np.stack((shape[0], shape[1], t0, t1))
+        at = np.ones(len(cut), dtype=bool)
+        at[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0) | (run_bi[1:] != run_bi[:-1] + 1)
+        start = np.flatnonzero(at)
+        runs = np.diff(np.append(start, len(cut)))  # block rows
+        lo, hi = np.minimum.reduceat(shape[2], start), np.maximum.reduceat(shape[3], start)
+        stack = (runs > 1) & (runs * l * np.minimum((hi - lo + 1) * l, width) >= _GEMM_MIN_TERMS)
+        return np.repeat(stack, runs), at, np.repeat(lo, runs), np.repeat(hi, runs)
+
+    stacked, at, lo, hi = groups(_SLICE_MAX)
+    if not stacked.any() or kern.slices is None:
+        return cut, shape
+    if kern.slices.width != _SLICE_MAX:
+        stacked, at, lo, hi = groups(kern.slices.width)
+    return np.where(stacked, at, cut), np.where(stacked, (shape[0], shape[1], lo, hi), shape)
 
 
 def _takes_gemm(kern: KernelOperands, h: int, kn: int) -> bool:
@@ -607,10 +650,10 @@ def _gemm_rect(kern: KernelOperands, rows: slice, cols: slice, ks: int, ke: int,
     the terms as products and additions, as OpenBLAS does, with no
     Strassen-type subtraction.
 
-    The running minimum over the slices is kept in ``out`` as the exponent
-    less s*(a_min + b_min), V = exponent - s*(a_min + b_min), whose largest
-    value over the slices gives min (a + b) = (2045 - V) // s. A slice of B
-    is encoded once, into column tiles that each GEMM call reads
+    The running minimum over the slices is kept in ``out`` as U = 2045 -
+    exponent + s*(a_min + b_min), whose smallest value over the slices
+    gives min (a + b) = U // s: a right shift by 3 at s = 8 (K' = 128). A
+    slice of B is encoded once, into column tiles that each GEMM call reads
     contiguously (a strided or transposed B made a call up to 1.8x
     slower); a slice of A a group of rows at a time, under _DECODE_BUDGET,
     and the group's results are decoded together. Each call takes
@@ -641,9 +684,10 @@ def _gemm_rect(kern: KernelOperands, rows: slice, cols: slice, ks: int, ke: int,
 
     n_tiles = full + (w % wc > 0)
     t0, t1 = ks // width, (ke - 1) // width + 1  # the slices the span meets
-    # the shifts s*a_min and s*b_min of every slice, and the operands and
-    # output, cut into column tiles once
+    # the shifts s*a_min (with 2045, U's other term on A's side) and s*b_min
+    # of every slice, and the operands and output, cut into column tiles once
     a_shift = np.multiply(sl.a_min[t0:t1, rows, None], s, dtype=np.int64)  # [slice, row, 1]
+    a_shift += _EXP_SPAN
     b_shift = np.empty((n_tiles, t1 - t0, wc), dtype=np.int64)  # [tile, slice, column]
     for tiles, part in tiled(sl.b_min[t0:t1, cols]):
         np.multiply(part, s, out=b_shift[tiles], dtype=np.int64)
@@ -664,7 +708,7 @@ def _gemm_rect(kern: KernelOperands, rows: slice, cols: slice, ks: int, ke: int,
             g1 = min(g0 + hg, h)
             ea = enc_a[: g1 - g0, : k1 - k0]
             np.multiply(kern.a[rows][g0:g1, k0:k1], -s, out=ea, dtype=np.int64)
-            ea += a_shift[t - t0, g0:g1] + e_a
+            ea += a_shift[t - t0, g0:g1] + (e_a - _EXP_SPAN)
             ea <<= 52
             fa = ea.view(np.float64)
             p = prod[:, : g1 - g0]
@@ -673,15 +717,17 @@ def _gemm_rect(kern: KernelOperands, rows: slice, cols: slice, ks: int, ke: int,
                     _matmul(fa[i0 : i0 + hr], fb[j], out=p[j, i0 : i0 + hr])
             v = p.view(np.int64)
             v >>= 52
-            v -= a_shift[t - t0, g0:g1]
-            v -= b_shift[:, t - t0, None]
+            np.subtract(a_shift[t - t0, g0:g1], v, out=v)
+            v += b_shift[:, t - t0, None]
             for tiles, o in o_tiles:
                 if t == t0:
                     o[...] = v[tiles]
                 else:
-                    np.maximum(o, v[tiles], out=o)
-    np.subtract(_EXP_SPAN, out, out=out)
-    out //= s
+                    np.minimum(o, v[tiles], out=o)
+    if s == 8:
+        out >>= 3
+    else:
+        out //= s
     out += kern.shift
 
 

@@ -49,11 +49,12 @@ def _as_entry_array(values) -> np.ndarray:
 
 
 def product_matrix(c: np.ndarray) -> Matrix:
-    """A Matrix over the product ``c`` an engine wrote, kept without the
-    copy and range check ``Matrix(c)`` makes: every entry of ``c`` is a sum
-    of two product operands, which the operand cap keeps within MAX_ENTRY.
-    ``c`` must be a C-contiguous 2-D int64 array that nothing else writes;
-    it is marked read-only."""
+    """A Matrix over the product ``c`` an engine wrote, or over the
+    representative minima a candidate scan wrote (INF where it scanned no
+    pair), kept without the copy and range check ``Matrix(c)`` makes: every
+    finite entry of ``c`` is a sum of two product operands, which the
+    operand cap keeps within MAX_ENTRY. ``c`` must be a C-contiguous 2-D
+    int64 array that nothing else writes; it is marked read-only."""
     if c.dtype != np.int64 or c.ndim != 2 or not c.flags.c_contiguous:
         raise ValueError(f"a product must be a C-contiguous 2-D int64 array, got {c.dtype} {c.shape}")
     c.setflags(write=False)

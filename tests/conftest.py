@@ -88,6 +88,8 @@ def candidate_mask(a, b, l):
     within 8*delta*l of their minimum over bk, and that minimum."""
     ra, rb = a.base.data[::l, ::l], b.base.data[::l, ::l]
     sums = ra[:, None, :] + rb.T[None, :, :]  # [bi, bj, bk]
+    if 8 * a.delta * l >= 1 << 62:  # approx + window could pass int64: Python ints
+        sums = sums.astype(object)
     approx = sums.min(axis=2)
     return sums <= approx[:, :, None] + 8 * a.delta * l, approx
 

@@ -1006,6 +1006,150 @@ def test_min_blocks_matches_loop(monkeypatch, l, budget):
         assert max((k for _, k, _ in calls), default=None) == width
 
 
+def _recording_rects(monkeypatch):
+    """Record the kernel's GEMM rectangles, as (rows, cols, ks, ke) in
+    entries, and every rectangle it writes, as (rows, cols) slices."""
+    gemms, claims = [], []
+    real_gemm, real_claim = mp.basic._gemm_rect, mp.basic._claim
+
+    def gemm(kern, rows, cols, ks, ke, out):
+        gemms.append((slice(int(rows.start), int(rows.stop)), cols, ks, ke))
+        return real_gemm(kern, rows, cols, ks, ke, out)
+
+    def claim(done, rows, cols):
+        claims.append((slice(int(rows.start), int(rows.stop)), cols))
+        return real_claim(done, rows, cols)
+
+    monkeypatch.setattr("minplus.basic._gemm_rect", gemm)
+    monkeypatch.setattr("minplus.basic._claim", claim)
+    return gemms, claims
+
+
+def _valley_operands(rng, n, a_centres, b_centres):
+    """Int16 valleys A[i, k] = min(|k - a_centres[i]|, 127) and B[k, j] =
+    min(|k - b_centres[j]|, 127): every slice of a row or column spans at
+    most 127, so K' = 128, and the optimal witnesses of entry (i, j) are the
+    k between its two centres."""
+    ks = np.arange(n)
+    ad = np.minimum(np.abs(ks[None, :] - np.asarray(a_centres)[:, None]), 127)
+    bd = np.minimum(np.abs(ks[:, None] - np.asarray(b_centres)[None, :]), 127)
+    return ad.astype(np.int16), bd.astype(np.int16)
+
+
+def _witness_spans(ad, bd, l, pairs):
+    """Each pair's first and last block column holding an optimal witness
+    of one of its entries."""
+    full = _min_blocks_loop(ad, bd, l, pairs, np.zeros(len(pairs), dtype=int), np.full(len(pairs), ad.shape[0] // l - 1))
+    lo, hi = np.empty(len(pairs), dtype=int), np.empty(len(pairs), dtype=int)
+    for g, (bi, bj) in enumerate(pairs):
+        sums = ad[bi * l : bi * l + l].astype(np.int64)[:, :, None] + bd[:, bj * l : bj * l + l][None]
+        wit = np.flatnonzero((sums == full[g][:, None, :]).any(axis=(0, 2))) // l
+        lo[g], hi[g] = wit.min(), wit.max()
+    return lo, hi, full
+
+
+def test_min_blocks_stacks_rows_that_meet_the_same_slices(monkeypatch):
+    # two stretches of 8 consecutive block rows over one run of block
+    # columns, at l = 8 and n = 256 (K' = 128, two slices): in the first
+    # every span lies in slice 0, in the second every span meets both
+    # slices. Within each stretch the spans differ from pair to pair and
+    # from row to row, so the exact grouping makes a rectangle per block
+    # row, but each stretch meets one set of slices and takes the GEMM path:
+    # one GEMM rectangle a stretch, over the union of its spans, which holds
+    # every pair's witnesses, so the product's blocks are exact, and the
+    # ledger marks exactly the pairs' entries
+    rng = np.random.default_rng(3)
+    n, l = 256, 8
+    rows = np.concatenate([rng.integers(90, 120, size=64), rng.integers(150, 200, size=64), np.full(n - 128, 60)])
+    ad, bd = _valley_operands(rng, n, np.roll(rows, 16), rng.integers(56, 72, size=n))
+    kern = kernel_operands(Matrix(ad), Matrix(bd))
+    assert kern.slices.width == 128
+    pairs = np.array([(bi, bj) for bi in range(2, 18) for bj in range(3, 7)])
+    wit_lo, wit_hi, full = _witness_spans(ad, bd, l, pairs)
+    first = pairs[:, 0] < 10
+    assert (wit_hi[first] < 16).all() and (wit_lo[~first] < 16).all() and (wit_hi[~first] >= 16).all()
+    # widen each span by up to two block columns, inside its slices
+    lo = np.maximum(wit_lo - rng.integers(0, 3, size=len(pairs)), 0)
+    hi = np.minimum(wit_hi + rng.integers(0, 3, size=len(pairs)), np.where(first, 15, 31))
+    unions = {(int(bi), int(lo[pairs[:, 0] == bi].min()), int(hi[pairs[:, 0] == bi].max())) for bi in range(2, 18)}
+    assert len({u[1:] for u in unions}) > 2
+    gemms, claims = _recording_rects(monkeypatch)
+    assert np.array_equal(_written_blocks(kern, l, pairs, lo, hi), full + kern.shift)
+    assert np.array_equal(_min_blocks_loop(ad, bd, l, pairs, lo, hi), full)
+    cols = slice(24, 56)
+    assert gemms == [
+        (slice(16, 80), cols, int(lo[first].min()) * l, (int(hi[first].max()) + 1) * l),
+        (slice(80, 144), cols, int(lo[~first].min()) * l, (int(hi[~first].max()) + 1) * l),
+    ]
+    assert claims == [(g[0], g[1]) for g in gemms]
+
+
+def test_min_blocks_keeps_spans_off_the_gemm_path(monkeypatch):
+    # block rows whose spans meet the same slices but whose rectangle is too
+    # small for the GEMM path (two block rows of 2 over at most 128
+    # columns), and rows on operands without slices (slice range 170, or
+    # int64 operands) that would take it, keep the exact rectangles: each
+    # block row's run of pairs gets the minimum over its own union span,
+    # which differs from the minimum over all rows' union. No GEMM call is
+    # made
+    rng = np.random.default_rng(5)
+    n = 128
+    wide_a, wide_b = _slice_operands(rng, n, 170)
+    narrow_a, narrow_b = _slice_operands(rng, n, 127)
+    cases = [
+        (2, kernel_operands(Matrix(narrow_a), Matrix(narrow_b)), 2),
+        (8, kernel_operands(Matrix(wide_a), Matrix(wide_b)), 8),
+        (8, mp.basic.KernelOperands(wide_a.astype(np.int64), wide_b.astype(np.int64), 0), 8),
+    ]
+    assert cases[0][1].slices.width == 128 and cases[1][1].slices is None
+    for l, kern, block_rows in cases:
+        nb = n // l
+        pairs = np.array([(bi, bj) for bi in range(1, 1 + block_rows) for bj in range(2, 5)])
+        # spans in the first quarter of the block columns on even rows, in
+        # the third on odd ones
+        lo = rng.integers(0, nb // 8, size=len(pairs)) + pairs[:, 0] % 2 * (nb // 2)
+        hi = lo + rng.integers(0, nb // 8, size=len(pairs))
+        ad, bd = kern.a, kern.b
+        row_lo = np.array([lo[pairs[:, 0] == bi].min() for bi in pairs[:, 0]])
+        row_hi = np.array([hi[pairs[:, 0] == bi].max() for bi in pairs[:, 0]])
+        own = _min_blocks_loop(ad, bd, l, pairs, row_lo, row_hi)
+        union = _min_blocks_loop(ad, bd, l, pairs, np.full(len(pairs), lo.min()), np.full(len(pairs), hi.max()))
+        assert not np.array_equal(own, union)
+        gemms, claims = _recording_rects(monkeypatch)
+        assert np.array_equal(_written_blocks(kern, l, pairs, lo, hi), own + kern.shift)
+        assert gemms == []
+        assert len(claims) == block_rows  # a rectangle per block row: the runs' union spans differ
+        monkeypatch.undo()
+
+
+def _perfbench_workloads():
+    """The benchmark's workload generators (``perfbench/workloads.py``)."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)  # registered first: its dataclasses look their module up
+    return module
+
+
+def test_benchmark_valley_products_take_one_gemm_rectangle(monkeypatch):
+    # the benchmark's valley-256 pairs at seed 7, with its engine seeds: all
+    # 256 block rows of a product stack into one GEMM rectangle over the
+    # union span, which meets both 128-column slices
+    workloads = _perfbench_workloads()
+    w = workloads.WORKLOADS["valley-256"]
+    gemms, claims = _recording_rects(monkeypatch)
+    for i, (a, b) in enumerate(workloads.make_pairs(w, 7)):
+        gemms.clear()
+        claims.clear()
+        got = mp.basic_minplus(a, b, AlgoParams(delta=a.delta, seed=workloads.engine_seed(7, i)))
+        assert len(gemms) == 1 and claims == [gemms[0][:2]]
+        rows, cols, ks, ke = gemms[0]
+        assert (rows, cols) == (slice(0, 256), slice(0, 256)) and ks < 128 < ke
+        assert np.array_equal(got.data, mp.dense_minplus(a.base, b.base).data)
+
+
 def test_min_blocks_rejects_empty_span():
     z = np.zeros((4, 4), dtype=np.int64)
     with pytest.raises(mp.InvariantError):

@@ -77,12 +77,78 @@ def test_candidate_chunks_match_dense(pool, monkeypatch, budget):
     # the sets leave gaps, so a span is more than its set
     n, delta, l = 32, 2, 4
     monkeypatch.setattr("minplus.blocking._SUM_BUDGET", budget)
+    # the packed bits are read per chunk, a few chunks at once, or all at once
+    monkeypatch.setattr("minplus.blocking._BIT_BUDGET", budget)
     for a, b in (pool.pair(n, delta, 3), valley_bd(n, delta, 5)):
         check_candidate_sets(candidate_sets(a, b, l), a, b)
     a, b = two_valley_bd(128, 5, 1)
     cs = candidate_sets(a, b, 2)
     assert (cs.hi - cs.lo + 1 > cs.sizes).any()
     check_candidate_sets(cs, a, b)
+
+
+def _cap_pair():
+    """The operand-cap pair of ``test_kernel_operands_beyond_int64`` made
+    square: entries -2**61 and 2**61, so one block pair's representative
+    sums run from -2**62 to 2**62, and a delta above 2**62 whose window
+    admits every column."""
+    x = np.array([[-(1 << 61), 1 << 61], [1 << 61, -(1 << 61)]])
+    return mp.BDMatrix(Matrix(x), (1 << 62) + 1), mp.BDMatrix(Matrix(x.T), (1 << 62) + 1)
+
+
+@pytest.mark.parametrize(
+    "case, dtype",
+    [("walk", np.int16), ("valley", np.int16), ("wide-walk", np.int32), ("huge-delta", np.int64), ("cap", np.int64)],
+)
+def test_candidate_sets_in_every_scan_type(case, dtype):
+    # the scan runs on tables shifted to start at 0 in int16 or int32 when
+    # 4*(delta - 1)*(n - l), the widest sum two delta-bounded tables can
+    # have, fits, and on the unshifted int64 tables otherwise: the CI's
+    # delta = 3000 pair (seeds 3 and 4) needs int32 at every l, a walk at
+    # delta = 2**30 int64, and the operand-cap pair, whose sums span 2**63,
+    # int64 with a window past the int64 range. Every type gives the
+    # reference sets at every block length
+    if case == "walk":
+        a, b = mp.generate_bd(64, 2, 1), mp.generate_bd(64, 2, 2)
+    elif case == "valley":
+        a, b = valley_bd(64, 5, 3)
+    elif case == "wide-walk":
+        a, b = mp.generate_bd(64, 3000, 3), mp.generate_bd(64, 3000, 4)
+    elif case == "huge-delta":
+        a, b = mp.generate_bd(16, 1 << 30, 5), mp.generate_bd(16, 1 << 30, 6)
+    else:
+        a, b = _cap_pair()
+    l = a.n
+    while l >= 1:
+        top = 4 * (a.delta - 1) * (a.n - l)
+        assert (np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64) == dtype or l == a.n
+        check_candidate_sets(candidate_sets(a, b, l), a, b)
+        l //= 2
+
+
+@pytest.mark.parametrize("n, delta, l", [(8, 2048, 4), (8, 1 << 26, 4), (16, 1024, 8)])
+def test_candidate_threshold_past_the_type(n, delta, l):
+    # approx + 8*delta*l passes the scan type's max: at n = 8, l = 4 the sums
+    # need int16 (delta 2048) or int32 (delta 2**26), and the window is
+    # 2**16 or 2**31; the threshold is clamped to the largest sum, so it
+    # does not wrap, and the sets are the reference's
+    a, b = mp.generate_bd(n, delta, 7), mp.generate_bd(n, delta, 8)
+    window = 8 * delta * l
+    top = 4 * (delta - 1) * (n - l)
+    limit = 1 << 15 if top < 1 << 15 else 1 << 31
+    assert top < limit <= window
+    check_candidate_sets(candidate_sets(a, b, l), a, b)
+
+
+@pytest.mark.parametrize("nb", [1, 2, 4, 8, 16, 32, 64, 128])
+def test_candidate_sets_every_bit_set_width(nb):
+    # the packed bits of a pair fill part of a byte (nb < 8), one byte to
+    # one 64-bit word, or two words (nb = 128); on a walk every column of a
+    # pair tends to be a candidate, on a valley few are, and on two valleys
+    # the candidates leave gaps
+    n = 128
+    for a, b in ((mp.generate_bd(n, 2, nb), mp.generate_bd(n, 2, nb + 1)), valley_bd(n, 2, nb), two_valley_bd(n, 5, nb)):
+        check_candidate_sets(candidate_sets(a, b, n // nb), a, b)
 
 
 def test_candidate_sets_memory_is_quadratic():
