@@ -41,7 +41,7 @@ optimal witness, so a minimum over it, or over any larger set of columns,
 is exact. The kernel groups the pairs into rectangles, runs of consecutive
 block columns in one block row stacked over consecutive block rows that hold
 the same run with the same union of spans, or, for a stack that takes the
-GEMM path below, with spans that meet the same K'-column slices. It reduces
+GEMM path below, with spans that meet the same 128-column slices. It reduces
 operand slices over the union of a rectangle's spans, so it gathers
 nothing, and it writes each rectangle straight into the product, so it
 scatters nothing either. A pair whose span is every block column (density
@@ -57,15 +57,16 @@ The kernel reduces a rectangle one of two ways. Once per product,
 B - min B, and stores them in the narrowest of int16, int32 and int64
 whose max holds span(A) + span(B). Every sum add+min forms lies in
 [0, span(A) + span(B)], so it is exact in that type; a bounded-difference
-operand spans at most 2*(delta-1)*(n-1), so small delta gives int16. The
-first rectangle with enough rows and a long enough span for the GEMM path
-(``_takes_gemm``) measures the exponent slices (``exp_slices``): the
-widest of 32, 64 and 128 columns over which no row of A or column of B
-rises more than R above its minimum, with 2*s*R <= 2045 - s. On those
-slices such a rectangle is reduced by float64 GEMMs of exponent-encoded
-operands (``_gemm_rect``, which holds the exactness argument); every other
-rectangle, and every rectangle of a product without such slices (int64
-operands among them), by add+min.
+operand spans at most 2*(delta-1)*(n-1), so small delta gives int16. A
+rectangle with enough rows and a long enough span for the GEMM path
+(``_takes_gemm``) measures its own exponent slices (``exp_slices``): its
+span, cut from its first column into the widest slices of 32, 64 or 128
+columns (or one slice, if the span is no longer) over which none of its
+rows of A or columns of B rises more than R above its minimum, with
+2*s*R <= 2045 - s. On those slices it is reduced by float64 GEMMs of
+exponent-encoded operands (``_gemm_rect``, which holds the exactness
+argument); every other rectangle, and every rectangle without such slices
+(those on int64 operands among them), by add+min.
 Both add the shift min A + min B back as they write. The top candidate
 scan narrows its representative tables by the same rule
 (``candidate_sets``). The child scans, the bucket sums and the block
@@ -78,7 +79,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -387,16 +387,17 @@ _GEMM_MIN_TERMS = 1 << 11
 
 
 class ExpSlices(NamedTuple):
-    """The k axis of a product cut into aligned slices of ``width`` = K'
-    columns, a power of two, with ``bits`` = s = K'.bit_length(), and the
-    minimum of each row of A and of each column of B inside each slice:
-    what the GEMM path encodes relative to."""
+    """A GEMM rectangle's span cut into slices of ``width`` = K' columns
+    from its first column on, the last one perhaps shorter, with ``bits`` =
+    s and 2**(s - 1) >= K', and the minimum of each of the rectangle's rows
+    of A and columns of B inside each slice: what the GEMM path encodes
+    relative to."""
 
     width: int
     bits: int
     top: int  # R: no entry lies more than this above its minimum
-    a_min: np.ndarray  # [slice, row], in the kernel operands' type
-    b_min: np.ndarray  # [slice, column]
+    a_min: np.ndarray  # [slice, row of the rectangle], in the kernel operands' type
+    b_min: np.ndarray  # [slice, column of the rectangle]
 
 
 @dataclass(eq=False)
@@ -408,12 +409,6 @@ class KernelOperands:
     a: np.ndarray
     b: np.ndarray
     shift: int
-
-    @cached_property
-    def slices(self) -> ExpSlices | None:
-        """The exponent slices of the operands (``exp_slices``), measured
-        when the first rectangle that could take the GEMM path asks."""
-        return exp_slices(self.a, self.b)
 
 
 def kernel_operands(x: Matrix, y: Matrix) -> KernelOperands:
@@ -435,21 +430,31 @@ def kernel_operands(x: Matrix, y: Matrix) -> KernelOperands:
 
 
 def exp_slices(a: np.ndarray, b: np.ndarray) -> ExpSlices | None:
-    """The widest slice width K' from _SLICE_MIN to _SLICE_MAX that divides
-    the inner size and keeps the GEMM path exact, 2*s*R <= 2045 - s, with R
+    """The exponent slices of one rectangle, whose rows of A over its span
+    are ``a`` and whose columns of B over it are ``b``: the span cut, from
+    its first column on, into slices of the widest width K' from _SLICE_MIN
+    to _SLICE_MAX that keeps the GEMM path exact, 2*s*R <= 2045 - s, with R
     the largest entry of a row of A or a column of B inside a slice less
     that row's or column's minimum there; None if no width does, and for
-    int64 operands. The GEMM path forms s*(a_min + b_min) in int64, which
-    int16 and int32 operands keep below 2**34, while int64 ones could wrap.
+    int64 operands. Each width has s = K'.bit_length(), so that a slice
+    holds at most 2**(s - 1) = K' terms, and a width of at least the span's
+    kn columns is one slice of kn columns. The GEMM path forms
+    s*(a_min + b_min) in int64, which int16 and int32 operands keep below
+    2**34, while int64 ones could wrap.
 
     A is read transposed, next to B, so that every minimum and maximum is a
     reduction over a middle axis (numpy reduces a short last axis several
-    times slower). The narrowest slices are reduced once, and each wider
+    times slower). The slices of _SLICE_MIN columns are reduced once, the
+    last one padded by repeating the span's last column, and each wider
     width merges the one before pairwise."""
-    k, n_rows = a.shape[1], a.shape[0]
-    if k % _SLICE_MIN or a.dtype == np.int64:
+    h, kn = a.shape
+    if a.dtype == np.int64:
         return None
-    both = np.concatenate((a.T, b), axis=1).reshape(k // _SLICE_MIN, _SLICE_MIN, -1)  # [slice, k, row | column]
+    both = np.empty((-(-kn // _SLICE_MIN) * _SLICE_MIN, h + b.shape[1]), dtype=a.dtype)  # [k, row | column]
+    both[:kn, :h] = a.T
+    both[:kn, h:] = b
+    both[kn:] = both[kn - 1]
+    both = both.reshape(-1, _SLICE_MIN, both.shape[1])  # [slice, k, row | column]
     lo, hi = both.min(axis=1), both.max(axis=1)
     del both
     width, found = _SLICE_MIN, None
@@ -458,15 +463,17 @@ def exp_slices(a: np.ndarray, b: np.ndarray) -> ExpSlices | None:
         top = int((hi - lo).max())
         if 2 * s * top > _EXP_SPAN - s:
             break
-        found = width, s, top, lo
-        if width == _SLICE_MAX or k % (2 * width):
+        found = min(width, kn), s, top, lo
+        if width >= min(kn, _SLICE_MAX):
             break
         width *= 2
+        if len(lo) % 2:  # the ragged last slice stays alone: merged with itself
+            lo, hi = np.concatenate((lo, lo[-1:])), np.concatenate((hi, hi[-1:]))
         lo, hi = np.minimum(lo[::2], lo[1::2]), np.maximum(hi[::2], hi[1::2])
     if found is None:
         return None
     width, s, top, lo = found
-    return ExpSlices(width, s, top, lo[:, :n_rows], lo[:, n_rows:])
+    return ExpSlices(width, s, top, lo[:, :h], lo[:, h:])
 
 
 def _min_blocks(
@@ -491,22 +498,25 @@ def _min_blocks(
     in one block row, stacked over consecutive block rows that hold the
     same run with the same union of spans. Where that gives more than one
     rectangle, consecutive block rows holding the same run whose spans
-    meet the same K'-aligned slices of the inner axis are stacked too, if
-    the stack takes the GEMM path (``_stack_by_slice``): a GEMM rectangle
-    costs about the same over any span inside the same slices. A rectangle
-    reduces over the union of its pairs' spans; a pair alone, or among
-    equal spans, gets the minimum over its own span. A rectangle's rows of
-    A and columns of B are slices of the operands, and its result is a
-    rectangle of c, so nothing is gathered or scattered.
+    meet the same _SLICE_MAX-aligned slices of the inner axis are stacked
+    too, if the stack could take the GEMM path (``_stack_by_slice``): a
+    GEMM rectangle costs about the same over any span inside the same
+    slices. A rectangle reduces over the union of its pairs' spans; a pair
+    alone, or among equal spans, gets the minimum over its own span. A
+    rectangle's rows of A and columns of B are slices of the operands, and
+    its result is a rectangle of c, so nothing is gathered or scattered.
 
-    A rectangle with enough rows and a long enough span (``_takes_gemm``)
-    takes the GEMM path (``_gemm_rect``). Any other is reduced by add+min: its sums are built in a (rows, k,
-    columns) view of one buffer allocated per call, at most _TRIPLE_BUDGET
-    entries at a time, and reduced over k: several block rows with the whole
-    span at once, or one block row with the span in slices whose running
-    minimum is kept (one k's sums of a block row, if those alone are more).
-    The buffers are in the operands' type, which must hold every sum of an
-    A and a B entry (as ``kernel_operands`` guarantees).
+    A rectangle with enough rows and a long enough span, whose own exponent
+    slices allow it (``_takes_gemm``), takes the GEMM path (``_gemm_rect``);
+    a stack that does not is split back into its exact rectangles, which are
+    tried in turn. Any other rectangle is reduced by add+min: its sums are
+    built in a (rows, k, columns) view of one buffer allocated per call, at
+    most _TRIPLE_BUDGET entries at a time, and reduced over k: several block
+    rows with the whole span at once, or one block row with the span in
+    slices whose running minimum is kept (one k's sums of a block row, if
+    those alone are more). The buffers are in the operands' type, which must
+    hold every sum of an A and a B entry (as ``kernel_operands``
+    guarantees).
     """
     require(np.all(lo <= hi), "block pair with an empty span")
     a_data, b_data = kern.a, kern.b
@@ -528,21 +538,28 @@ def _min_blocks(
     shape = np.stack((run_bj, run_len, run_lo, run_hi))
     cut = np.ones(len(run_at), dtype=bool)
     cut[1:] = (shape[:, 1:] != shape[:, :-1]).any(axis=0) | (run_bi[1:] != run_bi[:-1] + 1)
-    if cut[1:].any():
-        cut, shape = _stack_by_slice(kern, l, run_bi, shape, cut)
     rect_at = np.flatnonzero(cut)
+    stack_at, wide = _stack_by_slice(l, run_bi, shape, cut) if len(rect_at) > 1 else (rect_at, shape)
+    # (first run, end run, shapes) of the rectangles left, the next one last
+    todo = [(s, e, wide) for s, e in zip(stack_at, np.append(stack_at[1:], len(run_at)))][::-1]
     sums = None  # the add+min buffers, made when a rectangle first needs them
-    for s, e in zip(rect_at, np.append(rect_at[1:], len(run_at))):
+    while todo:
+        s, e, rect_shape = todo.pop()
         bi0 = int(run_bi[s])
-        bj0, wd, span_lo, span_hi = shape[:, s].tolist()
+        bj0, wd, span_lo, span_hi = rect_shape[:, s].tolist()
         ks, ke = span_lo * l, (span_hi + 1) * l
         kn = ke - ks
         cols = slice(bj0 * l, (bj0 + wd) * l)
         w = wd * l
-        if _takes_gemm(kern, (e - s) * l, kn):
-            rows = slice(bi0 * l, (bi0 + e - s) * l)
+        rows = slice(bi0 * l, (bi0 + e - s) * l)
+        slices = _takes_gemm(kern, rows, cols, ks, ke)
+        if slices is not None:
             _claim(done, rows, cols)
-            _gemm_rect(kern, rows, cols, ks, ke, c[rows, cols])
+            _gemm_rect(kern, rows, cols, ks, ke, slices, c[rows, cols])
+            continue
+        parts = rect_at[np.searchsorted(rect_at, s) : np.searchsorted(rect_at, e)]
+        if len(parts) > 1:  # a stack: its exact rectangles, in order
+            todo += [(ps, pe, shape) for ps, pe in zip(parts, np.append(parts[1:], e))][::-1]
             continue
         if sums is None:
             # one buffer each for a chunk's sums, its minima and a k
@@ -579,47 +596,46 @@ def _min_blocks(
 
 
 def _stack_by_slice(
-    kern: KernelOperands, l: int, run_bi: np.ndarray, shape: np.ndarray, cut: np.ndarray
+    l: int, run_bi: np.ndarray, shape: np.ndarray, cut: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The rectangle starts of ``_min_blocks``, ``cut`` (one flag per run,
-    the exact grouping), with the runs of each slice group that takes the
-    GEMM path stacked into one rectangle, and ``shape`` with each stacked
-    run's span widened to its rectangle's. A slice group is a stretch of
-    runs in consecutive block rows (``run_bi``, per run) with one first
-    block column and length, whose union spans (``shape``: first block
-    column, length, first and last block column of the span, per run) meet
-    the same K'-aligned slices of the inner axis; its rectangle takes the
-    GEMM path if it has two rows or more and ``_takes_gemm`` holds over its
-    union span. A group at K' lies inside one at _SLICE_MAX, so K' is
-    measured only if a group at _SLICE_MAX could reach _GEMM_MIN_TERMS."""
-
-    def groups(width):
-        t0, t1 = shape[2] * l // width, ((shape[3] + 1) * l - 1) // width
-        key = np.stack((shape[0], shape[1], t0, t1))
-        at = np.ones(len(cut), dtype=bool)
-        at[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0) | (run_bi[1:] != run_bi[:-1] + 1)
-        start = np.flatnonzero(at)
-        runs = np.diff(np.append(start, len(cut)))  # block rows
-        lo, hi = np.minimum.reduceat(shape[2], start), np.maximum.reduceat(shape[3], start)
-        stack = (runs > 1) & (runs * l * np.minimum((hi - lo + 1) * l, width) >= _GEMM_MIN_TERMS)
-        return np.repeat(stack, runs), at, np.repeat(lo, runs), np.repeat(hi, runs)
-
-    stacked, at, lo, hi = groups(_SLICE_MAX)
-    if not stacked.any() or kern.slices is None:
-        return cut, shape
-    if kern.slices.width != _SLICE_MAX:
-        stacked, at, lo, hi = groups(kern.slices.width)
-    return np.where(stacked, at, cut), np.where(stacked, (shape[0], shape[1], lo, hi), shape)
+    """The rectangle starts of ``_min_blocks`` with the runs of each slice
+    group that could take the GEMM path stacked into one rectangle, and
+    ``shape`` with each stacked run's span widened to its rectangle's; the
+    other runs keep their exact rectangles, whose start flags are ``cut``
+    (one per run). A slice group is a stretch of runs in consecutive block
+    rows (``run_bi``, per run) with one first block column and length,
+    whose union spans (``shape``: first block column, length, first and
+    last block column of the span, per run) meet the same _SLICE_MAX-
+    aligned slices of the inner axis. Its rectangle could take the GEMM
+    path if it has two block rows or more and reaches _GEMM_MIN_TERMS at
+    K' = _SLICE_MAX over its union span; whether it does is left to its own
+    exponent slices (``_takes_gemm``), so nothing is measured here."""
+    t0, t1 = shape[2] * l // _SLICE_MAX, ((shape[3] + 1) * l - 1) // _SLICE_MAX
+    key = np.stack((shape[0], shape[1], t0, t1))
+    at = np.ones(len(cut), dtype=bool)
+    at[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0) | (run_bi[1:] != run_bi[:-1] + 1)
+    start = np.flatnonzero(at)
+    runs = np.diff(np.append(start, len(cut)))  # block rows
+    lo, hi = np.minimum.reduceat(shape[2], start), np.maximum.reduceat(shape[3], start)
+    stack = (runs > 1) & (runs * l * np.minimum((hi - lo + 1) * l, _SLICE_MAX) >= _GEMM_MIN_TERMS)
+    stacked, lo, hi = np.repeat(stack, runs), np.repeat(lo, runs), np.repeat(hi, runs)
+    return np.flatnonzero(np.where(stacked, at, cut)), np.where(stacked, (shape[0], shape[1], lo, hi), shape)
 
 
-def _takes_gemm(kern: KernelOperands, h: int, kn: int) -> bool:
-    """Whether a rectangle of h rows reduced over kn columns takes the GEMM
-    path: h * min(kn, K') of at least _GEMM_MIN_TERMS, on a product with
-    exponent slices. The slices are measured only for a rectangle that
-    could reach it at the widest K'."""
-    if h * min(kn, _SLICE_MAX) < _GEMM_MIN_TERMS or kern.slices is None:
-        return False
-    return h * min(kn, kern.slices.width) >= _GEMM_MIN_TERMS
+def _takes_gemm(kern: KernelOperands, rows: slice, cols: slice, ks: int, ke: int) -> ExpSlices | None:
+    """The exponent slices of the rectangle of the given rows of A and
+    columns of B over ks <= k < ke if it takes the GEMM path, else None: it
+    does if h * min(kn, K') reaches _GEMM_MIN_TERMS, for its h rows, its
+    span of kn columns and the slice width K' of its own exponent slices
+    (``exp_slices``). They are measured only for a rectangle that could
+    reach it at the widest K'."""
+    h, kn = rows.stop - rows.start, ke - ks
+    if h * min(kn, _SLICE_MAX) < _GEMM_MIN_TERMS:
+        return None
+    slices = exp_slices(kern.a[rows, ks:ke], kern.b[ks:ke, cols])
+    if slices is None or h * slices.width < _GEMM_MIN_TERMS:
+        return None
+    return slices
 
 
 def _claim(done: np.ndarray, rows: slice, cols: slice) -> None:
@@ -630,10 +646,13 @@ def _claim(done: np.ndarray, rows: slice, cols: slice) -> None:
     claimed[...] = True
 
 
-def _gemm_rect(kern: KernelOperands, rows: slice, cols: slice, ks: int, ke: int, out: np.ndarray) -> None:
+def _gemm_rect(
+    kern: KernelOperands, rows: slice, cols: slice, ks: int, ke: int, slices: ExpSlices, out: np.ndarray
+) -> None:
     """out[i, j] = min of A[i, k] + B[k, j] over ks <= k < ke, plus
     ``kern.shift``, for the given rows of A and columns of B, by one float64
-    GEMM per slice of the k axis.
+    GEMM per slice of the k axis: per slice of ``slices``, the rectangle's
+    exponent slices (``exp_slices``), which cut [ks, ke) from ks on.
 
     Inside slice t, every entry a of a row of A and b of a column of B lies
     at most R above that row's or column's minimum in the slice: a' = a -
@@ -641,36 +660,40 @@ def _gemm_rect(kern: KernelOperands, rows: slice, cols: slice, ks: int, ke: int,
     2**(E_a - s*a') and B as 2**(E_b - s*b'), with E_a + E_b = 1023 - s, so
     the product of the two is 2**(1023 - s - s*(a' + b')). With m the least
     a' + b' of a cell, its largest term is T = 2**(1023 - s - s*m), and the
-    sum of at most K' = 2**(s - 1) terms lies in [T, 2**s * T): the biased
-    exponent of the GEMM's cell is in [2046 - s*(m + 1), 2045 - s*m], and
-    (2045 - exponent) // s = m. Every factor and term is a normal double
-    while 2*s*R <= 2045 - s, so every term is exact, and a sum of K' exact
-    positive terms rounded monotonically, in any order, stays at least its
-    largest term and below twice K' times it. This takes a dgemm that sums
-    the terms as products and additions, as OpenBLAS does, with no
-    Strassen-type subtraction.
+    sum of the slice's at most 2**(s - 1) terms lies in [T, 2**s * T): the
+    biased exponent of the GEMM's cell is in [2046 - s*(m + 1), 2045 -
+    s*m], and (2045 - exponent) // s = m. Every factor and term is a normal
+    double while 2*s*R <= 2045 - s, which an explicit check makes sure of
+    before anything is encoded, so every term is exact, and a sum of
+    2**(s - 1) exact positive terms rounded monotonically, in any order,
+    stays at least its largest term and below twice 2**(s - 1) times it.
+    This takes a dgemm that sums the terms as products and additions, as
+    OpenBLAS does, with no Strassen-type subtraction.
 
     The running minimum over the slices is kept in ``out`` as U = 2045 -
-    exponent + s*(a_min + b_min), whose smallest value over the slices
-    gives min (a + b) = U // s: a right shift by 3 at s = 8 (K' = 128). A
-    slice of B is encoded once, into column tiles that each GEMM call reads
-    contiguously (a strided or transposed B made a call up to 1.8x
-    slower); a slice of A a group of rows at a time, under _DECODE_BUDGET,
-    and the group's results are decoded together. Each call takes
-    _GEMM_ROWS rows and one tile, at most _GEMM_CALL terms (or one
+    exponent + s*(a_min + b_min), whose smallest value over the slices gives
+    min (a + b) = U // s: a right shift where s is a power of two (by 3 at
+    K' = 128). A slice of B is encoded once, into column tiles that each
+    GEMM call reads contiguously (a strided or transposed B made a call up
+    to 1.8x slower); a slice of A a group of rows at a time, under
+    _DECODE_BUDGET, and the group's results are decoded together. Each call
+    takes _GEMM_ROWS rows and one tile, at most _GEMM_CALL terms (or one
     column's, if more), and writes a contiguous tile of results. The tiles
-    cover the columns left to right, and the last one ends at the
-    rectangle's edge, overlapping the one before where the tile width does
-    not divide it.
+    are as few as the budget allows and as even as their number allows (a
+    slice of 84 columns under 64 rows leaves 48 columns a call, so 256
+    columns take six tiles of 43, not five of 48 and one overlapping 32 of
+    them). They cover the columns left to right, and the last one ends at
+    the rectangle's edge, overlapping the one before where the tile width
+    does not divide it.
     """
-    sl = kern.slices
-    width, s = sl.width, sl.bits
-    require(2 * s * sl.top <= _EXP_SPAN - s, "slice range beyond the exponent encoding")
+    width, s = slices.width, slices.bits
+    require(2 * s * slices.top <= _EXP_SPAN - s, "slice range beyond the exponent encoding")
     e_a = (1023 - s) // 2 + 1023  # biased exponents of a' = 0 and b' = 0
     e_b = 1023 - s - (1023 - s) // 2 + 1023
     h, w = out.shape
     hr = min(h, _GEMM_ROWS)
     wc = min(w, max(1, _GEMM_CALL // (width * hr)))
+    wc = -(-w // -(-w // wc))
     full = w // wc
     hg = min(h, max(hr, _DECODE_BUDGET // max(w, width)) // hr * hr)  # rows encoded and decoded at once
 
@@ -683,32 +706,33 @@ def _gemm_rect(kern: KernelOperands, rows: slice, cols: slice, ks: int, ke: int,
         return parts
 
     n_tiles = full + (w % wc > 0)
-    t0, t1 = ks // width, (ke - 1) // width + 1  # the slices the span meets
+    n_slices = len(slices.a_min)
     # the shifts s*a_min (with 2045, U's other term on A's side) and s*b_min
     # of every slice, and the operands and output, cut into column tiles once
-    a_shift = np.multiply(sl.a_min[t0:t1, rows, None], s, dtype=np.int64)  # [slice, row, 1]
+    a_shift = np.multiply(slices.a_min[:, :, None], s, dtype=np.int64)  # [slice, row, 1]
     a_shift += _EXP_SPAN
-    b_shift = np.empty((n_tiles, t1 - t0, wc), dtype=np.int64)  # [tile, slice, column]
-    for tiles, part in tiled(sl.b_min[t0:t1, cols]):
+    b_shift = np.empty((n_tiles, n_slices, wc), dtype=np.int64)  # [tile, slice, column]
+    for tiles, part in tiled(slices.b_min):
         np.multiply(part, s, out=b_shift[tiles], dtype=np.int64)
     b_tiles = tiled(kern.b[:, cols])
     out_tiles = [tiled(out[g0 : g0 + hg]) for g0 in range(0, h, hg)]
     enc_b = np.empty((n_tiles, width, wc), dtype=np.int64)  # [tile, k, column]
     enc_a = np.empty((hg, width), dtype=np.int64)
     prod = np.empty((n_tiles, hg, wc))
-    for t in range(t0, t1):
-        k0, k1 = max(ks, t * width), min(ke, (t + 1) * width)
+    for t in range(n_slices):
+        k0 = ks + t * width
+        k1 = min(ke, k0 + width)
         eb = enc_b[:, : k1 - k0]
         for tiles, part in b_tiles:
             np.multiply(part[:, k0:k1], -s, out=eb[tiles], dtype=np.int64)
-        eb += b_shift[:, t - t0, None] + e_b
+        eb += b_shift[:, t, None] + e_b
         eb <<= 52
         fb = eb.view(np.float64)
         for g0, o_tiles in zip(range(0, h, hg), out_tiles):
             g1 = min(g0 + hg, h)
             ea = enc_a[: g1 - g0, : k1 - k0]
             np.multiply(kern.a[rows][g0:g1, k0:k1], -s, out=ea, dtype=np.int64)
-            ea += a_shift[t - t0, g0:g1] + (e_a - _EXP_SPAN)
+            ea += a_shift[t, g0:g1] + (e_a - _EXP_SPAN)
             ea <<= 52
             fa = ea.view(np.float64)
             p = prod[:, : g1 - g0]
@@ -717,15 +741,15 @@ def _gemm_rect(kern: KernelOperands, rows: slice, cols: slice, ks: int, ke: int,
                     _matmul(fa[i0 : i0 + hr], fb[j], out=p[j, i0 : i0 + hr])
             v = p.view(np.int64)
             v >>= 52
-            np.subtract(a_shift[t - t0, g0:g1], v, out=v)
-            v += b_shift[:, t - t0, None]
+            np.subtract(a_shift[t, g0:g1], v, out=v)
+            v += b_shift[:, t, None]
             for tiles, o in o_tiles:
-                if t == t0:
+                if t == 0:
                     o[...] = v[tiles]
                 else:
                     np.minimum(o, v[tiles], out=o)
-    if s == 8:
-        out >>= 3
+    if s & (s - 1) == 0:
+        out >>= s.bit_length() - 1
     else:
         out //= s
     out += kern.shift

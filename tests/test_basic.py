@@ -16,6 +16,7 @@ from minplus.basic import (
     _min_blocks,
     build_segments,
     derived_rng,
+    exp_slices,
     kernel_operands,
     level_theta,
     sample_r,
@@ -972,49 +973,89 @@ def test_min_blocks_matches_loop(monkeypatch, l, budget):
 
     # the GEMM path, taken here by every rectangle of at least one row and
     # column, on 128 x 128 operands whose slice range sits at each width's
-    # bound (K' = 128, s = 8: R = 127; K' = 64 at one past it; K' = 32 at
-    # 169, the last range any width allows, where the smallest term is
-    # 2**-1011): every span, most of them not slice-aligned, alone, in
-    # rectangles, and over whole rows of several slices, with every GEMM
-    # call within the call budget. At R = 170 a term would be subnormal, no
-    # width is exact, and the kernel makes no GEMM call
+    # bound, measured by each rectangle over its own span: over all 128
+    # columns, R = 127 is one slice of K' = 128 (s = 8), R = 128 one past
+    # it gives K' = 64, R = 169, the last range any width allows (where the
+    # smallest term is 2**-1011), gives K' = 32, and at R = 170 a term would
+    # be subnormal, no width is exact, and the whole-row rectangle makes no
+    # GEMM call (a short span alone may, over its own smaller range). Every
+    # span, most of them not slice-aligned, alone, in rectangles, and over
+    # whole rows, with every GEMM call within the call budget
     monkeypatch.setattr("minplus.basic._GEMM_MIN_TERMS", 1)
     calls = _recording_gemm(monkeypatch)
+    gemms, _, slices = _recording_rects(monkeypatch)
     n = 128
     nb = n // l
     grid = np.array([(bi, bj) for bi in range(nb) for bj in range(nb)], dtype=np.int64)
     for top, width in [(127, 128), (128, 64), (169, 32), (170, None)]:
         ad, bd = _slice_operands(rng, n, top)
         kern = kernel_operands(Matrix(ad), Matrix(bd))
-        if width is None:
-            assert kern.slices is None
-        else:
-            assert (kern.slices.width, kern.slices.top) == (width, top)
-        calls.clear()
         lo = rng.integers(0, nb, size=len(grid))
         hi = np.minimum(lo + rng.choice([0, 1, nb // 3, nb], size=len(grid)), nb - 1)
         alone = rng.choice(len(grid), size=6, replace=False)
         want = _min_blocks_loop(ad, bd, l, grid[alone], lo[alone], hi[alone])
+        calls.clear()
         for g, w in zip(alone, want):
             assert np.array_equal(_written_blocks(kern, l, grid[g : g + 1], lo[g : g + 1], hi[g : g + 1])[0], w)
-        # together, over spans that hold the witnesses: whole rows, and
-        # their unions in rectangles
+        n_alone = len(calls)
+        # together, over spans that hold the witnesses: whole rows, one
+        # rectangle over every column
         full = mp.minplus_naive(Matrix(ad), Matrix(bd)).data.reshape(nb, l, nb, l).transpose(0, 2, 1, 3).reshape(-1, l, l)
+        gemms.clear()
         got = _written_blocks(kern, l, grid, np.zeros(len(grid), dtype=int), np.full(len(grid), nb - 1))
         assert np.array_equal(got, full)
+        if width is None:
+            assert gemms == [] and calls[n_alone:] == []
+        else:
+            assert gemms == [(slice(0, n), slice(0, n), 0, n)]
+            assert (slices[-1].width, slices[-1].top, len(slices[-1].a_min)) == (width, top, n // width)
+            assert {k for _, k, _ in calls[n_alone:]} == {width}
         assert all(m * k * c <= mp.basic._GEMM_CALL or (m, c) == (1, 1) for m, k, c in calls)
-        assert max((k for _, k, _ in calls), default=None) == width
+
+    # single-slice edges: a span of 64 columns, from k = 16, is one slice
+    # with s = 7 while 2*7*R <= 2038, so up to R = 145; at R = 146 it falls
+    # back to two slices of 32 (s = 6). Spans longer than 128 columns, from
+    # k = 16 to 224, are cut from their first column with a ragged last
+    # slice: into 128 + 80 on valleys (R <= 127) whose rectangle rows are
+    # lifted 100 above the operand's minimum, so that the last slice, padded
+    # with anything but its own columns, would range too far for any width;
+    # into six slices of 32 and one of 16 on entries in [0, 150] (R = 150
+    # allows only K' = 32)
+    cases = [(128, 16, 80, _slice_operands(rng, n, 145), (64, 7, [64])),
+             (128, 16, 80, _slice_operands(rng, n, 146), (32, 6, [32, 32]))]
+    ad, bd = _valley_operands(rng, 256, rng.integers(0, 256, size=256), rng.integers(0, 256, size=256))
+    ad[:16] += 100
+    cases.append((256, 16, 224, (ad, bd), (128, 8, [128, 80])))
+    ad, bd = (rng.integers(0, 151, size=(256, 256)).astype(np.int16) for _ in "ab")
+    ad[0, 16:18] = bd[16:18, 0] = 0, 150
+    cases.append((256, 16, 224, (ad, bd), (32, 6, [32] * 6 + [16])))
+    for n, ks, ke, (ad, bd), (width, bits, depths) in cases:
+        kern = kernel_operands(Matrix(ad), Matrix(bd))
+        h, w = max(l, 16), max(l, 64)  # the rectangle's rows and columns
+        pairs = np.array([(bi, bj) for bi in range(h // l) for bj in range(w // l)], dtype=np.int64)
+        want = mp.minplus_naive(Matrix(ad[:h, ks:ke]), Matrix(bd[ks:ke, :w])).data
+        want = want.reshape(h // l, l, w // l, l).transpose(0, 2, 1, 3).reshape(-1, l, l)
+        calls.clear()
+        gemms.clear()
+        got = _written_blocks(kern, l, pairs, np.full(len(pairs), ks // l), np.full(len(pairs), ke // l - 1))
+        assert np.array_equal(got, want)
+        assert gemms == [(slice(0, h), slice(0, w), ks, ke)]
+        assert (slices[-1].width, slices[-1].bits, len(slices[-1].a_min)) == (width, bits, len(depths))
+        assert sorted({k for _, k, _ in calls}) == sorted(set(depths))
+        assert all(m * k * c <= mp.basic._GEMM_CALL or (m, c) == (1, 1) for m, k, c in calls)
 
 
 def _recording_rects(monkeypatch):
     """Record the kernel's GEMM rectangles, as (rows, cols, ks, ke) in
-    entries, and every rectangle it writes, as (rows, cols) slices."""
-    gemms, claims = [], []
+    entries, every rectangle it writes, as (rows, cols) slices, and each
+    GEMM rectangle's exponent slices; returns the three lists."""
+    gemms, claims, slices = [], [], []
     real_gemm, real_claim = mp.basic._gemm_rect, mp.basic._claim
 
-    def gemm(kern, rows, cols, ks, ke, out):
+    def gemm(kern, rows, cols, ks, ke, sl, out):
         gemms.append((slice(int(rows.start), int(rows.stop)), cols, ks, ke))
-        return real_gemm(kern, rows, cols, ks, ke, out)
+        slices.append(sl)
+        return real_gemm(kern, rows, cols, ks, ke, sl, out)
 
     def claim(done, rows, cols):
         claims.append((slice(int(rows.start), int(rows.stop)), cols))
@@ -1022,7 +1063,7 @@ def _recording_rects(monkeypatch):
 
     monkeypatch.setattr("minplus.basic._gemm_rect", gemm)
     monkeypatch.setattr("minplus.basic._claim", claim)
-    return gemms, claims
+    return gemms, claims, slices
 
 
 def _valley_operands(rng, n, a_centres, b_centres):
@@ -1050,20 +1091,22 @@ def _witness_spans(ad, bd, l, pairs):
 
 def test_min_blocks_stacks_rows_that_meet_the_same_slices(monkeypatch):
     # two stretches of 8 consecutive block rows over one run of block
-    # columns, at l = 8 and n = 256 (K' = 128, two slices): in the first
+    # columns, at l = 8 and n = 256 (two 128-column slices): in the first
     # every span lies in slice 0, in the second every span meets both
     # slices. Within each stretch the spans differ from pair to pair and
     # from row to row, so the exact grouping makes a rectangle per block
     # row, but each stretch meets one set of slices and takes the GEMM path:
     # one GEMM rectangle a stretch, over the union of its spans, which holds
     # every pair's witnesses, so the product's blocks are exact, and the
-    # ledger marks exactly the pairs' entries
+    # ledger marks exactly the pairs' entries. Each rectangle measures its
+    # own exponent slices from its first column: on these valleys (R <= 127)
+    # a span of at most 128 columns is one slice, a longer one is cut into
+    # slices of 128
     rng = np.random.default_rng(3)
     n, l = 256, 8
     rows = np.concatenate([rng.integers(90, 120, size=64), rng.integers(150, 200, size=64), np.full(n - 128, 60)])
     ad, bd = _valley_operands(rng, n, np.roll(rows, 16), rng.integers(56, 72, size=n))
     kern = kernel_operands(Matrix(ad), Matrix(bd))
-    assert kern.slices.width == 128
     pairs = np.array([(bi, bj) for bi in range(2, 18) for bj in range(3, 7)])
     wit_lo, wit_hi, full = _witness_spans(ad, bd, l, pairs)
     first = pairs[:, 0] < 10
@@ -1073,7 +1116,7 @@ def test_min_blocks_stacks_rows_that_meet_the_same_slices(monkeypatch):
     hi = np.minimum(wit_hi + rng.integers(0, 3, size=len(pairs)), np.where(first, 15, 31))
     unions = {(int(bi), int(lo[pairs[:, 0] == bi].min()), int(hi[pairs[:, 0] == bi].max())) for bi in range(2, 18)}
     assert len({u[1:] for u in unions}) > 2
-    gemms, claims = _recording_rects(monkeypatch)
+    gemms, claims, slices = _recording_rects(monkeypatch)
     assert np.array_equal(_written_blocks(kern, l, pairs, lo, hi), full + kern.shift)
     assert np.array_equal(_min_blocks_loop(ad, bd, l, pairs, lo, hi), full)
     cols = slice(24, 56)
@@ -1082,16 +1125,19 @@ def test_min_blocks_stacks_rows_that_meet_the_same_slices(monkeypatch):
         (slice(80, 144), cols, int(lo[~first].min()) * l, (int(hi[~first].max()) + 1) * l),
     ]
     assert claims == [(g[0], g[1]) for g in gemms]
+    assert [(sl.width, len(sl.a_min)) for sl in slices] == [
+        (min(ke - ks, 128), -(-(ke - ks) // 128)) for _, _, ks, ke in gemms
+    ]
 
 
 def test_min_blocks_keeps_spans_off_the_gemm_path(monkeypatch):
     # block rows whose spans meet the same slices but whose rectangle is too
     # small for the GEMM path (two block rows of 2 over at most 128
-    # columns), and rows on operands without slices (slice range 170, or
-    # int64 operands) that would take it, keep the exact rectangles: each
-    # block row's run of pairs gets the minimum over its own union span,
-    # which differs from the minimum over all rows' union. No GEMM call is
-    # made
+    # columns), and rows whose stack would be large enough but has no
+    # exponent slices (slice range 170, or int64 operands), keep the exact
+    # rectangles: the stack is split back into them, and each block row's
+    # run of pairs gets the minimum over its own union span, which differs
+    # from the minimum over all rows' union. No GEMM call is made
     rng = np.random.default_rng(5)
     n = 128
     wide_a, wide_b = _slice_operands(rng, n, 170)
@@ -1101,7 +1147,7 @@ def test_min_blocks_keeps_spans_off_the_gemm_path(monkeypatch):
         (8, kernel_operands(Matrix(wide_a), Matrix(wide_b)), 8),
         (8, mp.basic.KernelOperands(wide_a.astype(np.int64), wide_b.astype(np.int64), 0), 8),
     ]
-    assert cases[0][1].slices.width == 128 and cases[1][1].slices is None
+    assert exp_slices(narrow_a, narrow_b).width == 128 and exp_slices(wide_a, wide_b) is None
     for l, kern, block_rows in cases:
         nb = n // l
         pairs = np.array([(bi, bj) for bi in range(1, 1 + block_rows) for bj in range(2, 5)])
@@ -1115,7 +1161,7 @@ def test_min_blocks_keeps_spans_off_the_gemm_path(monkeypatch):
         own = _min_blocks_loop(ad, bd, l, pairs, row_lo, row_hi)
         union = _min_blocks_loop(ad, bd, l, pairs, np.full(len(pairs), lo.min()), np.full(len(pairs), hi.max()))
         assert not np.array_equal(own, union)
-        gemms, claims = _recording_rects(monkeypatch)
+        gemms, claims, _ = _recording_rects(monkeypatch)
         assert np.array_equal(_written_blocks(kern, l, pairs, lo, hi), own + kern.shift)
         assert gemms == []
         assert len(claims) == block_rows  # a rectangle per block row: the runs' union spans differ
@@ -1135,18 +1181,23 @@ def _perfbench_workloads():
 
 def test_benchmark_valley_products_take_one_gemm_rectangle(monkeypatch):
     # the benchmark's valley-256 pairs at seed 7, with its engine seeds: all
-    # 256 block rows of a product stack into one GEMM rectangle over the
-    # union span, which meets both 128-column slices
+    # 64 block rows of a product stack into one GEMM rectangle over the
+    # union span, which meets both 128-column slices of the inner axis but
+    # is at most 128 columns long, and so is encoded once, as one slice
+    # from its own first column: every GEMM call reduces over the whole span
     workloads = _perfbench_workloads()
     w = workloads.WORKLOADS["valley-256"]
-    gemms, claims = _recording_rects(monkeypatch)
+    calls = _recording_gemm(monkeypatch)
+    gemms, claims, _ = _recording_rects(monkeypatch)
     for i, (a, b) in enumerate(workloads.make_pairs(w, 7)):
+        calls.clear()
         gemms.clear()
         claims.clear()
         got = mp.basic_minplus(a, b, AlgoParams(delta=a.delta, seed=workloads.engine_seed(7, i)))
         assert len(gemms) == 1 and claims == [gemms[0][:2]]
         rows, cols, ks, ke = gemms[0]
         assert (rows, cols) == (slice(0, 256), slice(0, 256)) and ks < 128 < ke
+        assert calls and all(k == ke - ks for _, k, _ in calls)
         assert np.array_equal(got.data, mp.dense_minplus(a.base, b.base).data)
 
 
@@ -1209,13 +1260,14 @@ def test_engines_exact_in_every_kernel_type(monkeypatch, case, dtype):
     # take GEMMs; the wide walk (delta 3000, seeds 3 and 4, the pair the CI
     # command line runs) spans more than int16 holds and more than any
     # slice width allows, so it stays on add+min; the valley at delta 5 and
-    # n = 256 allows only K' = 32 and reduces its rectangles over several
-    # slices. The flat rows (A[i, k] = i * 2**53, B[k, j] = j * 2**53) have
+    # n = 256 reduces at least one rectangle over several slices of 32
+    # columns. The flat rows (A[i, k] = i * 2**53, B[k, j] = j * 2**53) have
     # slice range 0, but their per-slice shifts s*(a_min + b_min) would
     # wrap int64, so their int64 kernels stay on add+min. Each runs at the
     # defaults and at the paper's beta, which samples. Every GEMM call is
     # within the per-call budget
     calls = _recording_gemm(monkeypatch)
+    _, _, slices = _recording_rects(monkeypatch)
     if case == "walk-offset":
         a, b = _offset_pair(mp.generate_bd(64, 2, 5), mp.generate_bd(64, 2, 6))
     elif case == "valley-offset":
@@ -1227,11 +1279,7 @@ def test_engines_exact_in_every_kernel_type(monkeypatch, case, dtype):
     else:
         rows = np.arange(128, dtype=np.int64)[:, None] << 53
         a, b = (mp.BDMatrix(Matrix(x), (1 << 53) + 1) for x in (rows.repeat(128, 1), rows.T.repeat(128, 0)))
-    kern = kernel_operands(a.base, b.base)
-    assert kern.a.dtype == dtype
-    assert (kern.slices is None) == (case in ("walk-wide", "flat-rows"))
-    if case == "valley-slices":
-        assert kern.slices.width == 32
+    assert kernel_operands(a.base, b.base).a.dtype == dtype
     want = mp.minplus_naive(a.base, b.base).data
     for params in (
         AlgoParams(delta=a.delta, seed=7),
@@ -1241,7 +1289,9 @@ def test_engines_exact_in_every_kernel_type(monkeypatch, case, dtype):
         assert np.array_equal(mp.basic_minplus(a, b, params).data, want)
         assert np.array_equal(mp.recursive_minplus(a, b, params).data, want)
     assert np.array_equal(mp.dense_minplus(a.base, b.base).data, want)
-    assert bool(calls) == (kern.slices is not None)
+    assert bool(calls) == (case not in ("walk-wide", "flat-rows"))
+    if case == "valley-slices":
+        assert any(sl.width == 32 and len(sl.a_min) > 1 for sl in slices)
     assert all(m * k * c <= mp.basic._GEMM_CALL for m, k, c in calls)
 
 
@@ -1250,7 +1300,7 @@ def test_invariants_survive_optimize():
     script = """
 import numpy as np
 from minplus import InvariantError, Matrix
-from minplus.basic import ExpSlices, KernelOperands, _enumerate_pairs, _min_blocks, build_segments
+from minplus.basic import ExpSlices, KernelOperands, _enumerate_pairs, _gemm_rect, build_segments
 from minplus.blocking import BlockGrid, CandidateSets
 z = np.zeros((8, 8), dtype=np.int64)
 none = np.zeros((4, 4), dtype=np.int64)
@@ -1267,13 +1317,11 @@ try:
 except InvariantError:
     caught.append("empty candidate set")
 # slices whose range R = 170 is one past the K' = 32 bound, 2*s*R <= 2045 - s,
-# under a rectangle of 64 rows, which takes the GEMM path
+# handed to the encoder of a 64 x 64 rectangle over 64 columns
 wide = ExpSlices(32, 6, 170, np.zeros((2, 64), dtype=np.int16), np.zeros((2, 64), dtype=np.int16))
 y = np.zeros((64, 64), dtype=np.int16)
 try:
-    kern = KernelOperands(y, y, 0)
-    kern.slices = wide
-    _min_blocks(kern, 64, np.array([[0, 0]]), np.array([0]), np.array([0]), np.zeros((64, 64), dtype=np.int64), y > 0)
+    _gemm_rect(KernelOperands(y, y, 0), slice(0, 64), slice(0, 64), 0, 64, wide, np.zeros((64, 64), dtype=np.int64))
 except InvariantError:
     caught.append("slice range")
 print(__debug__, caught)
