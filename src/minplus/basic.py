@@ -40,9 +40,9 @@ sampled column's buckets select. Either span holds every block of an
 optimal witness, so a minimum over it, or over any larger set of columns,
 is exact. The kernel groups the pairs into rectangles, runs of consecutive
 block columns in one block row stacked over consecutive block rows that hold
-the same run with the same union of spans, or, for a stack that takes the
-GEMM path below, with spans that meet the same 128-column slices. It reduces
-operand slices over the union of a rectangle's spans, so it gathers
+the same run with the same union of spans, and hands the table of
+rectangles to one compiled loop (``native.min_rects``, in ``native.c``). It
+reduces operand slices over the union of a rectangle's spans, so it gathers
 nothing, and it writes each rectangle straight into the product, so it
 scatters nothing either. A pair whose span is every block column (density
 1, as on random walks) gets the plain min-plus product of its rows of A
@@ -52,22 +52,13 @@ a fixed tile, is the cubic reference the engines are measured against.
 The sampled columns of a level hand all their pairs to one kernel call, so
 pairs split between columns still form whole rows there.
 
-The kernel reduces a rectangle one of two ways. Once per product,
+The kernel runs in the operands' narrowest type. Once per product,
 ``kernel_operands`` shifts the operands to start at 0, A - min A and
 B - min B, and stores them in the narrowest of int16, int32 and int64
-whose max holds span(A) + span(B). Every sum add+min forms lies in
+whose max holds span(A) + span(B). Every sum the kernel forms lies in
 [0, span(A) + span(B)], so it is exact in that type; a bounded-difference
-operand spans at most 2*(delta-1)*(n-1), so small delta gives int16. A
-rectangle with enough rows and a long enough span for the GEMM path
-(``_takes_gemm``) measures its own exponent slices (``exp_slices``): its
-span, cut from its first column into the widest slices of 32, 64 or 128
-columns (or one slice, if the span is no longer) over which none of its
-rows of A or columns of B rises more than R above its minimum, with
-2*s*R <= 2045 - s. On those slices it is reduced by float64 GEMMs of
-exponent-encoded operands (``_gemm_rect``, which holds the exactness
-argument); every other rectangle, and every rectangle without such slices
-(those on int64 operands among them), by add+min.
-Both add the shift min A + min B back as they write. The top candidate
+operand spans at most 2*(delta-1)*(n-1), so small delta gives int16. The
+kernel adds the shift min A + min B back as it writes. The top candidate
 scan narrows its representative tables by the same rule
 (``candidate_sets``). The child scans, the bucket sums and the block
 length 1 reads of the representative minimum (``_finalize``) stay on the
@@ -79,10 +70,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
+from . import native
 from .blocking import CandidateSets, candidate_sets, child_sets
 from .matrix import BDMatrix, Matrix, operand_range, product_matrix
 
@@ -351,53 +342,11 @@ def sample_r(cands: CandidateSets, params: AlgoParams, active: np.ndarray | None
 # batched block products of the level loop (all-finite inputs)
 
 
-# Sums per chunk of the add+min path: its sum buffer, in the kernel
-# operands' type, stays at 256 KiB in int16 (1 MiB in int64), unless one k
-# of one block row's run holds more. The bucket sums that select an
-# assigned pair's block columns are built under the same budget.
+# Bucket sums built at once while selecting an assigned pair's block
+# columns (1 MiB in int64).
 _TRIPLE_BUDGET = 1 << 17
 
 _DENSE_TILE = 16
-
-# Multiply-adds per GEMM call. OpenBLAS runs a dgemm of at most 2**18
-# multiply-adds on the calling thread and hands a larger one to its thread
-# pool, whose hand-off can stall a small product for milliseconds.
-_GEMM_CALL = 1 << 18
-_GEMM_ROWS = 64  # rows of A per GEMM call
-# A rows encoded and GEMM results decoded at once (256 KiB each), or _GEMM_ROWS rows' if more
-_DECODE_BUDGET = 1 << 15
-# The slice widths K' the encoding tries. A slice costs one decoding pass
-# over the rectangle, and a wider one leaves fewer output columns to each
-# GEMM call under _GEMM_CALL: on a walk at n = 1024, K' = 128 beat 64 and
-# 256 by 20% and more.
-_SLICE_MIN, _SLICE_MAX = 32, 128
-# 1023 + 1022: normal doubles have unbiased exponents -1022 .. 1023
-_EXP_SPAN = 2045
-# A rectangle of h rows over a span of kn columns takes the GEMM path when
-# h * min(kn, K') reaches this. Each slice costs an encoding of B's (K' by
-# columns) and a decoding of the results (h by columns), where add+min
-# costs h * K' sums per column; so the GEMM path pays only on enough rows
-# and a long enough span, whatever the columns. Timed one rectangle at a
-# time on walks and valleys at n = 512 (4 to 256 columns), it took, of the
-# add+min time, at K' = 128: 0.75-0.88x for 16 rows over 128 columns,
-# 1.0-1.7x for 16 over 64, 0.87-0.95x for 32 over 64 and 0.92-1.1x for 8
-# over 512; at K' = 32: 1.3-1.5x for 16 rows over 32 columns, 0.64-1.1x for
-# 32 and 0.85-1.0x for 64 (README, Implementation notes).
-_GEMM_MIN_TERMS = 1 << 11
-
-
-class ExpSlices(NamedTuple):
-    """A GEMM rectangle's span cut into slices of ``width`` = K' columns
-    from its first column on, the last one perhaps shorter, with ``bits`` =
-    s and 2**(s - 1) >= K', and the minimum of each of the rectangle's rows
-    of A and columns of B inside each slice: what the GEMM path encodes
-    relative to."""
-
-    width: int
-    bits: int
-    top: int  # R: no entry lies more than this above its minimum
-    a_min: np.ndarray  # [slice, row of the rectangle], in the kernel operands' type
-    b_min: np.ndarray  # [slice, column of the rectangle]
 
 
 @dataclass(eq=False)
@@ -429,53 +378,6 @@ def kernel_operands(x: Matrix, y: Matrix) -> KernelOperands:
     return KernelOperands(a, b, lo_a + lo_b)
 
 
-def exp_slices(a: np.ndarray, b: np.ndarray) -> ExpSlices | None:
-    """The exponent slices of one rectangle, whose rows of A over its span
-    are ``a`` and whose columns of B over it are ``b``: the span cut, from
-    its first column on, into slices of the widest width K' from _SLICE_MIN
-    to _SLICE_MAX that keeps the GEMM path exact, 2*s*R <= 2045 - s, with R
-    the largest entry of a row of A or a column of B inside a slice less
-    that row's or column's minimum there; None if no width does, and for
-    int64 operands. Each width has s = K'.bit_length(), so that a slice
-    holds at most 2**(s - 1) = K' terms, and a width of at least the span's
-    kn columns is one slice of kn columns. The GEMM path forms
-    s*(a_min + b_min) in int64, which int16 and int32 operands keep below
-    2**34, while int64 ones could wrap.
-
-    A is read transposed, next to B, so that every minimum and maximum is a
-    reduction over a middle axis (numpy reduces a short last axis several
-    times slower). The slices of _SLICE_MIN columns are reduced once, the
-    last one padded by repeating the span's last column, and each wider
-    width merges the one before pairwise."""
-    h, kn = a.shape
-    if a.dtype == np.int64:
-        return None
-    both = np.empty((-(-kn // _SLICE_MIN) * _SLICE_MIN, h + b.shape[1]), dtype=a.dtype)  # [k, row | column]
-    both[:kn, :h] = a.T
-    both[:kn, h:] = b
-    both[kn:] = both[kn - 1]
-    both = both.reshape(-1, _SLICE_MIN, both.shape[1])  # [slice, k, row | column]
-    lo, hi = both.min(axis=1), both.max(axis=1)
-    del both
-    width, found = _SLICE_MIN, None
-    while True:
-        s = width.bit_length()
-        top = int((hi - lo).max())
-        if 2 * s * top > _EXP_SPAN - s:
-            break
-        found = min(width, kn), s, top, lo
-        if width >= min(kn, _SLICE_MAX):
-            break
-        width *= 2
-        if len(lo) % 2:  # the ragged last slice stays alone: merged with itself
-            lo, hi = np.concatenate((lo, lo[-1:])), np.concatenate((hi, hi[-1:]))
-        lo, hi = np.minimum(lo[::2], lo[1::2]), np.maximum(hi[::2], hi[1::2])
-    if found is None:
-        return None
-    width, s, top, lo = found
-    return ExpSlices(width, s, top, lo[:, :h], lo[:, h:])
-
-
 def _min_blocks(
     kern: KernelOperands,
     l: int,
@@ -496,32 +398,16 @@ def _min_blocks(
 
     The pairs are grouped into rectangles: runs of consecutive block columns
     in one block row, stacked over consecutive block rows that hold the
-    same run with the same union of spans. Where that gives more than one
-    rectangle, consecutive block rows holding the same run whose spans
-    meet the same _SLICE_MAX-aligned slices of the inner axis are stacked
-    too, if the stack could take the GEMM path (``_stack_by_slice``): a
-    GEMM rectangle costs about the same over any span inside the same
-    slices. A rectangle reduces over the union of its pairs' spans; a pair
-    alone, or among equal spans, gets the minimum over its own span. A
-    rectangle's rows of A and columns of B are slices of the operands, and
-    its result is a rectangle of c, so nothing is gathered or scattered.
-
-    A rectangle with enough rows and a long enough span, whose own exponent
-    slices allow it (``_takes_gemm``), takes the GEMM path (``_gemm_rect``);
-    a stack that does not is split back into its exact rectangles, which are
-    tried in turn. Any other rectangle is reduced by add+min: its sums are
-    built in a (rows, k, columns) view of one buffer allocated per call, at
-    most _TRIPLE_BUDGET entries at a time, and reduced over k: several block
-    rows with the whole span at once, or one block row with the span in
-    slices whose running minimum is kept (one k's sums of a block row, if
-    those alone are more). The buffers are in the operands' type, which must
-    hold every sum of an A and a B entry (as ``kernel_operands``
-    guarantees).
+    same run with the same union of spans. A rectangle reduces over the
+    union of its pairs' spans; a pair alone, or among equal spans, gets the
+    minimum over its own span. The whole table of rectangles goes to the
+    compiled kernel in one call (``native.min_rects``), which reads each
+    rectangle's rows of A and columns of B in place, in the operands' type,
+    and writes its result straight into c, checking and marking the ledger
+    rectangle by rectangle.
     """
     require(np.all(lo <= hi), "block pair with an empty span")
-    a_data, b_data = kern.a, kern.b
-    n = a_data.shape[0]
-    nb = n // l
+    nb = kern.a.shape[0] // l
     key = pairs[:, 0] * nb + pairs[:, 1]
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -539,233 +425,21 @@ def _min_blocks(
     cut = np.ones(len(run_at), dtype=bool)
     cut[1:] = (shape[:, 1:] != shape[:, :-1]).any(axis=0) | (run_bi[1:] != run_bi[:-1] + 1)
     rect_at = np.flatnonzero(cut)
-    stack_at, wide = _stack_by_slice(l, run_bi, shape, cut) if len(rect_at) > 1 else (rect_at, shape)
-    # (first run, end run, shapes) of the rectangles left, the next one last
-    todo = [(s, e, wide) for s, e in zip(stack_at, np.append(stack_at[1:], len(run_at)))][::-1]
-    sums = None  # the add+min buffers, made when a rectangle first needs them
-    while todo:
-        s, e, rect_shape = todo.pop()
-        bi0 = int(run_bi[s])
-        bj0, wd, span_lo, span_hi = rect_shape[:, s].tolist()
-        ks, ke = span_lo * l, (span_hi + 1) * l
-        kn = ke - ks
-        cols = slice(bj0 * l, (bj0 + wd) * l)
-        w = wd * l
-        rows = slice(bi0 * l, (bi0 + e - s) * l)
-        slices = _takes_gemm(kern, rows, cols, ks, ke)
-        if slices is not None:
-            _claim(done, rows, cols)
-            _gemm_rect(kern, rows, cols, ks, ke, slices, c[rows, cols])
-            continue
-        parts = rect_at[np.searchsorted(rect_at, s) : np.searchsorted(rect_at, e)]
-        if len(parts) > 1:  # a stack: its exact rectangles, in order
-            todo += [(ps, pe, shape) for ps, pe in zip(parts, np.append(parts[1:], e))][::-1]
-            continue
-        if sums is None:
-            # one buffer each for a chunk's sums, its minima and a k
-            # slice's minima; a chunk never holds more than
-            # max(_TRIPLE_BUDGET, l*n) sums, nor more than all pairs' over
-            # every k, and so no more minima (rows times columns) than that
-            # over the shortest union span, nor than all pairs'
-            size = len(pairs) * l * l
-            k_min = (int((shape[3] - shape[2]).min()) + 1) * l
-            sums = np.empty(min(max(_TRIPLE_BUDGET, l * n), size * n), dtype=a_data.dtype)
-            mins = np.empty(min(max(_TRIPLE_BUDGET // k_min, l * n), size), dtype=a_data.dtype)
-            part = np.empty_like(mins)
-        cols_b = b_data[ks:ke, cols]
-        br = min(e - s, max(1, _TRIPLE_BUDGET // (l * kn * w)))
-        kc = kn if br > 1 else min(kn, max(1, _TRIPLE_BUDGET // (l * w)))
-        for r0 in range(0, e - s, br):
-            r1 = min(r0 + br, e - s)
-            rows = slice((bi0 + r0) * l, (bi0 + r1) * l)
-            h = (r1 - r0) * l
-            rows_a = a_data[rows, ks:ke]
-            m = mins[: h * w].reshape(h, w)
-            for k0 in range(0, kn, kc):
-                k1 = min(k0 + kc, kn)
-                t = sums[: h * (k1 - k0) * w].reshape(h, k1 - k0, w)
-                np.add(rows_a[:, k0:k1, None], cols_b[None, k0:k1], out=t)
-                if k0:
-                    p = part[: h * w].reshape(h, w)
-                    t.min(axis=1, out=p)
-                    np.minimum(m, p, out=m)
-                else:
-                    t.min(axis=1, out=m)
-            _claim(done, rows, cols)
-            np.add(m, kern.shift, out=c[rows, cols], dtype=np.int64)
-
-
-def _stack_by_slice(
-    l: int, run_bi: np.ndarray, shape: np.ndarray, cut: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rectangle starts of ``_min_blocks`` with the runs of each slice
-    group that could take the GEMM path stacked into one rectangle, and
-    ``shape`` with each stacked run's span widened to its rectangle's; the
-    other runs keep their exact rectangles, whose start flags are ``cut``
-    (one per run). A slice group is a stretch of runs in consecutive block
-    rows (``run_bi``, per run) with one first block column and length,
-    whose union spans (``shape``: first block column, length, first and
-    last block column of the span, per run) meet the same _SLICE_MAX-
-    aligned slices of the inner axis. Its rectangle could take the GEMM
-    path if it has two block rows or more and reaches _GEMM_MIN_TERMS at
-    K' = _SLICE_MAX over its union span; whether it does is left to its own
-    exponent slices (``_takes_gemm``), so nothing is measured here."""
-    t0, t1 = shape[2] * l // _SLICE_MAX, ((shape[3] + 1) * l - 1) // _SLICE_MAX
-    key = np.stack((shape[0], shape[1], t0, t1))
-    at = np.ones(len(cut), dtype=bool)
-    at[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0) | (run_bi[1:] != run_bi[:-1] + 1)
-    start = np.flatnonzero(at)
-    runs = np.diff(np.append(start, len(cut)))  # block rows
-    lo, hi = np.minimum.reduceat(shape[2], start), np.maximum.reduceat(shape[3], start)
-    stack = (runs > 1) & (runs * l * np.minimum((hi - lo + 1) * l, _SLICE_MAX) >= _GEMM_MIN_TERMS)
-    stacked, lo, hi = np.repeat(stack, runs), np.repeat(lo, runs), np.repeat(hi, runs)
-    return np.flatnonzero(np.where(stacked, at, cut)), np.where(stacked, (shape[0], shape[1], lo, hi), shape)
-
-
-def _takes_gemm(kern: KernelOperands, rows: slice, cols: slice, ks: int, ke: int) -> ExpSlices | None:
-    """The exponent slices of the rectangle of the given rows of A and
-    columns of B over ks <= k < ke if it takes the GEMM path, else None: it
-    does if h * min(kn, K') reaches _GEMM_MIN_TERMS, for its h rows, its
-    span of kn columns and the slice width K' of its own exponent slices
-    (``exp_slices``). They are measured only for a rectangle that could
-    reach it at the widest K'."""
-    h, kn = rows.stop - rows.start, ke - ks
-    if h * min(kn, _SLICE_MAX) < _GEMM_MIN_TERMS:
-        return None
-    slices = exp_slices(kern.a[rows, ks:ke], kern.b[ks:ke, cols])
-    if slices is None or h * slices.width < _GEMM_MIN_TERMS:
-        return None
-    return slices
-
-
-def _claim(done: np.ndarray, rows: slice, cols: slice) -> None:
-    """Mark a rectangle of the product written in the ledger ``done``,
-    refusing one that holds an entry written before."""
-    claimed = done[rows, cols]
-    require(not claimed.any(), "block finalized twice")
-    claimed[...] = True
-
-
-def _gemm_rect(
-    kern: KernelOperands, rows: slice, cols: slice, ks: int, ke: int, slices: ExpSlices, out: np.ndarray
-) -> None:
-    """out[i, j] = min of A[i, k] + B[k, j] over ks <= k < ke, plus
-    ``kern.shift``, for the given rows of A and columns of B, by one float64
-    GEMM per slice of the k axis: per slice of ``slices``, the rectangle's
-    exponent slices (``exp_slices``), which cut [ks, ke) from ks on.
-
-    Inside slice t, every entry a of a row of A and b of a column of B lies
-    at most R above that row's or column's minimum in the slice: a' = a -
-    a_min[t, i] and b' = b - b_min[t, j] are in [0, R]. A is encoded as
-    2**(E_a - s*a') and B as 2**(E_b - s*b'), with E_a + E_b = 1023 - s, so
-    the product of the two is 2**(1023 - s - s*(a' + b')). With m the least
-    a' + b' of a cell, its largest term is T = 2**(1023 - s - s*m), and the
-    sum of the slice's at most 2**(s - 1) terms lies in [T, 2**s * T): the
-    biased exponent of the GEMM's cell is in [2046 - s*(m + 1), 2045 -
-    s*m], and (2045 - exponent) // s = m. Every factor and term is a normal
-    double while 2*s*R <= 2045 - s, which an explicit check makes sure of
-    before anything is encoded, so every term is exact, and a sum of
-    2**(s - 1) exact positive terms rounded monotonically, in any order,
-    stays at least its largest term and below twice 2**(s - 1) times it.
-    This takes a dgemm that sums the terms as products and additions, as
-    OpenBLAS does, with no Strassen-type subtraction.
-
-    The running minimum over the slices is kept in ``out`` as U = 2045 -
-    exponent + s*(a_min + b_min), whose smallest value over the slices gives
-    min (a + b) = U // s: a right shift where s is a power of two (by 3 at
-    K' = 128). A slice of B is encoded once, into column tiles that each
-    GEMM call reads contiguously (a strided or transposed B made a call up
-    to 1.8x slower); a slice of A a group of rows at a time, under
-    _DECODE_BUDGET, and the group's results are decoded together. Each call
-    takes _GEMM_ROWS rows and one tile, at most _GEMM_CALL terms (or one
-    column's, if more), and writes a contiguous tile of results. The tiles
-    are as few as the budget allows and as even as their number allows (a
-    slice of 84 columns under 64 rows leaves 48 columns a call, so 256
-    columns take six tiles of 43, not five of 48 and one overlapping 32 of
-    them). They cover the columns left to right, and the last one ends at
-    the rectangle's edge, overlapping the one before where the tile width
-    does not divide it.
-    """
-    width, s = slices.width, slices.bits
-    require(2 * s * slices.top <= _EXP_SPAN - s, "slice range beyond the exponent encoding")
-    e_a = (1023 - s) // 2 + 1023  # biased exponents of a' = 0 and b' = 0
-    e_b = 1023 - s - (1023 - s) // 2 + 1023
-    h, w = out.shape
-    hr = min(h, _GEMM_ROWS)
-    wc = min(w, max(1, _GEMM_CALL // (width * hr)))
-    wc = -(-w // -(-w // wc))
-    full = w // wc
-    hg = min(h, max(hr, _DECODE_BUDGET // max(w, width)) // hr * hr)  # rows encoded and decoded at once
-
-    def tiled(x):
-        """The column tiles of the 2-D x[:, :w], as (tile indices, view)
-        pairs whose views are (tiles, rows of x, wc)."""
-        parts = [(slice(0, full), x[:, : full * wc].reshape(len(x), full, wc).transpose(1, 0, 2))]
-        if w % wc:
-            parts.append((slice(full, full + 1), x[None, :, w - wc :]))
-        return parts
-
-    n_tiles = full + (w % wc > 0)
-    n_slices = len(slices.a_min)
-    # the shifts s*a_min (with 2045, U's other term on A's side) and s*b_min
-    # of every slice, and the operands and output, cut into column tiles once
-    a_shift = np.multiply(slices.a_min[:, :, None], s, dtype=np.int64)  # [slice, row, 1]
-    a_shift += _EXP_SPAN
-    b_shift = np.empty((n_tiles, n_slices, wc), dtype=np.int64)  # [tile, slice, column]
-    for tiles, part in tiled(slices.b_min):
-        np.multiply(part, s, out=b_shift[tiles], dtype=np.int64)
-    b_tiles = tiled(kern.b[:, cols])
-    out_tiles = [tiled(out[g0 : g0 + hg]) for g0 in range(0, h, hg)]
-    enc_b = np.empty((n_tiles, width, wc), dtype=np.int64)  # [tile, k, column]
-    enc_a = np.empty((hg, width), dtype=np.int64)
-    prod = np.empty((n_tiles, hg, wc))
-    for t in range(n_slices):
-        k0 = ks + t * width
-        k1 = min(ke, k0 + width)
-        eb = enc_b[:, : k1 - k0]
-        for tiles, part in b_tiles:
-            np.multiply(part[:, k0:k1], -s, out=eb[tiles], dtype=np.int64)
-        eb += b_shift[:, t, None] + e_b
-        eb <<= 52
-        fb = eb.view(np.float64)
-        for g0, o_tiles in zip(range(0, h, hg), out_tiles):
-            g1 = min(g0 + hg, h)
-            ea = enc_a[: g1 - g0, : k1 - k0]
-            np.multiply(kern.a[rows][g0:g1, k0:k1], -s, out=ea, dtype=np.int64)
-            ea += a_shift[t, g0:g1] + (e_a - _EXP_SPAN)
-            ea <<= 52
-            fa = ea.view(np.float64)
-            p = prod[:, : g1 - g0]
-            for i0 in range(0, g1 - g0, hr):
-                for j in range(n_tiles):
-                    _matmul(fa[i0 : i0 + hr], fb[j], out=p[j, i0 : i0 + hr])
-            v = p.view(np.int64)
-            v >>= 52
-            np.subtract(a_shift[t, g0:g1], v, out=v)
-            v += b_shift[:, t, None]
-            for tiles, o in o_tiles:
-                if t == 0:
-                    o[...] = v[tiles]
-                else:
-                    np.minimum(o, v[tiles], out=o)
-    if s & (s - 1) == 0:
-        out >>= s.bit_length() - 1
-    else:
-        out //= s
-    out += kern.shift
-
-
-_matmul = np.matmul  # the one name the kernel's GEMM calls go through, so that tests can record them
+    bj0, wd, span_lo, span_hi = shape[:, rect_at]
+    bi0 = run_bi[rect_at]
+    rows = np.diff(np.append(rect_at, len(run_at)))
+    table = np.stack((bi0, bi0 + rows, bj0, bj0 + wd, span_lo, span_hi + 1), axis=1).astype(np.int64) * l
+    first_bad = native.min_rects(kern.a, kern.b, table, c, done, kern.shift)
+    require(first_bad < 0, "block finalized twice")
 
 
 def dense_minplus(a: Matrix, b: Matrix) -> Matrix:
     """Exact min-plus product of two square all-finite matrices of one size:
     the block kernel (``_min_blocks``) over every block pair and every block
     column, at a tile of gcd(n, 16), which is 16 for every multiple of 16
-    and n for a smaller power of two. Like the engines, it runs on
-    ``kernel_operands``: by GEMM where the operands' exponent slices allow,
-    by add+min in the narrowest integer type that holds every shifted sum
-    elsewhere.
+    and n for a smaller power of two: one rectangle over the whole product.
+    Like the engines, it runs on ``kernel_operands``, in the narrowest
+    integer type that holds every shifted sum.
 
     This is the cubic reference the engines' times are stated against; the
     engines never call it, and ``minplus_naive`` stays the test oracle.

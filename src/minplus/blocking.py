@@ -16,13 +16,14 @@ A span adds no columns where a pair's candidates form one run, as on every
 valley pair measured; a pair whose candidates lie far apart pays for the
 columns between them.
 
-The top level scans every representative triple (``candidate_sets``) a few
-block rows at a time. A level at block length l/2 scans only the child
-columns under its parents' spans (``child_sets``); its exactness rests on
-the nesting lemma below, which makes these the same counts, spans and
-minima as a full scan (``test_level_child_sets_equal_dense_sets`` in
-``tests/test_recursive.py`` checks it level by level,
-``test_child_candidates_inside_parent`` the lemma itself).
+The top level scans every representative triple (``candidate_sets``) in
+one compiled loop (``native.scan``) that keeps no sums. A level at block
+length l/2 scans only the child columns under its parents' spans
+(``child_sets``); its exactness rests on the nesting lemma below, which
+makes these the same counts, spans and minima as a full scan
+(``test_level_child_sets_equal_dense_sets`` in ``tests/test_recursive.py``
+checks it level by level, ``test_child_candidates_inside_parent`` the lemma
+itself).
 
 Nesting lemma. Take a child pair (i', j') and child column k' at length
 l/2, with parent pair (i'//2, j'//2) and column k'//2. Child and parent
@@ -44,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
 from .matrix import INF, BDMatrix, Matrix, product_matrix
 
 CANDIDATE_WINDOW = 8  # admission threshold is approx + 8*delta*l
@@ -140,10 +142,9 @@ class CandidateSets:
         return first
 
 
-# representative sums held at once while scanning (1 MiB in int64, 256 KiB
-# in int16), and bytes of packed candidate bits held at once
+# representative sums held at once by the child scans and by
+# ``first_candidate`` (1 MiB in int64)
 _SUM_BUDGET = 1 << 17
-_BIT_BUDGET = 1 << 20
 
 
 def candidate_sets(a: BDMatrix, b: BDMatrix, l: int) -> CandidateSets:
@@ -160,13 +161,11 @@ def candidate_sets(a: BDMatrix, b: BDMatrix, l: int) -> CandidateSets:
     Wider tables are scanned unshifted in int64, where no sum of two entries
     within 2**61 wraps. Each pair's threshold is min(approx + 8*delta*l,
     the largest sum), which the type holds, and no sum exceeds the largest,
-    so the test is the one above. The sums are built a few block rows at a
-    time in one reused buffer of at most _SUM_BUDGET entries (one block row
-    if a row alone is larger), and each pair's admitted columns are packed
-    into a bit set (``np.packbits``): its popcount is the pair's count, and
-    its lowest and highest set bits are the span. The bit sets of up to
-    _BIT_BUDGET bytes of block rows (at least one chunk of sums) are read
-    at once. ``approx`` is wrapped as a Matrix without a copy.
+    so the test is the one above. The scan itself is one compiled loop
+    (``native.scan``): per block row, a pass over the block columns for each
+    pair's minimum, then one for its count and its first and last admitted
+    column, with no sum kept. ``approx`` is wrapped as a Matrix without a
+    copy.
     """
     _check_pair(a, b, l)
     ra, rb = a.base.data[::l, ::l], b.base.data[::l, ::l]
@@ -179,79 +178,23 @@ def candidate_sets(a: BDMatrix, b: BDMatrix, l: int) -> CandidateSets:
         dtype = np.int16 if top < 1 << 15 else np.int32
         lo_a, lo_b = int(ra.min()), int(rb.min())
         xa = np.subtract(ra, lo_a, out=np.empty((nb, nb), dtype))
-        xbt = np.subtract(rb.T, lo_b, out=np.empty((nb, nb), dtype))  # [bj, bk]
+        xb = np.subtract(rb, lo_b, out=np.empty((nb, nb), dtype))  # [bk, bj]
         shift, largest = lo_a + lo_b, top
     else:
         # unshifted, entries within 2**61: every sum lies in [-2**62, 2**62]
         dtype, shift, largest, top = np.int64, 0, 1 << 62, 1 << 63
-        xa, xbt = ra, np.ascontiguousarray(rb.T)
+        xa, xb = np.ascontiguousarray(ra), np.ascontiguousarray(rb)
     # each pair's threshold, min(approx + window, largest), is largest -
     # max(cap - approx, 0): no term leaves the type. The sums range over at
     # most top, so a window wider than top admits as much as top does
     cap = largest - min(CANDIDATE_WINDOW * a.delta * l, top)
-    n_bytes = (nb + 7) // 8  # a pair's packed bits
     low = np.empty((nb, nb), dtype)
     sizes = np.empty((nb, nb), dtype=np.int32)
     lo = np.empty((nb, nb), dtype=np.int32)
     hi = np.empty((nb, nb), dtype=np.int32)
-    rows = max(1, _SUM_BUDGET // (nb * nb))
-    batch = _BIT_BUDGET // (nb * n_bytes)  # block rows of bits read at once
-    buf = np.empty((min(rows, nb), nb, nb), dtype)
-    ok_buf = np.empty(buf.shape, dtype=bool)
-    thr_buf = np.empty(buf.shape[:2], dtype)
-    parts, b0 = [], 0  # the packed bits of block rows b0 .. r0
-    for r0 in range(0, nb, rows):
-        r1 = min(r0 + rows, nb)
-        t, ok, thr = buf[: r1 - r0], ok_buf[: r1 - r0], thr_buf[: r1 - r0]
-        np.add(xa[r0:r1, None, :], xbt[None, :, :], out=t)  # [bi, bj, bk]
-        t.min(axis=2, out=low[r0:r1])
-        np.subtract(cap, low[r0:r1], out=thr)
-        np.maximum(thr, 0, out=thr)
-        np.subtract(largest, thr, out=thr)
-        np.less_equal(t, thr[:, :, None], out=ok)
-        # whole bytes per pair pack as one flat run, which is faster
-        packed = np.packbits(ok, axis=2, bitorder="little") if nb % 8 else np.packbits(ok, bitorder="little")
-        parts.append(packed.reshape(r1 - r0, nb, n_bytes))
-        if r1 - b0 >= batch or r1 == nb:
-            bits = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            _bit_stats(bits, sizes[b0:r1], lo[b0:r1], hi[b0:r1])
-            parts, b0 = [], r1
+    native.scan(xa, xb, cap, largest, low, sizes, lo, hi)
     approx = np.add(low, shift, dtype=np.int64)
     return CandidateSets(BlockGrid(a.n, l), a.delta, product_matrix(approx), sizes, lo, hi, ra, rb)
-
-
-def _bit_stats(bits: np.ndarray, sizes: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-    """Per bit set bits[i, j, :] (bytes of ``np.packbits`` in little-endian
-    bit order, at least one bit set): the number of set bits into
-    sizes[i, j], the lowest set bit into lo[i, j] and the highest into
-    hi[i, j]. The bytes are read as words of up to 64 bits, one word
-    position at a time (numpy reduces a short last axis slowly); w & -w
-    isolates a word's lowest set bit."""
-    n_bytes = bits.shape[2]
-    size = min(n_bytes & -n_bytes, 8)
-    planes = np.ascontiguousarray(bits.view(f"u{size}").transpose(2, 0, 1))  # [word, i, j]
-    last, width = len(planes) - 1, 8 * size
-    # a word with no bit set gives garbage below, which a word that has one
-    # overwrites: the last such word for hi, the first for lo
-    np.bitwise_count(planes[0], out=sizes)
-    np.subtract(_bit_length(planes[0]), 1, out=hi)
-    for k in range(1, last + 1):
-        w = planes[k]
-        sizes += np.bitwise_count(w)
-        np.add(_bit_length(w), k * width - 1, out=hi, where=w != 0)
-    for k in range(last, -1, -1):
-        w = planes[k]
-        np.add(_bit_length(w & -w), k * width - 1, out=lo, where=w != 0 if k < last else True)
-
-
-def _bit_length(w: np.ndarray) -> np.ndarray:
-    """One more than the highest set bit of each unsigned word: a word of at
-    most 32 bits converts to float64 exactly, so ``np.frexp`` gives it; a
-    64-bit word is read as the half that holds it."""
-    if w.itemsize < 8:
-        return np.frexp(w)[1]
-    up = w >= 1 << 32
-    return np.frexp(np.where(up, w >> 32, w))[1] + 32 * up
 
 
 def child_sets(a: BDMatrix, b: BDMatrix, l: int, parents: np.ndarray, spans: CandidateSets) -> CandidateSets:

@@ -1,0 +1,166 @@
+/* The two cubic loops of a minplus product, compiled once by native.py.
+ *
+ * min_rects_<T> reduces a table of rectangles of the product: for each row
+ * (r0, r1, c0, c1, k0, k1) of the table, entry (i, j) with r0 <= i < r1 and
+ * c0 <= j < c1 gets min over k0 <= k < k1 of a[i, k] + b[k, j], plus shift,
+ * written into the int64 product out. Each rectangle is first checked
+ * against the ledger done (one byte per entry of out), which must be clear
+ * over it, and then marked there; the index of the first rectangle that
+ * meets an entry written before is returned, with nothing of it written,
+ * and -1 once every rectangle is. The sums stay in T: the caller hands
+ * operands whose every sum T holds (basic.kernel_operands), so no addition
+ * leaves its type.
+ *
+ * scan_<T> is the top candidate scan of blocking.candidate_sets on the
+ * shifted representative tables xa[bi, bk] and xb[bk, bj]: per block pair,
+ * the least sum low, the threshold largest - max(cap - low, 0), and the
+ * number of block columns whose sum is at most the threshold, with the
+ * first and the last of them. Every term stays within T, as the caller's
+ * docstring shows.
+ *
+ * min_rects runs over ROWS rows and COLS columns of a rectangle at a time,
+ * scan over one block row and COLS block columns at a time, each with a
+ * running minimum per entry over contiguous rows of b (xb), a loop the
+ * compiler vectorises. On x86-64 Linux with glibc (whose ifuncs pick a
+ * build at load time), GCC 12 or later builds each function for a baseline,
+ * an AVX2 and an x86-64-v4 CPU, so one cached library runs on any CPU at
+ * the speed of its vector unit; any other compiler or platform gets one
+ * portable -O3 build. The arrays are C-contiguous, and native.py checks
+ * every type, shape and rectangle bound before a call.
+ */
+
+#include <stdint.h>
+#include <string.h>
+
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12 && defined(__x86_64__) && defined(__linux__) && \
+    defined(__GLIBC__)
+#define CLONES __attribute__((target_clones("default", "avx2", "arch=x86-64-v4")))
+#else
+#define CLONES
+#endif
+
+#define ROWS 4
+#define COLS 512
+
+static int any_set(const uint8_t *row, long w)
+{
+    uint8_t seen = 0;
+    for (long j = 0; j < w; j++)
+        seen |= row[j];
+    return seen != 0;
+}
+
+#define MIN_RECTS(T, SUFFIX, TMAX)                                                                       \
+    CLONES long min_rects_##SUFFIX(const T *a, const T *b, const int64_t *table, long n_rects, int64_t *out, \
+                                   uint8_t *done, long n_inner, long n_cols, int64_t shift)              \
+    {                                                                                                    \
+        T acc[ROWS][COLS];                                                                               \
+        for (long t = 0; t < n_rects; t++) {                                                             \
+            const int64_t *rect = table + 6 * t;                                                         \
+            long r0 = rect[0], r1 = rect[1], c0 = rect[2], c1 = rect[3], k0 = rect[4], k1 = rect[5];   \
+            for (long i = r0; i < r1; i++)                                                               \
+                if (any_set(done + i * n_cols + c0, c1 - c0))                                            \
+                    return t;                                                                            \
+            for (long i = r0; i < r1; i++)                                                               \
+                memset(done + i * n_cols + c0, 1, (size_t)(c1 - c0));                                    \
+            for (long j0 = c0; j0 < c1; j0 += COLS) {                                                    \
+                long w = c1 - j0 < COLS ? c1 - j0 : COLS;                                                \
+                for (long i0 = r0; i0 < r1; i0 += ROWS) {                                                \
+                    long h = r1 - i0 < ROWS ? r1 - i0 : ROWS;                                            \
+                    for (long r = 0; r < h; r++)                                                         \
+                        for (long j = 0; j < w; j++)                                                     \
+                            acc[r][j] = TMAX;                                                            \
+                    if (h == ROWS) {                                                                     \
+                        const T *a0 = a + i0 * n_inner, *a1 = a0 + n_inner, *a2 = a1 + n_inner,          \
+                                *a3 = a2 + n_inner;                                                      \
+                        for (long k = k0; k < k1; k++) {                                                 \
+                            const T *bk = b + k * n_cols + j0;                                           \
+                            T x0 = a0[k], x1 = a1[k], x2 = a2[k], x3 = a3[k];                            \
+                            for (long j = 0; j < w; j++) {                                               \
+                                T y = bk[j];                                                             \
+                                T s0 = (T)(x0 + y), s1 = (T)(x1 + y), s2 = (T)(x2 + y), s3 = (T)(x3 + y); \
+                                acc[0][j] = s0 < acc[0][j] ? s0 : acc[0][j];                             \
+                                acc[1][j] = s1 < acc[1][j] ? s1 : acc[1][j];                             \
+                                acc[2][j] = s2 < acc[2][j] ? s2 : acc[2][j];                             \
+                                acc[3][j] = s3 < acc[3][j] ? s3 : acc[3][j];                             \
+                            }                                                                            \
+                        }                                                                                \
+                    } else {                                                                             \
+                        for (long r = 0; r < h; r++) {                                                   \
+                            const T *ar = a + (i0 + r) * n_inner;                                        \
+                            T *m = acc[r];                                                               \
+                            for (long k = k0; k < k1; k++) {                                             \
+                                const T *bk = b + k * n_cols + j0;                                       \
+                                T x = ar[k];                                                             \
+                                for (long j = 0; j < w; j++) {                                           \
+                                    T s = (T)(x + bk[j]);                                                \
+                                    m[j] = s < m[j] ? s : m[j];                                          \
+                                }                                                                        \
+                            }                                                                            \
+                        }                                                                                \
+                    }                                                                                    \
+                    for (long r = 0; r < h; r++) {                                                       \
+                        int64_t *o = out + (i0 + r) * n_cols + j0;                                       \
+                        for (long j = 0; j < w; j++)                                                     \
+                            o[j] = (int64_t)acc[r][j] + shift;                                           \
+                    }                                                                                    \
+                }                                                                                        \
+            }                                                                                            \
+        }                                                                                                \
+        return -1;                                                                                       \
+    }
+
+#define SCAN(T, SUFFIX, TMAX)                                                                            \
+    CLONES void scan_##SUFFIX(const T *xa, const T *xb, long nb, T cap, T largest, T *low, int32_t *sizes, \
+                              int32_t *lo, int32_t *hi)                                                  \
+    {                                                                                                    \
+        T m[COLS], thr[COLS];                                                                            \
+        int32_t cnt[COLS], first[COLS], last[COLS];                                                      \
+        for (long bi = 0; bi < nb; bi++) {                                                               \
+            const T *ar = xa + bi * nb;                                                                  \
+            for (long j0 = 0; j0 < nb; j0 += COLS) {                                                     \
+                long w = nb - j0 < COLS ? nb - j0 : COLS;                                                \
+                for (long j = 0; j < w; j++)                                                             \
+                    m[j] = TMAX;                                                                         \
+                for (long k = 0; k < nb; k++) {                                                          \
+                    const T *bk = xb + k * nb + j0;                                                      \
+                    T x = ar[k];                                                                         \
+                    for (long j = 0; j < w; j++) {                                                       \
+                        T s = (T)(x + bk[j]);                                                            \
+                        m[j] = s < m[j] ? s : m[j];                                                      \
+                    }                                                                                    \
+                }                                                                                        \
+                for (long j = 0; j < w; j++) {                                                           \
+                    T d = (T)(cap - m[j]);                                                               \
+                    thr[j] = (T)(largest - (d > 0 ? d : 0));                                             \
+                    cnt[j] = 0;                                                                          \
+                    first[j] = (int32_t)nb;                                                              \
+                    last[j] = -1;                                                                        \
+                }                                                                                        \
+                for (long k = 0; k < nb; k++) {                                                          \
+                    const T *bk = xb + k * nb + j0;                                                      \
+                    T x = ar[k];                                                                         \
+                    int32_t kk = (int32_t)k;                                                             \
+                    for (long j = 0; j < w; j++) {                                                       \
+                        int32_t ok = (T)(x + bk[j]) <= thr[j];                                           \
+                        cnt[j] += ok;                                                                    \
+                        first[j] = ok && kk < first[j] ? kk : first[j];                                  \
+                        last[j] = ok ? kk : last[j];                                                     \
+                    }                                                                                    \
+                }                                                                                        \
+                for (long j = 0; j < w; j++) {                                                           \
+                    low[bi * nb + j0 + j] = m[j];                                                        \
+                    sizes[bi * nb + j0 + j] = cnt[j];                                                    \
+                    lo[bi * nb + j0 + j] = first[j];                                                     \
+                    hi[bi * nb + j0 + j] = last[j];                                                      \
+                }                                                                                        \
+            }                                                                                            \
+        }                                                                                                \
+    }
+
+MIN_RECTS(int16_t, i16, INT16_MAX)
+MIN_RECTS(int32_t, i32, INT32_MAX)
+MIN_RECTS(int64_t, i64, INT64_MAX)
+SCAN(int16_t, i16, INT16_MAX)
+SCAN(int32_t, i32, INT32_MAX)
+SCAN(int64_t, i64, INT64_MAX)

@@ -1,4 +1,5 @@
 import os
+import stat
 import subprocess
 import sys
 
@@ -16,7 +17,6 @@ from minplus.basic import (
     _min_blocks,
     build_segments,
     derived_rng,
-    exp_slices,
     kernel_operands,
     level_theta,
     sample_r,
@@ -862,14 +862,17 @@ def _min_blocks_loop(ad, bd, l, pairs, lo, hi):
     return out
 
 
-def _written_blocks(kern, l, pairs, lo, hi):
-    """``_min_blocks`` into a fresh product and ledger: the pairs' blocks,
-    in the order of pairs, once the ledger shows exactly those blocks
-    written and every other entry is still INF."""
+def _written_blocks(kern, l, pairs, lo, hi, per_call=None):
+    """``_min_blocks`` into a fresh product and ledger, ``per_call`` pairs a
+    call (all at once by default): the pairs' blocks, in the order of
+    pairs, once the ledger shows exactly those blocks written and every
+    other entry is still INF."""
     n = kern.a.shape[0]
     nb = n // l
     c, done = np.full((n, n), mp.INF, dtype=np.int64), np.zeros((n, n), dtype=bool)
-    _min_blocks(kern, l, pairs, lo, hi, c, done)
+    step = per_call or len(pairs)
+    for g0 in range(0, len(pairs), step):
+        _min_blocks(kern, l, pairs[g0 : g0 + step], lo[g0 : g0 + step], hi[g0 : g0 + step], c, done)
     written = np.zeros((nb, nb), dtype=bool)
     written[pairs[:, 0], pairs[:, 1]] = True
     assert np.array_equal(done, np.repeat(np.repeat(written, l, 0), l, 1))
@@ -877,36 +880,23 @@ def _written_blocks(kern, l, pairs, lo, hi):
     return c.reshape(nb, l, nb, l)[pairs[:, 0], :, pairs[:, 1], :]
 
 
-def _recording_gemm(monkeypatch):
-    """Route the kernel's GEMM calls through a recorder; returns the list
-    of (m, k, n) shapes it fills."""
+def _recording_native(monkeypatch):
+    """Route the kernel's native calls through a recorder; returns the list
+    of (operand dtype, rectangle table) pairs it fills, one per call."""
     calls = []
-    real = mp.basic._matmul
+    real = mp.native.min_rects
 
-    def recording(x, y, out):
-        calls.append((x.shape[0], x.shape[1], y.shape[1]))
-        return real(x, y, out=out)
+    def recording(a, b, table, out, done, shift):
+        calls.append((a.dtype, table.copy()))
+        return real(a, b, table, out, done, shift)
 
-    monkeypatch.setattr("minplus.basic._matmul", recording)
+    monkeypatch.setattr("minplus.native.min_rects", recording)
     return calls
 
 
-def _slice_operands(rng, n, top, dtype=np.int16):
-    """Operands whose rows of A and columns of B span exactly ``top``
-    inside every aligned slice of 32, 64 or 128 columns: each slice of 32
-    holds one entry at its base and one at top above it, with bases that
-    wander by more than top from one slice of 128 to the next, so only the
-    per-slice shifts keep the encoding in range."""
-    ad, bd = (rng.integers(0, top + 1, size=(n, n)) for _ in "ab")
-    for x in (ad, bd.T):
-        x.reshape(n, -1, 32)[:, :, 0], x.reshape(n, -1, 32)[:, :, 1] = 0, top
-        x += rng.integers(0, 4 * top, size=(n, max(1, n // 128))).repeat(min(n, 128), axis=1)
-    return ad.astype(dtype), bd.astype(dtype)
-
-
 @pytest.mark.parametrize("l", [1, 2, 4, 8, 16])
-@pytest.mark.parametrize("budget", ["default", "one", "below_group"])
-def test_min_blocks_matches_loop(monkeypatch, l, budget):
+@pytest.mark.parametrize("batch", ["default", "one", "below_group"])
+def test_min_blocks_matches_loop(l, batch):
     # operands in int64, int32 and int16, each with entries up to an eighth
     # of its type's range, so every sum fits, and the kernel writes them
     # plus the shift into the int64 product. Each pair alone gets the
@@ -916,23 +906,15 @@ def test_min_blocks_matches_loop(monkeypatch, l, budget):
     # their pairs: the witness span itself (a single column wherever it is
     # one, as at l = 1), strict supersets of it, and full rows, on the
     # whole grid in shuffled order, so whole rows and stacked rectangles
-    # form. Chunk cuts at every entry or below one block row's sums (inside
-    # k). These operands span too much for the GEMM path, which runs in
-    # the second half, with the same budgets cut to one column and one row
-    # per GEMM call and per decoded group, or to tiles that do not divide
-    # the rectangle (below_group)
+    # form. The pairs go to the kernel all at once (default), one per call
+    # (one), or five per call (below_group), so that a call ends inside a
+    # block row and the rectangles of one row come from several calls, all
+    # into one product and ledger
     nb = 6 if l < 8 else 3
     n = nb * l
     rng = np.random.default_rng(l)
     grid = np.array([(bi, bj) for bi in range(nb) for bj in range(nb)], dtype=np.int64)
-    if budget == "one":
-        for name in ("_TRIPLE_BUDGET", "_GEMM_CALL", "_GEMM_ROWS", "_DECODE_BUDGET"):
-            monkeypatch.setattr(f"minplus.basic.{name}", 1)
-    elif budget == "below_group":
-        monkeypatch.setattr("minplus.basic._TRIPLE_BUDGET", 2 * l * l)
-        monkeypatch.setattr("minplus.basic._GEMM_ROWS", 3)
-        monkeypatch.setattr("minplus.basic._GEMM_CALL", 3 * 7 * 128)  # 7 columns a call at K' = 128
-        monkeypatch.setattr("minplus.basic._DECODE_BUDGET", 1)
+    per_call = {"default": len(grid), "one": 1, "below_group": 5}[batch]
     ks = np.arange(n)
     for dtype in (np.int64, np.int32, np.int16):
         # valleys about the diagonal, plus noise: witness spans are narrow
@@ -955,12 +937,7 @@ def test_min_blocks_matches_loop(monkeypatch, l, budget):
             got = _written_blocks(kern, l, grid[g : g + 1], lo[g : g + 1], hi[g : g + 1])
             assert np.array_equal(got[0], want[g] + 7)
         # together: spans that hold each pair's optimal witness blocks
-        full = _min_blocks_loop(ad, bd, l, grid, np.zeros(len(grid), dtype=int), np.full(len(grid), nb - 1))
-        wit_lo, wit_hi = np.empty(len(grid), dtype=int), np.empty(len(grid), dtype=int)
-        for g, (bi, bj) in enumerate(grid):
-            sums = ad[bi * l : bi * l + l].astype(np.int64)[:, :, None] + bd[:, bj * l : bj * l + l][None]
-            wit = np.flatnonzero((sums == full[g][:, None, :]).any(axis=(0, 2))) // l
-            wit_lo[g], wit_hi[g] = wit.min(), wit.max()
+        wit_lo, wit_hi, full = _witness_spans(ad, bd, l, grid)
         if l == 1:
             assert (wit_lo == wit_hi).all()
         wider_lo = np.maximum(wit_lo - rng.integers(0, 2, size=len(grid)), 0)
@@ -968,118 +945,13 @@ def test_min_blocks_matches_loop(monkeypatch, l, budget):
         assert ((wider_lo < wit_lo) | (wider_hi > wit_hi)).any()
         shuffled = rng.permutation(len(grid))
         for lo, hi in [(wit_lo, wit_hi), (wider_lo, wider_hi), (np.zeros_like(wit_lo), np.full_like(wit_hi, nb - 1))]:
-            got = _written_blocks(kern, l, grid[shuffled], lo[shuffled], hi[shuffled])
+            got = _written_blocks(kern, l, grid[shuffled], lo[shuffled], hi[shuffled], per_call)
             assert np.array_equal(got, full[shuffled] + 7)
-
-    # the GEMM path, taken here by every rectangle of at least one row and
-    # column, on 128 x 128 operands whose slice range sits at each width's
-    # bound, measured by each rectangle over its own span: over all 128
-    # columns, R = 127 is one slice of K' = 128 (s = 8), R = 128 one past
-    # it gives K' = 64, R = 169, the last range any width allows (where the
-    # smallest term is 2**-1011), gives K' = 32, and at R = 170 a term would
-    # be subnormal, no width is exact, and the whole-row rectangle makes no
-    # GEMM call (a short span alone may, over its own smaller range). Every
-    # span, most of them not slice-aligned, alone, in rectangles, and over
-    # whole rows, with every GEMM call within the call budget
-    monkeypatch.setattr("minplus.basic._GEMM_MIN_TERMS", 1)
-    calls = _recording_gemm(monkeypatch)
-    gemms, _, slices = _recording_rects(monkeypatch)
-    n = 128
-    nb = n // l
-    grid = np.array([(bi, bj) for bi in range(nb) for bj in range(nb)], dtype=np.int64)
-    for top, width in [(127, 128), (128, 64), (169, 32), (170, None)]:
-        ad, bd = _slice_operands(rng, n, top)
-        kern = kernel_operands(Matrix(ad), Matrix(bd))
-        lo = rng.integers(0, nb, size=len(grid))
-        hi = np.minimum(lo + rng.choice([0, 1, nb // 3, nb], size=len(grid)), nb - 1)
-        alone = rng.choice(len(grid), size=6, replace=False)
-        want = _min_blocks_loop(ad, bd, l, grid[alone], lo[alone], hi[alone])
-        calls.clear()
-        for g, w in zip(alone, want):
-            assert np.array_equal(_written_blocks(kern, l, grid[g : g + 1], lo[g : g + 1], hi[g : g + 1])[0], w)
-        n_alone = len(calls)
-        # together, over spans that hold the witnesses: whole rows, one
-        # rectangle over every column
-        full = mp.minplus_naive(Matrix(ad), Matrix(bd)).data.reshape(nb, l, nb, l).transpose(0, 2, 1, 3).reshape(-1, l, l)
-        gemms.clear()
-        got = _written_blocks(kern, l, grid, np.zeros(len(grid), dtype=int), np.full(len(grid), nb - 1))
-        assert np.array_equal(got, full)
-        if width is None:
-            assert gemms == [] and calls[n_alone:] == []
-        else:
-            assert gemms == [(slice(0, n), slice(0, n), 0, n)]
-            assert (slices[-1].width, slices[-1].top, len(slices[-1].a_min)) == (width, top, n // width)
-            assert {k for _, k, _ in calls[n_alone:]} == {width}
-        assert all(m * k * c <= mp.basic._GEMM_CALL or (m, c) == (1, 1) for m, k, c in calls)
-
-    # single-slice edges: a span of 64 columns, from k = 16, is one slice
-    # with s = 7 while 2*7*R <= 2038, so up to R = 145; at R = 146 it falls
-    # back to two slices of 32 (s = 6). Spans longer than 128 columns, from
-    # k = 16 to 224, are cut from their first column with a ragged last
-    # slice: into 128 + 80 on valleys (R <= 127) whose rectangle rows are
-    # lifted 100 above the operand's minimum, so that the last slice, padded
-    # with anything but its own columns, would range too far for any width;
-    # into six slices of 32 and one of 16 on entries in [0, 150] (R = 150
-    # allows only K' = 32)
-    cases = [(128, 16, 80, _slice_operands(rng, n, 145), (64, 7, [64])),
-             (128, 16, 80, _slice_operands(rng, n, 146), (32, 6, [32, 32]))]
-    ad, bd = _valley_operands(rng, 256, rng.integers(0, 256, size=256), rng.integers(0, 256, size=256))
-    ad[:16] += 100
-    cases.append((256, 16, 224, (ad, bd), (128, 8, [128, 80])))
-    ad, bd = (rng.integers(0, 151, size=(256, 256)).astype(np.int16) for _ in "ab")
-    ad[0, 16:18] = bd[16:18, 0] = 0, 150
-    cases.append((256, 16, 224, (ad, bd), (32, 6, [32] * 6 + [16])))
-    for n, ks, ke, (ad, bd), (width, bits, depths) in cases:
-        kern = kernel_operands(Matrix(ad), Matrix(bd))
-        h, w = max(l, 16), max(l, 64)  # the rectangle's rows and columns
-        pairs = np.array([(bi, bj) for bi in range(h // l) for bj in range(w // l)], dtype=np.int64)
-        want = mp.minplus_naive(Matrix(ad[:h, ks:ke]), Matrix(bd[ks:ke, :w])).data
-        want = want.reshape(h // l, l, w // l, l).transpose(0, 2, 1, 3).reshape(-1, l, l)
-        calls.clear()
-        gemms.clear()
-        got = _written_blocks(kern, l, pairs, np.full(len(pairs), ks // l), np.full(len(pairs), ke // l - 1))
-        assert np.array_equal(got, want)
-        assert gemms == [(slice(0, h), slice(0, w), ks, ke)]
-        assert (slices[-1].width, slices[-1].bits, len(slices[-1].a_min)) == (width, bits, len(depths))
-        assert sorted({k for _, k, _ in calls}) == sorted(set(depths))
-        assert all(m * k * c <= mp.basic._GEMM_CALL or (m, c) == (1, 1) for m, k, c in calls)
-
-
-def _recording_rects(monkeypatch):
-    """Record the kernel's GEMM rectangles, as (rows, cols, ks, ke) in
-    entries, every rectangle it writes, as (rows, cols) slices, and each
-    GEMM rectangle's exponent slices; returns the three lists."""
-    gemms, claims, slices = [], [], []
-    real_gemm, real_claim = mp.basic._gemm_rect, mp.basic._claim
-
-    def gemm(kern, rows, cols, ks, ke, sl, out):
-        gemms.append((slice(int(rows.start), int(rows.stop)), cols, ks, ke))
-        slices.append(sl)
-        return real_gemm(kern, rows, cols, ks, ke, sl, out)
-
-    def claim(done, rows, cols):
-        claims.append((slice(int(rows.start), int(rows.stop)), cols))
-        return real_claim(done, rows, cols)
-
-    monkeypatch.setattr("minplus.basic._gemm_rect", gemm)
-    monkeypatch.setattr("minplus.basic._claim", claim)
-    return gemms, claims, slices
-
-
-def _valley_operands(rng, n, a_centres, b_centres):
-    """Int16 valleys A[i, k] = min(|k - a_centres[i]|, 127) and B[k, j] =
-    min(|k - b_centres[j]|, 127): every slice of a row or column spans at
-    most 127, so K' = 128, and the optimal witnesses of entry (i, j) are the
-    k between its two centres."""
-    ks = np.arange(n)
-    ad = np.minimum(np.abs(ks[None, :] - np.asarray(a_centres)[:, None]), 127)
-    bd = np.minimum(np.abs(ks[:, None] - np.asarray(b_centres)[None, :]), 127)
-    return ad.astype(np.int16), bd.astype(np.int16)
 
 
 def _witness_spans(ad, bd, l, pairs):
     """Each pair's first and last block column holding an optimal witness
-    of one of its entries."""
+    of one of its entries, and each pair's block of the product."""
     full = _min_blocks_loop(ad, bd, l, pairs, np.zeros(len(pairs), dtype=int), np.full(len(pairs), ad.shape[0] // l - 1))
     lo, hi = np.empty(len(pairs), dtype=int), np.empty(len(pairs), dtype=int)
     for g, (bi, bj) in enumerate(pairs):
@@ -1089,83 +961,281 @@ def _witness_spans(ad, bd, l, pairs):
     return lo, hi, full
 
 
-def test_min_blocks_stacks_rows_that_meet_the_same_slices(monkeypatch):
-    # two stretches of 8 consecutive block rows over one run of block
-    # columns, at l = 8 and n = 256 (two 128-column slices): in the first
-    # every span lies in slice 0, in the second every span meets both
-    # slices. Within each stretch the spans differ from pair to pair and
-    # from row to row, so the exact grouping makes a rectangle per block
-    # row, but each stretch meets one set of slices and takes the GEMM path:
-    # one GEMM rectangle a stretch, over the union of its spans, which holds
-    # every pair's witnesses, so the product's blocks are exact, and the
-    # ledger marks exactly the pairs' entries. Each rectangle measures its
-    # own exponent slices from its first column: on these valleys (R <= 127)
-    # a span of at most 128 columns is one slice, a longer one is cut into
-    # slices of 128
-    rng = np.random.default_rng(3)
-    n, l = 256, 8
-    rows = np.concatenate([rng.integers(90, 120, size=64), rng.integers(150, 200, size=64), np.full(n - 128, 60)])
-    ad, bd = _valley_operands(rng, n, np.roll(rows, 16), rng.integers(56, 72, size=n))
-    kern = kernel_operands(Matrix(ad), Matrix(bd))
-    pairs = np.array([(bi, bj) for bi in range(2, 18) for bj in range(3, 7)])
-    wit_lo, wit_hi, full = _witness_spans(ad, bd, l, pairs)
-    first = pairs[:, 0] < 10
-    assert (wit_hi[first] < 16).all() and (wit_lo[~first] < 16).all() and (wit_hi[~first] >= 16).all()
-    # widen each span by up to two block columns, inside its slices
-    lo = np.maximum(wit_lo - rng.integers(0, 3, size=len(pairs)), 0)
-    hi = np.minimum(wit_hi + rng.integers(0, 3, size=len(pairs)), np.where(first, 15, 31))
-    unions = {(int(bi), int(lo[pairs[:, 0] == bi].min()), int(hi[pairs[:, 0] == bi].max())) for bi in range(2, 18)}
-    assert len({u[1:] for u in unions}) > 2
-    gemms, claims, slices = _recording_rects(monkeypatch)
-    assert np.array_equal(_written_blocks(kern, l, pairs, lo, hi), full + kern.shift)
-    assert np.array_equal(_min_blocks_loop(ad, bd, l, pairs, lo, hi), full)
-    cols = slice(24, 56)
-    assert gemms == [
-        (slice(16, 80), cols, int(lo[first].min()) * l, (int(hi[first].max()) + 1) * l),
-        (slice(80, 144), cols, int(lo[~first].min()) * l, (int(hi[~first].max()) + 1) * l),
-    ]
-    assert claims == [(g[0], g[1]) for g in gemms]
-    assert [(sl.width, len(sl.a_min)) for sl in slices] == [
-        (min(ke - ks, 128), -(-(ke - ks) // 128)) for _, _, ks, ke in gemms
-    ]
-
-
 def test_min_blocks_keeps_spans_off_the_gemm_path(monkeypatch):
-    # block rows whose spans meet the same slices but whose rectangle is too
-    # small for the GEMM path (two block rows of 2 over at most 128
-    # columns), and rows whose stack would be large enough but has no
-    # exponent slices (slice range 170, or int64 operands), keep the exact
-    # rectangles: the stack is split back into them, and each block row's
-    # run of pairs gets the minimum over its own union span, which differs
-    # from the minimum over all rows' union. No GEMM call is made
+    # consecutive block rows over one run of block columns whose union
+    # spans differ keep their exact rectangles, one per block row, each
+    # reduced over its own row's union span only, which differs from the
+    # minimum over all rows' union; in one native call, in every operand
+    # type, at small blocks and large
     rng = np.random.default_rng(5)
     n = 128
-    wide_a, wide_b = _slice_operands(rng, n, 170)
-    narrow_a, narrow_b = _slice_operands(rng, n, 127)
-    cases = [
-        (2, kernel_operands(Matrix(narrow_a), Matrix(narrow_b)), 2),
-        (8, kernel_operands(Matrix(wide_a), Matrix(wide_b)), 8),
-        (8, mp.basic.KernelOperands(wide_a.astype(np.int64), wide_b.astype(np.int64), 0), 8),
-    ]
-    assert exp_slices(narrow_a, narrow_b).width == 128 and exp_slices(wide_a, wide_b) is None
-    for l, kern, block_rows in cases:
+    ks = np.arange(n)
+    for l, block_rows, dtype in [(2, 2, np.int16), (8, 8, np.int32), (8, 8, np.int64)]:
         nb = n // l
+        ad = (np.abs(ks[None, :] - rng.integers(0, n, size=(n, 1))) + rng.integers(0, 9, size=(n, n))).astype(dtype)
+        bd = (np.abs(ks[:, None] - rng.integers(0, n, size=(1, n))) + rng.integers(0, 9, size=(n, n))).astype(dtype)
+        kern = mp.basic.KernelOperands(ad, bd, 0)
         pairs = np.array([(bi, bj) for bi in range(1, 1 + block_rows) for bj in range(2, 5)])
         # spans in the first quarter of the block columns on even rows, in
         # the third on odd ones
         lo = rng.integers(0, nb // 8, size=len(pairs)) + pairs[:, 0] % 2 * (nb // 2)
         hi = lo + rng.integers(0, nb // 8, size=len(pairs))
-        ad, bd = kern.a, kern.b
         row_lo = np.array([lo[pairs[:, 0] == bi].min() for bi in pairs[:, 0]])
         row_hi = np.array([hi[pairs[:, 0] == bi].max() for bi in pairs[:, 0]])
         own = _min_blocks_loop(ad, bd, l, pairs, row_lo, row_hi)
         union = _min_blocks_loop(ad, bd, l, pairs, np.full(len(pairs), lo.min()), np.full(len(pairs), hi.max()))
         assert not np.array_equal(own, union)
-        gemms, claims, _ = _recording_rects(monkeypatch)
-        assert np.array_equal(_written_blocks(kern, l, pairs, lo, hi), own + kern.shift)
-        assert gemms == []
-        assert len(claims) == block_rows  # a rectangle per block row: the runs' union spans differ
+        calls = _recording_native(monkeypatch)
+        assert np.array_equal(_written_blocks(kern, l, pairs, lo, hi), own)
+        assert len(calls) == 1 and calls[0][0] == dtype
+        want = [[bi * l, (bi + 1) * l, 2 * l, 5 * l, int(row_lo[3 * g]) * l, (int(row_hi[3 * g]) + 1) * l]
+                for g, bi in enumerate(range(1, 1 + block_rows))]
+        assert calls[0][1].tolist() == want
         monkeypatch.undo()
+
+
+def _reference_rects(a, b, table, shift):
+    """Each rectangle (r0, r1, c0, c1, k0, k1) of ``table`` reduced by
+    numpy add+min in the operands' type, plus ``shift`` in int64."""
+    return [
+        (a[r0:r1, k0:k1, None] + b[None, k0:k1, c0:c1]).min(axis=1).astype(np.int64) + shift
+        for r0, r1, c0, c1, k0, k1 in table.tolist()
+    ]
+
+
+def _column_chunk():
+    """The column chunk of native.c's accumulators (COLS)."""
+    import re
+
+    with open(mp.native.SOURCE) as f:
+        return int(re.search(r"#define COLS (\d+)", f.read()).group(1))
+
+
+@pytest.mark.parametrize(
+    "dtype, shift", [(np.int16, 1 << 40), (np.int32, -(1 << 40)), (np.int64, -(1 << 62))], ids=["int16", "int32", "int64"]
+)
+def test_native_min_rects_matches_reference(dtype, shift):
+    # the compiled kernel against numpy add+min, in each operand type, with
+    # sums at the type's max (row 0 of A plus column 0 of B), on rectangles
+    # of 1 to 7 and 12 rows (the accumulator's 4 rows, fewer, and 4 or 8
+    # plus fewer), of widths below, at and above the accumulator's column
+    # chunk, over inner ranges of one column and more, several of them in
+    # one table: each gets its reference values, marked in the ledger, and
+    # nothing outside the rectangles is written
+    rng = np.random.default_rng(int(np.dtype(dtype).itemsize))
+    top = int(np.iinfo(dtype).max)
+    chunk = _column_chunk()
+    m, k, n = 40, 24, 2 * chunk + 37
+    b = rng.integers(0, top // 2 + 1, size=(k, n)).astype(dtype)
+    a = rng.integers(0, top - top // 2 + 1, size=(m, k)).astype(dtype)
+    a[0], b[:, 0] = top - top // 2, top // 2
+    table = np.array(
+        [
+            (0, 1, 0, 1, 0, k),  # the entry whose every sum is the type's max
+            (0, 1, 1, chunk, 3, 4),  # one inner column
+            (1, 5, 0, chunk + 1, 0, k),
+            (5, 12, chunk + 1, n, 2, 9),  # 7 rows, past two chunk edges
+            (12, 15, 0, chunk, 0, 1),
+            (15, 17, chunk, 2 * chunk, 5, k),
+            (17, 22, 3, 40, 7, 8),
+            (22, 28, n - 1, n, 0, k),  # one column
+            (28, 40, n - 1, n, 1, k),
+        ],
+        dtype=np.int64,
+    )
+    out = np.full((m, n), mp.INF, dtype=np.int64)
+    done = np.zeros((m, n), dtype=bool)
+    assert mp.native.min_rects(a, b, table, out, done, shift) == -1
+    assert out[0, 0] == top + shift
+    written = np.zeros((m, n), dtype=bool)
+    for (r0, r1, c0, c1, _, _), want in zip(table.tolist(), _reference_rects(a, b, table, shift)):
+        assert np.array_equal(out[r0:r1, c0:c1], want)
+        written[r0:r1, c0:c1] = True
+    assert np.array_equal(done, written) and (out[~written] == mp.INF).all()
+    # a rectangle that meets an entry written before is reported, and
+    # neither it nor any after it is written
+    more = np.array([(30, 31, 0, 2, 0, 1), (39, 40, n - 2, n, 0, 1), (29, 30, 0, 1, 0, 1)], dtype=np.int64)
+    before = out.copy()
+    assert mp.native.min_rects(a, b, more, out, done, shift) == 1
+    assert np.array_equal(out[30, :2], _reference_rects(a, b, more[:1], shift)[0][0])
+    assert np.array_equal(out[31:], before[31:]) and np.array_equal(out[29], before[29])
+    assert not done[29, 0] and not done[39, n - 2]
+
+
+def test_native_refuses_malformed_input(monkeypatch):
+    # every malformed call raises before any C function is looked up:
+    # rectangles out of bounds or empty, mismatched types, non-contiguous
+    # arrays, and wrong shapes
+    class NoCall:
+        def __getattr__(self, name):
+            raise AssertionError(f"{name} called")
+
+    monkeypatch.setattr(mp.native, "_lib", NoCall())
+    a = np.zeros((8, 6), dtype=np.int16)
+    b = np.zeros((6, 10), dtype=np.int16)
+    out, done = np.zeros((8, 10), dtype=np.int64), np.zeros((8, 10), dtype=bool)
+    ok = np.array([[0, 8, 0, 10, 0, 6]], dtype=np.int64)
+    bad_tables = [
+        [[0, 9, 0, 10, 0, 6]],  # rows past a
+        [[0, 8, 0, 11, 0, 6]],  # columns past b
+        [[0, 8, 0, 10, 0, 7]],  # inner index past a's columns
+        [[-1, 8, 0, 10, 0, 6]],  # negative start
+        [[0, 8, 4, 4, 0, 6]],  # no columns
+        [[0, 8, 0, 10, 3, 3]],  # an empty span
+    ]
+    for rect in bad_tables:
+        with pytest.raises(ValueError):
+            mp.native.min_rects(a, b, np.array(rect, dtype=np.int64), out, done, 0)
+    for args in [
+        (a, b.astype(np.int32), ok, out, done, 0),  # operand types differ
+        (a.astype(np.int8), b, ok, out, done, 0),  # no kernel for the type
+        (a, b, ok.astype(np.int32), out, done, 0),  # table type
+        (a, b, ok, out.astype(np.int32), done, 0),  # product type
+        (a, b, ok, out, done.view(np.uint8), 0),  # ledger type
+        (np.asfortranarray(a), b, ok, out, done, 0),  # non-contiguous
+        (a, np.zeros((6, 20), dtype=np.int16)[:, ::2], ok, out, done, 0),
+        (a, b, np.zeros((2, 12), dtype=np.int64)[:, ::2], out, done, 0),
+        (a, b, ok, np.zeros((10, 8), dtype=np.int64).T, done, 0),
+        (a, b[:5], ok, out, done, 0),  # shapes do not chain
+        (a, b, ok, out, done[:7], 0),
+        (a, b, ok, out, done, 1 << 63),  # shift past int64
+    ]:
+        with pytest.raises((TypeError, ValueError)):
+            mp.native.min_rects(*args)
+    x = np.zeros((4, 4), dtype=np.int16)
+    stats = [np.zeros((4, 4), dtype=np.int32) for _ in range(3)]
+    for args in [
+        (x, x.astype(np.int32), 0, 1, x.copy(), *stats),
+        (x, x, 0, 1, x.astype(np.int32), *stats),
+        (x, x, 0, 1, x.copy(), stats[0].astype(np.int64), *stats[1:]),
+        (x, np.zeros((4, 8), dtype=np.int16)[:, ::2], 0, 1, x.copy(), *stats),
+        (x, x, 0, 1 << 15, x.copy(), *stats),  # largest past int16
+    ]:
+        with pytest.raises((TypeError, ValueError)):
+            mp.native.scan(*args)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+def test_native_scan_matches_reference(dtype):
+    # the compiled scan against numpy on tables wider than its column chunk,
+    # with thresholds clamped at largest and pairs that admit nothing past
+    # the minimum: the minimum, count, first and last admitted column of
+    # every pair
+    rng = np.random.default_rng(3)
+    nb = _column_chunk() + 9
+    top = 4000 if dtype == np.int16 else 1 << 20
+    xa = rng.integers(0, top // 2 + 1, size=(nb, nb)).astype(dtype)
+    xb = rng.integers(0, top // 2 + 1, size=(nb, nb)).astype(dtype)
+    cap, largest = top - 900, top
+    low = np.empty((nb, nb), dtype)
+    sizes, lo, hi = (np.empty((nb, nb), dtype=np.int32) for _ in range(3))
+    mp.native.scan(xa, xb, cap, largest, low, sizes, lo, hi)
+    ks = np.arange(nb)
+    for bi in range(0, nb, 7):
+        sums = xa[bi, :, None].astype(np.int64) + xb  # [bk, bj]
+        m = sums.min(axis=0)
+        ok = sums <= largest - np.maximum(cap - m, 0)
+        assert np.array_equal(low[bi], m)
+        assert np.array_equal(sizes[bi], ok.sum(axis=0))
+        assert np.array_equal(lo[bi], np.where(ok, ks[:, None], nb).min(axis=0))
+        assert np.array_equal(hi[bi], np.where(ok, ks[:, None], -1).max(axis=0))
+
+
+def test_native_library_is_cached(monkeypatch, tmp_path):
+    # a second build of the same source compiles nothing; a changed source
+    # gets another cache name; a compiler that fails, or cannot run, gives
+    # an ImportError with its command and error output, and leaves no file
+    cache = mp.native.cache_dir()
+    path = mp.native.build(mp.native.SOURCE, cache)
+    assert os.path.exists(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiler run for a cached library")
+
+    with monkeypatch.context() as m:
+        m.setattr(subprocess, "run", refuse)
+        assert mp.native.build(mp.native.SOURCE, cache) == path
+    changed = tmp_path / "native.c"
+    with open(mp.native.SOURCE) as f:
+        changed.write_text(f.read() + "/* changed */\n")
+    cc = mp.native.compiler()
+    assert os.path.basename(mp.native.library_path(str(changed), cc, "d")) != os.path.basename(path)
+    broken = tmp_path / "broken.c"
+    broken.write_text("int f(void) { return undeclared_name; }\n")
+    out = tmp_path / "cache"
+    out.mkdir()
+    with pytest.raises(ImportError, match="undeclared_name"):
+        mp.native.build(str(broken), str(out))
+    monkeypatch.setattr(mp.native, "compiler", lambda: ["no-such-compiler-here"])
+    with pytest.raises(ImportError, match="no-such-compiler-here"):
+        mp.native.build(str(broken), str(out))
+    assert list(out.iterdir()) == []
+
+
+def _recording_compiler(monkeypatch):
+    """Route the loader's compiler runs through a recorder; returns the list
+    of commands run."""
+    runs = []
+    real = subprocess.run
+
+    def recording(cmd, *args, **kwargs):
+        runs.append(cmd)
+        return real(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", recording)
+    return runs
+
+
+def test_native_cache_is_the_users_alone(monkeypatch, tmp_path):
+    # a package __pycache__ that others can write is passed over for the
+    # user's cache directory, made private; where that is not private
+    # either there is no cache, and the library is compiled into a private
+    # temporary directory that is gone once it is loaded
+    package = tmp_path / "package"
+    (package / "__pycache__").mkdir(parents=True)
+    (package / "__pycache__").chmod(0o777)
+    monkeypatch.setattr(mp.native, "SOURCE", str(package / "native.c"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    user = tmp_path / "xdg" / "minplus"
+    assert mp.native.cache_dir() == str(user)
+    assert user.stat().st_mode & 0o777 == 0o700
+    user.chmod(0o770)
+    assert mp.native.cache_dir() is None
+    source = tmp_path / "tiny.c"
+    source.write_text("int tiny(void) { return 1; }\n")
+    loaded = []
+
+    def bind(path):
+        assert mp.native.private(os.path.dirname(path))
+        assert mp.native.private(path, stat.S_ISREG)
+        loaded.append(path)
+
+    monkeypatch.setattr(mp.native, "_load", bind)
+    mp.native.load(str(source))
+    assert len(loaded) == 1 and not os.path.exists(os.path.dirname(loaded[0]))
+
+
+@pytest.mark.parametrize("planted", ["writable", "foreign"])
+def test_native_cache_refuses_a_planted_library(monkeypatch, tmp_path, planted):
+    # a cached library that others can write, or that another user owns, is
+    # never returned for loading: it is compiled anew over it
+    source = tmp_path / "tiny.c"
+    source.write_text("int tiny(void) { return 1; }\n")
+    cache = tmp_path / "cache"
+    cache.mkdir(mode=0o700)
+    path = mp.native.build(str(source), str(cache))
+    assert mp.native.private(path, stat.S_ISREG)
+    runs = _recording_compiler(monkeypatch)
+    assert mp.native.build(str(source), str(cache)) == path and runs == []
+    if planted == "writable":
+        os.chmod(path, 0o777)
+    else:
+        uid = os.getuid()
+        monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+    assert not mp.native.private(path, stat.S_ISREG)
+    assert mp.native.build(str(source), str(cache)) == path and len(runs) == 1
+    if planted == "writable":
+        assert mp.native.private(path, stat.S_ISREG)
 
 
 def _perfbench_workloads():
@@ -1180,24 +1250,20 @@ def _perfbench_workloads():
 
 
 def test_benchmark_valley_products_take_one_gemm_rectangle(monkeypatch):
-    # the benchmark's valley-256 pairs at seed 7, with its engine seeds: all
-    # 64 block rows of a product stack into one GEMM rectangle over the
-    # union span, which meets both 128-column slices of the inner axis but
-    # is at most 128 columns long, and so is encoded once, as one slice
-    # from its own first column: every GEMM call reduces over the whole span
+    # the benchmark's valley-256 pairs at seed 7, with its engine seeds:
+    # each product makes one native call, in int16, whose table of
+    # rectangles tiles the whole product, over spans that prune (no
+    # rectangle reduces over every column), and equals the dense product
     workloads = _perfbench_workloads()
     w = workloads.WORKLOADS["valley-256"]
-    calls = _recording_gemm(monkeypatch)
-    gemms, claims, _ = _recording_rects(monkeypatch)
+    calls = _recording_native(monkeypatch)
     for i, (a, b) in enumerate(workloads.make_pairs(w, 7)):
         calls.clear()
-        gemms.clear()
-        claims.clear()
         got = mp.basic_minplus(a, b, AlgoParams(delta=a.delta, seed=workloads.engine_seed(7, i)))
-        assert len(gemms) == 1 and claims == [gemms[0][:2]]
-        rows, cols, ks, ke = gemms[0]
-        assert (rows, cols) == (slice(0, 256), slice(0, 256)) and ks < 128 < ke
-        assert calls and all(k == ke - ks for _, k, _ in calls)
+        assert len(calls) == 1 and calls[0][0] == np.int16
+        r0, r1, c0, c1, k0, k1 = calls[0][1].T
+        assert ((r1 - r0) * (c1 - c0)).sum() == a.n * a.n
+        assert (k1 - k0 < a.n).all()
         assert np.array_equal(got.data, mp.dense_minplus(a.base, b.base).data)
 
 
@@ -1255,19 +1321,15 @@ def _offset_pair(a, b):
 )
 def test_engines_exact_in_every_kernel_type(monkeypatch, case, dtype):
     # every engine, and the recursion down to single entries, is bitwise
-    # equal to naive whatever type its kernels run in, and whichever path
-    # they take. The offset pairs sit near +-2**60, shift down to int16 and
-    # take GEMMs; the wide walk (delta 3000, seeds 3 and 4, the pair the CI
-    # command line runs) spans more than int16 holds and more than any
-    # slice width allows, so it stays on add+min; the valley at delta 5 and
-    # n = 256 reduces at least one rectangle over several slices of 32
-    # columns. The flat rows (A[i, k] = i * 2**53, B[k, j] = j * 2**53) have
-    # slice range 0, but their per-slice shifts s*(a_min + b_min) would
-    # wrap int64, so their int64 kernels stay on add+min. Each runs at the
-    # defaults and at the paper's beta, which samples. Every GEMM call is
-    # within the per-call budget
-    calls = _recording_gemm(monkeypatch)
-    _, _, slices = _recording_rects(monkeypatch)
+    # equal to naive whatever type its kernels run in, and every native call
+    # runs in that type. The offset pairs sit near +-2**60 and shift down to
+    # int16; the wide walk (delta 3000, seeds 3 and 4, the pair the CI
+    # command line runs) spans more than int16 holds, so it runs in int32;
+    # the valley at delta 5 and n = 256 runs in int16 over pruned spans.
+    # The flat rows (A[i, k] = i * 2**53, B[k, j] = j * 2**53) span more
+    # than int32 holds, so they run in int64, with sums up to 2**61. Each
+    # runs at the defaults and at the paper's beta, which samples
+    calls = _recording_native(monkeypatch)
     if case == "walk-offset":
         a, b = _offset_pair(mp.generate_bd(64, 2, 5), mp.generate_bd(64, 2, 6))
     elif case == "valley-offset":
@@ -1289,10 +1351,7 @@ def test_engines_exact_in_every_kernel_type(monkeypatch, case, dtype):
         assert np.array_equal(mp.basic_minplus(a, b, params).data, want)
         assert np.array_equal(mp.recursive_minplus(a, b, params).data, want)
     assert np.array_equal(mp.dense_minplus(a.base, b.base).data, want)
-    assert bool(calls) == (case not in ("walk-wide", "flat-rows"))
-    if case == "valley-slices":
-        assert any(sl.width == 32 and len(sl.a_min) > 1 for sl in slices)
-    assert all(m * k * c <= mp.basic._GEMM_CALL for m, k, c in calls)
+    assert calls and {d for d, _ in calls} == {np.dtype(dtype)}
 
 
 def test_invariants_survive_optimize():
@@ -1300,7 +1359,7 @@ def test_invariants_survive_optimize():
     script = """
 import numpy as np
 from minplus import InvariantError, Matrix
-from minplus.basic import ExpSlices, KernelOperands, _enumerate_pairs, _gemm_rect, build_segments
+from minplus.basic import KernelOperands, _enumerate_pairs, _min_blocks, build_segments
 from minplus.blocking import BlockGrid, CandidateSets
 z = np.zeros((8, 8), dtype=np.int64)
 none = np.zeros((4, 4), dtype=np.int64)
@@ -1316,18 +1375,17 @@ try:
     _enumerate_pairs(KernelOperands(z, z, 0), 2, np.array([[0, 0]]), empty, z.copy(), z > 0)
 except InvariantError:
     caught.append("empty candidate set")
-# slices whose range R = 170 is one past the K' = 32 bound, 2*s*R <= 2045 - s,
-# handed to the encoder of a 64 x 64 rectangle over 64 columns
-wide = ExpSlices(32, 6, 170, np.zeros((2, 64), dtype=np.int16), np.zeros((2, 64), dtype=np.int16))
-y = np.zeros((64, 64), dtype=np.int16)
+# one pair twice: its second rectangle overlaps the first, which the
+# native kernel reports and the kernel refuses
+y = np.zeros((8, 8), dtype=np.int16)
 try:
-    _gemm_rect(KernelOperands(y, y, 0), slice(0, 64), slice(0, 64), 0, 64, wide, np.zeros((64, 64), dtype=np.int64))
+    _min_blocks(KernelOperands(y, y, 0), 2, np.array([[1, 1], [1, 1]]), np.array([0, 0]), np.array([3, 3]), z.copy(), z > 0)
 except InvariantError:
-    caught.append("slice range")
+    caught.append("block finalized twice")
 print(__debug__, caught)
 """
     src = os.path.dirname(os.path.dirname(mp.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False ['key range', 'empty candidate set', 'slice range']"
+    assert proc.stdout.strip() == "False ['key range', 'empty candidate set', 'block finalized twice']"

@@ -71,20 +71,26 @@ def test_candidate_threshold_exact(pool):
 
 @pytest.mark.parametrize("budget", [1, 3 * 8 * 8, 1 << 30])
 def test_candidate_chunks_match_dense(pool, monkeypatch, budget):
-    # one block row per chunk, chunks of 3 rows with a short last one, and
-    # a single chunk all give the dense result, on a walk and on a valley
-    # (whose spans are narrow and differ from pair to pair); on two valleys
-    # the sets leave gaps, so a span is more than its set
+    # the sets equal the dense result on a walk and on a valley (whose spans
+    # are narrow and differ from pair to pair); on two valleys the sets
+    # leave gaps, so a span is more than its set, and the first candidate
+    # among a set of columns is found by the scan's own test, in chunks of
+    # one pair, of a few pairs with a short last one, or all at once
     n, delta, l = 32, 2, 4
     monkeypatch.setattr("minplus.blocking._SUM_BUDGET", budget)
-    # the packed bits are read per chunk, a few chunks at once, or all at once
-    monkeypatch.setattr("minplus.blocking._BIT_BUDGET", budget)
     for a, b in (pool.pair(n, delta, 3), valley_bd(n, delta, 5)):
         check_candidate_sets(candidate_sets(a, b, l), a, b)
     a, b = two_valley_bd(128, 5, 1)
     cs = candidate_sets(a, b, 2)
     assert (cs.hi - cs.lo + 1 > cs.sizes).any()
     check_candidate_sets(cs, a, b)
+    mask = candidate_mask(a, b, 2)[0]
+    nb = mask.shape[0]
+    pairs = np.argwhere(np.ones((nb, nb), dtype=bool))
+    cols = np.arange(1, nb, 3)
+    sub = mask[pairs[:, 0], pairs[:, 1]][:, cols]
+    want = np.where(sub.any(axis=1), cols[sub.argmax(axis=1)], nb)
+    assert np.array_equal(cs.first_candidate(pairs, cols), want)
 
 
 def _cap_pair():
@@ -142,10 +148,10 @@ def test_candidate_threshold_past_the_type(n, delta, l):
 
 @pytest.mark.parametrize("nb", [1, 2, 4, 8, 16, 32, 64, 128])
 def test_candidate_sets_every_bit_set_width(nb):
-    # the packed bits of a pair fill part of a byte (nb < 8), one byte to
-    # one 64-bit word, or two words (nb = 128); on a walk every column of a
-    # pair tends to be a candidate, on a valley few are, and on two valleys
-    # the candidates leave gaps
+    # every width of the block grid from one block column to 128, so from
+    # less than one vector lane of the compiled scan to several vectors; on
+    # a walk every column of a pair tends to be a candidate, on a valley few
+    # are, and on two valleys the candidates leave gaps
     n = 128
     for a, b in ((mp.generate_bd(n, 2, nb), mp.generate_bd(n, 2, nb + 1)), valley_bd(n, 2, nb), two_valley_bd(n, 5, nb)):
         check_candidate_sets(candidate_sets(a, b, n // nb), a, b)
