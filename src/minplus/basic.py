@@ -7,10 +7,11 @@ single entries at ``l_min=1``). At each level, candidate sets from block
 representatives split the open block pairs. The top level scans every
 representative triple (``candidate_sets``); a finer level scans only the
 child columns under its pending parents' candidate spans (``child_sets``),
-which the nesting lemma in ``blocking`` makes exact. Pairs with many
-candidates are covered by sampling reference columns: the pairs assigned to
-a sampled column r get their block values from the block columns whose
-value buckets, taken relative to column r, correspond. At the default
+which the nesting lemma in ``blocking`` makes exact; both run the one
+compiled candidate scan. Pairs with many candidates are covered by sampling
+reference columns: the pairs assigned to a sampled column r get their block
+values from the block columns whose value buckets, taken relative to column
+r, correspond. At the default
 parameters no top-level pair has that many (``AlgoParams``: T_beta is at
 least the number of block columns), so a default product only enumerates
 and refines; the paper's schedule samples. Pairs whose
@@ -40,15 +41,16 @@ sampled column's buckets select. Either span holds every block of an
 optimal witness, so a minimum over it, or over any larger set of columns,
 is exact. The kernel groups the pairs into rectangles, runs of consecutive
 block columns in one block row stacked over consecutive block rows that hold
-the same run with the same union of spans, and hands the table of
-rectangles to one compiled loop (``native.min_rects``, in ``native.c``). It
-reduces operand slices over the union of a rectangle's spans, so it gathers
-nothing, and it writes each rectangle straight into the product, so it
-scatters nothing either. A pair whose span is every block column (density
+the same run with the same union of spans (``blocking.rectangles``, which
+the child candidate scans share), and hands the table of rectangles to one
+compiled loop (``native.min_rects``, in ``native.c``). It reduces operand
+slices over the union of a rectangle's spans, so it gathers nothing, and it
+writes each rectangle straight into the product, so it scatters nothing
+either. A pair whose span is every block column (density
 1, as on random walks) gets the plain min-plus product of its rows of A
 and columns of B, so the dense case costs no more than a dense product;
-``dense_minplus``, the same kernel over every block pair at full spans and
-a fixed tile, is the cubic reference the engines are measured against.
+``dense_minplus``, the same compiled loop over one rectangle of the whole
+product, is the cubic reference the engines are measured against.
 The sampled columns of a level hand all their pairs to one kernel call, so
 pairs split between columns still form whole rows there.
 
@@ -58,10 +60,10 @@ B - min B, and stores them in the narrowest of int16, int32 and int64
 whose max holds span(A) + span(B). Every sum the kernel forms lies in
 [0, span(A) + span(B)], so it is exact in that type; a bounded-difference
 operand spans at most 2*(delta-1)*(n-1), so small delta gives int16. The
-kernel adds the shift min A + min B back as it writes. The top candidate
-scan narrows its representative tables by the same rule
-(``candidate_sets``). The child scans, the bucket sums and the block
-length 1 reads of the representative minimum (``_finalize``) stay on the
+kernel adds the shift min A + min B back as it writes. The candidate
+scans of every level narrow their representative tables by the same rule
+(``blocking._scan``) and write their minima back in int64, which
+the block length 1 reads take (``_finalize``). The bucket sums stay on the
 int64 originals: a bucket is a difference within one row of A or one
 column of B, where the shift cancels anyway.
 """
@@ -74,7 +76,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import native
-from .blocking import CandidateSets, candidate_sets, child_sets
+from .blocking import CandidateSets, candidate_sets, child_sets, rectangles
 from .matrix import BDMatrix, Matrix, operand_range, product_matrix
 
 SEGMENT_WIDTH = 20  # value segments are 20*delta*l wide
@@ -346,8 +348,6 @@ def sample_r(cands: CandidateSets, params: AlgoParams, active: np.ndarray | None
 # columns (1 MiB in int64).
 _TRIPLE_BUDGET = 1 << 17
 
-_DENSE_TILE = 16
-
 
 @dataclass(eq=False)
 class KernelOperands:
@@ -396,50 +396,29 @@ def _min_blocks(
     0..nb-1, gives the plain min-plus product. The ledger ``done`` marks
     each entry written, and refuses an entry written before.
 
-    The pairs are grouped into rectangles: runs of consecutive block columns
-    in one block row, stacked over consecutive block rows that hold the
-    same run with the same union of spans. A rectangle reduces over the
-    union of its pairs' spans; a pair alone, or among equal spans, gets the
-    minimum over its own span. The whole table of rectangles goes to the
-    compiled kernel in one call (``native.min_rects``), which reads each
-    rectangle's rows of A and columns of B in place, in the operands' type,
-    and writes its result straight into c, checking and marking the ledger
-    rectangle by rectangle.
+    The pairs are grouped into rectangles (``blocking.rectangles``, which
+    the child candidate scans share): runs of consecutive block columns in
+    one block row, stacked over consecutive block rows that hold the same
+    run with the same union of spans. A rectangle reduces over the union of
+    its pairs' spans; a pair alone, or among equal spans, gets the minimum
+    over its own span. The whole table of rectangles, scaled by l to
+    entries, goes to the compiled kernel in one call (``native.min_rects``),
+    which reads each rectangle's rows of A and columns of B in place, in
+    the operands' type, and writes its result straight into c, checking and
+    marking the ledger rectangle by rectangle.
     """
     require(np.all(lo <= hi), "block pair with an empty span")
-    nb = kern.a.shape[0] // l
-    key = pairs[:, 0] * nb + pairs[:, 1]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    # runs: consecutive block columns of one block row, and their union span
-    cut = np.ones(len(key), dtype=bool)
-    cut[1:] = (np.diff(key) != 1) | (key[1:] % nb == 0)
-    run_at = np.flatnonzero(cut)
-    run_len = np.diff(np.append(run_at, len(key)))
-    run_bi, run_bj = np.divmod(key[run_at], nb)
-    run_lo = np.minimum.reduceat(lo[order], run_at)
-    run_hi = np.maximum.reduceat(hi[order], run_at)
-    # rectangles: runs that follow each other in consecutive block rows
-    # with one shape (first block column, length and union span)
-    shape = np.stack((run_bj, run_len, run_lo, run_hi))
-    cut = np.ones(len(run_at), dtype=bool)
-    cut[1:] = (shape[:, 1:] != shape[:, :-1]).any(axis=0) | (run_bi[1:] != run_bi[:-1] + 1)
-    rect_at = np.flatnonzero(cut)
-    bj0, wd, span_lo, span_hi = shape[:, rect_at]
-    bi0 = run_bi[rect_at]
-    rows = np.diff(np.append(rect_at, len(run_at)))
-    table = np.stack((bi0, bi0 + rows, bj0, bj0 + wd, span_lo, span_hi + 1), axis=1).astype(np.int64) * l
+    table = rectangles(pairs, lo, hi, kern.a.shape[0] // l) * l
     first_bad = native.min_rects(kern.a, kern.b, table, c, done, kern.shift)
     require(first_bad < 0, "block finalized twice")
 
 
 def dense_minplus(a: Matrix, b: Matrix) -> Matrix:
     """Exact min-plus product of two square all-finite matrices of one size:
-    the block kernel (``_min_blocks``) over every block pair and every block
-    column, at a tile of gcd(n, 16), which is 16 for every multiple of 16
-    and n for a smaller power of two: one rectangle over the whole product.
-    Like the engines, it runs on ``kernel_operands``, in the narrowest
-    integer type that holds every shifted sum.
+    the block kernel (``native.min_rects``) over one rectangle, every entry
+    over every inner index. Like the engines, it runs on
+    ``kernel_operands``, in the narrowest integer type that holds every
+    shifted sum.
 
     This is the cubic reference the engines' times are stated against; the
     engines never call it, and ``minplus_naive`` stays the test oracle.
@@ -450,13 +429,10 @@ def dense_minplus(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("dense_minplus expects all-finite operands")
     kern = kernel_operands(a, b)
     n = a.n_rows
-    l = math.gcd(n, _DENSE_TILE)
-    nb = n // l
-    pairs = np.stack(np.divmod(np.arange(nb * nb), nb), axis=1)
     c = np.empty((n, n), dtype=np.int64)
     done = np.zeros((n, n), dtype=bool)
-    _min_blocks(kern, l, pairs, np.zeros(nb * nb, dtype=np.int64), np.full(nb * nb, nb - 1), c, done)
-    require(done.all(), "some output blocks were never written")
+    first_bad = native.min_rects(kern.a, kern.b, np.array([(0, n, 0, n, 0, n)], dtype=np.int64), c, done, kern.shift)
+    require(first_bad < 0 and done.all(), "some output blocks were never written")
     return product_matrix(c)
 
 
@@ -475,7 +451,7 @@ def _enumerate_pairs(
 
     At block length 1 a representative sum is A[i,k] + B[k,j] itself, so the
     representative minimum over the candidate columns already is the
-    product entry, and it is read (from the int64 originals) instead of
+    product entry, and it is read (the scan's int64 ``approx``) instead of
     enumerated.
     """
     bi, bj = pairs[:, 0], pairs[:, 1]

@@ -16,14 +16,19 @@ A span adds no columns where a pair's candidates form one run, as on every
 valley pair measured; a pair whose candidates lie far apart pays for the
 columns between them.
 
-The top level scans every representative triple (``candidate_sets``) in
-one compiled loop (``native.scan``) that keeps no sums. A level at block
-length l/2 scans only the child columns under its parents' spans
-(``child_sets``); its exactness rests on the nesting lemma below, which
-makes these the same counts, spans and minima as a full scan
-(``test_level_child_sets_equal_dense_sets`` in ``tests/test_recursive.py``
-checks it level by level, ``test_child_candidates_inside_parent`` the lemma
-itself).
+Every level runs one candidate scan (``native.scan``), a compiled loop
+over a table of rectangles of block pairs, each over a range of block
+columns, that keeps no sums. The top level is one rectangle: every block
+pair over every block column (``candidate_sets``). A level at block length
+l/2 scans only the children of its pending parents, over the child
+columns under the parents' spans (``child_sets``): the parents are grouped
+into rectangles as the block kernel groups its pairs (``rectangles``),
+and each rectangle is doubled into their children's. A rectangle scans the
+union of its pairs' child columns, which may hold more than a pair's own;
+by the nesting lemma below both give the same counts, spans and minima as
+a full scan (``test_level_child_sets_equal_dense_sets`` in
+``tests/test_recursive.py`` checks it level by level,
+``test_child_candidates_inside_parent`` the lemma itself).
 
 Nesting lemma. Take a child pair (i', j') and child column k' at length
 l/2, with parent pair (i'//2, j'//2) and column k'//2. Child and parent
@@ -37,7 +42,8 @@ parent approx + 8*delta*l: its parent column is a candidate too. The child
 argmin is a child candidate, so the child minimum lies under a parent
 candidate as well. A parent's span holds all of its candidates, so the
 children of the span's columns hold every child candidate and the child
-argmin.
+argmin, and so does any set of child columns that holds those: a minimum,
+count and first and last candidate over it are the full scan's.
 """
 from __future__ import annotations
 
@@ -46,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import native
-from .matrix import INF, BDMatrix, Matrix, product_matrix
+from .matrix import BDMatrix, Matrix, product_matrix
 
 CANDIDATE_WINDOW = 8  # admission threshold is approx + 8*delta*l
 
@@ -69,17 +75,38 @@ class BlockGrid:
         return self.n // self.l
 
 
-def pair_chunks(starts: np.ndarray, budget: int):
-    """(g0, g1) runs of whole pairs holding at most ``budget`` entries each,
-    or a single pair that alone holds more; pair g holds entries
-    starts[g]:starts[g + 1]."""
-    total = len(starts) - 1
-    g0 = 0
-    while g0 < total:
-        g1 = int(np.searchsorted(starts, starts[g0] + budget, side="right")) - 1
-        g1 = min(max(g1, g0 + 1), total)
-        yield g0, g1
-        g0 = g1
+def rectangles(pairs: np.ndarray, lo: np.ndarray, hi: np.ndarray, nb: int) -> np.ndarray:
+    """The block pairs ``pairs`` (bi, bj) of an nb x nb grid, each over its
+    span lo[g]..hi[g] of block columns, grouped into rectangles, as an int64
+    table of rows (r0, r1, c0, c1, k0, k1) in block units: runs of
+    consecutive block columns in one block row, over the union of their
+    spans, stacked over consecutive block rows that hold the same run with
+    the same union. A pair alone, or among equal spans, keeps its own span;
+    others get a wider one, which is exact wherever a span needs only to
+    hold every column that matters (an optimal witness block for the block
+    kernel, every candidate and the argmin for the candidate scan). The
+    pairs must be distinct; they may come in any order."""
+    key = pairs[:, 0] * nb + pairs[:, 1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # runs: consecutive block columns of one block row, and their union span
+    cut = np.ones(len(key), dtype=bool)
+    cut[1:] = (np.diff(key) != 1) | (key[1:] % nb == 0)
+    run_at = np.flatnonzero(cut)
+    run_len = np.diff(np.append(run_at, len(key)))
+    run_bi, run_bj = np.divmod(key[run_at], nb)
+    run_lo = np.minimum.reduceat(lo[order], run_at)
+    run_hi = np.maximum.reduceat(hi[order], run_at)
+    # rectangles: runs that follow each other in consecutive block rows
+    # with one shape (first block column, length and union span)
+    shape = np.stack((run_bj, run_len, run_lo, run_hi))
+    cut = np.ones(len(run_at), dtype=bool)
+    cut[1:] = (shape[:, 1:] != shape[:, :-1]).any(axis=0) | (run_bi[1:] != run_bi[:-1] + 1)
+    rect_at = np.flatnonzero(cut)
+    bj0, wd, span_lo, span_hi = shape[:, rect_at]
+    bi0 = run_bi[rect_at]
+    rows = np.diff(np.append(rect_at, len(run_at)))
+    return np.stack((bi0, bi0 + rows, bj0, bj0 + wd, span_lo, span_hi + 1), axis=1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +169,7 @@ class CandidateSets:
         return first
 
 
-# representative sums held at once by the child scans and by
-# ``first_candidate`` (1 MiB in int64)
+# representative sums held at once by ``first_candidate`` (1 MiB in int64)
 _SUM_BUDGET = 1 << 17
 
 
@@ -154,20 +180,55 @@ def candidate_sets(a: BDMatrix, b: BDMatrix, l: int) -> CandidateSets:
     true product on every entry of each block.
 
     Every block containing an optimal witness column is admitted. The scan
-    runs on the representative tables shifted to start at 0, as
+    (``_scan``) is one rectangle: every block pair over every block column.
+    """
+    _check_pair(a, b, l)
+    nb = a.n // l
+    return _scan(a, b, l, np.array([(0, nb, 0, nb, 0, nb)], dtype=np.int64))
+
+
+def child_sets(a: BDMatrix, b: BDMatrix, l: int, parents: np.ndarray, spans: CandidateSets) -> CandidateSets:
+    """Candidate sets at block length l of the four children of each parent
+    pair (block length 2*l), scanning only child columns under the parents'
+    spans in ``spans``, the parents' sets.
+
+    The parents are grouped into rectangles over their spans
+    (``rectangles``), and each is doubled into the rectangle of their
+    children over the child columns 2*lo .. 2*hi + 1 of its union span, so
+    every rectangle holds whole 2 x 2 groups of children. A child pair is
+    scanned over its parent's child columns and perhaps more. By the
+    nesting lemma every child candidate, and the child argmin, lies under
+    a candidate of its parent, which the parent's span holds, so scanning
+    those columns or any more of them gives the same minimum, count and
+    span: these are the sets of ``candidate_sets(a, b, l)`` on the
+    children. Every other pair is left unscanned.
+    """
+    _check_pair(a, b, l)
+    pi, pj = parents[:, 0], parents[:, 1]
+    lo, hi = spans.lo[pi, pj], spans.hi[pi, pj]
+    if (lo > hi).any():
+        raise ValueError("parent pair without a candidate span")
+    return _scan(a, b, l, 2 * rectangles(parents, lo, hi, a.n // (2 * l)))
+
+
+def _scan(a: BDMatrix, b: BDMatrix, l: int, table: np.ndarray) -> CandidateSets:
+    """The candidate sets at block length l of the block pairs in the
+    rectangles of ``table`` (``native.scan``), each over the block columns
+    of its rectangle; the other pairs are left unscanned.
+
+    The scan runs on the representative tables shifted to start at 0, as
     ``basic.kernel_operands`` shifts the operands, in int16 or int32 where
     that type holds 4*(delta-1)*(n-l), the largest sum two shifted
     delta-bounded tables can have; the bound costs no pass over the tables.
     Wider tables are scanned unshifted in int64, where no sum of two entries
     within 2**61 wraps. Each pair's threshold is min(approx + 8*delta*l,
     the largest sum), which the type holds, and no sum exceeds the largest,
-    so the test is the one above. The scan itself is one compiled loop
-    (``native.scan``): per block row, a pass over the block columns for each
+    so the test is the one of ``candidate_sets``. The compiled loop makes,
+    per block row of a rectangle, a pass over its block columns for each
     pair's minimum, then one for its count and its first and last admitted
-    column, with no sum kept. ``approx`` is wrapped as a Matrix without a
-    copy.
+    column, with no sum kept, and writes ``approx`` in int64 with the shift
+    added back; ``approx`` is wrapped as a Matrix without a copy.
     """
-    _check_pair(a, b, l)
     ra, rb = a.base.data[::l, ::l], b.base.data[::l, ::l]
     nb = ra.shape[0]
     # two representatives are at most 2*(n - l) unit steps apart, each of
@@ -177,83 +238,22 @@ def candidate_sets(a: BDMatrix, b: BDMatrix, l: int) -> CandidateSets:
     if top < 1 << 31:
         dtype = np.int16 if top < 1 << 15 else np.int32
         lo_a, lo_b = int(ra.min()), int(rb.min())
-        xa = np.subtract(ra, lo_a, out=np.empty((nb, nb), dtype))
-        xb = np.subtract(rb, lo_b, out=np.empty((nb, nb), dtype))  # [bk, bj]
+        x = np.empty((2, nb, nb), dtype)  # [bi, bk] and [bk, bj]
+        np.subtract(ra, lo_a, out=x[0])
+        np.subtract(rb, lo_b, out=x[1])
         shift, largest = lo_a + lo_b, top
     else:
         # unshifted, entries within 2**61: every sum lies in [-2**62, 2**62]
-        dtype, shift, largest, top = np.int64, 0, 1 << 62, 1 << 63
-        xa, xb = np.ascontiguousarray(ra), np.ascontiguousarray(rb)
+        shift, largest, top = 0, 1 << 62, 1 << 63
+        x = np.stack((ra, rb))
     # each pair's threshold, min(approx + window, largest), is largest -
     # max(cap - approx, 0): no term leaves the type. The sums range over at
     # most top, so a window wider than top admits as much as top does
     cap = largest - min(CANDIDATE_WINDOW * a.delta * l, top)
-    low = np.empty((nb, nb), dtype)
-    sizes = np.empty((nb, nb), dtype=np.int32)
-    lo = np.empty((nb, nb), dtype=np.int32)
-    hi = np.empty((nb, nb), dtype=np.int32)
-    native.scan(xa, xb, cap, largest, low, sizes, lo, hi)
-    approx = np.add(low, shift, dtype=np.int64)
-    return CandidateSets(BlockGrid(a.n, l), a.delta, product_matrix(approx), sizes, lo, hi, ra, rb)
-
-
-def child_sets(a: BDMatrix, b: BDMatrix, l: int, parents: np.ndarray, spans: CandidateSets) -> CandidateSets:
-    """Candidate sets at block length l of the four children of each parent
-    pair (block length 2*l), scanning only the child columns 2*lo ..
-    2*hi + 1 under each parent's span in ``spans``, the parents' sets. By
-    the nesting lemma every child candidate, and the child argmin, lies
-    under a parent candidate, which the span holds: these are the counts,
-    spans and minima of ``candidate_sets(a, b, l)`` on the children.
-
-    Parents are scanned a few at a time, at most _SUM_BUDGET sums at once
-    (or one parent's, if more).
-    """
-    _check_pair(a, b, l)
-    nb = a.n // l
-    h = nb // 2
-    window = CANDIDATE_WINDOW * a.delta * l
-    ra, rb = a.base.data[::l, ::l], b.base.data[::l, ::l]
-    quad = (h, 2, h, 2)
-    a_tab = ra.reshape(quad).transpose(1, 0, 2, 3).reshape(2, h * h, 2)  # [di, pi*h + pk, dk]
-    b_tab = rb.reshape(quad).transpose(3, 0, 2, 1).reshape(2, h * h, 2)  # [dj, pk*h + pj, dk]
-    pi, pj = parents[:, 0], parents[:, 1]
-    pk0 = spans.lo[pi, pj].astype(np.int64)  # each parent's first column
-    width = spans.hi[pi, pj] - pk0 + 1  # and its span's length
-    if width.min(initial=1) < 1:
-        raise ValueError("parent pair without a candidate span")
-    starts = np.zeros(len(parents) + 1, dtype=np.int64)
-    np.cumsum(width, out=starts[1:])
-    approx = np.full((nb, nb), INF, dtype=np.int64)
-    sizes = np.zeros((nb, nb), dtype=np.int32)
-    lo = np.full((nb, nb), nb, dtype=np.int32)
-    hi = np.full((nb, nb), -1, dtype=np.int32)
-    d = np.arange(2)[:, None, None]
-    for g0, g1 in pair_chunks(starts, max(1, _SUM_BUDGET // 8)):
-        rel = starts[g0:g1] - starts[g0]  # each parent's first span column in the chunk
-        w = width[g0:g1]
-        pk = np.repeat(pk0[g0:g1] - rel, w)
-        pk += np.arange(len(pk))  # the parent column of each parent triple
-        at = np.take(a_tab, np.repeat(pi[g0:g1] * h, w) + pk, axis=1)  # [di, t, dk]
-        bt = np.take(b_tab, pk * h + np.repeat(pj[g0:g1], w), axis=1)  # [dj, t, dk]
-        # child column 2*pk + dk: each child pair's sums ascend in (t, dk) order
-        s = (at[:, None] + bt[None]).reshape(2, 2, 2 * len(pk))  # [di, dj, (t, dk)]
-        del at, bt
-        low = np.minimum.reduceat(s, 2 * rel, axis=2)  # [di, dj, parent]
-        ok = s <= np.repeat(low + window, 2 * w, axis=2)
-        del s
-        cnt = np.add.reduceat(ok.view(np.uint8), 2 * rel, axis=2, dtype=np.int32)
-        # the candidates in [di, dj, (t, dk)] order: each child pair's run of
-        # them starts where the counts before it end, and holds at least one
-        flat = np.flatnonzero(ok)
-        del ok
-        end = np.cumsum(cnt.ravel()).reshape(cnt.shape)
-        first, last = flat[end - cnt] % (2 * len(pk)), flat[end - 1] % (2 * len(pk))
-        ci, cj = 2 * pi[g0:g1] + d, 2 * pj[g0:g1] + d.transpose(1, 0, 2)  # child pairs [di, dj, parent]
-        approx[ci, cj] = low
-        sizes[ci, cj] = cnt
-        lo[ci, cj] = 2 * pk[first // 2] + first % 2
-        hi[ci, cj] = 2 * pk[last // 2] + last % 2
-    return CandidateSets(BlockGrid(a.n, l), a.delta, product_matrix(approx), sizes, lo, hi, ra, rb)
+    approx = np.empty((nb, nb), dtype=np.int64)
+    stats = np.empty((3, nb, nb), dtype=np.int32)  # sizes, lo, hi
+    native.scan(x, table, cap, largest, shift, approx, stats)
+    return CandidateSets(BlockGrid(a.n, l), a.delta, product_matrix(approx), *stats, ra, rb)
 
 
 def _check_pair(a: BDMatrix, b: BDMatrix, l: int) -> None:

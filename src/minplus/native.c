@@ -11,12 +11,17 @@
  * operands whose every sum T holds (basic.kernel_operands), so no addition
  * leaves its type.
  *
- * scan_<T> is the top candidate scan of blocking.candidate_sets on the
- * shifted representative tables xa[bi, bk] and xb[bk, bj]: per block pair,
- * the least sum low, the threshold largest - max(cap - low, 0), and the
- * number of block columns whose sum is at most the threshold, with the
- * first and the last of them. Every term stays within T, as the caller's
- * docstring shows.
+ * scan_<T> is the candidate scan of blocking (candidate_sets, child_sets)
+ * on the shifted representative tables xa[bi, bk] and xb[bk, bj], stored
+ * one after the other in reps. It takes a table of rectangles like
+ * min_rects': for each block pair (bi, bj) of a rectangle, over its block
+ * columns k0 <= bk < k1, the least sum, the threshold largest - max(cap -
+ * least, 0), and the number of block columns whose sum is at most the
+ * threshold, with the first and the last of them (stats: the counts, then
+ * the firsts, then the lasts, nb * nb each). Every pair is first filled as
+ * unscanned (approx none, count 0, first nb, last -1); a scanned pair's
+ * approx is its least sum plus shift, in int64. Every term stays within T,
+ * as the caller's docstring shows.
  *
  * min_rects runs over ROWS rows and COLS columns of a rectangle at a time,
  * scan over one block row and COLS block columns at a time, each with a
@@ -111,48 +116,61 @@ static int any_set(const uint8_t *row, long w)
     }
 
 #define SCAN(T, SUFFIX, TMAX)                                                                            \
-    CLONES void scan_##SUFFIX(const T *xa, const T *xb, long nb, T cap, T largest, T *low, int32_t *sizes, \
-                              int32_t *lo, int32_t *hi)                                                  \
+    CLONES void scan_##SUFFIX(const T *reps, long nb, const int64_t *table, long n_rects, T cap,         \
+                              T largest, int64_t shift, int64_t none, int64_t *approx, int32_t *stats)   \
     {                                                                                                    \
+        const T *xa = reps, *xb = reps + nb * nb;                                                        \
+        int32_t *sizes = stats, *lo = sizes + nb * nb, *hi = lo + nb * nb;                               \
         T m[COLS], thr[COLS];                                                                            \
         int32_t cnt[COLS], first[COLS], last[COLS];                                                      \
-        for (long bi = 0; bi < nb; bi++) {                                                               \
-            const T *ar = xa + bi * nb;                                                                  \
-            for (long j0 = 0; j0 < nb; j0 += COLS) {                                                     \
-                long w = nb - j0 < COLS ? nb - j0 : COLS;                                                \
-                for (long j = 0; j < w; j++)                                                             \
-                    m[j] = TMAX;                                                                         \
-                for (long k = 0; k < nb; k++) {                                                          \
-                    const T *bk = xb + k * nb + j0;                                                      \
-                    T x = ar[k];                                                                         \
-                    for (long j = 0; j < w; j++) {                                                       \
-                        T s = (T)(x + bk[j]);                                                            \
-                        m[j] = s < m[j] ? s : m[j];                                                      \
+        for (long p = 0; p < nb * nb; p++) {                                                             \
+            approx[p] = none;                                                                            \
+            sizes[p] = 0;                                                                                \
+            lo[p] = (int32_t)nb;                                                                         \
+            hi[p] = -1;                                                                                  \
+        }                                                                                                \
+        for (long t = 0; t < n_rects; t++) {                                                             \
+            const int64_t *rect = table + 6 * t;                                                         \
+            long r0 = rect[0], r1 = rect[1], c0 = rect[2], c1 = rect[3], k0 = rect[4], k1 = rect[5];     \
+            for (long bi = r0; bi < r1; bi++) {                                                          \
+                const T *ar = xa + bi * nb;                                                              \
+                for (long j0 = c0; j0 < c1; j0 += COLS) {                                                \
+                    long w = c1 - j0 < COLS ? c1 - j0 : COLS;                                            \
+                    for (long j = 0; j < w; j++)                                                         \
+                        m[j] = TMAX;                                                                     \
+                    for (long k = k0; k < k1; k++) {                                                     \
+                        const T *bk = xb + k * nb + j0;                                                  \
+                        T x = ar[k];                                                                     \
+                        for (long j = 0; j < w; j++) {                                                   \
+                            T s = (T)(x + bk[j]);                                                        \
+                            m[j] = s < m[j] ? s : m[j];                                                  \
+                        }                                                                                \
                     }                                                                                    \
-                }                                                                                        \
-                for (long j = 0; j < w; j++) {                                                           \
-                    T d = (T)(cap - m[j]);                                                               \
-                    thr[j] = (T)(largest - (d > 0 ? d : 0));                                             \
-                    cnt[j] = 0;                                                                          \
-                    first[j] = (int32_t)nb;                                                              \
-                    last[j] = -1;                                                                        \
-                }                                                                                        \
-                for (long k = 0; k < nb; k++) {                                                          \
-                    const T *bk = xb + k * nb + j0;                                                      \
-                    T x = ar[k];                                                                         \
-                    int32_t kk = (int32_t)k;                                                             \
                     for (long j = 0; j < w; j++) {                                                       \
-                        int32_t ok = (T)(x + bk[j]) <= thr[j];                                           \
-                        cnt[j] += ok;                                                                    \
-                        first[j] = ok && kk < first[j] ? kk : first[j];                                  \
-                        last[j] = ok ? kk : last[j];                                                     \
+                        T d = (T)(cap - m[j]);                                                           \
+                        thr[j] = (T)(largest - (d > 0 ? d : 0));                                         \
+                        cnt[j] = 0;                                                                      \
+                        first[j] = (int32_t)nb;                                                          \
+                        last[j] = -1;                                                                    \
                     }                                                                                    \
-                }                                                                                        \
-                for (long j = 0; j < w; j++) {                                                           \
-                    low[bi * nb + j0 + j] = m[j];                                                        \
-                    sizes[bi * nb + j0 + j] = cnt[j];                                                    \
-                    lo[bi * nb + j0 + j] = first[j];                                                     \
-                    hi[bi * nb + j0 + j] = last[j];                                                      \
+                    for (long k = k0; k < k1; k++) {                                                     \
+                        const T *bk = xb + k * nb + j0;                                                  \
+                        T x = ar[k];                                                                     \
+                        int32_t kk = (int32_t)k;                                                         \
+                        for (long j = 0; j < w; j++) {                                                   \
+                            int32_t ok = (T)(x + bk[j]) <= thr[j];                                       \
+                            cnt[j] += ok;                                                                \
+                            first[j] = ok && kk < first[j] ? kk : first[j];                              \
+                            last[j] = ok ? kk : last[j];                                                 \
+                        }                                                                                \
+                    }                                                                                    \
+                    long p = bi * nb + j0;                                                               \
+                    for (long j = 0; j < w; j++) {                                                       \
+                        approx[p + j] = (int64_t)m[j] + shift;                                           \
+                        sizes[p + j] = cnt[j];                                                           \
+                        lo[p + j] = first[j];                                                            \
+                        hi[p + j] = last[j];                                                             \
+                    }                                                                                    \
                 }                                                                                        \
             }                                                                                            \
         }                                                                                                \

@@ -1,6 +1,8 @@
 """The two cubic loops of a product in C (``native.c``), loaded through
-ctypes: ``min_rects``, the block kernel behind ``basic._min_blocks``, and
-``scan``, the top candidate scan of ``blocking.candidate_sets``.
+ctypes: ``min_rects``, the block kernel behind ``basic._min_blocks`` and
+``basic.dense_minplus``, and ``scan``, the candidate scan of every level
+(``blocking.candidate_sets`` and ``blocking.child_sets``). Both take one
+table of rectangles (r0, r1, c0, c1, k0, k1), checked by one function.
 
 The library is compiled on first import with the C compiler Python was
 built with (``sysconfig``'s ``CC``, or ``cc`` where that is unset or not
@@ -18,8 +20,8 @@ concurrent import never loads half a file. Without a working compiler the
 import raises ImportError, with the command and its error output.
 
 Each wrapper checks its arrays' types, C-contiguity and shapes, and every
-rectangle's bounds, with explicit raises before it calls into C, so no table
-can make the C code read or write out of bounds. The calls release the GIL
+rectangle's bounds (``_check_table``), with explicit raises before it calls
+into C, so no table can make the C code read or write out of bounds. The calls release the GIL
 (ctypes does) and run on the calling thread.
 """
 
@@ -37,11 +39,14 @@ import tempfile
 
 import numpy as np
 
+from .matrix import INF
+
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "native.c")
 FLAGS = ("-O3", "-shared", "-fPIC")
 
 _SUFFIX = {np.dtype(np.int16): "i16", np.dtype(np.int32): "i32", np.dtype(np.int64): "i64"}
 _CTYPE = {"i16": ctypes.c_int16, "i32": ctypes.c_int32, "i64": ctypes.c_int64}
+_LIMITS = {s: (int(np.iinfo(d).min), int(np.iinfo(d).max)) for d, s in _SUFFIX.items()}
 
 
 def compiler() -> list[str]:
@@ -133,7 +138,7 @@ def _load(path: str) -> ctypes.CDLL:
         rects.argtypes = [ptr, ptr, ptr, n, ptr, ptr, n, n, ctypes.c_int64]
         rects.restype = n
         scan_fn = getattr(lib, f"scan_{suffix}")
-        scan_fn.argtypes = [ptr, ptr, n, ctype, ctype, ptr, ptr, ptr, ptr]
+        scan_fn.argtypes = [ptr, n, ptr, n, ctype, ctype, ctypes.c_int64, ctypes.c_int64, ptr, ptr]
         scan_fn.restype = None
     return lib
 
@@ -148,6 +153,21 @@ def _check(x: np.ndarray, name: str, dtype, shape: tuple) -> None:
         raise ValueError(f"{name} has shape {x.shape}, expected {shape}")
     if not x.flags.c_contiguous:
         raise ValueError(f"{name} must be C-contiguous")
+
+
+def _check_table(table: np.ndarray, rows: int, cols: int, inner: int) -> None:
+    """Raise unless ``table`` is a C-contiguous int64 array of rectangles
+    (r0, r1, c0, c1, k0, k1), each non-empty and inside rows x cols x
+    inner: 0 <= r0 < r1 <= rows, and so on, in one pass."""
+    _check(table, "table", np.int64, (len(table), 6))
+    lo, hi = table[:, 0::2], table[:, 1::2]
+    if ((lo < 0) | (lo >= hi) | (hi > (rows, cols, inner))).any():
+        raise ValueError("a rectangle of the table is empty or out of bounds")
+
+
+def _check_shift(shift: int) -> None:
+    if not -(1 << 63) <= shift < 1 << 63:
+        raise ValueError(f"shift {shift} is outside int64")
 
 
 def _suffix(x: np.ndarray, name: str) -> str:
@@ -179,45 +199,39 @@ def min_rects(a: np.ndarray, b: np.ndarray, table: np.ndarray, out: np.ndarray, 
     _check(b, "b", a.dtype, (k, n))
     _check(out, "out", np.int64, (m, n))
     _check(done, "done", np.bool_, (m, n))
-    _check(table, "table", np.int64, (len(table), 6))
-    if len(table) and not (
-        (table[:, 0::2] >= 0).all()
-        and (table[:, 0::2] < table[:, 1::2]).all()
-        and (table[:, 1::2] <= (m, n, k)).all()
-    ):
-        raise ValueError("a rectangle of the table is empty or out of bounds")
-    if not -(1 << 63) <= shift < 1 << 63:
-        raise ValueError(f"shift {shift} is outside int64")
+    _check_table(table, m, n, k)
+    _check_shift(shift)
     fn = getattr(_lib, f"min_rects_{suffix}")
     return fn(a.ctypes.data, b.ctypes.data, table.ctypes.data, len(table), out.ctypes.data, done.ctypes.data, k, n, shift)
 
 
 def scan(
-    xa: np.ndarray,
-    xb: np.ndarray,
-    cap: int,
-    largest: int,
-    low: np.ndarray,
-    sizes: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
+    x: np.ndarray, table: np.ndarray, cap: int, largest: int, shift: int, approx: np.ndarray, stats: np.ndarray
 ) -> None:
-    """The top candidate scan on the square tables xa[bi, bk] and xb[bk, bj]
-    of one int16, int32 or int64 type: per block pair (bi, bj), the least sum
-    xa[bi, bk] + xb[bk, bj] into ``low`` (the tables' type), and, with the
-    threshold largest - max(cap - low, 0), the number of block columns bk
-    whose sum is at most it into ``sizes``, the first of them into ``lo`` and
-    the last into ``hi`` (int32; nb and -1 where there is none). The type
-    must hold every sum, ``cap`` and ``largest``, and every term of the
-    threshold (``blocking.candidate_sets``)."""
-    suffix = _suffix(xa, "xa")
-    nb = len(xa)
-    for x, name in ((xa, "xa"), (xb, "xb"), (low, "low")):
-        _check(x, name, xa.dtype, (nb, nb))
-    for x, name in ((sizes, "sizes"), (lo, "lo"), (hi, "hi")):
-        _check(x, name, np.int32, (nb, nb))
-    info = np.iinfo(xa.dtype)
-    if not (info.min <= cap <= info.max and info.min <= largest <= info.max):
-        raise ValueError(f"cap {cap} or largest {largest} is outside {xa.dtype}")
+    """The candidate scan on the square tables xa[bi, bk] = x[0] and
+    xb[bk, bj] = x[1] of one int16, int32 or int64 array ``x``, over each
+    rectangle (r0, r1, c0, c1, k0, k1) of ``table`` (block rows bi, block
+    columns bj, and the block columns bk scanned): per block pair, the
+    least sum xa[bi, bk] + xb[bk, bj] plus ``shift`` into the int64
+    ``approx``, and, with the threshold largest - max(cap - least, 0), the
+    number of block columns bk whose sum is at most it, the first of them
+    and the last into the int32 ``stats[0]``, ``stats[1]`` and
+    ``stats[2]``. Every pair no rectangle holds gets approx INF, size 0,
+    first nb and last -1. The type must hold every sum, ``cap`` and
+    ``largest``, and every term of the threshold (``blocking._scan``); a
+    later rectangle overwrites a pair an earlier one scanned."""
+    suffix = _suffix(x, "x")
+    if x.ndim != 3:
+        raise ValueError("x must be 3-D")
+    nb = x.shape[2]
+    _check(x, "x", x.dtype, (2, nb, nb))
+    _check(approx, "approx", np.int64, (nb, nb))
+    _check(stats, "stats", np.int32, (3, nb, nb))
+    _check_table(table, nb, nb, nb)
+    least, most = _LIMITS[suffix]
+    if not (least <= cap <= most and least <= largest <= most):
+        raise ValueError(f"cap {cap} or largest {largest} is outside {x.dtype}")
+    _check_shift(shift)
     fn = getattr(_lib, f"scan_{suffix}")
-    fn(xa.ctypes.data, xb.ctypes.data, nb, cap, largest, low.ctypes.data, sizes.ctypes.data, lo.ctypes.data, hi.ctypes.data)
+    table_ptr, approx_ptr, stats_ptr = table.ctypes.data, approx.ctypes.data, stats.ctypes.data
+    fn(x.ctypes.data, nb, table_ptr, len(table), cap, largest, shift, INF, approx_ptr, stats_ptr)

@@ -816,7 +816,7 @@ def test_engines_exact_at_block_length_16(pool, engine, family):
 @pytest.mark.parametrize("n", [8, 64, 256])
 @pytest.mark.parametrize("family", ["walk", "valley"])
 def test_dense_minplus_matches_naive(pool, n, family):
-    # the dense reference runs at a tile of 16, or of n below that
+    # the dense reference is one rectangle: every entry over every inner index
     a, b = pool.pair(n, 2, 1) if family == "walk" else valley_bd(n, 2, n)
     assert np.array_equal(mp.dense_minplus(a.base, b.base).data, mp.minplus_naive(a.base, b.base).data)
 
@@ -825,7 +825,7 @@ def test_dense_minplus_operands():
     rng = np.random.default_rng(0)
     a, b = random_matrix(rng, 24, 24, mp.MAX_OPERAND), random_matrix(rng, 24, 24, mp.MAX_OPERAND)
     assert kernel_operands(a, b).a.dtype == np.int64  # the whole operand range: int64 kernels
-    assert mp.dense_minplus(a, b) == mp.minplus_naive(a, b)  # 24 is no multiple of 16: tile 8
+    assert mp.dense_minplus(a, b) == mp.minplus_naive(a, b)  # 24, no power of two
     small = random_matrix(rng, 8, 8, 5)
     for x, y in [
         (random_matrix(rng, 8, 4, 5), random_matrix(rng, 4, 8, 5)),  # not square
@@ -1102,14 +1102,35 @@ def test_native_refuses_malformed_input(monkeypatch):
     ]:
         with pytest.raises((TypeError, ValueError)):
             mp.native.min_rects(*args)
-    x = np.zeros((4, 4), dtype=np.int16)
-    stats = [np.zeros((4, 4), dtype=np.int32) for _ in range(3)]
+    x = np.zeros((2, 4, 4), dtype=np.int16)
+    approx, stats = np.zeros((4, 4), dtype=np.int64), np.zeros((3, 4, 4), dtype=np.int32)
+    whole = np.array([[0, 4, 0, 4, 0, 4]], dtype=np.int64)
+    bad_scan_tables = [
+        [[0, 5, 0, 4, 0, 4]],  # rows past the grid
+        [[0, 4, 0, 5, 0, 4]],  # columns past the grid
+        [[0, 4, 0, 4, 1, 5]],  # scanned columns past the grid
+        [[0, 4, -1, 4, 0, 4]],  # negative start
+        [[2, 2, 0, 4, 0, 4]],  # no rows
+        [[0, 4, 0, 4, 3, 3]],  # no scanned column
+        [[0, 2, 0, 2, 0, 4], [0, 4, 3, 1, 0, 4]],  # a bad rectangle after a good one
+    ]
+    for rect in bad_scan_tables:
+        with pytest.raises(ValueError):
+            mp.native.scan(x, np.array(rect, dtype=np.int64), 0, 1, 0, approx, stats)
     for args in [
-        (x, x.astype(np.int32), 0, 1, x.copy(), *stats),
-        (x, x, 0, 1, x.astype(np.int32), *stats),
-        (x, x, 0, 1, x.copy(), stats[0].astype(np.int64), *stats[1:]),
-        (x, np.zeros((4, 8), dtype=np.int16)[:, ::2], 0, 1, x.copy(), *stats),
-        (x, x, 0, 1 << 15, x.copy(), *stats),  # largest past int16
+        (x.astype(np.int8), whole, 0, 1, 0, approx, stats),  # no scan for the type
+        (x[0], whole, 0, 1, 0, approx, stats),  # not two tables
+        (np.zeros((3, 4, 4), dtype=np.int16), whole, 0, 1, 0, approx, stats),
+        (np.zeros((2, 4, 8), dtype=np.int16)[:, :, ::2], whole, 0, 1, 0, approx, stats),  # non-contiguous
+        (x, whole.astype(np.int32), 0, 1, 0, approx, stats),  # table type
+        (x, np.zeros((2, 12), dtype=np.int64)[:, ::2], 0, 1, 0, approx, stats),
+        (x, whole, 0, 1, 0, approx.astype(np.int32), stats),  # approx type
+        (x, whole, 0, 1, 0, approx[:3], stats),
+        (x, whole, 0, 1, 0, approx, stats.astype(np.int64)),  # stats type
+        (x, whole, 0, 1, 0, approx, stats[:2]),
+        (x, whole, 0, 1 << 15, 0, approx, stats),  # largest past int16
+        (x, whole, -(1 << 15) - 1, 1, 0, approx, stats),  # cap past int16
+        (x, whole, 0, 1, 1 << 63, approx, stats),  # shift past int64
     ]:
         with pytest.raises((TypeError, ValueError)):
             mp.native.scan(*args)
@@ -1117,28 +1138,52 @@ def test_native_refuses_malformed_input(monkeypatch):
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
 def test_native_scan_matches_reference(dtype):
-    # the compiled scan against numpy on tables wider than its column chunk,
-    # with thresholds clamped at largest and pairs that admit nothing past
-    # the minimum: the minimum, count, first and last admitted column of
-    # every pair
+    # the compiled scan against numpy on a table of several rectangles, on
+    # a grid wider than its column chunk: 2 x 2 rectangles of child pairs, a
+    # rectangle over part of the block columns, a rectangle across the
+    # chunk edge and one past it, and one pair whose minimum passes cap, so
+    # its threshold is clamped at largest. Each pair of a rectangle gets the
+    # minimum plus the shift, and the count, first and last admitted column
+    # among the rectangle's block columns only; every other pair keeps the
+    # fill: INF, size 0, first nb and last -1
     rng = np.random.default_rng(3)
-    nb = _column_chunk() + 9
+    chunk = _column_chunk()
+    nb = chunk + 9
     top = 4000 if dtype == np.int16 else 1 << 20
-    xa = rng.integers(0, top // 2 + 1, size=(nb, nb)).astype(dtype)
-    xb = rng.integers(0, top // 2 + 1, size=(nb, nb)).astype(dtype)
-    cap, largest = top - 900, top
-    low = np.empty((nb, nb), dtype)
-    sizes, lo, hi = (np.empty((nb, nb), dtype=np.int32) for _ in range(3))
-    mp.native.scan(xa, xb, cap, largest, low, sizes, lo, hi)
-    ks = np.arange(nb)
-    for bi in range(0, nb, 7):
-        sums = xa[bi, :, None].astype(np.int64) + xb  # [bk, bj]
-        m = sums.min(axis=0)
-        ok = sums <= largest - np.maximum(cap - m, 0)
-        assert np.array_equal(low[bi], m)
-        assert np.array_equal(sizes[bi], ok.sum(axis=0))
-        assert np.array_equal(lo[bi], np.where(ok, ks[:, None], nb).min(axis=0))
-        assert np.array_equal(hi[bi], np.where(ok, ks[:, None], -1).max(axis=0))
+    x = rng.integers(0, top // 2 + 1, size=(2, nb, nb)).astype(dtype)
+    x[0, 20, 30] = x[1, 30, 20] = top // 2
+    cap, largest, shift = top - 900, top, 1 << 40
+    table = np.array(
+        [
+            (0, 2, 0, 2, 4, 10),  # child pairs over part of the columns
+            (0, 2, 2, 4, 0, 2),
+            (2, 4, 0, 2, 2, 9),
+            (4, 9, 3, 11, 5, nb - 3),
+            (10, 12, 0, nb, 0, nb),  # every column, past the chunk
+            (12, 13, chunk - 3, nb, 7, chunk + 4),  # across the chunk edge
+            (20, 21, 20, 21, 30, 31),  # one column, whose sum passes cap
+        ],
+        dtype=np.int64,
+    )
+    approx = np.empty((nb, nb), dtype=np.int64)
+    stats = np.empty((3, nb, nb), dtype=np.int32)
+    mp.native.scan(x, table, cap, largest, shift, approx, stats)
+    sizes, lo, hi = stats
+    scanned = np.zeros((nb, nb), dtype=bool)
+    for r0, r1, c0, c1, k0, k1 in table.tolist():
+        sums = x[0, r0:r1, k0:k1, None].astype(np.int64) + x[1, None, k0:k1, c0:c1]  # [bi, bk, bj]
+        m = sums.min(axis=1)
+        ok = sums <= largest - np.maximum(cap - m, 0)[:, None]
+        ks = np.arange(k0, k1)[None, :, None]
+        assert np.array_equal(approx[r0:r1, c0:c1], m + shift)
+        assert np.array_equal(sizes[r0:r1, c0:c1], ok.sum(axis=1))
+        assert np.array_equal(lo[r0:r1, c0:c1], np.where(ok, ks, nb).min(axis=1))
+        assert np.array_equal(hi[r0:r1, c0:c1], np.where(ok, ks, -1).max(axis=1))
+        scanned[r0:r1, c0:c1] = True
+    assert approx[20, 20] == top + shift and top > cap
+    assert (sizes[scanned] > 1).any()
+    assert (approx[~scanned] == mp.INF).all() and (sizes[~scanned] == 0).all()
+    assert (lo[~scanned] == nb).all() and (hi[~scanned] == -1).all()
 
 
 def test_native_library_is_cached(monkeypatch, tmp_path):

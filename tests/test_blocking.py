@@ -5,7 +5,7 @@ import pytest
 
 import minplus as mp
 from minplus import Matrix
-from minplus.blocking import BlockGrid, candidate_sets
+from minplus.blocking import BlockGrid, candidate_sets, child_sets
 
 from conftest import candidate_mask, check_candidate_sets, two_valley_bd, valley_bd
 
@@ -106,14 +106,15 @@ def _cap_pair():
     "case, dtype",
     [("walk", np.int16), ("valley", np.int16), ("wide-walk", np.int32), ("huge-delta", np.int64), ("cap", np.int64)],
 )
-def test_candidate_sets_in_every_scan_type(case, dtype):
+def test_candidate_sets_in_every_scan_type(monkeypatch, case, dtype):
     # the scan runs on tables shifted to start at 0 in int16 or int32 when
     # 4*(delta - 1)*(n - l), the widest sum two delta-bounded tables can
     # have, fits, and on the unshifted int64 tables otherwise: the CI's
     # delta = 3000 pair (seeds 3 and 4) needs int32 at every l, a walk at
     # delta = 2**30 int64, and the operand-cap pair, whose sums span 2**63,
-    # int64 with a window past the int64 range. Every type gives the
-    # reference sets at every block length
+    # int64 with a window past the int64 range. The top scan and the child
+    # scan, with every pair of the level above as a parent, run in that
+    # type and give the reference sets at every block length
     if case == "walk":
         a, b = mp.generate_bd(64, 2, 1), mp.generate_bd(64, 2, 2)
     elif case == "valley":
@@ -124,11 +125,28 @@ def test_candidate_sets_in_every_scan_type(case, dtype):
         a, b = mp.generate_bd(16, 1 << 30, 5), mp.generate_bd(16, 1 << 30, 6)
     else:
         a, b = _cap_pair()
-    l = a.n
+    types = []
+    real = mp.native.scan
+
+    def recording(x, *args):
+        types.append(x.dtype)
+        return real(x, *args)
+
+    monkeypatch.setattr(mp.native, "scan", recording)
+    l, above = a.n, None
     while l >= 1:
         top = 4 * (a.delta - 1) * (a.n - l)
-        assert (np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64) == dtype or l == a.n
-        check_candidate_sets(candidate_sets(a, b, l), a, b)
+        want = np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64
+        assert want == dtype or l == a.n
+        types.clear()
+        cs = candidate_sets(a, b, l)
+        check_candidate_sets(cs, a, b)
+        if above is not None:
+            nb = a.n // (2 * l)
+            parents = np.argwhere(np.ones((nb, nb), dtype=bool))
+            check_candidate_sets(child_sets(a, b, l, parents, above), a, b)
+        assert types == [want] * (1 + (above is not None))
+        above = cs
         l //= 2
 
 

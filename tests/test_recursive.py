@@ -298,27 +298,48 @@ def test_level_child_sets_equal_dense_sets(pool, monkeypatch, family, delta, alp
     # its minima, counts and spans are the full scan's on every child pair,
     # as the test-side reference mask gives them. alpha = 0.6 gives l0 = 8,
     # so the levels at l = 4 and 2 read the spans of a scanned level; on two
-    # valleys the parents' spans hold gaps
+    # valleys the parents' spans hold gaps. The scan stacks child pairs into
+    # rectangles over the union of their parents' child columns: on the
+    # valleys at delta > 1 some pair's rectangle scans columns past its own
+    # parent's, the case the lemma makes exact
     n = 128
     if family == "walk":
         a, b = pool.pair(n, delta, 2)
     else:
         a, b = (valley_bd if family == "valley" else two_valley_bd)(n, delta, n + delta)
     ad, bd = a.base.data, b.base.data
-    scans = []
-    real = basic.child_sets
+    scans, tables = [], []
+    real, real_scan = basic.child_sets, mp.native.scan
 
     def recording(a_, b_, l, parents, spans):
         cs = real(a_, b_, l, parents, spans)
         scans.append((l, parents, cs))
+        pi, pj = parents[:, 0], parents[:, 1]
+        own = np.zeros((n // l, n // l, 2), dtype=np.int64)  # each child's own columns
+        for di in (0, 1):
+            for dj in (0, 1):
+                own[2 * pi + di, 2 * pj + dj] = np.stack((2 * spans.lo[pi, pj], 2 * spans.hi[pi, pj] + 2), axis=1)
+        tables.append((tables.pop(), own))  # the table of the scan just made
         return cs
 
+    def recording_scan(x, table, *args):
+        tables.append(table.copy())
+        return real_scan(x, table, *args)
+
     monkeypatch.setattr(basic, "child_sets", recording)
+    monkeypatch.setattr(mp.native, "scan", recording_scan)
     params = AlgoParams(delta=delta, alpha=alpha, seed=7, l_min=1)
     trace = []
     want = mp.minplus_naive(a.base, b.base).data
     assert np.array_equal(mp.recursive_minplus(a, b, params, level_trace=trace).data, want)
     assert [l for l, _, _ in scans] == [cur.block_len for prev, cur in zip(trace, trace[1:]) if len(prev.pending)]
+    widened = 0
+    for table, own in tables[1:]:
+        for r0, r1, c0, c1, k0, k1 in table.tolist():
+            members = own[r0:r1, c0:c1]
+            assert (members[..., 0] >= k0).all() and (members[..., 1] <= k1).all()
+            widened += int(((members[..., 0] > k0) | (members[..., 1] < k1)).sum())
+    assert widened > 0 or family == "walk" or delta == 1
     for l, parents, cs in scans:
         nb = n // l
         eligible = np.zeros((nb, nb), dtype=bool)
