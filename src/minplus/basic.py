@@ -55,17 +55,18 @@ The sampled columns of a level hand all their pairs to one kernel call, so
 pairs split between columns still form whole rows there.
 
 The kernel runs in the operands' narrowest type. Once per product,
-``kernel_operands`` shifts the operands to start at 0, A - min A and
-B - min B, and stores them in the narrowest of int16, int32 and int64
+``blocking.kernel_operands`` shifts the operands to start at 0, A - min A
+and B - min B, and stores them in the narrowest of int16, int32 and int64
 whose max holds span(A) + span(B). Every sum the kernel forms lies in
 [0, span(A) + span(B)], so it is exact in that type; a bounded-difference
 operand spans at most 2*(delta-1)*(n-1), so small delta gives int16. The
-kernel adds the shift min A + min B back as it writes. The candidate
-scans of every level narrow their representative tables by the same rule
-(``blocking._scan``) and write their minima back in int64, which
-the block length 1 reads take (``_finalize``). The bucket sums stay on the
-int64 originals: a bucket is a difference within one row of A or one
-column of B, where the shift cancels anyway.
+kernel adds the shift min A + min B back as it writes. The top candidate
+scan makes these operands (``candidate_sets``) and keeps them on its sets
+(``CandidateSets.kern``), where the scans of every level and the kernel
+read them; the scans write their minima back in int64, which the block
+length 1 reads take (``_finalize``). The bucket sums stay on the int64
+originals: a bucket is a difference within one row of A or one column of
+B, where the shift cancels anyway.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import native
-from .blocking import CandidateSets, candidate_sets, child_sets, rectangles
-from .matrix import BDMatrix, Matrix, operand_range, product_matrix
+from .blocking import CandidateSets, KernelOperands, candidate_sets, child_sets, kernel_operands, rectangles
+from .matrix import BDMatrix, Matrix, product_matrix
 
 SEGMENT_WIDTH = 20  # value segments are 20*delta*l wide
 # A-side bucket p corresponds to B-side bucket shift - p, one relation per
@@ -349,35 +350,6 @@ def sample_r(cands: CandidateSets, params: AlgoParams, active: np.ndarray | None
 _TRIPLE_BUDGET = 1 << 17
 
 
-@dataclass(eq=False)
-class KernelOperands:
-    """A product's operands as the block kernels read them: A - min A and
-    B - min B, whose sums are the original sums minus ``shift`` = min A +
-    min B, in one integer type that holds every such sum."""
-
-    a: np.ndarray
-    b: np.ndarray
-    shift: int
-
-
-def kernel_operands(x: Matrix, y: Matrix) -> KernelOperands:
-    """The all-finite operands x and y of a product shifted to start at 0,
-    in the narrowest of int16, int32 and int64 whose max holds span(x) +
-    span(y), the largest shifted sum. Every sum, and so every minimum, a
-    kernel forms on them is then exact in that type; a kernel value plus
-    ``shift`` is the original's. One min and one max per operand both find
-    the shift and check the operand cap (``operand_range``, which raises
-    ValueError); within the cap a span is at most 2**61, so int64 holds
-    every shifted sum."""
-    (lo_a, hi_a), (lo_b, hi_b) = operand_range(x, "a"), operand_range(y, "b")
-    top = hi_a - lo_a + hi_b - lo_b
-    dtype = np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64
-    # subtracted in int64 and written in the narrow type, chunk by chunk
-    a = np.subtract(x.data, lo_a, out=np.empty(x.data.shape, dtype))
-    b = np.subtract(y.data, lo_b, out=np.empty(y.data.shape, dtype))
-    return KernelOperands(a, b, lo_a + lo_b)
-
-
 def _min_blocks(
     kern: KernelOperands,
     l: int,
@@ -554,17 +526,15 @@ class LevelState:
     assigned: dict[int, np.ndarray]  # sampled column -> the active pairs it computed
 
 
-def check_operands(a: BDMatrix, b: BDMatrix, params: AlgoParams, caller: str) -> KernelOperands:
-    """Validate an engine's inputs; returns their kernel operands. A
-    bounded-difference matrix is all finite, so one min and one max of each
-    operand both check it against the operand cap and shift it."""
+def check_operands(a: BDMatrix, b: BDMatrix, params: AlgoParams, caller: str) -> None:
+    """Validate an engine's inputs. The operand cap is checked where the
+    kernel operands are made, by the top candidate scan (``candidate_sets``)."""
     if not isinstance(a, BDMatrix) or not isinstance(b, BDMatrix):
         raise TypeError(f"{caller} expects BDMatrix inputs")
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     if a.delta != b.delta or a.delta != params.delta:
         raise ValueError("delta mismatch between inputs and params")
-    return kernel_operands(a.base, b.base)
 
 
 def run_levels(
@@ -572,14 +542,13 @@ def run_levels(
     b: BDMatrix,
     params: AlgoParams,
     levels: list[int],
-    kern: KernelOperands,
     counters: Counters | None = None,
     level_trace: list[LevelState] | None = None,
 ) -> Matrix:
     """Exact product of inputs that passed check_operands, over the block
     lengths ``levels`` (the top block length first, each next one half the
-    one before), with the block kernels on ``kern``, the kernel operands
-    check_operands returned.
+    one before), with the block kernels on the kernel operands that the
+    top candidate scan made (``CandidateSets.kern``).
 
     The top level computes every pair's candidate sets; each finer level
     computes only those of the children of the pairs refined to it, under
@@ -601,6 +570,7 @@ def run_levels(
     t_beta = params.t_beta(n)
     eligible = np.ones((n // levels[0], n // levels[0]), dtype=bool)
     cands = candidate_sets(a, b, levels[0])
+    kern = cands.kern
     # made after the top scan's buffers are freed; every entry is written once
     c = np.empty((n, n), dtype=np.int64)
     done = np.zeros((n, n), dtype=bool)
@@ -651,5 +621,5 @@ def basic_minplus(
     Deterministic for a fixed params.seed; always bitwise equal to the naive
     product because unassigned pairs fall back to candidate enumeration.
     """
-    kern = check_operands(a, b, params, "basic_minplus")
-    return run_levels(a, b, params, [params.block_len(a.n)], kern, counters, level_trace)
+    check_operands(a, b, params, "basic_minplus")
+    return run_levels(a, b, params, [params.block_len(a.n)], counters, level_trace)

@@ -30,6 +30,13 @@ a full scan (``test_level_child_sets_equal_dense_sets`` in
 ``tests/test_recursive.py`` checks it level by level,
 ``test_child_candidates_inside_parent`` the lemma itself).
 
+The scan reads the representatives of the block kernel's operands. Once
+per product, ``candidate_sets`` shifts the operands to start at 0, A - min
+A and B - min B, in the narrowest of int16, int32 and int64 whose max holds
+span(A) + span(B) (``kernel_operands``), and keeps them on the sets
+(``CandidateSets.kern``): every level's scan and the block kernel of
+``basic`` run on them, in that one type.
+
 Nesting lemma. Take a child pair (i', j') and child column k' at length
 l/2, with parent pair (i'//2, j'//2) and column k'//2. Child and parent
 representatives are at most l/2 apart on each index and adjacent entries
@@ -52,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import native
-from .matrix import BDMatrix, Matrix, product_matrix
+from .matrix import BDMatrix, Matrix, operand_range, product_matrix
 
 CANDIDATE_WINDOW = 8  # admission threshold is approx + 8*delta*l
 
@@ -109,6 +116,36 @@ def rectangles(pairs: np.ndarray, lo: np.ndarray, hi: np.ndarray, nb: int) -> np
     return np.stack((bi0, bi0 + rows, bj0, bj0 + wd, span_lo, span_hi + 1), axis=1).astype(np.int64)
 
 
+@dataclass(eq=False)
+class KernelOperands:
+    """A product's operands as the block kernel and the candidate scans read
+    them: A - min A and B - min B, whose sums are the original sums minus
+    ``shift`` = min A + min B, in one integer type that holds every such
+    sum."""
+
+    a: np.ndarray
+    b: np.ndarray
+    shift: int
+
+
+def kernel_operands(x: Matrix, y: Matrix) -> KernelOperands:
+    """The all-finite operands x and y of a product shifted to start at 0,
+    in the narrowest of int16, int32 and int64 whose max holds span(x) +
+    span(y), the largest shifted sum. Every sum, and so every minimum, a
+    kernel or a scan forms on them is then exact in that type; a kernel
+    value plus ``shift`` is the original's. One min and one max per operand
+    both find the shift and check the operand cap (``operand_range``, which
+    raises ValueError); within the cap a span is at most 2**61, so int64
+    holds every shifted sum."""
+    (lo_a, hi_a), (lo_b, hi_b) = operand_range(x, "a"), operand_range(y, "b")
+    top = hi_a - lo_a + hi_b - lo_b
+    dtype = np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64
+    # subtracted in int64 and written in the narrow type, chunk by chunk
+    a = np.subtract(x.data, lo_a, out=np.empty(x.data.shape, dtype))
+    b = np.subtract(y.data, lo_b, out=np.empty(y.data.shape, dtype))
+    return KernelOperands(a, b, lo_a + lo_b)
+
+
 # ---------------------------------------------------------------------------
 # candidate sets
 
@@ -116,16 +153,15 @@ def rectangles(pairs: np.ndarray, lo: np.ndarray, hi: np.ndarray, nb: int) -> np
 @dataclass(frozen=True, eq=False)
 class CandidateSets:
     """Per block pair (bi, bj), the block columns bk whose representative
-    sums ra[bi, bk] + rb[bk, bj] come within 8*delta*l of their minimum
-    ``approx[bi, bj]``: how many there are (``sizes``) and the span
+    sums A[bi*l, bk*l] + B[bk*l, bj*l] come within 8*delta*l of their
+    minimum ``approx[bi, bj]``: how many there are (``sizes``) and the span
     ``lo[bi, bj]..hi[bi, bj]`` from the first to the last.
 
     A span holds every candidate, and so the block of every optimal
     witness: a minimum over it, or over any larger set of block columns, is
-    the product entry. ``ra`` and
-    ``rb`` are the representative tables A[::l, ::l] and B[::l, ::l] the
-    sets were scanned from. Pairs a level did not scan have size 0, approx
-    INF and an empty span (lo > hi).
+    the product entry. ``kern`` holds the product's kernel operands, whose
+    representatives the sets were scanned from. Pairs a level did not scan
+    have size 0, approx INF and an empty span (lo > hi).
     """
 
     grid: BlockGrid
@@ -134,8 +170,7 @@ class CandidateSets:
     sizes: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    ra: np.ndarray
-    rb: np.ndarray
+    kern: KernelOperands
 
     def first_candidate(self, pairs: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Smallest of the ascending block columns ``cols`` that is a
@@ -146,7 +181,8 @@ class CandidateSets:
         ra[bi, k] + rb[k, bj] <= approx[bi, bj] + 8*delta*l, runs on the
         columns, a few pairs at a time (at most _SUM_BUDGET tests), each
         chunk on the columns inside the union of its pairs' spans: no
-        candidate lies outside its pair's span.
+        candidate lies outside its pair's span. It runs on the kernel
+        operands' representatives, against approx - shift + 8*delta*l.
         """
         nb = self.grid.n_blocks
         bi, bj = pairs[:, 0], pairs[:, 1]
@@ -157,8 +193,9 @@ class CandidateSets:
         gaps = np.flatnonzero(hi - lo + 1 > self.sizes[bi, bj])
         if len(gaps):
             c1 = np.searchsorted(cols, hi, side="right")
-            bound = self.approx.data[bi, bj] + CANDIDATE_WINDOW * self.delta * self.grid.l
-            ra, rbt = self.ra[:, cols], self.rb[cols].T  # [bi, c], [bj, c]
+            l = self.grid.l
+            bound = self.approx.data[bi, bj] - self.kern.shift + CANDIDATE_WINDOW * self.delta * l
+            ra, rbt = self.kern.a[::l, ::l][:, cols], self.kern.b[::l, ::l][cols].T  # [bi, c], [bj, c]
             step = max(1, _SUM_BUDGET // len(cols))
             for g0 in range(0, len(gaps), step):
                 g = gaps[g0 : g0 + step]
@@ -179,18 +216,21 @@ def candidate_sets(a: BDMatrix, b: BDMatrix, l: int) -> CandidateSets:
     the minimum of those sums over bk. ``approx`` is within 4*delta*l of the
     true product on every entry of each block.
 
-    Every block containing an optimal witness column is admitted. The scan
-    (``_scan``) is one rectangle: every block pair over every block column.
+    Every block containing an optimal witness column is admitted. The
+    product's kernel operands are made here (``kernel_operands``, which
+    refuses operands beyond the operand cap with ValueError) and kept on
+    the sets; the scan (``_scan``) is one rectangle: every block pair over
+    every block column.
     """
     _check_pair(a, b, l)
     nb = a.n // l
-    return _scan(a, b, l, np.array([(0, nb, 0, nb, 0, nb)], dtype=np.int64))
+    return _scan(kernel_operands(a.base, b.base), a.delta, l, np.array([(0, nb, 0, nb, 0, nb)], dtype=np.int64))
 
 
 def child_sets(a: BDMatrix, b: BDMatrix, l: int, parents: np.ndarray, spans: CandidateSets) -> CandidateSets:
     """Candidate sets at block length l of the four children of each parent
     pair (block length 2*l), scanning only child columns under the parents'
-    spans in ``spans``, the parents' sets.
+    spans in ``spans``, the parents' sets, on their kernel operands.
 
     The parents are grouped into rectangles over their spans
     (``rectangles``), and each is doubled into the rectangle of their
@@ -208,52 +248,36 @@ def child_sets(a: BDMatrix, b: BDMatrix, l: int, parents: np.ndarray, spans: Can
     lo, hi = spans.lo[pi, pj], spans.hi[pi, pj]
     if (lo > hi).any():
         raise ValueError("parent pair without a candidate span")
-    return _scan(a, b, l, 2 * rectangles(parents, lo, hi, a.n // (2 * l)))
+    return _scan(spans.kern, a.delta, l, 2 * rectangles(parents, lo, hi, a.n // (2 * l)))
 
 
-def _scan(a: BDMatrix, b: BDMatrix, l: int, table: np.ndarray) -> CandidateSets:
+def _scan(kern: KernelOperands, delta: int, l: int, table: np.ndarray) -> CandidateSets:
     """The candidate sets at block length l of the block pairs in the
     rectangles of ``table`` (``native.scan``), each over the block columns
     of its rectangle; the other pairs are left unscanned.
 
-    The scan runs on the representative tables shifted to start at 0, as
-    ``basic.kernel_operands`` shifts the operands, in int16 or int32 where
-    that type holds 4*(delta-1)*(n-l), the largest sum two shifted
-    delta-bounded tables can have; the bound costs no pass over the tables.
-    Wider tables are scanned unshifted in int64, where no sum of two entries
-    within 2**61 wraps. Each pair's threshold is min(approx + 8*delta*l,
-    the largest sum), which the type holds, and no sum exceeds the largest,
-    so the test is the one of ``candidate_sets``. The compiled loop makes,
-    per block row of a rectangle, a pass over its block columns for each
-    pair's minimum, then one for its count and its first and last admitted
-    column, with no sum kept, and writes ``approx`` in int64 with the shift
-    added back; ``approx`` is wrapped as a Matrix without a copy.
+    The scan runs on the representatives of the kernel operands ``kern``,
+    in their type, which holds span(A) + span(B): no shifted sum exceeds
+    the type's max, ``largest``. Each pair's threshold is min(approx +
+    8*delta*l, largest) = largest - max(cap - approx, 0) with cap = largest
+    - min(8*delta*l, largest), so no term leaves the type, and it admits
+    exactly the columns the unclamped window does. The compiled loop
+    reduces each rectangle for the pairs' minima, as the block kernel
+    does, then makes one pass over its block columns for each pair's count
+    and first and last admitted column, with no sum kept, and writes
+    ``approx`` in int64 with ``kern.shift`` added back; ``approx`` is
+    wrapped as a Matrix without a copy.
     """
-    ra, rb = a.base.data[::l, ::l], b.base.data[::l, ::l]
-    nb = ra.shape[0]
-    # two representatives are at most 2*(n - l) unit steps apart, each of
-    # less than delta: a table spans at most half of top, and no sum of the
-    # shifted tables exceeds top
-    top = 4 * (a.delta - 1) * (a.n - l)
-    if top < 1 << 31:
-        dtype = np.int16 if top < 1 << 15 else np.int32
-        lo_a, lo_b = int(ra.min()), int(rb.min())
-        x = np.empty((2, nb, nb), dtype)  # [bi, bk] and [bk, bj]
-        np.subtract(ra, lo_a, out=x[0])
-        np.subtract(rb, lo_b, out=x[1])
-        shift, largest = lo_a + lo_b, top
-    else:
-        # unshifted, entries within 2**61: every sum lies in [-2**62, 2**62]
-        shift, largest, top = 0, 1 << 62, 1 << 63
-        x = np.stack((ra, rb))
-    # each pair's threshold, min(approx + window, largest), is largest -
-    # max(cap - approx, 0): no term leaves the type. The sums range over at
-    # most top, so a window wider than top admits as much as top does
-    cap = largest - min(CANDIDATE_WINDOW * a.delta * l, top)
+    n = kern.a.shape[0]
+    nb = n // l
+    x = np.empty((2, nb, nb), kern.a.dtype)  # [bi, bk] and [bk, bj]
+    x[0], x[1] = kern.a[::l, ::l], kern.b[::l, ::l]
+    largest = int(np.iinfo(x.dtype).max)
+    cap = largest - min(CANDIDATE_WINDOW * delta * l, largest)
     approx = np.empty((nb, nb), dtype=np.int64)
     stats = np.empty((3, nb, nb), dtype=np.int32)  # sizes, lo, hi
-    native.scan(x, table, cap, largest, shift, approx, stats)
-    return CandidateSets(BlockGrid(a.n, l), a.delta, product_matrix(approx), *stats, ra, rb)
+    native.scan(x, table, cap, largest, kern.shift, approx, stats)
+    return CandidateSets(BlockGrid(n, l), delta, product_matrix(approx), *stats, kern)
 
 
 def _check_pair(a: BDMatrix, b: BDMatrix, l: int) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .basic import AlgoParams, Counters, basic_minplus, dense_minplus
-from .matrix import INF, BDMatrix, FormatError, Matrix, generate_bd, read_matrix, write_matrix
+from .matrix import BDMatrix, FormatError, Matrix, generate_bd, read_matrix, write_matrix
 from .oracle import minplus_naive, minplus_small_entries
 from .recursive import collision_audit, recursive_minplus
 
@@ -154,13 +154,7 @@ def _execute(
     if algo == "smallentry":
         if m_bound is None:
             raise UsageError("--m-bound is required for the smallentry algorithm")
-        ba, bb = _base(a), _base(b)
-        for mat, name in ((ba, "a"), (bb, "b")):
-            d = mat.data
-            finite = d != INF
-            if np.any(finite & (np.abs(d) > m_bound)):
-                raise UsageError(f"matrix {name} has entries outside [-{m_bound}, {m_bound}]")
-        return minplus_small_entries(ba, bb, m_bound, counters)
+        return minplus_small_entries(_base(a), _base(b), m_bound, counters)
     if algo == "basic":
         return basic_minplus(a, b, params, counters, level_trace)
     if algo == "recursive":
@@ -242,10 +236,7 @@ def cmd_run(args) -> int:
             l_min=args.l_min,
         )
         result, rec = _run_once(args.algo, a, b, params, m_bound=args.m_bound, verify=args.verify)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
+    except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     write_matrix(result, args.out)

@@ -1,37 +1,40 @@
-/* The two cubic loops of a minplus product, compiled once by native.py.
+/* The two cubic loops of a minplus product, compiled once by native.py,
+ * around one min-plus reduction.
  *
- * min_rects_<T> reduces a table of rectangles of the product: for each row
- * (r0, r1, c0, c1, k0, k1) of the table, entry (i, j) with r0 <= i < r1 and
- * c0 <= j < c1 gets min over k0 <= k < k1 of a[i, k] + b[k, j], plus shift,
- * written into the int64 product out. Each rectangle is first checked
- * against the ledger done (one byte per entry of out), which must be clear
- * over it, and then marked there; the index of the first rectangle that
- * meets an entry written before is returned, with nothing of it written,
- * and -1 once every rectangle is. The sums stay in T: the caller hands
- * operands whose every sum T holds (basic.kernel_operands), so no addition
- * leaves its type.
+ * reduce_<T> reduces one rectangle (r0, r1, c0, c1, k0, k1): entry (i, j)
+ * with r0 <= i < r1 and c0 <= j < c1 of the int64 array out gets min over
+ * k0 <= k < k1 of a[i, k] + b[k, j], plus shift. The sums stay in T: the
+ * callers hand operands whose every sum T holds (blocking.kernel_operands),
+ * so no addition leaves its type.
+ *
+ * min_rects_<T> reduces a table of such rectangles of the product. Each
+ * rectangle is first checked against the ledger done (one byte per entry
+ * of out), which must be clear over it, and then marked there; the index
+ * of the first rectangle that meets an entry written before is returned,
+ * with nothing of it written, and -1 once every rectangle is.
  *
  * scan_<T> is the candidate scan of blocking (candidate_sets, child_sets)
- * on the shifted representative tables xa[bi, bk] and xb[bk, bj], stored
- * one after the other in reps. It takes a table of rectangles like
- * min_rects': for each block pair (bi, bj) of a rectangle, over its block
- * columns k0 <= bk < k1, the least sum, the threshold largest - max(cap -
- * least, 0), and the number of block columns whose sum is at most the
- * threshold, with the first and the last of them (stats: the counts, then
- * the firsts, then the lasts, nb * nb each). Every pair is first filled as
- * unscanned (approx none, count 0, first nb, last -1); a scanned pair's
- * approx is its least sum plus shift, in int64. Every term stays within T,
- * as the caller's docstring shows.
+ * on the representative tables xa[bi, bk] and xb[bk, bj] of the kernel
+ * operands, stored one after the other in reps, over a table of rectangles
+ * of block pairs like min_rects'. Every pair is first filled as unscanned
+ * (approx none, count 0, first nb, last -1). reduce_<T> then writes each
+ * rectangle's least sums plus shift into approx, and a second pass reads
+ * each least sum back as approx - shift and finds, with the threshold
+ * largest - max(cap - least, 0), the number of block columns k0 <= bk < k1
+ * whose sum is at most it, and the first and the last of them (stats: the
+ * counts, then the firsts, then the lasts, nb * nb each). Every term stays
+ * within T, as the caller's docstring shows.
  *
- * min_rects runs over ROWS rows and COLS columns of a rectangle at a time,
- * scan over one block row and COLS block columns at a time, each with a
- * running minimum per entry over contiguous rows of b (xb), a loop the
+ * reduce runs over ROWS rows and COLS columns of a rectangle at a time, the
+ * scan's count pass over one block row and COLS block columns, each with a
+ * running value per entry over contiguous rows of b (xb), a loop the
  * compiler vectorises. On x86-64 Linux with glibc (whose ifuncs pick a
- * build at load time), GCC 12 or later builds each function for a baseline,
- * an AVX2 and an x86-64-v4 CPU, so one cached library runs on any CPU at
- * the speed of its vector unit; any other compiler or platform gets one
- * portable -O3 build. The arrays are C-contiguous, and native.py checks
- * every type, shape and rectangle bound before a call.
+ * build at load time), GCC 12 or later builds each exported function for a
+ * baseline, an AVX2 and an x86-64-v4 CPU, with reduce inlined into each, so
+ * one cached library runs on any CPU at the speed of its vector unit; any
+ * other compiler or platform gets one portable -O3 build. The arrays are
+ * C-contiguous, and native.py checks every type, shape and rectangle bound
+ * before a call.
  */
 
 #include <stdint.h>
@@ -40,8 +43,10 @@
 #if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12 && defined(__x86_64__) && defined(__linux__) && \
     defined(__GLIBC__)
 #define CLONES __attribute__((target_clones("default", "avx2", "arch=x86-64-v4")))
+#define INLINE static inline __attribute__((always_inline))
 #else
 #define CLONES
+#define INLINE static inline
 #endif
 
 #define ROWS 4
@@ -55,73 +60,81 @@ static int any_set(const uint8_t *row, long w)
     return seen != 0;
 }
 
-#define MIN_RECTS(T, SUFFIX, TMAX)                                                                       \
+#define REDUCE(T, SUFFIX, TMAX)                                                                          \
+    INLINE void reduce_##SUFFIX(const T *a, const T *b, const int64_t *rect, int64_t *out, long n_inner, \
+                                long n_cols, int64_t shift)                                              \
+    {                                                                                                    \
+        T acc[ROWS][COLS];                                                                               \
+        long r0 = rect[0], r1 = rect[1], c0 = rect[2], c1 = rect[3], k0 = rect[4], k1 = rect[5];         \
+        for (long j0 = c0; j0 < c1; j0 += COLS) {                                                        \
+            long w = c1 - j0 < COLS ? c1 - j0 : COLS;                                                    \
+            for (long i0 = r0; i0 < r1; i0 += ROWS) {                                                    \
+                long h = r1 - i0 < ROWS ? r1 - i0 : ROWS;                                                \
+                for (long r = 0; r < h; r++)                                                             \
+                    for (long j = 0; j < w; j++)                                                         \
+                        acc[r][j] = TMAX;                                                                \
+                if (h == ROWS) {                                                                         \
+                    const T *a0 = a + i0 * n_inner, *a1 = a0 + n_inner, *a2 = a1 + n_inner,              \
+                            *a3 = a2 + n_inner;                                                          \
+                    for (long k = k0; k < k1; k++) {                                                     \
+                        const T *bk = b + k * n_cols + j0;                                               \
+                        T x0 = a0[k], x1 = a1[k], x2 = a2[k], x3 = a3[k];                                \
+                        for (long j = 0; j < w; j++) {                                                   \
+                            T y = bk[j];                                                                 \
+                            T s0 = (T)(x0 + y), s1 = (T)(x1 + y), s2 = (T)(x2 + y), s3 = (T)(x3 + y);    \
+                            acc[0][j] = s0 < acc[0][j] ? s0 : acc[0][j];                                 \
+                            acc[1][j] = s1 < acc[1][j] ? s1 : acc[1][j];                                 \
+                            acc[2][j] = s2 < acc[2][j] ? s2 : acc[2][j];                                 \
+                            acc[3][j] = s3 < acc[3][j] ? s3 : acc[3][j];                                 \
+                        }                                                                                \
+                    }                                                                                    \
+                } else {                                                                                 \
+                    for (long r = 0; r < h; r++) {                                                       \
+                        const T *ar = a + (i0 + r) * n_inner;                                            \
+                        T *m = acc[r];                                                                   \
+                        for (long k = k0; k < k1; k++) {                                                 \
+                            const T *bk = b + k * n_cols + j0;                                           \
+                            T x = ar[k];                                                                 \
+                            for (long j = 0; j < w; j++) {                                               \
+                                T s = (T)(x + bk[j]);                                                    \
+                                m[j] = s < m[j] ? s : m[j];                                              \
+                            }                                                                            \
+                        }                                                                                \
+                    }                                                                                    \
+                }                                                                                        \
+                for (long r = 0; r < h; r++) {                                                           \
+                    int64_t *o = out + (i0 + r) * n_cols + j0;                                           \
+                    for (long j = 0; j < w; j++)                                                         \
+                        o[j] = (int64_t)acc[r][j] + shift;                                               \
+                }                                                                                        \
+            }                                                                                            \
+        }                                                                                                \
+    }
+
+#define MIN_RECTS(T, SUFFIX)                                                                             \
     CLONES long min_rects_##SUFFIX(const T *a, const T *b, const int64_t *table, long n_rects, int64_t *out, \
                                    uint8_t *done, long n_inner, long n_cols, int64_t shift)              \
     {                                                                                                    \
-        T acc[ROWS][COLS];                                                                               \
         for (long t = 0; t < n_rects; t++) {                                                             \
             const int64_t *rect = table + 6 * t;                                                         \
-            long r0 = rect[0], r1 = rect[1], c0 = rect[2], c1 = rect[3], k0 = rect[4], k1 = rect[5];   \
+            long r0 = rect[0], r1 = rect[1], c0 = rect[2], c1 = rect[3];                                 \
             for (long i = r0; i < r1; i++)                                                               \
                 if (any_set(done + i * n_cols + c0, c1 - c0))                                            \
                     return t;                                                                            \
             for (long i = r0; i < r1; i++)                                                               \
                 memset(done + i * n_cols + c0, 1, (size_t)(c1 - c0));                                    \
-            for (long j0 = c0; j0 < c1; j0 += COLS) {                                                    \
-                long w = c1 - j0 < COLS ? c1 - j0 : COLS;                                                \
-                for (long i0 = r0; i0 < r1; i0 += ROWS) {                                                \
-                    long h = r1 - i0 < ROWS ? r1 - i0 : ROWS;                                            \
-                    for (long r = 0; r < h; r++)                                                         \
-                        for (long j = 0; j < w; j++)                                                     \
-                            acc[r][j] = TMAX;                                                            \
-                    if (h == ROWS) {                                                                     \
-                        const T *a0 = a + i0 * n_inner, *a1 = a0 + n_inner, *a2 = a1 + n_inner,          \
-                                *a3 = a2 + n_inner;                                                      \
-                        for (long k = k0; k < k1; k++) {                                                 \
-                            const T *bk = b + k * n_cols + j0;                                           \
-                            T x0 = a0[k], x1 = a1[k], x2 = a2[k], x3 = a3[k];                            \
-                            for (long j = 0; j < w; j++) {                                               \
-                                T y = bk[j];                                                             \
-                                T s0 = (T)(x0 + y), s1 = (T)(x1 + y), s2 = (T)(x2 + y), s3 = (T)(x3 + y); \
-                                acc[0][j] = s0 < acc[0][j] ? s0 : acc[0][j];                             \
-                                acc[1][j] = s1 < acc[1][j] ? s1 : acc[1][j];                             \
-                                acc[2][j] = s2 < acc[2][j] ? s2 : acc[2][j];                             \
-                                acc[3][j] = s3 < acc[3][j] ? s3 : acc[3][j];                             \
-                            }                                                                            \
-                        }                                                                                \
-                    } else {                                                                             \
-                        for (long r = 0; r < h; r++) {                                                   \
-                            const T *ar = a + (i0 + r) * n_inner;                                        \
-                            T *m = acc[r];                                                               \
-                            for (long k = k0; k < k1; k++) {                                             \
-                                const T *bk = b + k * n_cols + j0;                                       \
-                                T x = ar[k];                                                             \
-                                for (long j = 0; j < w; j++) {                                           \
-                                    T s = (T)(x + bk[j]);                                                \
-                                    m[j] = s < m[j] ? s : m[j];                                          \
-                                }                                                                        \
-                            }                                                                            \
-                        }                                                                                \
-                    }                                                                                    \
-                    for (long r = 0; r < h; r++) {                                                       \
-                        int64_t *o = out + (i0 + r) * n_cols + j0;                                       \
-                        for (long j = 0; j < w; j++)                                                     \
-                            o[j] = (int64_t)acc[r][j] + shift;                                           \
-                    }                                                                                    \
-                }                                                                                        \
-            }                                                                                            \
+            reduce_##SUFFIX(a, b, rect, out, n_inner, n_cols, shift);                                    \
         }                                                                                                \
         return -1;                                                                                       \
     }
 
-#define SCAN(T, SUFFIX, TMAX)                                                                            \
+#define SCAN(T, SUFFIX)                                                                                  \
     CLONES void scan_##SUFFIX(const T *reps, long nb, const int64_t *table, long n_rects, T cap,         \
                               T largest, int64_t shift, int64_t none, int64_t *approx, int32_t *stats)   \
     {                                                                                                    \
         const T *xa = reps, *xb = reps + nb * nb;                                                        \
         int32_t *sizes = stats, *lo = sizes + nb * nb, *hi = lo + nb * nb;                               \
-        T m[COLS], thr[COLS];                                                                            \
+        T thr[COLS];                                                                                     \
         int32_t cnt[COLS], first[COLS], last[COLS];                                                      \
         for (long p = 0; p < nb * nb; p++) {                                                             \
             approx[p] = none;                                                                            \
@@ -132,22 +145,14 @@ static int any_set(const uint8_t *row, long w)
         for (long t = 0; t < n_rects; t++) {                                                             \
             const int64_t *rect = table + 6 * t;                                                         \
             long r0 = rect[0], r1 = rect[1], c0 = rect[2], c1 = rect[3], k0 = rect[4], k1 = rect[5];     \
+            reduce_##SUFFIX(xa, xb, rect, approx, nb, nb, shift);                                        \
             for (long bi = r0; bi < r1; bi++) {                                                          \
                 const T *ar = xa + bi * nb;                                                              \
                 for (long j0 = c0; j0 < c1; j0 += COLS) {                                                \
                     long w = c1 - j0 < COLS ? c1 - j0 : COLS;                                            \
-                    for (long j = 0; j < w; j++)                                                         \
-                        m[j] = TMAX;                                                                     \
-                    for (long k = k0; k < k1; k++) {                                                     \
-                        const T *bk = xb + k * nb + j0;                                                  \
-                        T x = ar[k];                                                                     \
-                        for (long j = 0; j < w; j++) {                                                   \
-                            T s = (T)(x + bk[j]);                                                        \
-                            m[j] = s < m[j] ? s : m[j];                                                  \
-                        }                                                                                \
-                    }                                                                                    \
+                    long p = bi * nb + j0;                                                               \
                     for (long j = 0; j < w; j++) {                                                       \
-                        T d = (T)(cap - m[j]);                                                           \
+                        T d = (T)(cap - (T)(approx[p + j] - shift));                                     \
                         thr[j] = (T)(largest - (d > 0 ? d : 0));                                         \
                         cnt[j] = 0;                                                                      \
                         first[j] = (int32_t)nb;                                                          \
@@ -164,9 +169,7 @@ static int any_set(const uint8_t *row, long w)
                             last[j] = ok ? kk : last[j];                                                 \
                         }                                                                                \
                     }                                                                                    \
-                    long p = bi * nb + j0;                                                               \
                     for (long j = 0; j < w; j++) {                                                       \
-                        approx[p + j] = (int64_t)m[j] + shift;                                           \
                         sizes[p + j] = cnt[j];                                                           \
                         lo[p + j] = first[j];                                                            \
                         hi[p + j] = last[j];                                                             \
@@ -176,9 +179,12 @@ static int any_set(const uint8_t *row, long w)
         }                                                                                                \
     }
 
-MIN_RECTS(int16_t, i16, INT16_MAX)
-MIN_RECTS(int32_t, i32, INT32_MAX)
-MIN_RECTS(int64_t, i64, INT64_MAX)
-SCAN(int16_t, i16, INT16_MAX)
-SCAN(int32_t, i32, INT32_MAX)
-SCAN(int64_t, i64, INT64_MAX)
+REDUCE(int16_t, i16, INT16_MAX)
+REDUCE(int32_t, i32, INT32_MAX)
+REDUCE(int64_t, i64, INT64_MAX)
+MIN_RECTS(int16_t, i16)
+MIN_RECTS(int32_t, i32)
+MIN_RECTS(int64_t, i64)
+SCAN(int16_t, i16)
+SCAN(int32_t, i32)
+SCAN(int64_t, i64)

@@ -187,7 +187,7 @@ def min_rects(a: np.ndarray, b: np.ndarray, table: np.ndarray, out: np.ndarray, 
 
     ``a`` and ``b`` are int16, int32 or int64 of one type, whose every sum
     of an entry of ``a`` and one of ``b`` that type must hold (as
-    ``basic.kernel_operands`` makes sure); the sums are formed in it. Every
+    ``blocking.kernel_operands`` makes sure); the sums are formed in it. Every
     rectangle must be non-empty and inside the arrays."""
     suffix = _suffix(a, "a")
     _suffix(b, "b")
@@ -209,7 +209,8 @@ def scan(
     x: np.ndarray, table: np.ndarray, cap: int, largest: int, shift: int, approx: np.ndarray, stats: np.ndarray
 ) -> None:
     """The candidate scan on the square tables xa[bi, bk] = x[0] and
-    xb[bk, bj] = x[1] of one int16, int32 or int64 array ``x``, over each
+    xb[bk, bj] = x[1] of one int16, int32 or int64 array ``x`` (the
+    representatives of ``blocking.kernel_operands``), over each
     rectangle (r0, r1, c0, c1, k0, k1) of ``table`` (block rows bi, block
     columns bj, and the block columns bk scanned): per block pair, the
     least sum xa[bi, bk] + xb[bk, bj] plus ``shift`` into the int64
@@ -217,9 +218,11 @@ def scan(
     number of block columns bk whose sum is at most it, the first of them
     and the last into the int32 ``stats[0]``, ``stats[1]`` and
     ``stats[2]``. Every pair no rectangle holds gets approx INF, size 0,
-    first nb and last -1. The type must hold every sum, ``cap`` and
-    ``largest``, and every term of the threshold (``blocking._scan``); a
-    later rectangle overwrites a pair an earlier one scanned."""
+    first nb and last -1. The minima come from the block kernel's
+    reduction, which ``min_rects`` runs too. The type must hold every sum,
+    ``cap`` and ``largest``, and every term of the threshold
+    (``blocking._scan``); a later rectangle overwrites a pair an earlier
+    one scanned."""
     suffix = _suffix(x, "x")
     if x.ndim != 3:
         raise ValueError("x must be 3-D")

@@ -2,8 +2,9 @@
 
 Two independent routes: a naive cubic kernel under saturating addition, and
 a product for small-entry matrices that encodes each entry as a monomial,
-multiplies the polynomial matrices degree slice by degree slice on the
-integer kernel, and reads the answer off the lowest nonzero degree.
+multiplies the polynomial matrices degree slice by degree slice with an
+exact integer matrix product, and reads the answer off the lowest nonzero
+degree.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import imatmul
 from .matrix import INF, Matrix, check_operand
 
 _ROW_CHUNK = 32
@@ -99,8 +99,11 @@ def poly_matmul(a: PolyMatrix, b: PolyMatrix, counters=None) -> PolyMatrix:
     """Exact polynomial-coefficient matrix product.
 
     Degree-sliced: each coefficient slice of ``a`` multiplies all of ``b``
-    through the integer kernel and the products accumulate by degree.
-    Output coefficients count witnesses, so they may exceed 1.
+    and the products accumulate by degree. Output coefficients count
+    witnesses, so they may exceed 1. A slice product is bounded by max(a) *
+    max(b) * k: below 2**53 every product and partial sum is an integer a
+    double holds, so the float64 GEMM computes it exactly whatever its
+    summation order; below 2**63 the int64 matmul does; above, OverflowError.
     """
     if a.n_cols != b.n_rows:
         raise ValueError(f"inner dimensions differ: {a.n_cols} vs {b.n_rows}")
@@ -109,10 +112,10 @@ def poly_matmul(a: PolyMatrix, b: PolyMatrix, counters=None) -> PolyMatrix:
     out = np.zeros((n, m, da + db + 1), dtype=np.int64)
 
     b_flat = np.ascontiguousarray(b.coeffs.reshape(k, m * (db + 1)))
-    amax = int(a.coeffs.max(initial=0))
-    bmax = int(b.coeffs.max(initial=0))
-    slice_bound = amax * bmax * max(k, 1)
-    use_float = 0 < slice_bound < (1 << 53)
+    bound = int(a.coeffs.max(initial=0)) * int(b.coeffs.max(initial=0)) * max(k, 1)
+    if bound >= 1 << 63:
+        raise OverflowError(f"matrix product may exceed int64 (bound {bound})")
+    use_float = bound < 1 << 53
     if use_float:
         b_float = b_flat.astype(np.float64)
     ops = 0
@@ -123,7 +126,7 @@ def poly_matmul(a: PolyMatrix, b: PolyMatrix, counters=None) -> PolyMatrix:
         if use_float:
             prod = (a_slice.astype(np.float64) @ b_float).astype(np.int64)
         else:
-            prod = imatmul(a_slice, b_flat)
+            prod = a_slice @ b_flat
         out[:, :, d1 : d1 + db + 1] += prod.reshape(n, m, db + 1)
         ops += n * k * m * (db + 1)
     if int(out.max(initial=0)) >= (1 << 62):

@@ -336,5 +336,5 @@ def recursive_minplus(
 
     Deterministic for a fixed params.seed.
     """
-    kern = check_operands(a, b, params, "recursive_minplus")
-    return run_levels(a, b, params, params.levels(a.n), kern, counters, level_trace)
+    check_operands(a, b, params, "recursive_minplus")
+    return run_levels(a, b, params, params.levels(a.n), counters, level_trace)

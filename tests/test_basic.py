@@ -17,11 +17,10 @@ from minplus.basic import (
     _min_blocks,
     build_segments,
     derived_rng,
-    kernel_operands,
     level_theta,
     sample_r,
 )
-from minplus.blocking import candidate_sets, child_sets
+from minplus.blocking import KernelOperands, candidate_sets, child_sets, kernel_operands
 from minplus.cli import _run_once, strict_violations
 from minplus.oracle import PolyMatrix, extract_min, poly_matmul
 from minplus.recursive import allocate_top, collision_audit
@@ -881,16 +880,22 @@ def _written_blocks(kern, l, pairs, lo, hi, per_call=None):
 
 
 def _recording_native(monkeypatch):
-    """Route the kernel's native calls through a recorder; returns the list
-    of (operand dtype, rectangle table) pairs it fills, one per call."""
+    """Route the native calls, the kernel's and the candidate scan's,
+    through a recorder; returns the list of (function name, operand dtype,
+    rectangle table) it fills, one per call."""
     calls = []
-    real = mp.native.min_rects
+    real_rects, real_scan = mp.native.min_rects, mp.native.scan
 
-    def recording(a, b, table, out, done, shift):
-        calls.append((a.dtype, table.copy()))
-        return real(a, b, table, out, done, shift)
+    def min_rects(a, b, table, out, done, shift):
+        calls.append(("min_rects", a.dtype, table.copy()))
+        return real_rects(a, b, table, out, done, shift)
 
-    monkeypatch.setattr("minplus.native.min_rects", recording)
+    def scan(x, table, *args):
+        calls.append(("scan", x.dtype, table.copy()))
+        return real_scan(x, table, *args)
+
+    monkeypatch.setattr("minplus.native.min_rects", min_rects)
+    monkeypatch.setattr("minplus.native.scan", scan)
     return calls
 
 
@@ -927,7 +932,7 @@ def test_min_blocks_matches_loop(l, batch):
             for _ in "ab"
         )
         bd = bd.T.copy()
-        kern = mp.basic.KernelOperands(ad, bd, 7)
+        kern = KernelOperands(ad, bd, 7)
         # alone: any span
         lo = rng.integers(0, nb, size=len(grid))
         hi = np.minimum(lo + rng.choice([0, 0, 1, nb], size=len(grid)), nb - 1)
@@ -974,7 +979,7 @@ def test_min_blocks_keeps_spans_off_the_gemm_path(monkeypatch):
         nb = n // l
         ad = (np.abs(ks[None, :] - rng.integers(0, n, size=(n, 1))) + rng.integers(0, 9, size=(n, n))).astype(dtype)
         bd = (np.abs(ks[:, None] - rng.integers(0, n, size=(1, n))) + rng.integers(0, 9, size=(n, n))).astype(dtype)
-        kern = mp.basic.KernelOperands(ad, bd, 0)
+        kern = KernelOperands(ad, bd, 0)
         pairs = np.array([(bi, bj) for bi in range(1, 1 + block_rows) for bj in range(2, 5)])
         # spans in the first quarter of the block columns on even rows, in
         # the third on odd ones
@@ -987,10 +992,10 @@ def test_min_blocks_keeps_spans_off_the_gemm_path(monkeypatch):
         assert not np.array_equal(own, union)
         calls = _recording_native(monkeypatch)
         assert np.array_equal(_written_blocks(kern, l, pairs, lo, hi), own)
-        assert len(calls) == 1 and calls[0][0] == dtype
+        assert [(f, d) for f, d, _ in calls] == [("min_rects", dtype)]
         want = [[bi * l, (bi + 1) * l, 2 * l, 5 * l, int(row_lo[3 * g]) * l, (int(row_hi[3 * g]) + 1) * l]
                 for g, bi in enumerate(range(1, 1 + block_rows))]
-        assert calls[0][1].tolist() == want
+        assert calls[0][2].tolist() == want
         monkeypatch.undo()
 
 
@@ -1296,17 +1301,19 @@ def _perfbench_workloads():
 
 def test_benchmark_valley_products_take_one_gemm_rectangle(monkeypatch):
     # the benchmark's valley-256 pairs at seed 7, with its engine seeds:
-    # each product makes one native call, in int16, whose table of
-    # rectangles tiles the whole product, over spans that prune (no
-    # rectangle reduces over every column), and equals the dense product
+    # each product makes one kernel call, whose table of rectangles tiles
+    # the whole product, over spans that prune (no rectangle reduces over
+    # every column), and equals the dense product; the kernel and the
+    # candidate scan run in int16
     workloads = _perfbench_workloads()
     w = workloads.WORKLOADS["valley-256"]
     calls = _recording_native(monkeypatch)
     for i, (a, b) in enumerate(workloads.make_pairs(w, 7)):
         calls.clear()
         got = mp.basic_minplus(a, b, AlgoParams(delta=a.delta, seed=workloads.engine_seed(7, i)))
-        assert len(calls) == 1 and calls[0][0] == np.int16
-        r0, r1, c0, c1, k0, k1 = calls[0][1].T
+        rects = [table for f, _, table in calls if f == "min_rects"]
+        assert len(rects) == 1 and {d for _, d, _ in calls} == {np.dtype(np.int16)}
+        r0, r1, c0, c1, k0, k1 = rects[0].T
         assert ((r1 - r0) * (c1 - c0)).sum() == a.n * a.n
         assert (k1 - k0 < a.n).all()
         assert np.array_equal(got.data, mp.dense_minplus(a.base, b.base).data)
@@ -1315,7 +1322,7 @@ def test_benchmark_valley_products_take_one_gemm_rectangle(monkeypatch):
 def test_min_blocks_rejects_empty_span():
     z = np.zeros((4, 4), dtype=np.int64)
     with pytest.raises(mp.InvariantError):
-        _min_blocks(mp.basic.KernelOperands(z, z, 0), 2, np.array([[0, 0]]), np.array([1]), np.array([0]), z.copy(), z > 0)
+        _min_blocks(KernelOperands(z, z, 0), 2, np.array([[0, 0]]), np.array([1]), np.array([0]), z.copy(), z > 0)
 
 
 @pytest.mark.parametrize(
@@ -1365,15 +1372,16 @@ def _offset_pair(a, b):
     ],
 )
 def test_engines_exact_in_every_kernel_type(monkeypatch, case, dtype):
-    # every engine, and the recursion down to single entries, is bitwise
-    # equal to naive whatever type its kernels run in, and every native call
-    # runs in that type. The offset pairs sit near +-2**60 and shift down to
-    # int16; the wide walk (delta 3000, seeds 3 and 4, the pair the CI
-    # command line runs) spans more than int16 holds, so it runs in int32;
-    # the valley at delta 5 and n = 256 runs in int16 over pruned spans.
-    # The flat rows (A[i, k] = i * 2**53, B[k, j] = j * 2**53) span more
-    # than int32 holds, so they run in int64, with sums up to 2**61. Each
-    # runs at the defaults and at the paper's beta, which samples
+    # every engine, and the recursion down to single entries, is bitwise equal
+    # to naive whatever type its kernels run in, and every native call, the
+    # block kernel's and the candidate scans', runs in that type. The offset
+    # pairs sit near +-2**60 and shift down to int16; the wide walk (delta
+    # 3000, seeds 3 and 4, the pair the CI command line runs) spans more than
+    # int16 holds, so it runs in int32; the valley at delta 5 and n = 256 runs
+    # in int16 over pruned spans. The flat rows (A[i, k] = i * 2**53, B[k, j]
+    # = j * 2**53) span more than int32 holds, so they run in int64, with sums
+    # up to 2**61. Each runs at the defaults and at the paper's beta, which
+    # samples
     calls = _recording_native(monkeypatch)
     if case == "walk-offset":
         a, b = _offset_pair(mp.generate_bd(64, 2, 5), mp.generate_bd(64, 2, 6))
@@ -1396,7 +1404,43 @@ def test_engines_exact_in_every_kernel_type(monkeypatch, case, dtype):
         assert np.array_equal(mp.basic_minplus(a, b, params).data, want)
         assert np.array_equal(mp.recursive_minplus(a, b, params).data, want)
     assert np.array_equal(mp.dense_minplus(a.base, b.base).data, want)
-    assert calls and {d for d, _ in calls} == {np.dtype(dtype)}
+    assert {f for f, _, _ in calls} == {"min_rects", "scan"}
+    assert {d for _, d, _ in calls} == {np.dtype(dtype)}
+
+
+def test_one_operand_preparation_per_product(monkeypatch):
+    # each product makes its kernel operands once, in the top candidate
+    # scan, however many levels it scans: at the defaults, with child
+    # levels down to single entries (the walk's pairs of l = 4 are
+    # refined), and on the paper's schedule, whose valley levels below the
+    # top are scanned as well
+    made = []
+    real = mp.blocking.kernel_operands
+
+    def counting(x, y):
+        made.append(real(x, y))
+        return made[-1]
+
+    monkeypatch.setattr(mp.blocking, "kernel_operands", counting)
+    calls = _recording_native(monkeypatch)
+    walk = mp.generate_bd(64, 2, 1), mp.generate_bd(64, 2, 2)
+    for (a, b), kw in [
+        (walk, {}),
+        (walk, {"l_min": 1}),
+        (valley_bd(128, 2, 3), {"alpha": 0.9, "beta": 0.6, "l_min": 1}),
+    ]:
+        params = AlgoParams(delta=a.delta, seed=7, **kw)
+        want = mp.minplus_naive(a.base, b.base).data
+        for f in (mp.basic_minplus, mp.recursive_minplus):
+            made.clear()
+            calls.clear()
+            trace = []
+            assert np.array_equal(f(a, b, params, level_trace=trace).data, want)
+            assert len(made) == 1
+            scanned = 1 + sum(1 for prev in trace[:-1] if len(prev.pending))
+            assert sum(1 for name, _, _ in calls if name == "scan") == scanned
+            assert scanned > 1 or f is mp.basic_minplus or "l_min" not in kw
+        assert made[0].a.dtype == np.int16
 
 
 def test_invariants_survive_optimize():
@@ -1404,11 +1448,11 @@ def test_invariants_survive_optimize():
     script = """
 import numpy as np
 from minplus import InvariantError, Matrix
-from minplus.basic import KernelOperands, _enumerate_pairs, _min_blocks, build_segments
-from minplus.blocking import BlockGrid, CandidateSets
+from minplus.basic import _enumerate_pairs, _min_blocks, build_segments
+from minplus.blocking import BlockGrid, CandidateSets, KernelOperands
 z = np.zeros((8, 8), dtype=np.int64)
 none = np.zeros((4, 4), dtype=np.int64)
-empty = CandidateSets(BlockGrid(8, 2), 1, Matrix(none), none, none, none, z[::2, ::2], z[::2, ::2])
+empty = CandidateSets(BlockGrid(8, 2), 1, Matrix(none), none, none, none, KernelOperands(z, z, 0))
 big = np.zeros((8, 8), dtype=np.int64)
 big[:, 4:] = 1 << 40
 caught = []

@@ -5,7 +5,7 @@ import pytest
 
 import minplus as mp
 from minplus import Matrix
-from minplus.blocking import BlockGrid, candidate_sets, child_sets
+from minplus.blocking import BlockGrid, candidate_sets, child_sets, kernel_operands
 
 from conftest import candidate_mask, check_candidate_sets, two_valley_bd, valley_bd
 
@@ -95,9 +95,9 @@ def test_candidate_chunks_match_dense(pool, monkeypatch, budget):
 
 def _cap_pair():
     """The operand-cap pair of ``test_kernel_operands_beyond_int64`` made
-    square: entries -2**61 and 2**61, so one block pair's representative
-    sums run from -2**62 to 2**62, and a delta above 2**62 whose window
-    admits every column."""
+    square: entries -2**61 and 2**61, past the operand cap, so one block
+    pair's representative sums run from -2**62 to 2**62, and a delta above
+    2**62."""
     x = np.array([[-(1 << 61), 1 << 61], [1 << 61, -(1 << 61)]])
     return mp.BDMatrix(Matrix(x), (1 << 62) + 1), mp.BDMatrix(Matrix(x.T), (1 << 62) + 1)
 
@@ -107,14 +107,13 @@ def _cap_pair():
     [("walk", np.int16), ("valley", np.int16), ("wide-walk", np.int32), ("huge-delta", np.int64), ("cap", np.int64)],
 )
 def test_candidate_sets_in_every_scan_type(monkeypatch, case, dtype):
-    # the scan runs on tables shifted to start at 0 in int16 or int32 when
-    # 4*(delta - 1)*(n - l), the widest sum two delta-bounded tables can
-    # have, fits, and on the unshifted int64 tables otherwise: the CI's
-    # delta = 3000 pair (seeds 3 and 4) needs int32 at every l, a walk at
-    # delta = 2**30 int64, and the operand-cap pair, whose sums span 2**63,
-    # int64 with a window past the int64 range. The top scan and the child
-    # scan, with every pair of the level above as a parent, run in that
-    # type and give the reference sets at every block length
+    # the scans run on the kernel operands, in their type, at every block
+    # length: the CI's delta = 3000 pair (seeds 3 and 4) in int32, a walk at
+    # delta = 2**30 in int64. The top scan and the child scan, with every
+    # pair of the level above as a parent, run in that type and give the
+    # reference sets at every block length. The operand-cap pair's shifted
+    # sums span 2**63, past even int64: its entries lie beyond the operand
+    # cap, and the top scan refuses it with the engines' ValueError
     if case == "walk":
         a, b = mp.generate_bd(64, 2, 1), mp.generate_bd(64, 2, 2)
     elif case == "valley":
@@ -125,6 +124,10 @@ def test_candidate_sets_in_every_scan_type(monkeypatch, case, dtype):
         a, b = mp.generate_bd(16, 1 << 30, 5), mp.generate_bd(16, 1 << 30, 6)
     else:
         a, b = _cap_pair()
+        with pytest.raises(ValueError, match="a: product operands"):
+            candidate_sets(a, b, a.n)
+        return
+    assert kernel_operands(a.base, b.base).a.dtype == dtype
     types = []
     real = mp.native.scan
 
@@ -135,9 +138,6 @@ def test_candidate_sets_in_every_scan_type(monkeypatch, case, dtype):
     monkeypatch.setattr(mp.native, "scan", recording)
     l, above = a.n, None
     while l >= 1:
-        top = 4 * (a.delta - 1) * (a.n - l)
-        want = np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64
-        assert want == dtype or l == a.n
         types.clear()
         cs = candidate_sets(a, b, l)
         check_candidate_sets(cs, a, b)
@@ -145,23 +145,27 @@ def test_candidate_sets_in_every_scan_type(monkeypatch, case, dtype):
             nb = a.n // (2 * l)
             parents = np.argwhere(np.ones((nb, nb), dtype=bool))
             check_candidate_sets(child_sets(a, b, l, parents, above), a, b)
-        assert types == [want] * (1 + (above is not None))
+        assert types == [dtype] * (1 + (above is not None))
         above = cs
         l //= 2
 
 
-@pytest.mark.parametrize("n, delta, l", [(8, 2048, 4), (8, 1 << 26, 4), (16, 1024, 8)])
+@pytest.mark.parametrize("n, delta, l", [(8, 2048, 4), (8, 1 << 26, 4), (16, 1024, 8), (32, 1024, 8)])
 def test_candidate_threshold_past_the_type(n, delta, l):
-    # approx + 8*delta*l passes the scan type's max: at n = 8, l = 4 the sums
-    # need int16 (delta 2048) or int32 (delta 2**26), and the window is
-    # 2**16 or 2**31; the threshold is clamped to the largest sum, so it
-    # does not wrap, and the sets are the reference's
+    # approx + 8*delta*l passes the max of the kernel operands' type, the
+    # type the scan runs in: the walks' shifted sums fit int16 (delta 1024
+    # and 2048) or int32 (delta 2**26), and the window is 2**16, 2**31 or
+    # 2**16 (at n = 32, where a bound of 4*(delta - 1)*(n - l) on the
+    # representative sums would have needed int32); the threshold is
+    # clamped to the type's max, so it does not wrap, and the sets are the
+    # reference's
     a, b = mp.generate_bd(n, delta, 7), mp.generate_bd(n, delta, 8)
-    window = 8 * delta * l
-    top = 4 * (delta - 1) * (n - l)
-    limit = 1 << 15 if top < 1 << 15 else 1 << 31
-    assert top < limit <= window
-    check_candidate_sets(candidate_sets(a, b, l), a, b)
+    kern = kernel_operands(a.base, b.base)
+    largest = int(np.iinfo(kern.a.dtype).max)
+    assert int(kern.a.max()) + int(kern.b.max()) <= largest < 8 * delta * l
+    cs = candidate_sets(a, b, l)
+    assert cs.kern.a.dtype == kern.a.dtype
+    check_candidate_sets(cs, a, b)
 
 
 @pytest.mark.parametrize("nb", [1, 2, 4, 8, 16, 32, 64, 128])

@@ -3,7 +3,6 @@ import pytest
 
 import minplus as mp
 from minplus import INF, Matrix
-from minplus.kernel import imatmul
 from minplus.oracle import PolyMatrix, encode_poly, extract_min, poly_matmul
 
 from conftest import random_matrix
@@ -185,26 +184,40 @@ def test_small_entries_sweep():
         assert mp.minplus_small_entries(a, b, m_bound) == mp.minplus_naive(a, b)
 
 
-# --- integer kernel ------------------------------------------------------
+# --- degree-slice products ------------------------------------------------
 
 
-def test_imatmul_exact_small():
+def _poly_product(a, b):
+    """Reference coefficients of a polynomial matrix product, in python ints."""
+    ca, cb = a.coeffs.astype(object), b.coeffs.astype(object)
+    out = np.zeros((a.n_rows, b.n_cols, a.degree_bound + b.degree_bound + 1), dtype=object)
+    for d1 in range(a.degree_bound + 1):
+        for d2 in range(b.degree_bound + 1):
+            out[:, :, d1 + d2] += ca[:, :, d1] @ cb[:, :, d2]
+    return out
+
+
+def test_poly_matmul_exact_small():
+    # a slice bound below 2**53: the float64 GEMM, exact
     rng = np.random.default_rng(7)
-    a = rng.integers(-100, 100, size=(13, 7))
-    b = rng.integers(-100, 100, size=(7, 11))
-    want = a.astype(object) @ b.astype(object)
-    assert np.array_equal(imatmul(a, b), want.astype(np.int64))
+    a = PolyMatrix(rng.integers(0, 100, size=(13, 7, 3)))
+    b = PolyMatrix(rng.integers(0, 100, size=(7, 11, 2)))
+    assert np.array_equal(poly_matmul(a, b).coeffs, _poly_product(a, b).astype(np.int64))
 
 
-def test_imatmul_large_values_fall_back():
-    a = np.full((2, 2), 1 << 31, dtype=np.int64)
-    b = np.full((2, 2), 1 << 20, dtype=np.int64)
-    want = a.astype(object) @ b.astype(object)
-    assert np.array_equal(imatmul(a, b), want.astype(np.int64))
+def test_poly_matmul_large_coefficients_fall_back():
+    # a slice bound of about 2**57, past what a double holds exactly (the
+    # sums need 57 significant bits): the int64 matmul, still exact
+    a = PolyMatrix(np.full((2, 2, 2), (1 << 31) + 1, dtype=np.int64))
+    b = PolyMatrix(np.full((2, 2, 1), (1 << 25) + 1, dtype=np.int64))
+    want = _poly_product(a, b)
+    assert int(want.max()) > 1 << 53
+    assert np.array_equal(poly_matmul(a, b).coeffs, want.astype(np.int64))
 
 
-def test_imatmul_overflow_guard():
-    a = np.full((1, 2), 1 << 32, dtype=np.int64)
-    b = np.full((2, 1), 1 << 32, dtype=np.int64)
+def test_poly_matmul_overflow_guard():
+    # a slice bound of 2**65: refused, not wrapped
+    a = PolyMatrix(np.full((1, 2, 1), 1 << 32, dtype=np.int64))
+    b = PolyMatrix(np.full((2, 1, 1), 1 << 32, dtype=np.int64))
     with pytest.raises(OverflowError):
-        imatmul(a, b)
+        poly_matmul(a, b)

@@ -307,7 +307,6 @@ def test_level_child_sets_equal_dense_sets(pool, monkeypatch, family, delta, alp
         a, b = pool.pair(n, delta, 2)
     else:
         a, b = (valley_bd if family == "valley" else two_valley_bd)(n, delta, n + delta)
-    ad, bd = a.base.data, b.base.data
     scans, tables = [], []
     real, real_scan = basic.child_sets, mp.native.scan
 
@@ -353,7 +352,7 @@ def test_level_child_sets_equal_dense_sets(pool, monkeypatch, family, delta, alp
         # block length 1, reading the minimum) gives the product's blocks
         counters = Counters()
         c, done = np.full((n, n), mp.INF, dtype=np.int64), np.zeros((n, n), dtype=bool)
-        basic._enumerate_pairs(basic.kernel_operands(mp.Matrix(ad), mp.Matrix(bd)), l, kids, cs, c, done, counters)
+        basic._enumerate_pairs(cs.kern, l, kids, cs, c, done, counters)
         written = np.repeat(np.repeat(eligible, l, 0), l, 1)
         assert np.array_equal(done, written) and np.array_equal(c[written], want[written])
         assert counters.block_products == candidate_mask(a, b, l)[0][eligible].sum()
