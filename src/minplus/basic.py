@@ -39,11 +39,15 @@ each block pair over a span of block columns: an enumerated pair over its
 candidate span, an assigned pair over the span of the block columns its
 sampled column's buckets select. Either span holds every block of an
 optimal witness, so a minimum over it, or over any larger set of columns,
-is exact. The kernel groups the pairs into rectangles, runs of consecutive
-block columns in one block row stacked over consecutive block rows that hold
-the same run with the same union of spans (``blocking.rectangles``, which
-the child candidate scans share), and hands the table of rectangles to one
-compiled loop (``native.min_rects``, in ``native.c``). It reduces operand
+is exact. The kernel takes its pairs as a bool mask of the block grid with
+their spans in two grid-shaped tables, and a compiled grouping turns them
+into rectangles, runs of consecutive block columns in one block row stacked
+over consecutive block rows that hold the same run with the same union of
+spans (``native.rectangles``, which the child candidate scans share); it
+hands the table of rectangles to one compiled loop (``native.min_rects``,
+in ``native.c``). A level keeps its open, active and pending pairs as such
+masks too, and lists pairs only for the sampled columns, the level trace
+and the block length 1 reads. The kernel reduces operand
 slices over the union of a rectangle's spans, so it gathers nothing, and it
 writes each rectangle straight into the product, so it scatters nothing
 either. A pair whose span is every block column (density
@@ -77,7 +81,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import native
-from .blocking import CandidateSets, KernelOperands, candidate_sets, child_sets, kernel_operands, rectangles
+from .blocking import CandidateSets, KernelOperands, candidate_sets, child_sets, kernel_operands
 from .matrix import BDMatrix, Matrix, product_matrix
 
 SEGMENT_WIDTH = 20  # value segments are 20*delta*l wide
@@ -353,34 +357,36 @@ _TRIPLE_BUDGET = 1 << 17
 def _min_blocks(
     kern: KernelOperands,
     l: int,
-    pairs: np.ndarray,
+    mask: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     c: np.ndarray,
     done: np.ndarray,
 ) -> None:
     """Block min-plus products over spans of block columns, written into the
-    int64 product ``c``: for pairs[g] = (bi, bj), block (bi, bj) of c gets
-    the minimum of A[bi*l + i, k] + B[k, bj*l + j] over every k in block
-    columns lo[g]..hi[g], and perhaps over more block columns (below), plus
-    ``kern.shift``. A span that holds the block of every optimal witness, as
-    a candidate span does, therefore gives the product's block; a full span,
-    0..nb-1, gives the plain min-plus product. The ledger ``done`` marks
-    each entry written, and refuses an entry written before.
+    int64 product ``c``: for each block pair (bi, bj) set in the bool mask
+    of the block grid ``mask``, block (bi, bj) of c gets the minimum of
+    A[bi*l + i, k] + B[k, bj*l + j] over every k in block columns
+    lo[bi, bj]..hi[bi, bj] (int32 tables of the mask's shape), and perhaps
+    over more block columns (below), plus ``kern.shift``. A span that holds
+    the block of every optimal witness, as a candidate span does, therefore
+    gives the product's block; a full span, 0..nb-1, gives the plain
+    min-plus product. The ledger ``done`` marks each entry written, and
+    refuses an entry written before.
 
-    The pairs are grouped into rectangles (``blocking.rectangles``, which
-    the child candidate scans share): runs of consecutive block columns in
-    one block row, stacked over consecutive block rows that hold the same
-    run with the same union of spans. A rectangle reduces over the union of
-    its pairs' spans; a pair alone, or among equal spans, gets the minimum
-    over its own span. The whole table of rectangles, scaled by l to
-    entries, goes to the compiled kernel in one call (``native.min_rects``),
-    which reads each rectangle's rows of A and columns of B in place, in
-    the operands' type, and writes its result straight into c, checking and
-    marking the ledger rectangle by rectangle.
+    The pairs are grouped into rectangles in C (``native.rectangles``, which
+    the child candidate scans share, and which refuses an empty span): runs
+    of consecutive block columns in one block row, stacked over consecutive
+    block rows that hold the same run with the same union of spans. A
+    rectangle reduces over the union of its pairs' spans; a pair alone, or
+    among equal spans, gets the minimum over its own span. The whole table
+    of rectangles, in entries, goes to the compiled kernel in one call
+    (``native.min_rects``), which reads each rectangle's rows of A and
+    columns of B in place, in the operands' type, and writes its result
+    straight into c, checking and marking the ledger rectangle by rectangle.
     """
-    require(np.all(lo <= hi), "block pair with an empty span")
-    table = rectangles(pairs, lo, hi, kern.a.shape[0] // l) * l
+    table = native.rectangles(mask, lo, hi, l)
+    require(table is not None, "block pair with an empty span")
     first_bad = native.min_rects(kern.a, kern.b, table, c, done, kern.shift)
     require(first_bad < 0, "block finalized twice")
 
@@ -411,28 +417,28 @@ def dense_minplus(a: Matrix, b: Matrix) -> Matrix:
 def _enumerate_pairs(
     kern: KernelOperands,
     l: int,
-    pairs: np.ndarray,
+    mask: np.ndarray,
     cands: CandidateSets,
     c: np.ndarray,
     done: np.ndarray,
     counters: Counters | None = None,
 ) -> None:
-    """Direct enumeration of each pair's candidate blocks, on the kernel
-    operands, over the pair's candidate span, written into the product
-    ``c`` (ledger ``done``). Each candidate counts as one block product.
+    """Direct enumeration of the candidate blocks of each pair set in the
+    bool mask ``mask``, on the kernel operands, over the pair's candidate
+    span, written into the product ``c`` (ledger ``done``). Each candidate
+    counts as one block product.
 
     At block length 1 a representative sum is A[i,k] + B[k,j] itself, so the
     representative minimum over the candidate columns already is the
     product entry, and it is read (the scan's int64 ``approx``) instead of
     enumerated.
     """
-    bi, bj = pairs[:, 0], pairs[:, 1]
-    counts = cands.sizes[bi, bj]
+    counts = cands.sizes[mask]
     require(counts.min(initial=1) >= 1, "block pair without a candidate")
     if l == 1:
-        _finalize(c, done, pairs, cands.approx.data[bi, bj])
+        _finalize(c, done, np.argwhere(mask), cands.approx.data[mask])
     else:
-        _min_blocks(kern, l, pairs, cands.lo[bi, bj], cands.hi[bi, bj], c, done)
+        _min_blocks(kern, l, mask, cands.lo, cands.hi, c, done)
     if counters is not None:
         counters.block_products += int(counts.sum())
 
@@ -465,38 +471,39 @@ def _assigned_block_values(
     gives the same value. The buckets are taken on the int64 originals
     ``a_data`` and ``b_data``, a few pairs at a time, so the int64 bucket
     sums stay bounded; the selection of every block column still counts
-    toward ``poly_degree_ops``. The blocks are evaluated on the kernel
-    operands ``kern`` and written into the product ``c`` (ledger ``done``),
-    every column's pairs in one call, so that the columns' shares of a block
-    row are computed together.
+    toward ``poly_degree_ops``. The spans are scattered into grid-shaped
+    tables under a mask of the pairs, and the blocks are evaluated on the
+    kernel operands ``kern`` and written into the product ``c`` (ledger
+    ``done``), every column's pairs in one call, so that the columns' shares
+    of a block row are computed together.
 
     Returns the pairs, column by column in ascending order.
     """
     nb = a_data.shape[0] // l
     rel_lo, rel_hi = REL_SHIFTS[0], REL_SHIFTS[-1]
     step = max(1, _TRIPLE_BUDGET // nb)
-    pairs = np.concatenate([assigned[r] for r in sorted(assigned)])
-    lo = np.empty(len(pairs), dtype=np.int32)  # block columns; live while the bucket sums peak
-    hi = np.empty(len(pairs), dtype=np.int32)
+    mask = np.zeros((nb, nb), dtype=bool)
+    lo = np.empty((nb, nb), dtype=np.int32)  # block columns, read under the mask
+    hi = np.empty((nb, nb), dtype=np.int32)
     selected = 0
-    g = 0
     for r in sorted(assigned):
         blocks = assigned[r]
+        bi, bj = blocks[:, 0], blocks[:, 1]
+        mask[bi, bj] = True
         pa = _buckets(a_data, l, width, a_data[::l, r, None])
         qbt = np.ascontiguousarray(_buckets(b_data, l, width, b_data[None, r, ::l]).T)  # [bj, bk]
         for g0 in range(0, len(blocks), step):
-            chunk = blocks[g0 : g0 + step]
-            psum = pa[chunk[:, 0]] + qbt[chunk[:, 1]]
+            ci, cj = bi[g0 : g0 + step], bj[g0 : g0 + step]
+            psum = pa[ci] + qbt[cj]
             sel = (psum >= rel_lo) & (psum <= rel_hi)
             selected += int(np.count_nonzero(sel))
-            lo[g + g0 : g + g0 + len(chunk)] = sel.argmax(axis=1)
-            hi[g + g0 : g + g0 + len(chunk)] = nb - 1 - sel[:, ::-1].argmax(axis=1)
-        g += len(blocks)
+            lo[ci, cj] = sel.argmax(axis=1)
+            hi[ci, cj] = nb - 1 - sel[:, ::-1].argmax(axis=1)
         del pa, qbt, psum, sel  # dropped before the kernel runs
     if counters is not None:
         counters.poly_degree_ops += selected * l**3
-    _min_blocks(kern, l, pairs, lo, hi, c, done)
-    return pairs
+    _min_blocks(kern, l, mask, lo, hi, c, done)
+    return np.concatenate([assigned[r] for r in sorted(assigned)])
 
 
 def _finalize(c: np.ndarray, done: np.ndarray, entries: np.ndarray, vals: np.ndarray) -> None:
@@ -581,28 +588,29 @@ def run_levels(
             # the children of the pending pairs, scanned only under their
             # parents' candidate spans (nesting, see blocking); with none
             # left, the level is skipped but kept, empty, in the trace
-            cands = child_sets(a, b, l, pending, cands) if len(pending) else None
+            cands = child_sets(l, is_pending, cands) if is_pending.any() else None
         is_active = eligible & (cands.sizes > t_beta) if cands is not None else eligible
-        active = np.argwhere(is_active)
         assigned: dict[int, np.ndarray] = {}
-        missed = active
-        if len(active) and n // l >= 4:
-            _, needed = sample_r(cands, params, active, li)
-            assigned, missed = needed.gamma, needed.missed
-        if len(missed):
-            _enumerate_pairs(kern, l, missed, cands, c, done, counters)
-            counters.fallback_pairs += len(missed)
-        if assigned:
-            width = SEGMENT_WIDTH * params.delta * l
-            _assigned_block_values(ad, bd, kern, l, width, assigned, c, done, counters)
+        if is_active.any():
+            missed = is_active
+            if n // l >= 4:
+                _, needed = sample_r(cands, params, np.argwhere(is_active), li)
+                assigned = needed.gamma
+                missed = np.zeros_like(is_active)
+                missed[needed.missed[:, 0], needed.missed[:, 1]] = True
+            if missed.any():
+                _enumerate_pairs(kern, l, missed, cands, c, done, counters)
+                counters.fallback_pairs += int(np.count_nonzero(missed))
+            if assigned:
+                width = SEGMENT_WIDTH * params.delta * l
+                _assigned_block_values(ad, bd, kern, l, width, assigned, c, done, counters)
         is_pending = eligible & ~is_active
-        pending = np.argwhere(is_pending)
         if level_trace is not None:
+            active, pending = np.argwhere(is_active), np.argwhere(is_pending)
             level_trace.append(LevelState(l, level_theta(n, l), active, pending, assigned))
 
-    tail = pending
-    if len(tail):
-        _enumerate_pairs(kern, l, tail, cands, c, done, counters if l == levels[0] else None)
+    if is_pending.any():  # the tail
+        _enumerate_pairs(kern, l, is_pending, cands, c, done, counters if l == levels[0] else None)
     require(done.all(), "some output blocks were never finalized")
     return product_matrix(c)
 

@@ -21,9 +21,10 @@ over a table of rectangles of block pairs, each over a range of block
 columns, that keeps no sums. The top level is one rectangle: every block
 pair over every block column (``candidate_sets``). A level at block length
 l/2 scans only the children of its pending parents, over the child
-columns under the parents' spans (``child_sets``): the parents are grouped
-into rectangles as the block kernel groups its pairs (``rectangles``),
-and each rectangle is doubled into their children's. A rectangle scans the
+columns under the parents' spans (``child_sets``): the bool mask of the
+parents is grouped into rectangles over their spans by the compiled
+grouping the block kernel uses too (``native.rectangles``), and each
+rectangle is doubled into their children's. A rectangle scans the
 union of its pairs' child columns, which may hold more than a pair's own;
 by the nesting lemma below both give the same counts, spans and minima as
 a full scan (``test_level_child_sets_equal_dense_sets`` in
@@ -80,40 +81,6 @@ class BlockGrid:
     @property
     def n_blocks(self) -> int:
         return self.n // self.l
-
-
-def rectangles(pairs: np.ndarray, lo: np.ndarray, hi: np.ndarray, nb: int) -> np.ndarray:
-    """The block pairs ``pairs`` (bi, bj) of an nb x nb grid, each over its
-    span lo[g]..hi[g] of block columns, grouped into rectangles, as an int64
-    table of rows (r0, r1, c0, c1, k0, k1) in block units: runs of
-    consecutive block columns in one block row, over the union of their
-    spans, stacked over consecutive block rows that hold the same run with
-    the same union. A pair alone, or among equal spans, keeps its own span;
-    others get a wider one, which is exact wherever a span needs only to
-    hold every column that matters (an optimal witness block for the block
-    kernel, every candidate and the argmin for the candidate scan). The
-    pairs must be distinct; they may come in any order."""
-    key = pairs[:, 0] * nb + pairs[:, 1]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    # runs: consecutive block columns of one block row, and their union span
-    cut = np.ones(len(key), dtype=bool)
-    cut[1:] = (np.diff(key) != 1) | (key[1:] % nb == 0)
-    run_at = np.flatnonzero(cut)
-    run_len = np.diff(np.append(run_at, len(key)))
-    run_bi, run_bj = np.divmod(key[run_at], nb)
-    run_lo = np.minimum.reduceat(lo[order], run_at)
-    run_hi = np.maximum.reduceat(hi[order], run_at)
-    # rectangles: runs that follow each other in consecutive block rows
-    # with one shape (first block column, length and union span)
-    shape = np.stack((run_bj, run_len, run_lo, run_hi))
-    cut = np.ones(len(run_at), dtype=bool)
-    cut[1:] = (shape[:, 1:] != shape[:, :-1]).any(axis=0) | (run_bi[1:] != run_bi[:-1] + 1)
-    rect_at = np.flatnonzero(cut)
-    bj0, wd, span_lo, span_hi = shape[:, rect_at]
-    bi0 = run_bi[rect_at]
-    rows = np.diff(np.append(rect_at, len(run_at)))
-    return np.stack((bi0, bi0 + rows, bj0, bj0 + wd, span_lo, span_hi + 1), axis=1).astype(np.int64)
 
 
 @dataclass(eq=False)
@@ -227,13 +194,14 @@ def candidate_sets(a: BDMatrix, b: BDMatrix, l: int) -> CandidateSets:
     return _scan(kernel_operands(a.base, b.base), a.delta, l, np.array([(0, nb, 0, nb, 0, nb)], dtype=np.int64))
 
 
-def child_sets(a: BDMatrix, b: BDMatrix, l: int, parents: np.ndarray, spans: CandidateSets) -> CandidateSets:
+def child_sets(l: int, parents: np.ndarray, spans: CandidateSets) -> CandidateSets:
     """Candidate sets at block length l of the four children of each parent
-    pair (block length 2*l), scanning only child columns under the parents'
-    spans in ``spans``, the parents' sets, on their kernel operands.
+    pair set in the bool mask ``parents`` (block length 2*l), scanning only
+    child columns under the parents' spans in ``spans``, the parents' sets,
+    on their kernel operands, with their delta.
 
     The parents are grouped into rectangles over their spans
-    (``rectangles``), and each is doubled into the rectangle of their
+    (``native.rectangles``), and each is doubled into the rectangle of their
     children over the child columns 2*lo .. 2*hi + 1 of its union span, so
     every rectangle holds whole 2 x 2 groups of children. A child pair is
     scanned over its parent's child columns and perhaps more. By the
@@ -243,12 +211,12 @@ def child_sets(a: BDMatrix, b: BDMatrix, l: int, parents: np.ndarray, spans: Can
     span: these are the sets of ``candidate_sets(a, b, l)`` on the
     children. Every other pair is left unscanned.
     """
-    _check_pair(a, b, l)
-    pi, pj = parents[:, 0], parents[:, 1]
-    lo, hi = spans.lo[pi, pj], spans.hi[pi, pj]
-    if (lo > hi).any():
+    if 2 * l != spans.grid.l:
+        raise ValueError(f"block length {l} is not half the parents' {spans.grid.l}")
+    table = native.rectangles(parents, spans.lo, spans.hi, 2)
+    if table is None:
         raise ValueError("parent pair without a candidate span")
-    return _scan(spans.kern, a.delta, l, 2 * rectangles(parents, lo, hi, a.n // (2 * l)))
+    return _scan(spans.kern, spans.delta, l, table)
 
 
 def _scan(kern: KernelOperands, delta: int, l: int, table: np.ndarray) -> CandidateSets:

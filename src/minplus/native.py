@@ -2,7 +2,8 @@
 ctypes: ``min_rects``, the block kernel behind ``basic._min_blocks`` and
 ``basic.dense_minplus``, and ``scan``, the candidate scan of every level
 (``blocking.candidate_sets`` and ``blocking.child_sets``). Both take one
-table of rectangles (r0, r1, c0, c1, k0, k1), checked by one function.
+table of rectangles (r0, r1, c0, c1, k0, k1), which ``rectangles``, also
+compiled, groups from a bool mask of block pairs and their spans.
 
 The library is compiled on first import with the C compiler Python was
 built with (``sysconfig``'s ``CC``, or ``cc`` where that is unset or not
@@ -19,10 +20,12 @@ written under a temporary name and moved into place (``os.replace``), so a
 concurrent import never loads half a file. Without a working compiler the
 import raises ImportError, with the command and its error output.
 
-Each wrapper checks its arrays' types, C-contiguity and shapes, and every
-rectangle's bounds (``_check_table``), with explicit raises before it calls
-into C, so no table can make the C code read or write out of bounds. The calls release the GIL
-(ctypes does) and run on the calling thread.
+Each wrapper checks its arrays' types, C-contiguity and shapes with
+explicit raises before it calls into C. The C code checks every rectangle's
+bounds, and every masked pair's span, before it writes anything, and
+refuses the call otherwise, so no table or span can make it read or write
+out of bounds. The calls release the GIL (ctypes does) and run on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ FLAGS = ("-O3", "-shared", "-fPIC")
 _SUFFIX = {np.dtype(np.int16): "i16", np.dtype(np.int32): "i32", np.dtype(np.int64): "i64"}
 _CTYPE = {"i16": ctypes.c_int16, "i32": ctypes.c_int32, "i64": ctypes.c_int64}
 _LIMITS = {s: (int(np.iinfo(d).min), int(np.iinfo(d).max)) for d, s in _SUFFIX.items()}
+_REFUSED = -2  # native.c's REFUSED: a bad rectangle or span, nothing written
 
 
 def compiler() -> list[str]:
@@ -133,13 +137,15 @@ def load(source: str = SOURCE) -> ctypes.CDLL:
 def _load(path: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(path)
     ptr, n = ctypes.c_void_p, ctypes.c_long
+    lib.rectangles.argtypes = [ptr, ptr, ptr, n, ctypes.c_int64, ptr]
+    lib.rectangles.restype = n
     for suffix, ctype in _CTYPE.items():
         rects = getattr(lib, f"min_rects_{suffix}")
-        rects.argtypes = [ptr, ptr, ptr, n, ptr, ptr, n, n, ctypes.c_int64]
+        rects.argtypes = [ptr, ptr, ptr, n, ptr, ptr, n, n, n, ctypes.c_int64]
         rects.restype = n
         scan_fn = getattr(lib, f"scan_{suffix}")
         scan_fn.argtypes = [ptr, n, ptr, n, ctype, ctype, ctypes.c_int64, ctypes.c_int64, ptr, ptr]
-        scan_fn.restype = None
+        scan_fn.restype = n
     return lib
 
 
@@ -155,13 +161,8 @@ def _check(x: np.ndarray, name: str, dtype, shape: tuple) -> None:
         raise ValueError(f"{name} must be C-contiguous")
 
 
-def _check_table(table: np.ndarray, rows: int, cols: int, inner: int) -> None:
-    """Raise unless ``table`` is a C-contiguous int64 array of rectangles
-    (r0, r1, c0, c1, k0, k1), each non-empty and inside rows x cols x
-    inner: 0 <= r0 < r1 <= rows, and so on, in one pass."""
-    _check(table, "table", np.int64, (len(table), 6))
-    lo, hi = table[:, 0::2], table[:, 1::2]
-    if ((lo < 0) | (lo >= hi) | (hi > (rows, cols, inner))).any():
+def _refused(code: int) -> None:
+    if code == _REFUSED:
         raise ValueError("a rectangle of the table is empty or out of bounds")
 
 
@@ -188,7 +189,8 @@ def min_rects(a: np.ndarray, b: np.ndarray, table: np.ndarray, out: np.ndarray, 
     ``a`` and ``b`` are int16, int32 or int64 of one type, whose every sum
     of an entry of ``a`` and one of ``b`` that type must hold (as
     ``blocking.kernel_operands`` makes sure); the sums are formed in it. Every
-    rectangle must be non-empty and inside the arrays."""
+    rectangle must be non-empty and inside the arrays: otherwise ValueError
+    is raised with nothing written."""
     suffix = _suffix(a, "a")
     _suffix(b, "b")
     if a.ndim != 2 or b.ndim != 2:
@@ -199,10 +201,13 @@ def min_rects(a: np.ndarray, b: np.ndarray, table: np.ndarray, out: np.ndarray, 
     _check(b, "b", a.dtype, (k, n))
     _check(out, "out", np.int64, (m, n))
     _check(done, "done", np.bool_, (m, n))
-    _check_table(table, m, n, k)
+    _check(table, "table", np.int64, (len(table), 6))
     _check_shift(shift)
     fn = getattr(_lib, f"min_rects_{suffix}")
-    return fn(a.ctypes.data, b.ctypes.data, table.ctypes.data, len(table), out.ctypes.data, done.ctypes.data, k, n, shift)
+    table_ptr, out_ptr, done_ptr = table.ctypes.data, out.ctypes.data, done.ctypes.data
+    first_bad = fn(a.ctypes.data, b.ctypes.data, table_ptr, len(table), out_ptr, done_ptr, m, k, n, shift)
+    _refused(first_bad)
+    return first_bad
 
 
 def scan(
@@ -222,7 +227,8 @@ def scan(
     reduction, which ``min_rects`` runs too. The type must hold every sum,
     ``cap`` and ``largest``, and every term of the threshold
     (``blocking._scan``); a later rectangle overwrites a pair an earlier
-    one scanned."""
+    one scanned. A rectangle that is empty or leaves the grid raises
+    ValueError with nothing written."""
     suffix = _suffix(x, "x")
     if x.ndim != 3:
         raise ValueError("x must be 3-D")
@@ -230,11 +236,43 @@ def scan(
     _check(x, "x", x.dtype, (2, nb, nb))
     _check(approx, "approx", np.int64, (nb, nb))
     _check(stats, "stats", np.int32, (3, nb, nb))
-    _check_table(table, nb, nb, nb)
+    _check(table, "table", np.int64, (len(table), 6))
     least, most = _LIMITS[suffix]
     if not (least <= cap <= most and least <= largest <= most):
         raise ValueError(f"cap {cap} or largest {largest} is outside {x.dtype}")
     _check_shift(shift)
     fn = getattr(_lib, f"scan_{suffix}")
     table_ptr, approx_ptr, stats_ptr = table.ctypes.data, approx.ctypes.data, stats.ctypes.data
-    fn(x.ctypes.data, nb, table_ptr, len(table), cap, largest, shift, INF, approx_ptr, stats_ptr)
+    _refused(fn(x.ctypes.data, nb, table_ptr, len(table), cap, largest, shift, INF, approx_ptr, stats_ptr))
+
+
+def rectangles(mask: np.ndarray, lo: np.ndarray, hi: np.ndarray, scale: int) -> np.ndarray | None:
+    """The block pairs set in the square bool ``mask``, each over its span
+    lo[bi, bj]..hi[bi, bj] of block columns (int32 tables of the mask's
+    shape, read only where it is set), grouped into rectangles, as an int64
+    table of rows (r0, r1, c0, c1, k0, k1) in block units times ``scale``:
+    runs of consecutive block columns in one block row, over the union of
+    their spans, stacked over consecutive block rows that hold the same run
+    with the same union. A pair alone, or among equal spans, keeps its own
+    span; others get a wider one, which is exact wherever a span needs only
+    to hold every column that matters (an optimal witness block for the
+    block kernel, every candidate and the argmin for the candidate scan).
+
+    None where a masked pair's span is empty or leaves the grid's block
+    columns: the C code refuses it before any rectangle is returned. A
+    first call counts the rectangles, so the table holds just those."""
+    if not isinstance(mask, np.ndarray) or mask.ndim != 2:
+        raise ValueError("mask must be a 2-D array")
+    nb = mask.shape[0]
+    _check(mask, "mask", np.bool_, (nb, nb))
+    _check(lo, "lo", np.int32, (nb, nb))
+    _check(hi, "hi", np.int32, (nb, nb))
+    if not 1 <= scale <= (1 << 62) // (nb + 1):
+        raise ValueError(f"scale {scale} is outside 1..2**62 / (nb + 1)")
+    args = (mask.ctypes.data, lo.ctypes.data, hi.ctypes.data, nb, scale)
+    count = _lib.rectangles(*args, None)
+    if count == _REFUSED:
+        return None
+    table = np.empty((count, 6), dtype=np.int64)
+    _lib.rectangles(*args, table.ctypes.data)
+    return table

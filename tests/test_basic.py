@@ -157,8 +157,7 @@ def test_sample_r_assigns_first_drawn_candidate(pool, family):
         a, b = (valley_bd if family == "valley" else two_valley_bd)(n, 2, 9)
     params = AlgoParams(delta=2, beta=0.95, c0=1, seed=3)
     top = candidate_sets(a, b, 4)
-    parents = np.argwhere(np.ones((64, 64), dtype=bool))
-    for l, cs in ((4, top), (2, child_sets(a, b, 2, parents, top))):
+    for l, cs in ((4, top), (2, child_sets(2, np.ones((64, 64), dtype=bool), top))):
         mask, _ = candidate_mask(a, b, l)
         if family != "walk":
             # the valley's sets fill their spans; the two valleys' leave
@@ -861,17 +860,31 @@ def _min_blocks_loop(ad, bd, l, pairs, lo, hi):
     return out
 
 
+def _pair_tables(nb, pairs, lo, hi):
+    """The distinct block pairs ``pairs`` of an nb x nb grid, each over its
+    span lo[g]..hi[g], as ``_min_blocks`` and ``native.rectangles`` take
+    them: a bool mask and int32 span tables, -1 where no pair is."""
+    mask = np.zeros((nb, nb), dtype=bool)
+    lo_t, hi_t = np.full((nb, nb), -1, dtype=np.int32), np.full((nb, nb), -1, dtype=np.int32)
+    mask[pairs[:, 0], pairs[:, 1]] = True
+    lo_t[pairs[:, 0], pairs[:, 1]] = lo
+    hi_t[pairs[:, 0], pairs[:, 1]] = hi
+    assert mask.sum() == len(pairs)
+    return mask, lo_t, hi_t
+
+
 def _written_blocks(kern, l, pairs, lo, hi, per_call=None):
     """``_min_blocks`` into a fresh product and ledger, ``per_call`` pairs a
-    call (all at once by default): the pairs' blocks, in the order of
-    pairs, once the ledger shows exactly those blocks written and every
-    other entry is still INF."""
+    call (all at once by default), each call's pairs as a mask: the pairs'
+    blocks, in the order of pairs, once the ledger shows exactly those
+    blocks written and every other entry is still INF."""
     n = kern.a.shape[0]
     nb = n // l
     c, done = np.full((n, n), mp.INF, dtype=np.int64), np.zeros((n, n), dtype=bool)
     step = per_call or len(pairs)
     for g0 in range(0, len(pairs), step):
-        _min_blocks(kern, l, pairs[g0 : g0 + step], lo[g0 : g0 + step], hi[g0 : g0 + step], c, done)
+        part = slice(g0, g0 + step)
+        _min_blocks(kern, l, *_pair_tables(nb, pairs[part], lo[part], hi[part]), c, done)
     written = np.zeros((nb, nb), dtype=bool)
     written[pairs[:, 0], pairs[:, 1]] = True
     assert np.array_equal(done, np.repeat(np.repeat(written, l, 0), l, 1))
@@ -880,11 +893,12 @@ def _written_blocks(kern, l, pairs, lo, hi, per_call=None):
 
 
 def _recording_native(monkeypatch):
-    """Route the native calls, the kernel's and the candidate scan's,
-    through a recorder; returns the list of (function name, operand dtype,
-    rectangle table) it fills, one per call."""
+    """Route the native calls, the kernel's, the candidate scan's and the
+    grouping's, through a recorder; returns the list of (function name,
+    operand dtype, rectangle table) it fills, one per call (the grouping
+    has no operand, dtype None, and its table is the one it returns)."""
     calls = []
-    real_rects, real_scan = mp.native.min_rects, mp.native.scan
+    real_rects, real_scan, real_group = mp.native.min_rects, mp.native.scan, mp.native.rectangles
 
     def min_rects(a, b, table, out, done, shift):
         calls.append(("min_rects", a.dtype, table.copy()))
@@ -894,8 +908,14 @@ def _recording_native(monkeypatch):
         calls.append(("scan", x.dtype, table.copy()))
         return real_scan(x, table, *args)
 
+    def rectangles(mask, *args):
+        table = real_group(mask, *args)
+        calls.append(("rectangles", None, table))
+        return table
+
     monkeypatch.setattr("minplus.native.min_rects", min_rects)
     monkeypatch.setattr("minplus.native.scan", scan)
+    monkeypatch.setattr("minplus.native.rectangles", rectangles)
     return calls
 
 
@@ -992,10 +1012,10 @@ def test_min_blocks_keeps_spans_off_the_gemm_path(monkeypatch):
         assert not np.array_equal(own, union)
         calls = _recording_native(monkeypatch)
         assert np.array_equal(_written_blocks(kern, l, pairs, lo, hi), own)
-        assert [(f, d) for f, d, _ in calls] == [("min_rects", dtype)]
+        assert [(f, d) for f, d, _ in calls] == [("rectangles", None), ("min_rects", dtype)]
         want = [[bi * l, (bi + 1) * l, 2 * l, 5 * l, int(row_lo[3 * g]) * l, (int(row_hi[3 * g]) + 1) * l]
                 for g, bi in enumerate(range(1, 1 + block_rows))]
-        assert calls[0][2].tolist() == want
+        assert calls[1][2].tolist() == want
         monkeypatch.undo()
 
 
@@ -1068,18 +1088,17 @@ def test_native_min_rects_matches_reference(dtype, shift):
 
 
 def test_native_refuses_malformed_input(monkeypatch):
-    # every malformed call raises before any C function is looked up:
-    # rectangles out of bounds or empty, mismatched types, non-contiguous
-    # arrays, and wrong shapes
-    class NoCall:
-        def __getattr__(self, name):
-            raise AssertionError(f"{name} called")
-
-    monkeypatch.setattr(mp.native, "_lib", NoCall())
-    a = np.zeros((8, 6), dtype=np.int16)
-    b = np.zeros((6, 10), dtype=np.int16)
-    out, done = np.zeros((8, 10), dtype=np.int64), np.zeros((8, 10), dtype=bool)
-    ok = np.array([[0, 8, 0, 10, 0, 6]], dtype=np.int64)
+    # a table with a rectangle out of bounds or empty, even after a good
+    # one, is refused in C before anything is written: ValueError, with
+    # the outputs (out and done, approx and stats) byte for byte as they
+    # were. Mismatched types, non-contiguous arrays and wrong shapes raise
+    # before any C function is looked up
+    rng = np.random.default_rng(11)
+    a = rng.integers(0, 9, size=(8, 6)).astype(np.int16)
+    b = rng.integers(0, 9, size=(6, 10)).astype(np.int16)
+    out, done = rng.integers(-9, 9, size=(8, 10)), np.zeros((8, 10), dtype=bool)
+    done[7, 9] = True
+    good = [0, 2, 0, 4, 0, 6]
     bad_tables = [
         [[0, 9, 0, 10, 0, 6]],  # rows past a
         [[0, 8, 0, 11, 0, 6]],  # columns past b
@@ -1087,14 +1106,42 @@ def test_native_refuses_malformed_input(monkeypatch):
         [[-1, 8, 0, 10, 0, 6]],  # negative start
         [[0, 8, 4, 4, 0, 6]],  # no columns
         [[0, 8, 0, 10, 3, 3]],  # an empty span
+        [good, [7, 8, 9, 11, 0, 6]],  # a bad rectangle after a good one
     ]
     for rect in bad_tables:
-        with pytest.raises(ValueError):
+        before = out.copy(), done.copy()
+        with pytest.raises(ValueError, match="empty or out of bounds"):
             mp.native.min_rects(a, b, np.array(rect, dtype=np.int64), out, done, 0)
+        assert np.array_equal(out, before[0]) and np.array_equal(done, before[1])
+    x = rng.integers(0, 9, size=(2, 4, 4)).astype(np.int16)
+    approx, stats = rng.integers(-9, 9, size=(4, 4)), rng.integers(-9, 9, size=(3, 4, 4)).astype(np.int32)
+    bad_scan_tables = [
+        [[0, 5, 0, 4, 0, 4]],  # rows past the grid
+        [[0, 4, 0, 5, 0, 4]],  # columns past the grid
+        [[0, 4, 0, 4, 1, 5]],  # scanned columns past the grid
+        [[0, 4, -1, 4, 0, 4]],  # negative start
+        [[2, 2, 0, 4, 0, 4]],  # no rows
+        [[0, 4, 0, 4, 3, 3]],  # no scanned column
+        [[0, 2, 0, 2, 0, 4], [0, 4, 3, 1, 0, 4]],  # a bad rectangle after a good one
+        [[0, 4, 0, 4, 0, 4], [0, 4, 0, 4, 0, 5]],  # after one that covers the grid
+    ]
+    for rect in bad_scan_tables:
+        before = approx.copy(), stats.copy()
+        with pytest.raises(ValueError, match="empty or out of bounds"):
+            mp.native.scan(x, np.array(rect, dtype=np.int64), 0, 1, 0, approx, stats)
+        assert np.array_equal(approx, before[0]) and np.array_equal(stats, before[1])
+
+    class NoCall:
+        def __getattr__(self, name):
+            raise AssertionError(f"{name} called")
+
+    monkeypatch.setattr(mp.native, "_lib", NoCall())
+    ok = np.array([[0, 8, 0, 10, 0, 6]], dtype=np.int64)
     for args in [
         (a, b.astype(np.int32), ok, out, done, 0),  # operand types differ
         (a.astype(np.int8), b, ok, out, done, 0),  # no kernel for the type
         (a, b, ok.astype(np.int32), out, done, 0),  # table type
+        (a, b, ok.ravel(), out, done, 0),  # table shape
         (a, b, ok, out.astype(np.int32), done, 0),  # product type
         (a, b, ok, out, done.view(np.uint8), 0),  # ledger type
         (np.asfortranarray(a), b, ok, out, done, 0),  # non-contiguous
@@ -1107,21 +1154,7 @@ def test_native_refuses_malformed_input(monkeypatch):
     ]:
         with pytest.raises((TypeError, ValueError)):
             mp.native.min_rects(*args)
-    x = np.zeros((2, 4, 4), dtype=np.int16)
-    approx, stats = np.zeros((4, 4), dtype=np.int64), np.zeros((3, 4, 4), dtype=np.int32)
     whole = np.array([[0, 4, 0, 4, 0, 4]], dtype=np.int64)
-    bad_scan_tables = [
-        [[0, 5, 0, 4, 0, 4]],  # rows past the grid
-        [[0, 4, 0, 5, 0, 4]],  # columns past the grid
-        [[0, 4, 0, 4, 1, 5]],  # scanned columns past the grid
-        [[0, 4, -1, 4, 0, 4]],  # negative start
-        [[2, 2, 0, 4, 0, 4]],  # no rows
-        [[0, 4, 0, 4, 3, 3]],  # no scanned column
-        [[0, 2, 0, 2, 0, 4], [0, 4, 3, 1, 0, 4]],  # a bad rectangle after a good one
-    ]
-    for rect in bad_scan_tables:
-        with pytest.raises(ValueError):
-            mp.native.scan(x, np.array(rect, dtype=np.int64), 0, 1, 0, approx, stats)
     for args in [
         (x.astype(np.int8), whole, 0, 1, 0, approx, stats),  # no scan for the type
         (x[0], whole, 0, 1, 0, approx, stats),  # not two tables
@@ -1139,6 +1172,19 @@ def test_native_refuses_malformed_input(monkeypatch):
     ]:
         with pytest.raises((TypeError, ValueError)):
             mp.native.scan(*args)
+    mask, span = np.ones((4, 4), dtype=bool), np.zeros((4, 4), dtype=np.int32)
+    for args in [
+        (mask.view(np.uint8), span, span, 1),  # mask type
+        (mask[0], span, span, 1),  # not 2-D
+        (mask[:3], span[:3], span[:3], 1),  # not square
+        (mask, span.astype(np.int64), span, 1),  # span type
+        (mask, span, span[:, :3], 1),  # span shape
+        (mask, span, np.zeros((4, 8), dtype=np.int32)[:, ::2], 1),  # non-contiguous
+        (mask, span, span, 0),  # scale below 1
+        (mask, span, span, 1 << 62),  # entries past int64
+    ]:
+        with pytest.raises((TypeError, ValueError)):
+            mp.native.rectangles(*args)
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
@@ -1149,8 +1195,9 @@ def test_native_scan_matches_reference(dtype):
     # chunk edge and one past it, and one pair whose minimum passes cap, so
     # its threshold is clamped at largest. Each pair of a rectangle gets the
     # minimum plus the shift, and the count, first and last admitted column
-    # among the rectangle's block columns only; every other pair keeps the
-    # fill: INF, size 0, first nb and last -1
+    # among the rectangle's block columns only; every other pair gets the
+    # fill: INF, size 0, first nb and last -1. A table with a rectangle over
+    # the whole grid, which skips the fill, still writes every pair
     rng = np.random.default_rng(3)
     chunk = _column_chunk()
     nb = chunk + 9
@@ -1158,7 +1205,7 @@ def test_native_scan_matches_reference(dtype):
     x = rng.integers(0, top // 2 + 1, size=(2, nb, nb)).astype(dtype)
     x[0, 20, 30] = x[1, 30, 20] = top // 2
     cap, largest, shift = top - 900, top, 1 << 40
-    table = np.array(
+    child = np.array(
         [
             (0, 2, 0, 2, 4, 10),  # child pairs over part of the columns
             (0, 2, 2, 4, 0, 2),
@@ -1170,25 +1217,47 @@ def test_native_scan_matches_reference(dtype):
         ],
         dtype=np.int64,
     )
-    approx = np.empty((nb, nb), dtype=np.int64)
-    stats = np.empty((3, nb, nb), dtype=np.int32)
-    mp.native.scan(x, table, cap, largest, shift, approx, stats)
-    sizes, lo, hi = stats
-    scanned = np.zeros((nb, nb), dtype=bool)
-    for r0, r1, c0, c1, k0, k1 in table.tolist():
-        sums = x[0, r0:r1, k0:k1, None].astype(np.int64) + x[1, None, k0:k1, c0:c1]  # [bi, bk, bj]
-        m = sums.min(axis=1)
-        ok = sums <= largest - np.maximum(cap - m, 0)[:, None]
-        ks = np.arange(k0, k1)[None, :, None]
-        assert np.array_equal(approx[r0:r1, c0:c1], m + shift)
-        assert np.array_equal(sizes[r0:r1, c0:c1], ok.sum(axis=1))
-        assert np.array_equal(lo[r0:r1, c0:c1], np.where(ok, ks, nb).min(axis=1))
-        assert np.array_equal(hi[r0:r1, c0:c1], np.where(ok, ks, -1).max(axis=1))
-        scanned[r0:r1, c0:c1] = True
-    assert approx[20, 20] == top + shift and top > cap
-    assert (sizes[scanned] > 1).any()
-    assert (approx[~scanned] == mp.INF).all() and (sizes[~scanned] == 0).all()
-    assert (lo[~scanned] == nb).all() and (hi[~scanned] == -1).all()
+    # the top scan's one rectangle over the whole grid, which skips the
+    # fill, and the same after a rectangle it overwrites, on a small grid
+    small, whole = x[:, :24, :24].copy(), np.array([(0, 24, 0, 24, 0, 24)], dtype=np.int64)
+    for reps, table in ((x, child), (small, whole), (small, np.concatenate((child[:1], whole)))):
+        nb = reps.shape[1]
+        # outputs hold stale values, which the fill or the scan must replace
+        approx = np.full((nb, nb), 12345, dtype=np.int64)
+        stats = np.full((3, nb, nb), 777, dtype=np.int32)
+        mp.native.scan(reps, table, cap, largest, shift, approx, stats)
+        # the fill, then each rectangle in order: a later one overwrites
+        want = [np.full((nb, nb), v, dtype=np.int64) for v in (mp.INF, 0, nb, -1)]
+        for r0, r1, c0, c1, k0, k1 in table.tolist():
+            sums = reps[0, r0:r1, k0:k1, None].astype(np.int64) + reps[1, None, k0:k1, c0:c1]  # [bi, bk, bj]
+            m = sums.min(axis=1)
+            ok = sums <= largest - np.maximum(cap - m, 0)[:, None]
+            ks = np.arange(k0, k1)[None, :, None]
+            want[0][r0:r1, c0:c1] = m + shift
+            want[1][r0:r1, c0:c1] = ok.sum(axis=1)
+            want[2][r0:r1, c0:c1] = np.where(ok, ks, nb).min(axis=1)
+            want[3][r0:r1, c0:c1] = np.where(ok, ks, -1).max(axis=1)
+        assert np.array_equal(approx, want[0]) and np.array_equal(stats, np.stack(want[1:]))
+        assert (stats[0] > 1).any()
+        assert (approx == mp.INF).any() == (table is child)
+        if table is child:
+            assert approx[20, 20] == top + shift and top > cap
+
+
+@pytest.mark.parametrize("name", ["walk-64", "valley-256"])
+def test_default_basic_product_makes_three_native_calls(monkeypatch, name):
+    # on the benchmark's pairs at seed 7, with its engine seeds, a default
+    # basic product makes one candidate scan, one grouping of its pairs and
+    # one kernel call, in that order, whatever the pair: no native call, and
+    # so no Python, runs per block pair
+    workloads = _perfbench_workloads()
+    calls = _recording_native(monkeypatch)
+    for i, (a, b) in enumerate(workloads.make_pairs(workloads.WORKLOADS[name], 7)):
+        calls.clear()
+        got = mp.basic_minplus(a, b, AlgoParams(delta=a.delta, seed=workloads.engine_seed(7, i)))
+        assert [f for f, _, _ in calls] == ["scan", "rectangles", "min_rects"]
+        assert np.array_equal(calls[1][2], calls[2][2])
+        assert np.array_equal(got.data, mp.dense_minplus(a.base, b.base).data)
 
 
 def test_native_library_is_cached(monkeypatch, tmp_path):
@@ -1312,7 +1381,7 @@ def test_benchmark_valley_products_take_one_gemm_rectangle(monkeypatch):
         calls.clear()
         got = mp.basic_minplus(a, b, AlgoParams(delta=a.delta, seed=workloads.engine_seed(7, i)))
         rects = [table for f, _, table in calls if f == "min_rects"]
-        assert len(rects) == 1 and {d for _, d, _ in calls} == {np.dtype(np.int16)}
+        assert len(rects) == 1 and {d for f, d, _ in calls if f != "rectangles"} == {np.dtype(np.int16)}
         r0, r1, c0, c1, k0, k1 = rects[0].T
         assert ((r1 - r0) * (c1 - c0)).sum() == a.n * a.n
         assert (k1 - k0 < a.n).all()
@@ -1320,9 +1389,14 @@ def test_benchmark_valley_products_take_one_gemm_rectangle(monkeypatch):
 
 
 def test_min_blocks_rejects_empty_span():
+    # a pair whose span is empty, or leaves the block columns, is refused
+    # by the compiled grouping before the kernel writes anything
     z = np.zeros((4, 4), dtype=np.int64)
-    with pytest.raises(mp.InvariantError):
-        _min_blocks(KernelOperands(z, z, 0), 2, np.array([[0, 0]]), np.array([1]), np.array([0]), z.copy(), z > 0)
+    c, done = z.copy(), z > 0
+    for lo, hi in [(1, 0), (-1, 0), (0, 2)]:
+        with pytest.raises(mp.InvariantError):
+            _min_blocks(KernelOperands(z, z, 0), 2, *_pair_tables(2, np.array([[0, 0]]), [lo], [hi]), c, done)
+    assert not done.any()
 
 
 @pytest.mark.parametrize(
@@ -1404,8 +1478,8 @@ def test_engines_exact_in_every_kernel_type(monkeypatch, case, dtype):
         assert np.array_equal(mp.basic_minplus(a, b, params).data, want)
         assert np.array_equal(mp.recursive_minplus(a, b, params).data, want)
     assert np.array_equal(mp.dense_minplus(a.base, b.base).data, want)
-    assert {f for f, _, _ in calls} == {"min_rects", "scan"}
-    assert {d for _, d, _ in calls} == {np.dtype(dtype)}
+    assert {f for f, _, _ in calls} == {"min_rects", "scan", "rectangles"}
+    assert {d for f, d, _ in calls if f != "rectangles"} == {np.dtype(dtype)}
 
 
 def test_one_operand_preparation_per_product(monkeypatch):
@@ -1461,20 +1535,30 @@ try:
 except InvariantError:
     caught.append("key range")
 try:
-    _enumerate_pairs(KernelOperands(z, z, 0), 2, np.array([[0, 0]]), empty, z.copy(), z > 0)
+    _enumerate_pairs(KernelOperands(z, z, 0), 2, np.eye(4, dtype=bool), empty, z.copy(), z > 0)
 except InvariantError:
     caught.append("empty candidate set")
 # one pair twice: its second rectangle overlaps the first, which the
-# native kernel reports and the kernel refuses
+# native kernel reports and the kernel refuses; an empty span, which the
+# compiled grouping refuses
 y = np.zeros((8, 8), dtype=np.int16)
+one = np.zeros((4, 4), dtype=bool)
+one[1, 1] = True
+lo, hi = np.zeros((4, 4), dtype=np.int32), np.full((4, 4), 3, dtype=np.int32)
+c, done = z.copy(), z > 0
+_min_blocks(KernelOperands(y, y, 0), 2, one, lo, hi, c, done)
 try:
-    _min_blocks(KernelOperands(y, y, 0), 2, np.array([[1, 1], [1, 1]]), np.array([0, 0]), np.array([3, 3]), z.copy(), z > 0)
+    _min_blocks(KernelOperands(y, y, 0), 2, one, lo, hi, c, done)
 except InvariantError:
     caught.append("block finalized twice")
+try:
+    _min_blocks(KernelOperands(y, y, 0), 2, one, hi, lo, z.copy(), z > 0)
+except InvariantError:
+    caught.append("empty span")
 print(__debug__, caught)
 """
     src = os.path.dirname(os.path.dirname(mp.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False ['key range', 'empty candidate set', 'block finalized twice']"
+    assert proc.stdout.strip() == "False ['key range', 'empty candidate set', 'block finalized twice', 'empty span']"

@@ -143,8 +143,7 @@ def test_candidate_sets_in_every_scan_type(monkeypatch, case, dtype):
         check_candidate_sets(cs, a, b)
         if above is not None:
             nb = a.n // (2 * l)
-            parents = np.argwhere(np.ones((nb, nb), dtype=bool))
-            check_candidate_sets(child_sets(a, b, l, parents, above), a, b)
+            check_candidate_sets(child_sets(l, np.ones((nb, nb), dtype=bool), above), a, b)
         assert types == [dtype] * (1 + (above is not None))
         above = cs
         l //= 2
@@ -266,3 +265,117 @@ def test_refine_size_bound():
         child = candidate_sets(a, b, 2)
         ps = np.repeat(np.repeat(parent.sizes, 2, 0), 2, 1)
         assert (child.sizes <= 2 * ps).all()
+
+
+def _reference_rectangles(pairs, lo, hi, nb):
+    """The numpy grouping ``native.rectangles`` replaced, the reference it
+    is checked against: the block pairs ``pairs`` (bi, bj), distinct and in
+    any order, each over its span lo[g]..hi[g], as a table of rows (r0, r1,
+    c0, c1, k0, k1) in block units. Runs of consecutive block columns in
+    one block row, over the union of their spans, stacked over consecutive
+    block rows while the run that follows has the same first column, length
+    and union."""
+    key = pairs[:, 0] * nb + pairs[:, 1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # runs: consecutive block columns of one block row, and their union span
+    cut = np.ones(len(key), dtype=bool)
+    cut[1:] = (np.diff(key) != 1) | (key[1:] % nb == 0)
+    run_at = np.flatnonzero(cut)
+    run_len = np.diff(np.append(run_at, len(key)))
+    run_bi, run_bj = np.divmod(key[run_at], nb)
+    run_lo = np.minimum.reduceat(lo[order], run_at)
+    run_hi = np.maximum.reduceat(hi[order], run_at)
+    # rectangles: runs that follow each other in consecutive block rows
+    # with one shape (first block column, length and union span)
+    shape = np.stack((run_bj, run_len, run_lo, run_hi))
+    cut = np.ones(len(run_at), dtype=bool)
+    cut[1:] = (shape[:, 1:] != shape[:, :-1]).any(axis=0) | (run_bi[1:] != run_bi[:-1] + 1)
+    rect_at = np.flatnonzero(cut)
+    bj0, wd, span_lo, span_hi = shape[:, rect_at]
+    bi0 = run_bi[rect_at]
+    rows = np.diff(np.append(rect_at, len(run_at)))
+    return np.stack((bi0, bi0 + rows, bj0, bj0 + wd, span_lo, span_hi + 1), axis=1).astype(np.int64)
+
+
+def _spans(rng, nb, kind):
+    """Random int32 span tables of an nb x nb grid: any spans, or few
+    distinct ones with rows repeated, so equal neighbours stack."""
+    if kind == "any":
+        lo = rng.integers(0, nb, size=(nb, nb))
+        hi = np.minimum(lo + rng.integers(0, nb, size=(nb, nb)), nb - 1)
+    else:
+        lo = rng.integers(0, 2, size=(nb, nb)) % nb
+        hi = np.maximum(nb - 1 - rng.integers(0, 2, size=(nb, nb)), lo)
+        repeat = rng.random(nb) < 0.6
+        for bi in np.flatnonzero(repeat[1:]) + 1:
+            lo[bi], hi[bi] = lo[bi - 1], hi[bi - 1]
+    return lo.astype(np.int32), hi.astype(np.int32)
+
+
+@pytest.mark.parametrize("scale", [1, 2, 8])
+def test_rectangles_match_numpy_reference(scale):
+    # the compiled grouping gives the numpy reference's table row for row,
+    # times scale, on seeded random masks: sparse and dense ones, rows
+    # with several runs, whole rows, and rows repeated so that runs stack
+    # over some neighbours and not over others (the same run with another
+    # union). A span is read only under the mask, so pairs outside it may
+    # hold anything
+    rng = np.random.default_rng(scale)
+    stacked = several = 0
+    for trial in range(300):
+        nb = int(rng.integers(1, 13))
+        density = rng.choice([0.1, 0.5, 0.9, 1.0])
+        mask = rng.random((nb, nb)) < density
+        if trial % 3 == 0:
+            repeat = rng.random(nb) < 0.6
+            for bi in np.flatnonzero(repeat[1:]) + 1:
+                mask[bi] = mask[bi - 1]
+        lo, hi = _spans(rng, nb, "any" if trial % 2 else "few")
+        lo[~mask], hi[~mask] = -7, nb + 7
+        run_starts = (np.diff(mask.astype(np.int8), axis=1, prepend=0) == 1).sum(axis=1)
+        several += int((run_starts >= 2).sum())
+        pairs = np.argwhere(mask)[rng.permutation(int(mask.sum()))]
+        got = mp.native.rectangles(mask, lo, hi, scale)
+        if not len(pairs):
+            assert got.shape == (0, 6)
+            continue
+        want = _reference_rectangles(pairs, lo[pairs[:, 0], pairs[:, 1]], hi[pairs[:, 0], pairs[:, 1]], nb)
+        assert got.dtype == np.int64 and np.array_equal(got, want * scale)
+        stacked += int((want[:, 1] - want[:, 0] > 1).sum())
+    assert stacked > 50 and several > 50
+
+
+def test_rectangles_edge_cases():
+    # a run that ends at the last column is not continued by one that
+    # starts at column 0 of the next row; a single pair keeps its own span;
+    # an empty mask gives no rows; equal runs in consecutive rows stack,
+    # but not over a row between them without one
+    nb = 5
+    lo, hi = np.full((nb, nb), 1, dtype=np.int32), np.full((nb, nb), 3, dtype=np.int32)
+    mask = np.zeros((nb, nb), dtype=bool)
+    mask[0, 3:], mask[1, :2] = True, True
+    assert mp.native.rectangles(mask, lo, hi, 1).tolist() == [[0, 1, 3, 5, 1, 4], [1, 2, 0, 2, 1, 4]]
+    single = np.zeros((nb, nb), dtype=bool)
+    single[4, 4] = True
+    lo[4, 4], hi[4, 4] = 2, 2
+    assert mp.native.rectangles(single, lo, hi, 4).tolist() == [[16, 20, 16, 20, 8, 12]]
+    assert mp.native.rectangles(np.zeros((nb, nb), dtype=bool), lo, hi, 1).shape == (0, 6)
+    assert mp.native.rectangles(np.zeros((0, 0), dtype=bool), lo[:0, :0], hi[:0, :0], 1).shape == (0, 6)
+    rows = np.zeros((nb, nb), dtype=bool)
+    rows[[0, 1, 3], 1:4] = True
+    assert mp.native.rectangles(rows, lo, hi, 1).tolist() == [[0, 2, 1, 4, 1, 4], [3, 4, 1, 4, 1, 4]]
+
+
+@pytest.mark.parametrize("lo_v, hi_v", [(2, 1), (-1, 0), (0, 5), (-3, -3), (5, 5)])
+def test_rectangles_refuse_bad_spans(lo_v, hi_v):
+    # a masked pair whose span is empty or leaves the block columns is
+    # refused (None), wherever it sits among good pairs; unmasked it is
+    # never read
+    nb = 5
+    lo, hi = np.zeros((nb, nb), dtype=np.int32), np.full((nb, nb), nb - 1, dtype=np.int32)
+    lo[2, 3], hi[2, 3] = lo_v, hi_v
+    mask = np.ones((nb, nb), dtype=bool)
+    assert mp.native.rectangles(mask, lo, hi, 1) is None
+    mask[2, 3] = False
+    assert mp.native.rectangles(mask, lo, hi, 1) is not None

@@ -310,10 +310,10 @@ def test_level_child_sets_equal_dense_sets(pool, monkeypatch, family, delta, alp
     scans, tables = [], []
     real, real_scan = basic.child_sets, mp.native.scan
 
-    def recording(a_, b_, l, parents, spans):
-        cs = real(a_, b_, l, parents, spans)
+    def recording(l, parents, spans):
+        cs = real(l, parents, spans)
         scans.append((l, parents, cs))
-        pi, pj = parents[:, 0], parents[:, 1]
+        pi, pj = np.nonzero(parents)
         own = np.zeros((n // l, n // l, 2), dtype=np.int64)  # each child's own columns
         for di in (0, 1):
             for dj in (0, 1):
@@ -340,19 +340,14 @@ def test_level_child_sets_equal_dense_sets(pool, monkeypatch, family, delta, alp
             widened += int(((members[..., 0] > k0) | (members[..., 1] < k1)).sum())
     assert widened > 0 or family == "walk" or delta == 1
     for l, parents, cs in scans:
-        nb = n // l
-        eligible = np.zeros((nb, nb), dtype=bool)
-        for di in (0, 1):
-            for dj in (0, 1):
-                eligible[2 * parents[:, 0] + di, 2 * parents[:, 1] + dj] = True
-        kids = np.argwhere(eligible)
+        eligible = np.repeat(np.repeat(parents, 2, 0), 2, 1)
         check_candidate_sets(cs, a, b, eligible)
         assert (cs.approx.data[~eligible] == mp.INF).all() and (cs.sizes[~eligible] == 0).all()
         # the fallback and the tail: enumerating the candidate spans (at
         # block length 1, reading the minimum) gives the product's blocks
         counters = Counters()
         c, done = np.full((n, n), mp.INF, dtype=np.int64), np.zeros((n, n), dtype=bool)
-        basic._enumerate_pairs(cs.kern, l, kids, cs, c, done, counters)
+        basic._enumerate_pairs(cs.kern, l, eligible, cs, c, done, counters)
         written = np.repeat(np.repeat(eligible, l, 0), l, 1)
         assert np.array_equal(done, written) and np.array_equal(c[written], want[written])
         assert counters.block_products == candidate_mask(a, b, l)[0][eligible].sum()
