@@ -17,9 +17,8 @@ least the number of block columns), so a default product only enumerates
 and refines; the paper's schedule samples. Pairs whose
 candidate set missed the sample fall back to direct enumeration, so the
 result is always exact. The other pairs are refined to half the block
-length, or enumerated directly after the last level; a level with no open
-pair is skipped. At block length 1 the fallback and the tail
-read the representative minimum, which there is the product entry.
+length, or enumerated directly at the last level; a level with no open
+pair is skipped.
 
 The paper reduces the operands by column r before bucketing; here the
 reduction only picks block columns, and the picked blocks are evaluated on
@@ -37,26 +36,27 @@ reduced copy of an operand is made anywhere.
 Every block value comes from one kernel, ``_min_blocks``, which reduces
 each block pair over a span of block columns: an enumerated pair over its
 candidate span, an assigned pair over the span of the block columns its
-sampled column's buckets select. Either span holds every block of an
-optimal witness, so a minimum over it, or over any larger set of columns,
-is exact. The kernel takes its pairs as a bool mask of the block grid with
-their spans in two grid-shaped tables, and a compiled grouping turns them
-into rectangles, runs of consecutive block columns in one block row stacked
-over consecutive block rows that hold the same run with the same union of
-spans (``native.rectangles``, which the child candidate scans share); it
-hands the table of rectangles to one compiled loop (``native.min_rects``,
-in ``native.c``). A level keeps its open, active and pending pairs as such
-masks too, and lists pairs only for the sampled columns, the level trace
-and the block length 1 reads. The kernel reduces operand
-slices over the union of a rectangle's spans, so it gathers nothing, and it
-writes each rectangle straight into the product, so it scatters nothing
-either. A pair whose span is every block column (density
-1, as on random walks) gets the plain min-plus product of its rows of A
-and columns of B, so the dense case costs no more than a dense product;
-``dense_minplus``, the same compiled loop over one rectangle of the whole
-product, is the cubic reference the engines are measured against.
-The sampled columns of a level hand all their pairs to one kernel call, so
-pairs split between columns still form whole rows there.
+sampled column's buckets select (``_assigned_spans``); a single entry, at
+block length 1, is a block like any other. Either span holds every block
+of an optimal witness, so a minimum over it, or over any larger set of
+columns, is exact. The kernel takes its pairs as a bool mask of the block
+grid with their spans in two grid-shaped tables, and a compiled grouping
+turns them into rectangles, runs of consecutive block columns in one block
+row stacked over consecutive block rows that hold the same run with the
+same union of spans (``native.rectangles``, which the child candidate
+scans share); it hands the table of rectangles to one compiled loop
+(``native.min_rects``, in ``native.c``). A level keeps its open, active and
+pending pairs as such masks too, and lists pairs only for the sampled
+columns and the level trace. The kernel reduces operand slices over the
+union of a rectangle's spans, so it gathers nothing, and it writes each
+rectangle straight into the product, so it scatters nothing either. A pair
+whose span is every block column (density 1, as on random walks) gets the
+plain min-plus product of its rows of A and columns of B, so the dense case
+costs no more than a dense product; ``dense_minplus``, the same compiled
+loop over one rectangle of the whole product, is the cubic reference the
+engines are measured against. Each level that finishes pairs hands them
+all, enumerated and assigned, to one kernel call, so pairs split between
+columns or stages still form whole rows there.
 
 The kernel runs in the operands' narrowest type. Once per product,
 ``blocking.kernel_operands`` shifts the operands to start at 0, A - min A
@@ -67,10 +67,9 @@ operand spans at most 2*(delta-1)*(n-1), so small delta gives int16. The
 kernel adds the shift min A + min B back as it writes. The top candidate
 scan makes these operands (``candidate_sets``) and keeps them on its sets
 (``CandidateSets.kern``), where the scans of every level and the kernel
-read them; the scans write their minima back in int64, which the block
-length 1 reads take (``_finalize``). The bucket sums stay on the int64
-originals: a bucket is a difference within one row of A or one column of
-B, where the shift cancels anyway.
+read them. The bucket sums stay on the int64 originals: a bucket is a
+difference within one row of A or one column of B, where the shift
+cancels anyway.
 """
 
 from __future__ import annotations
@@ -273,7 +272,7 @@ def build_segments(
     """Bucket the block representatives of A - A[:, r] and B - B[r, :] into
     half-open segments of width 20*delta*l, per block column of A and block
     row of B, bucketing relative to column r exactly as the product does
-    (``_assigned_block_values``); no reduced copy is made.
+    (``_assigned_spans``); no reduced copy is made.
 
     Returns the two tables plus the correspondence relations: A bucket p is
     paired with B bucket shift - p for each shift in the returned tuple, which
@@ -372,13 +371,16 @@ def _min_blocks(
     the block of every optimal witness, as a candidate span does, therefore
     gives the product's block; a full span, 0..nb-1, gives the plain
     min-plus product. The ledger ``done`` marks each entry written, and
-    refuses an entry written before.
+    refuses an entry written before. Each level of ``run_levels`` that
+    finishes pairs makes one call, with every pair it finishes.
 
     The pairs are grouped into rectangles in C (``native.rectangles``, which
-    the child candidate scans share, and which refuses an empty span): runs
-    of consecutive block columns in one block row, stacked over consecutive
-    block rows that hold the same run with the same union of spans. A
-    rectangle reduces over the union of its pairs' spans; a pair alone, or
+    the child candidate scans share). The grouping refuses an empty span,
+    such as an unscanned pair's (lo = nb, hi = -1), so a pair without a
+    candidate raises InvariantError before anything is written. A rectangle
+    is a run of consecutive block columns in one block row, stacked over
+    consecutive block rows that hold the same run with the same union of
+    spans. It reduces over the union of its pairs' spans; a pair alone, or
     among equal spans, gets the minimum over its own span. The whole table
     of rectangles, in entries, goes to the compiled kernel in one call
     (``native.min_rects``), which reads each rectangle's rows of A and
@@ -414,82 +416,47 @@ def dense_minplus(a: Matrix, b: Matrix) -> Matrix:
     return product_matrix(c)
 
 
-def _enumerate_pairs(
-    kern: KernelOperands,
-    l: int,
-    mask: np.ndarray,
-    cands: CandidateSets,
-    c: np.ndarray,
-    done: np.ndarray,
-    counters: Counters | None = None,
-) -> None:
-    """Direct enumeration of the candidate blocks of each pair set in the
-    bool mask ``mask``, on the kernel operands, over the pair's candidate
-    span, written into the product ``c`` (ledger ``done``). Each candidate
-    counts as one block product.
-
-    At block length 1 a representative sum is A[i,k] + B[k,j] itself, so the
-    representative minimum over the candidate columns already is the
-    product entry, and it is read (the scan's int64 ``approx``) instead of
-    enumerated.
-    """
-    counts = cands.sizes[mask]
-    require(counts.min(initial=1) >= 1, "block pair without a candidate")
-    if l == 1:
-        _finalize(c, done, np.argwhere(mask), cands.approx.data[mask])
-    else:
-        _min_blocks(kern, l, mask, cands.lo, cands.hi, c, done)
-    if counters is not None:
-        counters.block_products += int(counts.sum())
-
-
-def _assigned_block_values(
+def _assigned_spans(
     a_data: np.ndarray,
     b_data: np.ndarray,
-    kern: KernelOperands,
     l: int,
     width: int,
     assigned: dict[int, np.ndarray],
-    c: np.ndarray,
-    done: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
     counters: Counters | None = None,
-) -> np.ndarray:
-    """Values of the blocks assigned to the sampled columns: for each block
-    pair of ``assigned[r]``, the min over the block columns whose buckets,
-    taken relative to column r (A[i,k] - A[i,r] and B[k,j] - B[r,j]), fall
-    in one of the correspondence relations (p + q in REL_SHIFTS).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spans of the blocks assigned to the sampled columns: for each block
+    pair of ``assigned[r]``, the block columns whose buckets, taken relative
+    to column r (A[i,k] - A[i,r] and B[k,j] - B[r,j]), fall in one of the
+    correspondence relations (p + q in REL_SHIFTS).
 
     The reduction only decides which block columns a pair takes: since
     (A[i,k] - A[i,r]) + (B[k,j] - B[r,j]) + A[i,r] + B[r,j] = A[i,k] + B[k,j]
     exactly in int64, the selected blocks are evaluated on the unreduced
-    operands and need no reduced copy or add-back. The result equals the
+    operands and need no reduced copy or add-back. Their minimum equals the
     union of column r's rectangular segment products after collision
     subtraction, shifted back by A[i,r] + B[r,j]. The selected columns hold
     every candidate of a pair assigned to r, and so the optimal witness
-    blocks; the kernel takes the span from the first to the last of them
-    (column r itself is always selected: both its buckets are 0), which
-    gives the same value. The buckets are taken on the int64 originals
-    ``a_data`` and ``b_data``, a few pairs at a time, so the int64 bucket
-    sums stay bounded; the selection of every block column still counts
-    toward ``poly_degree_ops``. The spans are scattered into grid-shaped
-    tables under a mask of the pairs, and the blocks are evaluated on the
-    kernel operands ``kern`` and written into the product ``c`` (ledger
-    ``done``), every column's pairs in one call, so that the columns' shares
-    of a block row are computed together.
+    blocks; the span from the first to the last of them (column r itself is
+    always selected: both its buckets are 0) gives the same minimum. The
+    buckets are taken on the int64 originals ``a_data`` and ``b_data``, a
+    few pairs at a time, so the int64 bucket sums stay bounded; the
+    selection of every block column still counts toward
+    ``poly_degree_ops``.
 
-    Returns the pairs, column by column in ascending order.
+    Returns copies of the level's span tables ``lo`` and ``hi`` with the
+    assigned pairs' spans written in; the tables passed in, shared with the
+    level's candidate sets, are left as they are.
     """
     nb = a_data.shape[0] // l
     rel_lo, rel_hi = REL_SHIFTS[0], REL_SHIFTS[-1]
     step = max(1, _TRIPLE_BUDGET // nb)
-    mask = np.zeros((nb, nb), dtype=bool)
-    lo = np.empty((nb, nb), dtype=np.int32)  # block columns, read under the mask
-    hi = np.empty((nb, nb), dtype=np.int32)
+    lo, hi = lo.copy(), hi.copy()
     selected = 0
     for r in sorted(assigned):
         blocks = assigned[r]
         bi, bj = blocks[:, 0], blocks[:, 1]
-        mask[bi, bj] = True
         pa = _buckets(a_data, l, width, a_data[::l, r, None])
         qbt = np.ascontiguousarray(_buckets(b_data, l, width, b_data[None, r, ::l]).T)  # [bj, bk]
         for g0 in range(0, len(blocks), step):
@@ -499,23 +466,10 @@ def _assigned_block_values(
             selected += int(np.count_nonzero(sel))
             lo[ci, cj] = sel.argmax(axis=1)
             hi[ci, cj] = nb - 1 - sel[:, ::-1].argmax(axis=1)
-        del pa, qbt, psum, sel  # dropped before the kernel runs
+        del pa, qbt, psum, sel  # dropped before the next column's are made
     if counters is not None:
         counters.poly_degree_ops += selected * l**3
-    _min_blocks(kern, l, mask, lo, hi, c, done)
-    return np.concatenate([assigned[r] for r in sorted(assigned)])
-
-
-def _finalize(c: np.ndarray, done: np.ndarray, entries: np.ndarray, vals: np.ndarray) -> None:
-    """Write the final values ``vals`` of distinct entries (row, column) of
-    the product, each exactly once, through flat indices of the output and
-    of the ledger ``done``: the block length 1 reads of the representative
-    minimum, the one write the kernel does not make."""
-    at = entries[:, 0] * c.shape[1] + entries[:, 1]
-    flat = done.reshape(-1)
-    require(not flat[at].any(), "block finalized twice")
-    flat[at] = True
-    c.reshape(-1)[at] = vals
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -529,18 +483,18 @@ class LevelState:
     block_len: int
     theta: float  # block length l = n**(1-theta)
     active: np.ndarray  # pairs routed to this level's sampled pipeline
-    pending: np.ndarray  # pairs refined to the next level, or enumerated after the last one
+    pending: np.ndarray  # pairs refined to the next level, or enumerated at the last one
     assigned: dict[int, np.ndarray]  # sampled column -> the active pairs it computed
 
 
 def check_operands(a: BDMatrix, b: BDMatrix, params: AlgoParams, caller: str) -> None:
-    """Validate an engine's inputs. The operand cap is checked where the
-    kernel operands are made, by the top candidate scan (``candidate_sets``)."""
+    """Validate an engine's inputs against its params. The pair itself, its
+    sizes and deltas, is checked by the top candidate scan
+    (``candidate_sets``), which also checks the operand cap where it makes
+    the kernel operands."""
     if not isinstance(a, BDMatrix) or not isinstance(b, BDMatrix):
         raise TypeError(f"{caller} expects BDMatrix inputs")
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    if a.delta != b.delta or a.delta != params.delta:
+    if a.delta != params.delta:
         raise ValueError("delta mismatch between inputs and params")
 
 
@@ -554,19 +508,22 @@ def run_levels(
 ) -> Matrix:
     """Exact product of inputs that passed check_operands, over the block
     lengths ``levels`` (the top block length first, each next one half the
-    one before), with the block kernels on the kernel operands that the
-    top candidate scan made (``CandidateSets.kern``).
+    one before), with the block kernel on the kernel operands that the top
+    candidate scan made (``CandidateSets.kern``).
 
     The top level computes every pair's candidate sets; each finer level
     computes only those of the children of the pairs refined to it, under
     their parents' candidate spans. At each level the open pairs with
     more than T_beta candidates are active: grids under 4 blocks a side
-    enumerate them directly, larger ones sample columns, compute each
-    assigned pair from the original operands over the block columns its
-    column's buckets select, and enumerate the pairs the sample missed. The
-    other open pairs are refined to the next level; after the last level
-    they are enumerated directly (the tail). A level with no open pair
-    computes no candidate sets and is traced empty. The tail counts toward
+    enumerate them directly, larger ones sample columns, take each assigned
+    pair over the block columns its column's buckets select
+    (``_assigned_spans``), and enumerate the pairs the sample missed (the
+    fallback). The other open pairs are refined to the next level; at the
+    last level they are enumerated directly (the tail). Each level finishes
+    its pairs in one kernel call (``_min_blocks``): the active pairs, or at
+    the last level every open pair, each over its candidate span or, if
+    assigned, its selected span. A level with no open pair computes no
+    candidate sets and is traced empty. The tail counts toward
     block_products only at the top block length, the grid the strict bound
     is stated on.
     """
@@ -583,6 +540,7 @@ def run_levels(
     done = np.zeros((n, n), dtype=bool)
 
     for li, l in enumerate(levels):
+        last = li == len(levels) - 1
         if li:
             eligible = np.repeat(np.repeat(is_pending, 2, 0), 2, 1)
             # the children of the pending pairs, scanned only under their
@@ -598,19 +556,22 @@ def run_levels(
                 assigned = needed.gamma
                 missed = np.zeros_like(is_active)
                 missed[needed.missed[:, 0], needed.missed[:, 1]] = True
-            if missed.any():
-                _enumerate_pairs(kern, l, missed, cands, c, done, counters)
-                counters.fallback_pairs += int(np.count_nonzero(missed))
+            counters.fallback_pairs += int(np.count_nonzero(missed))
+            counters.block_products += int(cands.sizes[missed].sum())
+        is_pending = eligible & ~is_active
+        if last and not li:  # the tail at the top block length
+            counters.block_products += int(cands.sizes[is_pending].sum())
+        finish = eligible if last else is_active
+        if finish.any():
+            lo, hi = cands.lo, cands.hi
             if assigned:
                 width = SEGMENT_WIDTH * params.delta * l
-                _assigned_block_values(ad, bd, kern, l, width, assigned, c, done, counters)
-        is_pending = eligible & ~is_active
+                lo, hi = _assigned_spans(ad, bd, l, width, assigned, lo, hi, counters)
+            _min_blocks(kern, l, finish, lo, hi, c, done)
         if level_trace is not None:
             active, pending = np.argwhere(is_active), np.argwhere(is_pending)
             level_trace.append(LevelState(l, level_theta(n, l), active, pending, assigned))
 
-    if is_pending.any():  # the tail
-        _enumerate_pairs(kern, l, is_pending, cands, c, done, counters if l == levels[0] else None)
     require(done.all(), "some output blocks were never finalized")
     return product_matrix(c)
 

@@ -261,6 +261,9 @@ def cmd_bench(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    if args.reps < 1:
+        print(f"error: --reps must be at least 1, got {args.reps}", file=sys.stderr)
+        return EXIT_USAGE
     for n in sizes:
         if n < 1 or n & (n - 1):
             print(f"error: size {n} is not a power of two", file=sys.stderr)

@@ -12,7 +12,7 @@ from minplus.basic import (
     REL_SHIFTS,
     SEGMENT_WIDTH,
     _PH_SAMPLE_LVL,
-    _assigned_block_values,
+    _assigned_spans,
     _group_by_major,
     _min_blocks,
     build_segments,
@@ -349,15 +349,21 @@ def _add_back(ad, bd, l, r, bi, bj, reduced):
 
 
 def _column_values(ad, bd, l, width, r_col, blocks, counters=None):
-    """``_assigned_block_values`` of one sampled column, in the order of
-    blocks, as written into the product: those blocks and no other entry."""
+    """The blocks of one sampled column over their ``_assigned_spans``,
+    written by ``_min_blocks``, in the order of blocks, as written into the
+    product: those blocks and no other entry. The span tables passed in
+    hold an unscanned pair's empty span everywhere, and stay so: the spans
+    are written into copies, and only at the blocks."""
     n = ad.shape[0]
-    c, done = np.full((n, n), mp.INF, dtype=np.int64), np.zeros((n, n), dtype=bool)
-    pairs = _assigned_block_values(ad, bd, kernel_operands(Matrix(ad), Matrix(bd)), l, width, {r_col: blocks}, c, done, counters)
-    assert np.array_equal(pairs, blocks)
     nb = n // l
+    c, done = np.full((n, n), mp.INF, dtype=np.int64), np.zeros((n, n), dtype=bool)
+    unscanned = np.full((nb, nb), nb, dtype=np.int32), np.full((nb, nb), -1, dtype=np.int32)
+    lo, hi = _assigned_spans(ad, bd, l, width, {r_col: blocks}, *unscanned, counters)
+    assert (unscanned[0] == nb).all() and (unscanned[1] == -1).all()
     written = np.zeros((nb, nb), dtype=bool)
     written[blocks[:, 0], blocks[:, 1]] = True
+    assert (lo[~written] == nb).all() and (hi[~written] == -1).all()
+    _min_blocks(kernel_operands(Matrix(ad), Matrix(bd)), l, written, lo, hi, c, done)
     assert np.array_equal(done.reshape(nb, l, nb, l).transpose(0, 2, 1, 3), np.broadcast_to(written[:, :, None, None], (nb, nb, l, l)))
     return c.reshape(nb, l, nb, l)[blocks[:, 0], :, blocks[:, 1], :]
 
@@ -712,7 +718,7 @@ def test_default_products_only_enumerate(pool, monkeypatch, n):
         raise AssertionError("sampled stage called at the defaults")
 
     monkeypatch.setattr("minplus.basic.sample_r", refuse)
-    monkeypatch.setattr("minplus.basic._assigned_block_values", refuse)
+    monkeypatch.setattr("minplus.basic._assigned_spans", refuse)
     params = AlgoParams(delta=2, seed=7)
     for a, b in (pool.pair(n, 2, 0), valley_bd(n, 2, n + 2)):
         want = mp.minplus_naive(a.base, b.base).data
@@ -1399,6 +1405,31 @@ def test_min_blocks_rejects_empty_span():
     assert not done.any()
 
 
+def test_kernel_writes_every_entry_once_per_level(monkeypatch):
+    # on the paper's schedule a valley pair has sampled and pending pairs at
+    # l = 2 and, refined, at l = 1; each level that finishes pairs, the
+    # sampled ones and at the last level the tail too, hands them to the
+    # compiled kernel in one call, and the calls' rectangles cover the
+    # n*n product entries exactly once: no entry is written outside it
+    calls = _recording_native(monkeypatch)
+    n = 128
+    a, b = valley_bd(n, 2, n + 2)
+    params = AlgoParams(delta=2, alpha=0.9, beta=0.6, seed=7, l_min=1)
+    want = mp.minplus_naive(a.base, b.base).data
+    for f, n_calls in ((mp.basic_minplus, 1), (mp.recursive_minplus, 2)):
+        calls.clear()
+        trace = []
+        assert np.array_equal(f(a, b, params, level_trace=trace).data, want)
+        assert [s.block_len for s in trace] == [2, 1][:n_calls]
+        assert all(s.assigned and len(s.pending) for s in trace)
+        tables = [table for name, _, table in calls if name == "min_rects"]
+        assert len(tables) == n_calls
+        cover = np.zeros((n, n), dtype=np.int64)
+        for r0, r1, c0, c1, _, _ in np.concatenate(tables).tolist():
+            cover[r0:r1, c0:c1] += 1
+        assert (cover == 1).all()
+
+
 @pytest.mark.parametrize(
     "top, dtype", [(32767, np.int16), (32768, np.int32), ((1 << 31) - 1, np.int32), (1 << 31, np.int64)]
 )
@@ -1521,12 +1552,12 @@ def test_invariants_survive_optimize():
     # exactness guards raise explicitly, so python -O keeps them
     script = """
 import numpy as np
-from minplus import InvariantError, Matrix
-from minplus.basic import _enumerate_pairs, _min_blocks, build_segments
-from minplus.blocking import BlockGrid, CandidateSets, KernelOperands
+from minplus import InvariantError
+from minplus.basic import _min_blocks, build_segments
+from minplus.blocking import KernelOperands
 z = np.zeros((8, 8), dtype=np.int64)
-none = np.zeros((4, 4), dtype=np.int64)
-empty = CandidateSets(BlockGrid(8, 2), 1, Matrix(none), none, none, none, KernelOperands(z, z, 0))
+# the spans native.scan leaves on a pair it did not scan: lo = nb, hi = -1
+unscanned = np.full((4, 4), 4, dtype=np.int32), np.full((4, 4), -1, dtype=np.int32)
 big = np.zeros((8, 8), dtype=np.int64)
 big[:, 4:] = 1 << 40
 caught = []
@@ -1535,9 +1566,9 @@ try:
 except InvariantError:
     caught.append("key range")
 try:
-    _enumerate_pairs(KernelOperands(z, z, 0), 2, np.eye(4, dtype=bool), empty, z.copy(), z > 0)
+    _min_blocks(KernelOperands(z, z, 0), 2, np.eye(4, dtype=bool), *unscanned, z.copy(), z > 0)
 except InvariantError:
-    caught.append("empty candidate set")
+    caught.append("unscanned pair")
 # one pair twice: its second rectangle overlaps the first, which the
 # native kernel reports and the kernel refuses; an empty span, which the
 # compiled grouping refuses
@@ -1561,4 +1592,4 @@ print(__debug__, caught)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False ['key range', 'empty candidate set', 'block finalized twice', 'empty span']"
+    assert proc.stdout.strip() == "False ['key range', 'unscanned pair', 'block finalized twice', 'empty span']"

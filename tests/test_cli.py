@@ -183,8 +183,12 @@ def test_bench_fixed_seed_counters_identical(tmp_path, monkeypatch):
 
 
 def test_bench_rejects_bad_size(tmp_path):
-    rc = run_cli("bench", "--sizes", "33", "--csv", str(tmp_path / "x.csv"))
-    assert rc == EXIT_USAGE
+    # a size that is not a power of two, or no repetition, is a usage
+    # error, and no CSV is written
+    for bad in (("--sizes", "33"), ("--reps", "0")):
+        rc = run_cli("bench", *bad, "--csv", str(tmp_path / "x.csv"))
+        assert rc == EXIT_USAGE
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_csv_roundtrip():

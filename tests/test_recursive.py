@@ -343,20 +343,19 @@ def test_level_child_sets_equal_dense_sets(pool, monkeypatch, family, delta, alp
         eligible = np.repeat(np.repeat(parents, 2, 0), 2, 1)
         check_candidate_sets(cs, a, b, eligible)
         assert (cs.approx.data[~eligible] == mp.INF).all() and (cs.sizes[~eligible] == 0).all()
-        # the fallback and the tail: enumerating the candidate spans (at
-        # block length 1, reading the minimum) gives the product's blocks
-        counters = Counters()
+        # the fallback and the tail: the kernel over the candidate spans
+        # (at block length 1 too) gives the product's blocks, and the sizes
+        # the counters add count the candidates
         c, done = np.full((n, n), mp.INF, dtype=np.int64), np.zeros((n, n), dtype=bool)
-        basic._enumerate_pairs(cs.kern, l, eligible, cs, c, done, counters)
+        basic._min_blocks(cs.kern, l, eligible, cs.lo, cs.hi, c, done)
         written = np.repeat(np.repeat(eligible, l, 0), l, 1)
         assert np.array_equal(done, written) and np.array_equal(c[written], want[written])
-        assert counters.block_products == candidate_mask(a, b, l)[0][eligible].sum()
+        assert cs.sizes[eligible].sum() == candidate_mask(a, b, l)[0][eligible].sum()
 
 
 def test_fallback_below_top_is_exact(monkeypatch):
     # with every sampled column missing, each level's active pairs fall
-    # back to enumerating their candidate spans at l = 8, 4 and 2, and to
-    # the minimum at l = 1
+    # back to enumerating their candidate spans at l = 8, 4, 2 and 1
     real = basic.sample_r
 
     def sample_nothing(cands, params, active=None, level=0):
