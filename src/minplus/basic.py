@@ -9,35 +9,33 @@ representative triple (``candidate_sets``); a finer level scans only the
 child columns under its pending parents' candidate spans (``child_sets``),
 which the nesting lemma in ``blocking`` makes exact; both run the one
 compiled candidate scan. Pairs with many candidates are covered by sampling
-reference columns: the pairs assigned to a sampled column r get their block
-values from the block columns whose value buckets, taken relative to column
-r, correspond. At the default
-parameters no top-level pair has that many (``AlgoParams``: T_beta is at
-least the number of block columns), so a default product only enumerates
-and refines; the paper's schedule samples. Pairs whose
-candidate set missed the sample fall back to direct enumeration, so the
-result is always exact. The other pairs are refined to half the block
-length, or enumerated directly at the last level; a level with no open
-pair is skipped.
+reference columns: each is assigned to the first sampled column in its
+candidate set, and pairs whose candidate set missed the sample fall back to
+direct enumeration. At the default parameters no top-level pair has that
+many (``AlgoParams``: T_beta is at least the number of block columns), so a
+default product only enumerates and refines; the paper's schedule samples.
+The other pairs are refined to half the block length, or enumerated
+directly at the last level; a level with no open pair is skipped.
 
-The paper reduces the operands by column r before bucketing; here the
-reduction only picks block columns, and the picked blocks are evaluated on
-the original operands, because the reduction cancels exactly in every sum.
-This direct per-block evaluation equals the paper's packed rectangular
-products (value segments, randomized slot allocation, collision
-subtraction), shifted back by the reduction. The slot and collision code
-lives in ``recursive``, where ``collision_audit`` replays the allocation
-after a product; the packed products themselves are a test-side reference.
-The bucket rule they all share is kept here: ``_buckets`` takes the
-representatives relative to column r (``SEGMENT_WIDTH``, ``REL_SHIFTS``),
-for the product and for ``build_segments``, the audit's segmentation. No
-reduced copy of an operand is made anywhere.
+In the paper, a sampled column r computes the blocks of its assigned pairs
+through packed rectangular products over its value segments (operands
+reduced by column r, randomized slot allocation, collision subtraction).
+The block columns those products take for a pair include all of its
+candidates, as its candidate span does, and the candidates hold the block of
+every optimal witness, so both give the product's block. Here sampling
+therefore only decides how a pair is counted: assigned, fallback or tail,
+every pair is reduced over its candidate span, and the result is always
+exact. The slot and collision code, and the count of the block
+columns the packed products take (``poly_degree_ops``), live in
+``recursive``, where ``collision_audit`` replays them after a product; the
+packed products themselves are a test-side reference. The bucket rule they
+share is kept here: ``build_segments`` takes the representatives relative
+to column r (``_buckets``, ``SEGMENT_WIDTH``, ``REL_SHIFTS``). No reduced
+copy of an operand is made anywhere.
 
 Every block value comes from one kernel, ``_min_blocks``, which reduces
-each block pair over a span of block columns: an enumerated pair over its
-candidate span, an assigned pair over the span of the block columns its
-sampled column's buckets select (``_assigned_spans``); a single entry, at
-block length 1, is a block like any other. Either span holds every block
+each block pair over its candidate span of block columns; a single entry,
+at block length 1, is a block like any other. The span holds every block
 of an optimal witness, so a minimum over it, or over any larger set of
 columns, is exact. The kernel takes its pairs as a bool mask of the block
 grid with their spans in two grid-shaped tables, and a compiled grouping
@@ -55,8 +53,8 @@ plain min-plus product of its rows of A and columns of B, so the dense case
 costs no more than a dense product; ``dense_minplus``, the same compiled
 loop over one rectangle of the whole product, is the cubic reference the
 engines are measured against. Each level that finishes pairs hands them
-all, enumerated and assigned, to one kernel call, so pairs split between
-columns or stages still form whole rows there.
+all, assigned, fallback and tail, to one kernel call, so pairs split
+between stages still form whole rows there.
 
 The kernel runs in the operands' narrowest type. Once per product,
 ``blocking.kernel_operands`` shifts the operands to start at 0, A - min A
@@ -67,7 +65,7 @@ operand spans at most 2*(delta-1)*(n-1), so small delta gives int16. The
 kernel adds the shift min A + min B back as it writes. The top candidate
 scan makes these operands (``candidate_sets``) and keeps them on its sets
 (``CandidateSets.kern``), where the scans of every level and the kernel
-read them. The bucket sums stay on the int64 originals: a bucket is a
+read them. The audit's buckets stay on the int64 originals: a bucket is a
 difference within one row of A or one column of B, where the shift
 cancels anyway.
 """
@@ -122,7 +120,14 @@ def level_theta(n: int, l: int) -> float:
 
 @dataclass
 class Counters:
-    """Named work counters reported by the algorithms and the CLI."""
+    """Named work counters reported by the algorithms and the CLI.
+
+    A product fills block_products and fallback_pairs. The counters of the
+    paper's model of the sampled stage, collision_checks, collisions_found,
+    max_large_slots and poly_degree_ops (the block products a sampled
+    column's packed products take, times l**3), are filled by
+    ``recursive.collision_audit`` from the product's level trace.
+    """
 
     block_products: int = 0
     collision_checks: int = 0
@@ -175,14 +180,14 @@ class AlgoParams:
     l_min: int = 8
 
     def __post_init__(self):
-        if int(self.delta) < 1:
-            raise ValueError(f"delta must be a positive integer, got {self.delta}")
+        for name in ("delta", "c0"):
+            v = getattr(self, name)
+            if int(v) != v or v < 1:
+                raise ValueError(f"{name} must be a positive integer, got {v}")
         for name in ("alpha", "beta", "gamma"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
-        if int(self.c0) < 1:
-            raise ValueError(f"c0 must be a positive integer, got {self.c0}")
         l_min = int(self.l_min)
         if l_min != self.l_min or l_min < 1 or l_min & (l_min - 1):
             raise ValueError(f"l_min must be a positive power of two, got {self.l_min}")
@@ -271,8 +276,7 @@ def build_segments(
 ) -> tuple[SegmentTable, SegmentTable, tuple[int, ...]]:
     """Bucket the block representatives of A - A[:, r] and B - B[r, :] into
     half-open segments of width 20*delta*l, per block column of A and block
-    row of B, bucketing relative to column r exactly as the product does
-    (``_assigned_spans``); no reduced copy is made.
+    row of B, bucketing relative to column r; no reduced copy is made.
 
     Returns the two tables plus the correspondence relations: A bucket p is
     paired with B bucket shift - p for each shift in the returned tuple, which
@@ -348,11 +352,6 @@ def sample_r(cands: CandidateSets, params: AlgoParams, active: np.ndarray | None
 # batched block products of the level loop (all-finite inputs)
 
 
-# Bucket sums built at once while selecting an assigned pair's block
-# columns (1 MiB in int64).
-_TRIPLE_BUDGET = 1 << 17
-
-
 def _min_blocks(
     kern: KernelOperands,
     l: int,
@@ -416,62 +415,6 @@ def dense_minplus(a: Matrix, b: Matrix) -> Matrix:
     return product_matrix(c)
 
 
-def _assigned_spans(
-    a_data: np.ndarray,
-    b_data: np.ndarray,
-    l: int,
-    width: int,
-    assigned: dict[int, np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    counters: Counters | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spans of the blocks assigned to the sampled columns: for each block
-    pair of ``assigned[r]``, the block columns whose buckets, taken relative
-    to column r (A[i,k] - A[i,r] and B[k,j] - B[r,j]), fall in one of the
-    correspondence relations (p + q in REL_SHIFTS).
-
-    The reduction only decides which block columns a pair takes: since
-    (A[i,k] - A[i,r]) + (B[k,j] - B[r,j]) + A[i,r] + B[r,j] = A[i,k] + B[k,j]
-    exactly in int64, the selected blocks are evaluated on the unreduced
-    operands and need no reduced copy or add-back. Their minimum equals the
-    union of column r's rectangular segment products after collision
-    subtraction, shifted back by A[i,r] + B[r,j]. The selected columns hold
-    every candidate of a pair assigned to r, and so the optimal witness
-    blocks; the span from the first to the last of them (column r itself is
-    always selected: both its buckets are 0) gives the same minimum. The
-    buckets are taken on the int64 originals ``a_data`` and ``b_data``, a
-    few pairs at a time, so the int64 bucket sums stay bounded; the
-    selection of every block column still counts toward
-    ``poly_degree_ops``.
-
-    Returns copies of the level's span tables ``lo`` and ``hi`` with the
-    assigned pairs' spans written in; the tables passed in, shared with the
-    level's candidate sets, are left as they are.
-    """
-    nb = a_data.shape[0] // l
-    rel_lo, rel_hi = REL_SHIFTS[0], REL_SHIFTS[-1]
-    step = max(1, _TRIPLE_BUDGET // nb)
-    lo, hi = lo.copy(), hi.copy()
-    selected = 0
-    for r in sorted(assigned):
-        blocks = assigned[r]
-        bi, bj = blocks[:, 0], blocks[:, 1]
-        pa = _buckets(a_data, l, width, a_data[::l, r, None])
-        qbt = np.ascontiguousarray(_buckets(b_data, l, width, b_data[None, r, ::l]).T)  # [bj, bk]
-        for g0 in range(0, len(blocks), step):
-            ci, cj = bi[g0 : g0 + step], bj[g0 : g0 + step]
-            psum = pa[ci] + qbt[cj]
-            sel = (psum >= rel_lo) & (psum <= rel_hi)
-            selected += int(np.count_nonzero(sel))
-            lo[ci, cj] = sel.argmax(axis=1)
-            hi[ci, cj] = nb - 1 - sel[:, ::-1].argmax(axis=1)
-        del pa, qbt, psum, sel  # dropped before the next column's are made
-    if counters is not None:
-        counters.poly_degree_ops += selected * l**3
-    return lo, hi
-
-
 # ---------------------------------------------------------------------------
 # the level loop
 
@@ -514,22 +457,19 @@ def run_levels(
     The top level computes every pair's candidate sets; each finer level
     computes only those of the children of the pairs refined to it, under
     their parents' candidate spans. At each level the open pairs with
-    more than T_beta candidates are active: grids under 4 blocks a side
-    enumerate them directly, larger ones sample columns, take each assigned
-    pair over the block columns its column's buckets select
-    (``_assigned_spans``), and enumerate the pairs the sample missed (the
-    fallback). The other open pairs are refined to the next level; at the
-    last level they are enumerated directly (the tail). Each level finishes
-    its pairs in one kernel call (``_min_blocks``): the active pairs, or at
-    the last level every open pair, each over its candidate span or, if
-    assigned, its selected span. A level with no open pair computes no
-    candidate sets and is traced empty. The tail counts toward
-    block_products only at the top block length, the grid the strict bound
-    is stated on.
+    more than T_beta candidates are active: grids of 4 or more blocks a
+    side sample columns and assign each active pair to one (``sample_r``);
+    the pairs the sample missed, and every active pair of a smaller grid,
+    are the fallback. The other open pairs are refined to the next level;
+    at the last level they are enumerated directly (the tail). Each level
+    finishes its pairs in one kernel call (``_min_blocks``): the active
+    pairs, or at the last level every open pair, each over its candidate
+    span. A level with no open pair computes no candidate sets and is
+    traced empty. The tail counts toward block_products only at the top
+    block length, the grid the strict bound is stated on.
     """
     if counters is None:
         counters = Counters()
-    ad, bd = a.base.data, b.base.data  # the bucket sums read the int64 originals
     n = a.n
     t_beta = params.t_beta(n)
     eligible = np.ones((n // levels[0], n // levels[0]), dtype=bool)
@@ -563,11 +503,7 @@ def run_levels(
             counters.block_products += int(cands.sizes[is_pending].sum())
         finish = eligible if last else is_active
         if finish.any():
-            lo, hi = cands.lo, cands.hi
-            if assigned:
-                width = SEGMENT_WIDTH * params.delta * l
-                lo, hi = _assigned_spans(ad, bd, l, width, assigned, lo, hi, counters)
-            _min_blocks(kern, l, finish, lo, hi, c, done)
+            _min_blocks(kern, l, finish, cands.lo, cands.hi, c, done)
         if level_trace is not None:
             active, pending = np.argwhere(is_active), np.argwhere(is_pending)
             level_trace.append(LevelState(l, level_theta(n, l), active, pending, assigned))
@@ -588,7 +524,7 @@ def basic_minplus(
     the top block length, whose small pairs are enumerated directly.
 
     Deterministic for a fixed params.seed; always bitwise equal to the naive
-    product because unassigned pairs fall back to candidate enumeration.
+    product because every pair is reduced over its candidate span.
     """
     check_operands(a, b, params, "basic_minplus")
     return run_levels(a, b, params, [params.block_len(a.n)], counters, level_trace)

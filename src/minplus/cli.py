@@ -1,8 +1,9 @@
 """Command-line driver: matrix generation, algorithm runs with optional
 verification, work-counter instrumentation, and CSV benchmark emission.
 
-Exit codes: 0 success, 2 usage error, 3 verification failure, 4 strict
-counter-bound violation.
+Exit codes: 0 success, 2 usage error (bad arguments or parameters, an
+unreadable input or an unwritable output), 3 verification failure, 4
+strict counter-bound violation.
 """
 
 from __future__ import annotations
@@ -199,11 +200,10 @@ def _run_once(
 
 def cmd_gen(args) -> int:
     try:
-        m = generate_bd(args.n, args.delta, args.seed)
-    except ValueError as e:
+        write_matrix(generate_bd(args.n, args.delta, args.seed), args.out)
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    write_matrix(m, args.out)
     return 0
 
 
@@ -239,7 +239,11 @@ def cmd_run(args) -> int:
     except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    write_matrix(result, args.out)
+    try:
+        write_matrix(result, args.out)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     print(CSV_HEADER)
     print(rec.to_csv_row())
     if args.verify and rec.verified is not True:
@@ -300,8 +304,12 @@ def cmd_bench(args) -> int:
                         print(f"strict: {algo} n={n} rep={rep}: {msg}", file=sys.stderr)
                     status = EXIT_STRICT
     text = CSV_HEADER + "\n" + "\n".join(r.to_csv_row() for r in rows) + "\n"
-    with open(args.csv, "w", encoding="ascii") as fh:
-        fh.write(text)
+    try:
+        with open(args.csv, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     print(text, end="")
     return status
 

@@ -8,11 +8,13 @@ finished by that level's sampled pipeline; pairs still small at the last
 level are finished there by direct candidate enumeration.
 
 No product runs the rest of this module. The collision audit replays the
-slot allocation of the paper after a product: at finer levels it descends
-a 4-way slot tree, so collisions are searched inside the previous level's
-collisions instead of among all segments again. Each sampled column is
-segmented once, with the product's bucket rule (``basic.build_segments``,
-no reduced copy), and its correspondence relations share the tree nodes
+sampled stage of the paper after a product, from its level trace. Each
+sampled column is segmented once (``basic.build_segments``, no reduced
+copy); the audit counts the block columns its packed products would take
+for its assigned pairs (``poly_degree_ops``) and replays the slot
+allocation: at finer levels it descends a 4-way slot tree, so collisions
+are searched inside the previous level's collisions instead of among all
+segments again. A column's correspondence relations share the tree nodes
 and footprints; only the slot draws and B partners differ between them.
 Shared slots are searched as the children of each slot's diagonal pair.
 The audit only fills counters; results never depend on it. The flat
@@ -43,6 +45,10 @@ from .basic import (
 from .matrix import BDMatrix, Matrix
 
 _PH_ALLOC_LVL = 12
+
+# Bucket sums built at once while counting a sampled column's selected
+# block columns (1 MiB in int64).
+_SUM_BUDGET = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +281,25 @@ def _audit_column(
         counters.collisions_found += len(pairs)
 
 
+def _selected_columns(seg_a: SegmentTable, seg_b: SegmentTable, shifts: tuple[int, ...], blocks: np.ndarray) -> int:
+    """How many (block pair, block column) products one sampled column's
+    packed products take in the paper: for each block pair (bi, bj) of
+    ``blocks``, the block columns k whose buckets correspond under one of
+    the relations, bucket of A block (bi, k) plus bucket of B block (k, bj)
+    in ``shifts`` (consecutive). The bucket sums are built a few pairs at a
+    time, at most ``_SUM_BUDGET`` at once."""
+    rel_lo, rel_hi = min(shifts), max(shifts)
+    pa = seg_a.buckets  # [bi, bk]
+    qbt = np.ascontiguousarray(seg_b.buckets.T)  # [bj, bk]
+    step = max(1, _SUM_BUDGET // pa.shape[1])
+    selected = 0
+    for g0 in range(0, len(blocks), step):
+        chunk = blocks[g0 : g0 + step]
+        psum = pa[chunk[:, 0]] + qbt[chunk[:, 1]]
+        selected += int(np.count_nonzero((psum >= rel_lo) & (psum <= rel_hi)))
+    return selected
+
+
 # ---------------------------------------------------------------------------
 # audit and entry point
 
@@ -293,9 +318,12 @@ def collision_audit(
     segments of the column's reduced matrices are placed in a 4-way slot
     tree rooted at the top block length l0, per correspondence relation,
     and the collisions touching the column's blocks are found level by
-    level. Adds to collision_checks and collisions_found, and raises
-    max_large_slots to the most segments of at least T_gamma blocks in one
-    block-length-l0 table.
+    level. Adds to collision_checks and collisions_found, adds to
+    poly_degree_ops the block columns the column's packed products take for
+    its pairs (``_selected_columns``) times l**3, and raises max_large_slots
+    to the most segments of at least T_gamma blocks in one block-length-l0
+    table. The product's own counters, block_products and fallback_pairs,
+    are left as they are.
 
     A level with exponent theta (block length l = n**(1-theta)) gives the
     top of its tree n**(2*theta_0 - theta) slots, at least one: the slot
@@ -316,6 +344,7 @@ def collision_audit(
             seg_a, seg_b, shifts = build_segments(ad, bd, l, params.delta, r_col)
             if l == l0:
                 counters.max_large_slots = max(counters.max_large_slots, int((seg_a.sizes >= t_gamma).sum()))
+            counters.poly_degree_ops += _selected_columns(seg_a, seg_b, shifts, st.assigned[r_col]) * l**3
             rngs = [derived_rng(params.seed, _PH_ALLOC_LVL, li, r_col, rel) for rel in range(len(shifts))]
             _audit_column(seg_a, seg_b, shifts, rngs, l0, top_slots, st.assigned[r_col], counters)
 

@@ -1,7 +1,7 @@
 """The paper's packed rectangular products, the reference the level loop's
-direct per-block evaluation (the kernel ``basic._min_blocks`` over the
-spans of ``basic._assigned_spans``) is tested against, and the flat slot
-allocation they run on.
+direct per-block evaluation (the kernel ``basic._min_blocks`` over each
+pair's candidate span) is tested against, and the flat slot allocation
+they run on.
 
 For one sampled column's reduced matrices and one correspondence relation:
 large segments go into private rectangular slots and run through the

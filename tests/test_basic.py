@@ -12,7 +12,7 @@ from minplus.basic import (
     REL_SHIFTS,
     SEGMENT_WIDTH,
     _PH_SAMPLE_LVL,
-    _assigned_spans,
+    LevelState,
     _group_by_major,
     _min_blocks,
     build_segments,
@@ -75,6 +75,12 @@ def test_params_validation():
         AlgoParams(delta=1, alpha=1.0)
     with pytest.raises(ValueError):
         AlgoParams(delta=1, c0=0)
+    # delta and c0 are counts: a fraction is refused, not truncated or
+    # carried into the sample size
+    with pytest.raises(ValueError, match="delta must be a positive integer"):
+        AlgoParams(delta=2.7)
+    with pytest.raises(ValueError, match="c0 must be a positive integer"):
+        AlgoParams(delta=2, c0=2.5)
 
 
 def test_params_defaults():
@@ -348,46 +354,20 @@ def _add_back(ad, bd, l, r, bi, bj, reduced):
     return reduced + ad[bi * l : bi * l + l, r][:, None] + bd[r, bj * l : bj * l + l][None, :]
 
 
-def _column_values(ad, bd, l, width, r_col, blocks, counters=None):
-    """The blocks of one sampled column over their ``_assigned_spans``,
-    written by ``_min_blocks``, in the order of blocks, as written into the
-    product: those blocks and no other entry. The span tables passed in
-    hold an unscanned pair's empty span everywhere, and stay so: the spans
-    are written into copies, and only at the blocks."""
-    n = ad.shape[0]
-    nb = n // l
-    c, done = np.full((n, n), mp.INF, dtype=np.int64), np.zeros((n, n), dtype=bool)
-    unscanned = np.full((nb, nb), nb, dtype=np.int32), np.full((nb, nb), -1, dtype=np.int32)
-    lo, hi = _assigned_spans(ad, bd, l, width, {r_col: blocks}, *unscanned, counters)
-    assert (unscanned[0] == nb).all() and (unscanned[1] == -1).all()
-    written = np.zeros((nb, nb), dtype=bool)
-    written[blocks[:, 0], blocks[:, 1]] = True
-    assert (lo[~written] == nb).all() and (hi[~written] == -1).all()
-    _min_blocks(kernel_operands(Matrix(ad), Matrix(bd)), l, written, lo, hi, c, done)
-    assert np.array_equal(done.reshape(nb, l, nb, l).transpose(0, 2, 1, 3), np.broadcast_to(written[:, :, None, None], (nb, nb, l, l)))
-    return c.reshape(nb, l, nb, l)[blocks[:, 0], :, blocks[:, 1], :]
-
-
 def test_process_large_all_segments(pool):
-    # t_gamma = 1 makes every nonempty segment large; union over the three
-    # relations reproduces the relation-matched minima exactly
+    # t_gamma = 1 makes every nonempty segment large; each relation's
+    # product reproduces its relation-matched minima exactly
     n, delta, l = 16, 2, 4
     ar, br = _reduced_pair(pool, n, delta, 5, 4)
     a, b = pool.pair(n, delta, 5)
     seg_a, seg_b, shifts = build_segments(a.base.data, b.base.data, l, delta, 4)
     nb = n // l
     blocks = np.argwhere(np.ones((nb, nb), dtype=bool))
-    merged = {tuple(bk): np.full((l, l), mp.INF, dtype=np.int64) for bk in map(tuple, blocks)}
     for shift in shifts:
         ce = process_large_segments(seg_a, seg_b, shift, ar, br, t_gamma=1)
         want = _per_relation_minima(ar, br, l, delta, shift, blocks)
         for (bi, bj), wb in want.items():
-            got = ce[bi * l : bi * l + l, bj * l : bj * l + l]
-            assert np.array_equal(got, wb)
-            merged[(bi, bj)] = np.minimum(merged[(bi, bj)], got)
-    fast = _column_values(a.base.data, b.base.data, l, 20 * delta * l, 4, blocks)
-    for i, bk in enumerate(map(tuple, blocks)):
-        assert np.array_equal(_add_back(a.base.data, b.base.data, l, 4, *bk, merged[bk]), fast[i])
+            assert np.array_equal(ce[bi * l : bi * l + l, bj * l : bj * l + l], wb)
 
 
 def test_process_large_matches_naive_for_covered_pairs(pool):
@@ -632,12 +612,14 @@ def test_basic_rejects_mismatch(pool):
 
 
 def test_pipeline_matches_faithful_composition(pool):
-    # the per-column restricted evaluation used by basic_minplus equals the
-    # packed rectangular composition (large + small with subtraction),
-    # shifted back by the column's reduction
+    # the packed rectangular composition (large + small with subtraction)
+    # of a sampled column, shifted back by the column's reduction, gives
+    # the product's blocks of the pairs whose candidate set holds the
+    # column: the blocks the engines take over those pairs' candidate spans
     n, delta, l = 16, 2, 4
     seed_r = [(10, 4), (11, 8), (12, 0)]
     for seed, r_col in seed_r:
+        naive = pool.naive(n, delta, seed).data
         a, b = pool.pair(n, delta, seed)
         ad, bd = a.base.data, b.base.data
         ar = ad - ad[:, r_col : r_col + 1]
@@ -655,21 +637,22 @@ def test_pipeline_matches_faithful_composition(pool):
             for (bi, bj), v in small.items():
                 ls = large[bi * l : (bi + 1) * l, bj * l : (bj + 1) * l]
                 merged[(bi, bj)] = np.minimum(merged[(bi, bj)], np.minimum(v, ls))
-        fast = _column_values(ad, bd, l, 20 * delta * l, r_col, blocks)
-        for i, bk in enumerate(map(tuple, blocks)):
-            assert np.array_equal(_add_back(ad, bd, l, r_col, *bk, merged[bk]), fast[i])
+        for bi, bj in blocks:
+            block = (slice(bi * l, bi * l + l), slice(bj * l, bj * l + l))
+            assert np.array_equal(_add_back(ad, bd, l, r_col, bi, bj, merged[(bi, bj)]), naive[block])
 
 
 @pytest.mark.parametrize("budget, r_col", [("default", 8), ("one", 40), ("five_pairs", 72)])
 def test_assigned_block_values_chunks(monkeypatch, budget, r_col):
-    # the column selections are built a few pairs at a time: one pair per
-    # chunk, five pairs with a short last chunk, and one chunk all give the
-    # product entries of the pairs whose candidate set holds r_col, and
-    # count the bucket-matched columns of each. At l = 1 on a valley along
-    # the diagonal, A[i,k] = |k - i| and B[k,j] = |k - j|, every column is
-    # a candidate of some pairs, the buckets are selective, and column
-    # r_col itself always matches. Each case reduces at its own column, so
-    # a span left unset cannot pass by holding the span of the case before.
+    # the audit counts a sampled column's selected block columns a few
+    # pairs at a time: one pair per chunk, five pairs with a short last
+    # chunk, and one chunk all count the bucket-matched columns of each of
+    # its pairs toward poly_degree_ops (times l**3 = 1). At l = 1 on a
+    # valley along the diagonal, A[i,k] = |k - i| and B[k,j] = |k - j|,
+    # every column is a candidate of some pairs, the buckets are selective,
+    # and column r_col itself always matches. Each case reduces at its own
+    # column. The level is built by hand: one sampled column, its pairs
+    # those whose candidate set holds it, every 13th.
     n, delta = 128, 2
     ks = np.arange(n)
     a = b = mp.BDMatrix(Matrix((delta - 1) * np.abs(ks[None, :] - ks[:, None])), delta)
@@ -681,22 +664,23 @@ def test_assigned_block_values_chunks(monkeypatch, budget, r_col):
     sel = (psum >= REL_SHIFTS[0]) & (psum <= REL_SHIFTS[-1])
     assert 0 < sel.mean() < 1 and len(blocks) % 5
     if budget == "one":
-        monkeypatch.setattr("minplus.basic._TRIPLE_BUDGET", 1)
+        monkeypatch.setattr("minplus.recursive._SUM_BUDGET", 1)
     elif budget == "five_pairs":
-        monkeypatch.setattr("minplus.basic._TRIPLE_BUDGET", 5 * n)
+        monkeypatch.setattr("minplus.recursive._SUM_BUDGET", 5 * n)
+    level = LevelState(1, level_theta(n, 1), blocks, np.empty((0, 2), dtype=np.int64), {r_col: blocks})
     counters = Counters()
-    got = _column_values(ad, bd, 1, w, r_col, blocks, counters)
-    assert np.array_equal(got[:, 0, 0], mp.minplus_naive(a.base, b.base).data[blocks[:, 0], blocks[:, 1]])
+    collision_audit(a, b, AlgoParams(delta=delta), [level], counters)
     assert counters.poly_degree_ops == int(sel.sum())
 
 
 @pytest.mark.parametrize("engine", ["basic", "recursive"])
 def test_engines_make_no_reduced_copy(pool, monkeypatch, engine):
-    # sampled columns bucket against the original operands, and no product
-    # builds the collision audit's segment tables
+    # no product buckets a sampled column's blocks or builds the collision
+    # audit's segment tables, though the sampled stage runs
     def refuse(*args):
-        raise AssertionError("build_segments called inside a product")
+        raise AssertionError("buckets taken inside a product")
 
+    monkeypatch.setattr("minplus.basic._buckets", refuse)
     monkeypatch.setattr("minplus.basic.build_segments", refuse)
     monkeypatch.setattr("minplus.recursive.build_segments", refuse)
     a, b = pool.pair(64, 2, 0)
@@ -711,14 +695,12 @@ def test_engines_make_no_reduced_copy(pool, monkeypatch, engine):
 @pytest.mark.parametrize("n", [64, 128, 256, 512])
 def test_default_products_only_enumerate(pool, monkeypatch, n):
     # at the default beta no top-level pair has more than T_beta candidates,
-    # so neither engine samples a column or evaluates an assigned block: on
-    # walks and valleys each product is still the naive one, within the
-    # strict counter bounds
+    # so neither engine samples a column: on walks and valleys each product
+    # is still the naive one, within the strict counter bounds
     def refuse(*args, **kwargs):
         raise AssertionError("sampled stage called at the defaults")
 
     monkeypatch.setattr("minplus.basic.sample_r", refuse)
-    monkeypatch.setattr("minplus.basic._assigned_spans", refuse)
     params = AlgoParams(delta=2, seed=7)
     for a, b in (pool.pair(n, 2, 0), valley_bd(n, 2, n + 2)):
         want = mp.minplus_naive(a.base, b.base).data
@@ -1428,6 +1410,42 @@ def test_kernel_writes_every_entry_once_per_level(monkeypatch):
         for r0, r1, c0, c1, _, _ in np.concatenate(tables).tolist():
             cover[r0:r1, c0:c1] += 1
         assert (cover == 1).all()
+
+
+def test_kernel_reduces_over_candidate_spans(monkeypatch):
+    # on the paper's schedule a valley pair has sampled pairs at l = 2 and,
+    # refined, at l = 1; every pair a level finishes, sampled or not, is
+    # reduced over its candidate span: each rectangle the kernel takes
+    # reduces only block columns inside the union of its pairs' candidate
+    # spans at that level
+    calls = _recording_native(monkeypatch)
+    level_sets = []
+
+    def recording(f):
+        def wrapped(*args):
+            cs = f(*args)
+            level_sets.append((cs.grid.l, cs.lo.copy(), cs.hi.copy()))
+            return cs
+
+        return wrapped
+
+    monkeypatch.setattr("minplus.basic.candidate_sets", recording(candidate_sets))
+    monkeypatch.setattr("minplus.basic.child_sets", recording(child_sets))
+    n = 128
+    a, b = valley_bd(n, 2, n + 2)
+    params = AlgoParams(delta=2, alpha=0.9, beta=0.6, seed=7, l_min=1)
+    for f, n_levels in ((mp.basic_minplus, 1), (mp.recursive_minplus, 2)):
+        calls.clear()
+        level_sets.clear()
+        trace = []
+        f(a, b, params, level_trace=trace)
+        assert all(s.assigned for s in trace) and len(trace) == n_levels
+        tables = [table for name, _, table in calls if name == "min_rects"]
+        assert len(tables) == len(level_sets) == n_levels
+        for table, (l, lo, hi) in zip(tables, level_sets):
+            for r0, r1, c0, c1, k0, k1 in table.tolist():
+                pairs = (slice(r0 // l, r1 // l), slice(c0 // l, c1 // l))
+                assert lo[pairs].min() * l <= k0 < k1 <= (hi[pairs].max() + 1) * l
 
 
 @pytest.mark.parametrize(

@@ -191,6 +191,23 @@ def test_bench_rejects_bad_size(tmp_path):
         assert not (tmp_path / "x.csv").exists()
 
 
+def test_unwritable_outputs_are_usage_errors(tmp_path, capsys):
+    # an --out or --csv path in a missing directory ends each subcommand
+    # with an error message and the usage exit code, not a traceback
+    pa, pb = _gen_pair(tmp_path)
+    bad = tmp_path / "missing"
+    cases = [
+        ("gen", "--n", "16", "--out", str(bad / "x.mpm")),
+        ("run", "--algo", "basic", "--a", str(pa), "--b", str(pb), "--out", str(bad / "c.mpm")),
+        ("bench", "--sizes", "16", "--algos", "naive", "--csv", str(bad / "x.csv")),
+    ]
+    for argv in cases:
+        capsys.readouterr()
+        assert run_cli(*argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not bad.exists()
+
+
 def test_csv_roundtrip():
     rec = RunRecord(
         algo="basic", n=64, delta=2, seed=3, alpha=0.9, beta=0.6, gamma=0.6, c0=3,
@@ -246,7 +263,7 @@ def test_strict_violation_detection():
 def test_run_product_beyond_operand_range_roundtrips(tmp_path, capsys, algo):
     # operands at the 2**60 cap give products near 2**61, which the output
     # file holds and reads back exactly; the paper's beta also sends the
-    # engines' pairs through the sampled stage's bucket sums
+    # engines' pairs through the sampled stage and the audit's bucket sums
     pa, pb, out = tmp_path / "a.mpm", tmp_path / "b.mpm", tmp_path / "c.mpm"
     for path, seed in ((pa, 1), (pb, 2)):
         x = mp.generate_bd(16, 2, seed).base.data
