@@ -338,12 +338,12 @@ def sample_r(cands: CandidateSets, params: AlgoParams, active: np.ndarray | None
     if len(active) and len(r_blocks):
         first = cands.first_candidate(active, r_blocks)
         hit = first < nb
-        assigned = active[hit]
-        chosen = first[hit]
-        used = np.zeros(nb, dtype=bool)
-        used[chosen] = True
-        for rb in np.flatnonzero(used):
-            gamma[int(rb) * l] = assigned[chosen == rb]
+        # the assigned pairs grouped by column with one stable sort, in
+        # active order within each; bounds are where a column's run starts
+        order = np.flatnonzero(hit)[np.argsort(first[hit], kind="stable")]
+        chosen, assigned = first[order], active[order]
+        bounds = np.flatnonzero(np.diff(chosen, prepend=-1, append=nb)).tolist()
+        gamma = {int(chosen[s]) * l: assigned[s:e] for s, e in zip(bounds, bounds[1:])}
         missed = active[~hit]
     return (r_blocks * l).astype(np.int64), NeededBlocks(gamma=gamma, missed=missed)
 

@@ -29,7 +29,11 @@ union of its pairs' child columns, which may hold more than a pair's own;
 by the nesting lemma below both give the same counts, spans and minima as
 a full scan (``test_level_child_sets_equal_dense_sets`` in
 ``tests/test_recursive.py`` checks it level by level,
-``test_child_candidates_inside_parent`` the lemma itself).
+``test_child_candidates_inside_parent`` the lemma itself). The sampled
+stage runs the same scan once more on its level's active pairs, counting
+only the drawn columns, for each pair's first drawn candidate
+(``CandidateSets.first_candidate``); the candidate test is written once,
+in ``native.c``.
 
 The scan reads the representatives of the block kernel's operands. Once
 per product, ``candidate_sets`` shifts the operands to start at 0, A - min
@@ -140,41 +144,27 @@ class CandidateSets:
     kern: KernelOperands
 
     def first_candidate(self, pairs: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Smallest of the ascending block columns ``cols`` that is a
-        candidate of each scanned block pair, or n_blocks if none is.
+        """Smallest of the block columns ``cols`` that is a candidate of each
+        scanned block pair of ``pairs``, or n_blocks if none is.
 
-        Where a pair's candidates fill its span, that is the first of the
-        columns inside the span. Where they leave gaps, the scan's own test,
-        ra[bi, k] + rb[k, bj] <= approx[bi, bj] + 8*delta*l, runs on the
-        columns, a few pairs at a time (at most _SUM_BUDGET tests), each
-        chunk on the columns inside the union of its pairs' spans: no
-        candidate lies outside its pair's span. It runs on the kernel
-        operands' representatives, against approx - shift + 8*delta*l.
+        One drawn scan (``_scan`` with ``cols`` as the drawn mask) finds it:
+        the pairs are grouped into rectangles over their spans
+        (``native.rectangles``), and each rectangle's columns are tested
+        against its pairs' thresholds, from their minima in ``approx``,
+        counting only the drawn ones. A rectangle's columns hold its pairs'
+        spans, and a span every candidate, so the first drawn column within
+        a pair's threshold is its smallest drawn candidate.
         """
         nb = self.grid.n_blocks
         bi, bj = pairs[:, 0], pairs[:, 1]
-        lo, hi = self.lo[bi, bj], self.hi[bi, bj]
-        c0 = np.searchsorted(cols, lo)  # each pair's first column at or after lo
-        first = np.append(cols, nb)[c0]
-        first[first > hi] = nb
-        gaps = np.flatnonzero(hi - lo + 1 > self.sizes[bi, bj])
-        if len(gaps):
-            c1 = np.searchsorted(cols, hi, side="right")
-            l = self.grid.l
-            bound = self.approx.data[bi, bj] - self.kern.shift + CANDIDATE_WINDOW * self.delta * l
-            ra, rbt = self.kern.a[::l, ::l][:, cols], self.kern.b[::l, ::l][cols].T  # [bi, c], [bj, c]
-            step = max(1, _SUM_BUDGET // len(cols))
-            for g0 in range(0, len(gaps), step):
-                g = gaps[g0 : g0 + step]
-                s0, s1 = int(c0[g].min()), int(c1[g].max())
-                if s0 < s1:
-                    ok = ra[bi[g], s0:s1] + rbt[bj[g], s0:s1] <= bound[g, None]
-                    first[g] = np.where(ok.any(axis=1), cols[s0 + ok.argmax(axis=1)], nb)
-        return first
-
-
-# representative sums held at once by ``first_candidate`` (1 MiB in int64)
-_SUM_BUDGET = 1 << 17
+        mask = np.zeros((nb, nb), dtype=bool)
+        mask[bi, bj] = True
+        table = native.rectangles(mask, self.lo, self.hi, 1)
+        if table is None:
+            raise ValueError("pair without a candidate span")
+        drawn = np.zeros(nb, dtype=np.uint8)
+        drawn[cols] = 1
+        return _scan(self.kern, self.delta, self.grid.l, table, drawn, self.approx.data)[bi, bj]
 
 
 def candidate_sets(a: BDMatrix, b: BDMatrix, l: int) -> CandidateSets:
@@ -219,10 +209,17 @@ def child_sets(l: int, parents: np.ndarray, spans: CandidateSets) -> CandidateSe
     return _scan(spans.kern, spans.delta, l, table)
 
 
-def _scan(kern: KernelOperands, delta: int, l: int, table: np.ndarray) -> CandidateSets:
+def _scan(
+    kern: KernelOperands, delta: int, l: int, table: np.ndarray,
+    drawn: np.ndarray | None = None, approx: np.ndarray | None = None,
+) -> CandidateSets | np.ndarray:
     """The candidate sets at block length l of the block pairs in the
     rectangles of ``table`` (``native.scan``), each over the block columns
-    of its rectangle; the other pairs are left unscanned.
+    of its rectangle; the other pairs are left unscanned. With a uint8 mask
+    ``drawn`` of block columns and the pairs' minima ``approx`` from their
+    level's scan, only each pair's first candidate among the drawn
+    columns, or nb if it has none: an (nb, nb) int32 table read only at
+    the rectangles' pairs (``CandidateSets.first_candidate``).
 
     The scan runs on the representatives of the kernel operands ``kern``,
     in their type, which holds span(A) + span(B): no shifted sum exceeds
@@ -234,17 +231,21 @@ def _scan(kern: KernelOperands, delta: int, l: int, table: np.ndarray) -> Candid
     does, then makes one pass over its block columns for each pair's count
     and first and last admitted column, with no sum kept, and writes
     ``approx`` in int64 with ``kern.shift`` added back; ``approx`` is
-    wrapped as a Matrix without a copy.
+    wrapped as a Matrix without a copy. At l = 1 the representatives are
+    the operands themselves, and no copy of them is made.
     """
     n = kern.a.shape[0]
     nb = n // l
-    x = np.empty((2, nb, nb), kern.a.dtype)  # [bi, bk] and [bk, bj]
-    x[0], x[1] = kern.a[::l, ::l], kern.b[::l, ::l]
-    largest = int(np.iinfo(x.dtype).max)
+    xa, xb = np.ascontiguousarray(kern.a[::l, ::l]), np.ascontiguousarray(kern.b[::l, ::l])
+    largest = int(np.iinfo(xa.dtype).max)
     cap = largest - min(CANDIDATE_WINDOW * delta * l, largest)
+    if drawn is not None:
+        first = np.empty((nb, nb), dtype=np.int32)
+        native.scan(xa, xb, table, cap, largest, kern.shift, approx, first, drawn)
+        return first
     approx = np.empty((nb, nb), dtype=np.int64)
     stats = np.empty((3, nb, nb), dtype=np.int32)  # sizes, lo, hi
-    native.scan(x, table, cap, largest, kern.shift, approx, stats)
+    native.scan(xa, xb, table, cap, largest, kern.shift, approx, stats)
     return CandidateSets(BlockGrid(n, l), delta, product_matrix(approx), *stats, kern)
 
 

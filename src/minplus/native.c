@@ -14,18 +14,22 @@
  * of the first rectangle that meets an entry written before is returned,
  * with nothing of it written, and -1 once every rectangle is.
  *
- * scan_<T> is the candidate scan of blocking (candidate_sets, child_sets)
- * on the representative tables xa[bi, bk] and xb[bk, bj] of the kernel
- * operands, stored one after the other in reps, over a table of rectangles
- * of block pairs like min_rects'. Unless a rectangle covers every pair,
- * every pair is first filled as unscanned (approx none, count 0, first nb,
- * last -1). reduce_<T> then writes each rectangle's least sums plus shift
- * into approx, and a second pass reads each least sum back as approx -
- * shift and finds, with the threshold largest - max(cap - least, 0), the
- * number of block columns k0 <= bk < k1 whose sum is at most it, and the
- * first and the last of them (stats: the counts, then the firsts, then the
- * lasts, nb * nb each). Every term stays within T, as the caller's
- * docstring shows.
+ * scan_<T> is the candidate scan of blocking (candidate_sets, child_sets,
+ * CandidateSets.first_candidate) on the representative tables xa[bi, bk]
+ * and xb[bk, bj] of the kernel operands, over a table of rectangles of
+ * block pairs like min_rects'. A level scan (drawn NULL) first fills every
+ * pair as unscanned (approx none, count 0, first nb, last -1) unless a
+ * rectangle covers every pair; reduce_<T> then writes each rectangle's
+ * least sums plus shift into approx, and a second pass reads each least
+ * sum back as approx - shift and finds, with the threshold largest -
+ * max(cap - least, 0), the number of block columns k0 <= bk < k1 whose sum
+ * is at most it, and the first and the last of them (stats: the counts,
+ * then the firsts, then the lasts, nb * nb each). Every term stays within
+ * T, as the caller's docstring shows. A drawn scan takes the minima a
+ * level scan wrote into approx and makes the second pass alone, over the
+ * block columns the byte mask drawn sets: stats is then the nb * nb firsts,
+ * each pair's smallest drawn candidate, and the pairs outside its
+ * rectangles are left as they were.
  *
  * Both check every rectangle of their table against the arrays' bounds
  * (0 <= r0 < r1 <= rows, and so on) before they write anything, and return
@@ -44,7 +48,10 @@
  * reduce runs over ROWS rows and COLS columns of a rectangle at a time, the
  * scan's count pass over one block row and COLS block columns, each with a
  * running value per entry over contiguous rows of b (xb), a loop the
- * compiler vectorises. On x86-64 Linux with glibc (whose ifuncs pick a
+ * compiler vectorises. A drawn scan runs that pass once per run of
+ * consecutive drawn columns, so no column is tested inside it: with the
+ * test inside, GCC 12 did not unswitch the loop, and level scans ran 8-10%
+ * slower. On x86-64 Linux with glibc (whose ifuncs pick a
  * build at load time), GCC 12 or later builds min_rects and scan for a
  * baseline, an AVX2 and an x86-64-v4 CPU, with reduce inlined into each, so
  * one cached library runs on any CPU at the speed of its vector unit; any
@@ -68,12 +75,16 @@
 #define COLS 512
 #define REFUSED (-2)
 
-static int any_set(const uint8_t *row, long w)
+/* the first index from j on, below w, whose byte of row is set, or w; clear
+ * bytes are skipped eight at a time */
+static long next_set(const uint8_t *row, long j, long w)
 {
-    uint8_t seen = 0;
-    for (long j = 0; j < w; j++)
-        seen |= row[j];
-    return seen != 0;
+    uint64_t eight;
+    while (j + 8 <= w && (memcpy(&eight, row + j, 8), !eight))
+        j += 8;
+    while (j < w && !row[j])
+        j++;
+    return j;
 }
 
 static int bad_table(const int64_t *table, long n_rects, long rows, long cols, long inner)
@@ -93,9 +104,7 @@ long rectangles(const uint8_t *mask, const int32_t *lo, const int32_t *hi, long 
     int32_t prev_lo = 0, prev_hi = 0;
     for (long bi = 0; bi < nb; bi++) {
         const uint8_t *row = mask + bi * nb;
-        for (long j = 0; j < nb; j++) {
-            if (!row[j])
-                continue;
+        for (long j = next_set(row, 0, nb); j < nb; j = next_set(row, j, nb)) {
             long j0 = j, p = bi * nb + j;
             int32_t run_lo = lo[p], run_hi = hi[p];
             for (; j < nb && row[j]; j++, p++) {
@@ -188,7 +197,7 @@ long rectangles(const uint8_t *mask, const int32_t *lo, const int32_t *hi, long 
             const int64_t *rect = table + 6 * t;                                                         \
             long r0 = rect[0], r1 = rect[1], c0 = rect[2], c1 = rect[3];                                 \
             for (long i = r0; i < r1; i++)                                                               \
-                if (any_set(done + i * n_cols + c0, c1 - c0))                                            \
+                if (next_set(done + i * n_cols + c0, 0, c1 - c0) < c1 - c0)                              \
                     return t;                                                                            \
             for (long i = r0; i < r1; i++)                                                               \
                 memset(done + i * n_cols + c0, 1, (size_t)(c1 - c0));                                    \
@@ -198,21 +207,21 @@ long rectangles(const uint8_t *mask, const int32_t *lo, const int32_t *hi, long 
     }
 
 #define SCAN(T, SUFFIX)                                                                                  \
-    CLONES long scan_##SUFFIX(const T *reps, long nb, const int64_t *table, long n_rects, T cap,         \
-                              T largest, int64_t shift, int64_t none, int64_t *approx, int32_t *stats)   \
+    CLONES long scan_##SUFFIX(const T *xa, const T *xb, long nb, const int64_t *table, long n_rects,     \
+                              T cap, T largest, int64_t shift, int64_t none, int64_t *approx,            \
+                              int32_t *stats, const uint8_t *drawn)                                      \
     {                                                                                                    \
-        const T *xa = reps, *xb = reps + nb * nb;                                                        \
-        int32_t *sizes = stats, *lo = sizes + nb * nb, *hi = lo + nb * nb;                               \
+        int32_t *lo = drawn ? stats : stats + nb * nb, *sizes = stats, *hi = lo + nb * nb;               \
         T thr[COLS];                                                                                     \
         int32_t cnt[COLS], first[COLS], last[COLS];                                                      \
-        int whole = 0;                                                                                   \
+        int fill = drawn == NULL;                                                                        \
         if (bad_table(table, n_rects, nb, nb, nb))                                                       \
             return REFUSED;                                                                              \
         for (long t = 0; t < n_rects; t++) {                                                             \
             const int64_t *rect = table + 6 * t;                                                         \
-            whole |= rect[0] == 0 && rect[1] == nb && rect[2] == 0 && rect[3] == nb;                     \
+            fill &= !(rect[0] == 0 && rect[1] == nb && rect[2] == 0 && rect[3] == nb);                   \
         }                                                                                                \
-        for (long p = 0; p < nb * nb && !whole; p++) {                                                   \
+        for (long p = 0; p < nb * nb && fill; p++) {                                                     \
             approx[p] = none;                                                                            \
             sizes[p] = 0;                                                                                \
             lo[p] = (int32_t)nb;                                                                         \
@@ -221,7 +230,8 @@ long rectangles(const uint8_t *mask, const int32_t *lo, const int32_t *hi, long 
         for (long t = 0; t < n_rects; t++) {                                                             \
             const int64_t *rect = table + 6 * t;                                                         \
             long r0 = rect[0], r1 = rect[1], c0 = rect[2], c1 = rect[3], k0 = rect[4], k1 = rect[5];     \
-            reduce_##SUFFIX(xa, xb, rect, approx, nb, nb, shift);                                        \
+            if (!drawn)                                                                                  \
+                reduce_##SUFFIX(xa, xb, rect, approx, nb, nb, shift);                                    \
             for (long bi = r0; bi < r1; bi++) {                                                          \
                 const T *ar = xa + bi * nb;                                                              \
                 for (long j0 = c0; j0 < c1; j0 += COLS) {                                                \
@@ -234,21 +244,28 @@ long rectangles(const uint8_t *mask, const int32_t *lo, const int32_t *hi, long 
                         first[j] = (int32_t)nb;                                                          \
                         last[j] = -1;                                                                    \
                     }                                                                                    \
-                    for (long k = k0; k < k1; k++) {                                                     \
-                        const T *bk = xb + k * nb + j0;                                                  \
-                        T x = ar[k];                                                                     \
-                        int32_t kk = (int32_t)k;                                                         \
-                        for (long j = 0; j < w; j++) {                                                   \
-                            int32_t ok = (T)(x + bk[j]) <= thr[j];                                       \
-                            cnt[j] += ok;                                                                \
-                            first[j] = ok && kk < first[j] ? kk : first[j];                              \
-                            last[j] = ok ? kk : last[j];                                                 \
+                    for (long ka = k0, kb = k1; ka < k1; ka = kb) {                                      \
+                        if (drawn) { /* the next run ka .. kb - 1 of drawn columns */                    \
+                            ka = kb = next_set(drawn, ka, k1);                                           \
+                            while (kb < k1 && drawn[kb])                                                 \
+                                kb++;                                                                    \
+                        }                                                                                \
+                        for (long k = ka; k < kb; k++) {                                                 \
+                            const T *bk = xb + k * nb + j0;                                              \
+                            T x = ar[k];                                                                 \
+                            int32_t kk = (int32_t)k;                                                     \
+                            for (long j = 0; j < w; j++) {                                               \
+                                int32_t ok = (T)(x + bk[j]) <= thr[j];                                   \
+                                cnt[j] += ok;                                                            \
+                                first[j] = ok && kk < first[j] ? kk : first[j];                          \
+                                last[j] = ok ? kk : last[j];                                             \
+                            }                                                                            \
                         }                                                                                \
                     }                                                                                    \
                     for (long j = 0; j < w; j++) {                                                       \
-                        sizes[p + j] = cnt[j];                                                           \
                         lo[p + j] = first[j];                                                            \
-                        hi[p + j] = last[j];                                                             \
+                        if (!drawn)                                                                      \
+                            sizes[p + j] = cnt[j], hi[p + j] = last[j];                                  \
                     }                                                                                    \
                 }                                                                                        \
             }                                                                                            \

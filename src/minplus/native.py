@@ -1,7 +1,8 @@
 """The two cubic loops of a product in C (``native.c``), loaded through
 ctypes: ``min_rects``, the block kernel behind ``basic._min_blocks`` and
 ``basic.dense_minplus``, and ``scan``, the candidate scan of every level
-(``blocking.candidate_sets`` and ``blocking.child_sets``). Both take one
+(``blocking.candidate_sets`` and ``blocking.child_sets``) and of the
+sampled stage (``blocking.CandidateSets.first_candidate``). Both take one
 table of rectangles (r0, r1, c0, c1, k0, k1), which ``rectangles``, also
 compiled, groups from a bool mask of block pairs and their spans.
 
@@ -144,7 +145,7 @@ def _load(path: str) -> ctypes.CDLL:
         rects.argtypes = [ptr, ptr, ptr, n, ptr, ptr, n, n, n, ctypes.c_int64]
         rects.restype = n
         scan_fn = getattr(lib, f"scan_{suffix}")
-        scan_fn.argtypes = [ptr, n, ptr, n, ctype, ctype, ctypes.c_int64, ctypes.c_int64, ptr, ptr]
+        scan_fn.argtypes = [ptr, ptr, n, ptr, n, ctype, ctype, ctypes.c_int64, ctypes.c_int64, ptr, ptr, ptr]
         scan_fn.restype = n
     return lib
 
@@ -211,39 +212,47 @@ def min_rects(a: np.ndarray, b: np.ndarray, table: np.ndarray, out: np.ndarray, 
 
 
 def scan(
-    x: np.ndarray, table: np.ndarray, cap: int, largest: int, shift: int, approx: np.ndarray, stats: np.ndarray
+    xa: np.ndarray, xb: np.ndarray, table: np.ndarray, cap: int, largest: int, shift: int, approx: np.ndarray,
+    stats: np.ndarray, drawn: np.ndarray | None = None,
 ) -> None:
-    """The candidate scan on the square tables xa[bi, bk] = x[0] and
-    xb[bk, bj] = x[1] of one int16, int32 or int64 array ``x`` (the
-    representatives of ``blocking.kernel_operands``), over each
-    rectangle (r0, r1, c0, c1, k0, k1) of ``table`` (block rows bi, block
-    columns bj, and the block columns bk scanned): per block pair, the
-    least sum xa[bi, bk] + xb[bk, bj] plus ``shift`` into the int64
-    ``approx``, and, with the threshold largest - max(cap - least, 0), the
-    number of block columns bk whose sum is at most it, the first of them
-    and the last into the int32 ``stats[0]``, ``stats[1]`` and
-    ``stats[2]``. Every pair no rectangle holds gets approx INF, size 0,
-    first nb and last -1. The minima come from the block kernel's
-    reduction, which ``min_rects`` runs too. The type must hold every sum,
-    ``cap`` and ``largest``, and every term of the threshold
-    (``blocking._scan``); a later rectangle overwrites a pair an earlier
-    one scanned. A rectangle that is empty or leaves the grid raises
-    ValueError with nothing written."""
-    suffix = _suffix(x, "x")
-    if x.ndim != 3:
-        raise ValueError("x must be 3-D")
-    nb = x.shape[2]
-    _check(x, "x", x.dtype, (2, nb, nb))
+    """The candidate scan on the square representative tables xa[bi, bk]
+    and xb[bk, bj] of one type, int16, int32 or int64 (those of
+    ``blocking.kernel_operands``), over each rectangle (r0, r1, c0, c1, k0,
+    k1) of ``table`` (block rows bi, block columns bj, and the block
+    columns bk scanned): per block pair, the least sum xa[bi, bk] + xb[bk,
+    bj] plus ``shift`` into the int64 ``approx``, and, with the threshold
+    largest - max(cap - least, 0), the number of block columns bk whose sum
+    is at most it, the first of them and the last into the int32
+    ``stats[0]``, ``stats[1]`` and ``stats[2]``. Every pair no rectangle
+    holds gets approx INF, size 0, first nb and last -1. The minima come
+    from the block kernel's reduction, which ``min_rects`` runs too. The
+    type must hold every sum, ``cap`` and ``largest``, and every term of
+    the threshold (``blocking._scan``); a later rectangle overwrites a pair
+    an earlier one scanned. A rectangle that is empty or leaves the grid
+    raises ValueError with nothing written.
+
+    With ``drawn``, a uint8 mask of the nb block columns, the scan reads
+    the minima from ``approx`` instead, as a scan of the same pairs wrote
+    them, and writes only the first column within each pair's threshold
+    among the drawn ones (nb if none is) into ``stats``, of shape (nb, nb);
+    the pairs no rectangle holds are left unwritten."""
+    suffix = _suffix(xa, "xa")
+    nb = len(xa)
+    _check(xa, "xa", xa.dtype, (nb, nb))
+    _check(xb, "xb", xa.dtype, (nb, nb))
     _check(approx, "approx", np.int64, (nb, nb))
-    _check(stats, "stats", np.int32, (3, nb, nb))
+    _check(stats, "stats", np.int32, (3, nb, nb) if drawn is None else (nb, nb))
     _check(table, "table", np.int64, (len(table), 6))
+    if drawn is not None:
+        _check(drawn, "drawn", np.uint8, (nb,))
     least, most = _LIMITS[suffix]
     if not (least <= cap <= most and least <= largest <= most):
-        raise ValueError(f"cap {cap} or largest {largest} is outside {x.dtype}")
+        raise ValueError(f"cap {cap} or largest {largest} is outside {xa.dtype}")
     _check_shift(shift)
     fn = getattr(_lib, f"scan_{suffix}")
-    table_ptr, approx_ptr, stats_ptr = table.ctypes.data, approx.ctypes.data, stats.ctypes.data
-    _refused(fn(x.ctypes.data, nb, table_ptr, len(table), cap, largest, shift, INF, approx_ptr, stats_ptr))
+    drawn_ptr = None if drawn is None else drawn.ctypes.data
+    args = (table.ctypes.data, len(table), cap, largest, shift, INF, approx.ctypes.data, stats.ctypes.data, drawn_ptr)
+    _refused(fn(xa.ctypes.data, xb.ctypes.data, nb, *args))
 
 
 def rectangles(mask: np.ndarray, lo: np.ndarray, hi: np.ndarray, scale: int) -> np.ndarray | None:

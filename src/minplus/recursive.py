@@ -178,7 +178,10 @@ def collisions_incremental(
     the previous level's collisions and of nodes sharing a slot with
     themselves (every co-located child pair has co-located parents).
 
-    Set-equal to collisions_exhaustive at the same level. Each candidate
+    Equal to collisions_exhaustive at the same level as a set, with no row
+    twice: a child pair has one parent pair, the seed pairs are distinct
+    (the distinct parent collisions, which hold no (p, p), and the distinct
+    ``diagonal_nodes``), so no child pair is reached twice. Each candidate
     check is O(1); checks are counted when counters are given.
     """
     lev = tree.levels[level_index]
@@ -191,18 +194,9 @@ def collisions_incremental(
     ca, cb = _expand_children(seed_pairs, child_of, starts, counts)
     if counters is not None:
         counters.collision_checks += len(ca)
-    if not len(ca):
-        return np.empty((0, 3), dtype=np.int64)
     keep = (ca != cb) & (lev.slots[ca] == lev.slots[cb])
     ca, cb = ca[keep], cb[keep]
-    out = np.stack([lev.slots[ca], ca, cb], 1)
-    # dedup: a child pair can descend from several seed pairs only via the
-    # diagonal overlap, but keep the contract tight anyway
-    if len(out):
-        enc = (out[:, 1] * (len(lev.keys) + 1) + out[:, 2])
-        _, first = np.unique(enc, return_index=True)
-        out = out[np.sort(first)]
-    return out
+    return np.stack([lev.slots[ca], ca, cb], 1)
 
 
 # ---------------------------------------------------------------------------

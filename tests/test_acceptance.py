@@ -215,7 +215,7 @@ def test_criterion_8_incremental_collision_equality(pool):
         for j in range(1, depth + 1):
             inc = collisions_incremental(pairs, tree, j)
             exh = collisions_exhaustive(tree, j)
-            if set(map(tuple, inc.tolist())) != set(map(tuple, exh.tolist())):
+            if set(map(tuple, inc.tolist())) != set(map(tuple, exh.tolist())) or len(inc) != len(exh):
                 ok = False
             pairs = exh
     assert report(8, "incremental collision finding set-equal to exhaustive at every level", ok)

@@ -884,7 +884,9 @@ def _recording_native(monkeypatch):
     """Route the native calls, the kernel's, the candidate scan's and the
     grouping's, through a recorder; returns the list of (function name,
     operand dtype, rectangle table) it fills, one per call (the grouping
-    has no operand, dtype None, and its table is the one it returns)."""
+    has no operand, dtype None, and its table is the one it returns). A
+    level's candidate scan is "scan", the sampled stage's scan with a mask
+    of drawn columns "drawn scan"."""
     calls = []
     real_rects, real_scan, real_group = mp.native.min_rects, mp.native.scan, mp.native.rectangles
 
@@ -892,9 +894,9 @@ def _recording_native(monkeypatch):
         calls.append(("min_rects", a.dtype, table.copy()))
         return real_rects(a, b, table, out, done, shift)
 
-    def scan(x, table, *args):
-        calls.append(("scan", x.dtype, table.copy()))
-        return real_scan(x, table, *args)
+    def scan(xa, xb, table, cap, largest, shift, approx, stats, drawn=None):
+        calls.append(("scan" if drawn is None else "drawn scan", xa.dtype, table.copy()))
+        return real_scan(xa, xb, table, cap, largest, shift, approx, stats, drawn)
 
     def rectangles(mask, *args):
         table = real_group(mask, *args)
@@ -1113,10 +1115,13 @@ def test_native_refuses_malformed_input(monkeypatch):
         [[0, 2, 0, 2, 0, 4], [0, 4, 3, 1, 0, 4]],  # a bad rectangle after a good one
         [[0, 4, 0, 4, 0, 4], [0, 4, 0, 4, 0, 5]],  # after one that covers the grid
     ]
+    drawn = np.array([1, 0, 1, 1], dtype=np.uint8)
     for rect in bad_scan_tables:
         before = approx.copy(), stats.copy()
         with pytest.raises(ValueError, match="empty or out of bounds"):
-            mp.native.scan(x, np.array(rect, dtype=np.int64), 0, 1, 0, approx, stats)
+            mp.native.scan(*x, np.array(rect, dtype=np.int64), 0, 1, 0, approx, stats)
+        with pytest.raises(ValueError, match="empty or out of bounds"):
+            mp.native.scan(*x, np.array(rect, dtype=np.int64), 0, 1, 0, approx, stats[1], drawn)
         assert np.array_equal(approx, before[0]) and np.array_equal(stats, before[1])
 
     class NoCall:
@@ -1143,20 +1148,27 @@ def test_native_refuses_malformed_input(monkeypatch):
         with pytest.raises((TypeError, ValueError)):
             mp.native.min_rects(*args)
     whole = np.array([[0, 4, 0, 4, 0, 4]], dtype=np.int64)
+    xa, xb = x
     for args in [
-        (x.astype(np.int8), whole, 0, 1, 0, approx, stats),  # no scan for the type
-        (x[0], whole, 0, 1, 0, approx, stats),  # not two tables
-        (np.zeros((3, 4, 4), dtype=np.int16), whole, 0, 1, 0, approx, stats),
-        (np.zeros((2, 4, 8), dtype=np.int16)[:, :, ::2], whole, 0, 1, 0, approx, stats),  # non-contiguous
-        (x, whole.astype(np.int32), 0, 1, 0, approx, stats),  # table type
-        (x, np.zeros((2, 12), dtype=np.int64)[:, ::2], 0, 1, 0, approx, stats),
-        (x, whole, 0, 1, 0, approx.astype(np.int32), stats),  # approx type
-        (x, whole, 0, 1, 0, approx[:3], stats),
-        (x, whole, 0, 1, 0, approx, stats.astype(np.int64)),  # stats type
-        (x, whole, 0, 1, 0, approx, stats[:2]),
-        (x, whole, 0, 1 << 15, 0, approx, stats),  # largest past int16
-        (x, whole, -(1 << 15) - 1, 1, 0, approx, stats),  # cap past int16
-        (x, whole, 0, 1, 1 << 63, approx, stats),  # shift past int64
+        (xa.astype(np.int8), xb.astype(np.int8), whole, 0, 1, 0, approx, stats),  # no scan for the type
+        (xa, xb.astype(np.int32), whole, 0, 1, 0, approx, stats),  # table types differ
+        (x, xb, whole, 0, 1, 0, approx, stats),  # not 2-D
+        (xa[:3], xb[:3], whole, 0, 1, 0, approx, stats),  # not square
+        (xa, xb[:3], whole, 0, 1, 0, approx, stats),  # tables of two sizes
+        (np.zeros((4, 8), dtype=np.int16)[:, ::2], xb, whole, 0, 1, 0, approx, stats),  # non-contiguous
+        (xa, xb, whole.astype(np.int32), 0, 1, 0, approx, stats),  # table type
+        (xa, xb, np.zeros((2, 12), dtype=np.int64)[:, ::2], 0, 1, 0, approx, stats),
+        (xa, xb, whole, 0, 1, 0, approx.astype(np.int32), stats),  # approx type
+        (xa, xb, whole, 0, 1, 0, approx[:3], stats),
+        (xa, xb, whole, 0, 1, 0, approx, stats.astype(np.int64)),  # stats type
+        (xa, xb, whole, 0, 1, 0, approx, stats[:2]),
+        (xa, xb, whole, 0, 1, 0, approx, stats[0].copy()),  # a level scan writes three tables
+        (xa, xb, whole, 0, 1, 0, approx, stats, drawn),  # a drawn scan writes one
+        (xa, xb, whole, 0, 1, 0, approx, stats[1], drawn.astype(bool)),  # drawn type
+        (xa, xb, whole, 0, 1, 0, approx, stats[1], drawn[:3]),  # drawn shape
+        (xa, xb, whole, 0, 1 << 15, 0, approx, stats),  # largest past int16
+        (xa, xb, whole, -(1 << 15) - 1, 1, 0, approx, stats),  # cap past int16
+        (xa, xb, whole, 0, 1, 1 << 63, approx, stats),  # shift past int64
     ]:
         with pytest.raises((TypeError, ValueError)):
             mp.native.scan(*args)
@@ -1185,7 +1197,8 @@ def test_native_scan_matches_reference(dtype):
     # minimum plus the shift, and the count, first and last admitted column
     # among the rectangle's block columns only; every other pair gets the
     # fill: INF, size 0, first nb and last -1. A table with a rectangle over
-    # the whole grid, which skips the fill, still writes every pair
+    # the whole grid, which skips the fill, still writes every pair. A drawn
+    # scan of each table then finds the first drawn candidates
     rng = np.random.default_rng(3)
     chunk = _column_chunk()
     nb = chunk + 9
@@ -1208,12 +1221,13 @@ def test_native_scan_matches_reference(dtype):
     # the top scan's one rectangle over the whole grid, which skips the
     # fill, and the same after a rectangle it overwrites, on a small grid
     small, whole = x[:, :24, :24].copy(), np.array([(0, 24, 0, 24, 0, 24)], dtype=np.int64)
+    moved = 0
     for reps, table in ((x, child), (small, whole), (small, np.concatenate((child[:1], whole)))):
         nb = reps.shape[1]
         # outputs hold stale values, which the fill or the scan must replace
         approx = np.full((nb, nb), 12345, dtype=np.int64)
         stats = np.full((3, nb, nb), 777, dtype=np.int32)
-        mp.native.scan(reps, table, cap, largest, shift, approx, stats)
+        mp.native.scan(*reps, table, cap, largest, shift, approx, stats)
         # the fill, then each rectangle in order: a later one overwrites
         want = [np.full((nb, nb), v, dtype=np.int64) for v in (mp.INF, 0, nb, -1)]
         for r0, r1, c0, c1, k0, k1 in table.tolist():
@@ -1230,6 +1244,21 @@ def test_native_scan_matches_reference(dtype):
         assert (approx == mp.INF).any() == (table is child)
         if table is child:
             assert approx[20, 20] == top + shift and top > cap
+        # a drawn scan of the same table reads those minima and writes each
+        # pair's first drawn column within its threshold among its
+        # rectangle's columns, or nb; it writes nothing else
+        drawn = (np.arange(nb) % 3 != 1).astype(np.uint8)
+        first, kept = np.full((nb, nb), 555, dtype=np.int32), approx.copy()
+        mp.native.scan(*reps, table, cap, largest, shift, approx, first, drawn)
+        want_first = np.full((nb, nb), 555)
+        for r0, r1, c0, c1, k0, k1 in table.tolist():
+            sums = reps[0, r0:r1, k0:k1, None].astype(np.int64) + reps[1, None, k0:k1, c0:c1]
+            threshold = largest - np.maximum(cap - (approx[r0:r1, c0:c1] - shift), 0)
+            ok = (sums <= threshold[:, None]) & (drawn[None, k0:k1, None] == 1)
+            want_first[r0:r1, c0:c1] = np.where(ok, np.arange(k0, k1)[None, :, None], nb).min(axis=1)
+        assert np.array_equal(approx, kept) and np.array_equal(first, want_first)
+        moved += int(((want_first < nb) & (want_first != stats[1])).sum())
+    assert moved  # some pair's first candidate was not drawn, and a later one was
 
 
 @pytest.mark.parametrize("name", ["walk-64", "valley-256"])
@@ -1504,7 +1533,7 @@ def test_engines_exact_in_every_kernel_type(monkeypatch, case, dtype):
     # in int16 over pruned spans. The flat rows (A[i, k] = i * 2**53, B[k, j]
     # = j * 2**53) span more than int32 holds, so they run in int64, with sums
     # up to 2**61. Each runs at the defaults and at the paper's beta, which
-    # samples
+    # samples, so the drawn scans of the sampled stage run in that type too
     calls = _recording_native(monkeypatch)
     if case == "walk-offset":
         a, b = _offset_pair(mp.generate_bd(64, 2, 5), mp.generate_bd(64, 2, 6))
@@ -1527,7 +1556,7 @@ def test_engines_exact_in_every_kernel_type(monkeypatch, case, dtype):
         assert np.array_equal(mp.basic_minplus(a, b, params).data, want)
         assert np.array_equal(mp.recursive_minplus(a, b, params).data, want)
     assert np.array_equal(mp.dense_minplus(a.base, b.base).data, want)
-    assert {f for f, _, _ in calls} == {"min_rects", "scan", "rectangles"}
+    assert {f for f, _, _ in calls} == {"min_rects", "scan", "drawn scan", "rectangles"}
     assert {d for f, d, _ in calls if f != "rectangles"} == {np.dtype(dtype)}
 
 
@@ -1536,7 +1565,11 @@ def test_one_operand_preparation_per_product(monkeypatch):
     # scan, however many levels it scans: at the defaults, with child
     # levels down to single entries (the walk's pairs of l = 4 are
     # refined), and on the paper's schedule, whose valley levels below the
-    # top are scanned as well
+    # top are scanned as well. Each level with open pairs makes one level
+    # scan. A product at the defaults samples nothing and makes no drawn
+    # scan; each sampled level (the walk's l = 2 under l_min 1, and the
+    # valley's on the paper's schedule) makes exactly one, whose rectangles
+    # cover its active pairs once each and nothing else
     made = []
     real = mp.blocking.kernel_operands
 
@@ -1547,6 +1580,7 @@ def test_one_operand_preparation_per_product(monkeypatch):
     monkeypatch.setattr(mp.blocking, "kernel_operands", counting)
     calls = _recording_native(monkeypatch)
     walk = mp.generate_bd(64, 2, 1), mp.generate_bd(64, 2, 2)
+    checked = 0
     for (a, b), kw in [
         (walk, {}),
         (walk, {"l_min": 1}),
@@ -1563,7 +1597,19 @@ def test_one_operand_preparation_per_product(monkeypatch):
             scanned = 1 + sum(1 for prev in trace[:-1] if len(prev.pending))
             assert sum(1 for name, _, _ in calls if name == "scan") == scanned
             assert scanned > 1 or f is mp.basic_minplus or "l_min" not in kw
+            sampled = [s for s in trace if len(s.active) and a.n // s.block_len >= 4]
+            drawn = [table for name, _, table in calls if name == "drawn scan"]
+            assert len(drawn) == len(sampled) and (kw or not drawn)
+            checked += len(drawn)
+            for s, table in zip(sampled, drawn):
+                nb = a.n // s.block_len
+                cover, active = np.zeros((nb, nb), dtype=np.int64), np.zeros((nb, nb), dtype=np.int64)
+                for r0, r1, c0, c1, _, _ in table.tolist():
+                    cover[r0:r1, c0:c1] += 1
+                active[s.active[:, 0], s.active[:, 1]] = 1
+                assert np.array_equal(cover, active)
         assert made[0].a.dtype == np.int16
+    assert checked > 2
 
 
 def test_invariants_survive_optimize():

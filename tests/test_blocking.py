@@ -69,15 +69,15 @@ def test_candidate_threshold_exact(pool):
             assert (cs.sizes[bi, bj], cs.lo[bi, bj], cs.hi[bi, bj]) == (len(want), want[0], want[-1])
 
 
-@pytest.mark.parametrize("budget", [1, 3 * 8 * 8, 1 << 30])
-def test_candidate_chunks_match_dense(pool, monkeypatch, budget):
+@pytest.mark.parametrize("chunk", [1, 3 * 8 * 8, 1 << 30])
+def test_candidate_chunks_match_dense(pool, chunk):
     # the sets equal the dense result on a walk and on a valley (whose spans
     # are narrow and differ from pair to pair); on two valleys the sets
     # leave gaps, so a span is more than its set, and the first candidate
-    # among a set of columns is found by the scan's own test, in chunks of
-    # one pair, of a few pairs with a short last one, or all at once
+    # among a set of columns is found by the drawn scan, asked for the
+    # pairs in chunks of one pair, of a few pairs with a short last one, or
+    # all at once: a pair's answer does not depend on the pairs beside it
     n, delta, l = 32, 2, 4
-    monkeypatch.setattr("minplus.blocking._SUM_BUDGET", budget)
     for a, b in (pool.pair(n, delta, 3), valley_bd(n, delta, 5)):
         check_candidate_sets(candidate_sets(a, b, l), a, b)
     a, b = two_valley_bd(128, 5, 1)
@@ -90,7 +90,46 @@ def test_candidate_chunks_match_dense(pool, monkeypatch, budget):
     cols = np.arange(1, nb, 3)
     sub = mask[pairs[:, 0], pairs[:, 1]][:, cols]
     want = np.where(sub.any(axis=1), cols[sub.argmax(axis=1)], nb)
-    assert np.array_equal(cs.first_candidate(pairs, cols), want)
+    got = [cs.first_candidate(pairs[i : i + chunk], cols) for i in range(0, len(pairs), chunk)]
+    assert np.array_equal(np.concatenate(got), want)
+
+
+@pytest.mark.parametrize("case, dtype", [("two-valley", np.int16), ("wide-walk", np.int32), ("flat-rows", np.int64)])
+def test_first_candidate_matches_reference(case, dtype):
+    # the sampled stage's assignment, each pair's smallest candidate among
+    # the drawn columns (or nb), equals the reference mask's in every scan
+    # type, at the top level (l = 2) and at a child level (l = 1) of half
+    # its pairs: the two valleys at delta 5, whose sets leave gaps, in
+    # int16; the CI's delta = 3000 walk (seeds 3 and 4) in int32; rows
+    # A[i, k] = i * 2**53 and B[k, j] = j * 2**53 in int64, where every
+    # column is a candidate. Each takes most of its level's pairs in
+    # shuffled order, with every column drawn and with four drawn, which
+    # some two-valley pairs miss and the walk's dense sets do not
+    if case == "two-valley":
+        a, b = two_valley_bd(128, 5, 1)
+    elif case == "wide-walk":
+        a, b = mp.generate_bd(64, 3000, 3), mp.generate_bd(64, 3000, 4)
+    else:
+        rows = np.arange(64, dtype=np.int64)[:, None] << 53
+        a, b = (mp.BDMatrix(Matrix(x), (1 << 53) + 1) for x in (rows.repeat(64, 1), rows.T.repeat(64, 0)))
+    rng = np.random.default_rng(11)
+    top = candidate_sets(a, b, 2)
+    assert top.kern.a.dtype == dtype
+    parents = rng.random(top.sizes.shape) < 0.5
+    missed = 0
+    for cs, scanned in ((top, np.ones_like(parents)), (child_sets(1, parents, top), parents)):
+        mask = candidate_mask(a, b, cs.grid.l)[0]
+        nb = mask.shape[0]
+        scanned = np.repeat(np.repeat(scanned, nb // len(scanned), 0), nb // len(scanned), 1)
+        if case == "two-valley":
+            assert (cs.hi - cs.lo + 1 > cs.sizes)[scanned].any()
+        pairs = rng.permutation(np.argwhere(scanned & (rng.random((nb, nb)) < 0.8)))
+        for cols in (np.arange(nb), np.sort(rng.choice(nb, 4, replace=False))):
+            sub = mask[pairs[:, 0], pairs[:, 1]][:, cols]
+            want = np.where(sub.any(axis=1), cols[sub.argmax(axis=1)], nb)
+            assert np.array_equal(cs.first_candidate(pairs, cols), want)
+            missed += int((want == nb).sum())
+    assert (missed > 0) == (case == "two-valley")
 
 
 def _cap_pair():

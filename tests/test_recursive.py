@@ -138,6 +138,7 @@ def test_incremental_constructed_split():
         inc = collisions_incremental(parent_cols, tree, 1)
         exh = collisions_exhaustive(tree, 1)
         assert set(map(tuple, inc.tolist())) == set(map(tuple, exh.tolist()))
+        assert len(inc) == len(exh)  # no row twice
 
 
 def _segment_node_levels(keys_t, depth):
@@ -168,6 +169,7 @@ def test_incremental_equals_exhaustive_random(pool):
             inc = collisions_incremental(pairs, tree, j)
             exh = collisions_exhaustive(tree, j)
             assert set(map(tuple, inc.tolist())) == set(map(tuple, exh.tolist()))
+            assert len(inc) == len(exh)  # no row twice
             pairs = exh
 
 
@@ -307,7 +309,7 @@ def test_level_child_sets_equal_dense_sets(pool, monkeypatch, family, delta, alp
         a, b = pool.pair(n, delta, 2)
     else:
         a, b = (valley_bd if family == "valley" else two_valley_bd)(n, delta, n + delta)
-    scans, tables = [], []
+    scans, tables, drawn_scans = [], [], []
     real, real_scan = basic.child_sets, mp.native.scan
 
     def recording(l, parents, spans):
@@ -321,9 +323,12 @@ def test_level_child_sets_equal_dense_sets(pool, monkeypatch, family, delta, alp
         tables.append((tables.pop(), own))  # the table of the scan just made
         return cs
 
-    def recording_scan(x, table, *args):
-        tables.append(table.copy())
-        return real_scan(x, table, *args)
+    def recording_scan(xa, xb, table, cap, largest, shift, approx, stats, drawn=None):
+        if drawn is None:  # a level scan; the sampled stage's are counted apart
+            tables.append(table.copy())
+        else:
+            drawn_scans.append(len(xa))
+        return real_scan(xa, xb, table, cap, largest, shift, approx, stats, drawn)
 
     monkeypatch.setattr(basic, "child_sets", recording)
     monkeypatch.setattr(mp.native, "scan", recording_scan)
@@ -332,6 +337,7 @@ def test_level_child_sets_equal_dense_sets(pool, monkeypatch, family, delta, alp
     want = mp.minplus_naive(a.base, b.base).data
     assert np.array_equal(mp.recursive_minplus(a, b, params, level_trace=trace).data, want)
     assert [l for l, _, _ in scans] == [cur.block_len for prev, cur in zip(trace, trace[1:]) if len(prev.pending)]
+    assert drawn_scans == [n // s.block_len for s in trace if len(s.active) and n // s.block_len >= 4]
     widened = 0
     for table, own in tables[1:]:
         for r0, r1, c0, c1, k0, k1 in table.tolist():
